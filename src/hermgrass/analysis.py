@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from . import minors as mn
 from .codebuild import (
     FAMILY_HERMITIAN,
@@ -40,6 +41,7 @@ from .hermitian import (
     HermitianIndexing,
     count_invertible,
     elementary_row_add,
+    encode,
     is_hermitian,
     rank_one_from_vector,
     translate,
@@ -397,8 +399,6 @@ def min_distance_subfield(gen: GeneratorMatrix, basis: list | None = None,
     for row in rows:
         bad = [v for v in np.unique(row) if not tower.in_base_subfield(int(v))]
         assert not bad, "F_q basis row takes values outside the subfield"
-    from . import linalg
-
     assert linalg.rank(tower, np.stack(rows)) == gen.spec.k
     scalars = list(tower.subfield)
     w, digits, searched = min_weight_over_combinations(tower, rows, scalars, budget, threads)
@@ -579,8 +579,8 @@ def dual_word_weight3(gen: GeneratorMatrix, alpha: int, c0: int = 1,
         tower.mul(tower.neg(tower.mul(alpha, den)), c0),
         tower.mul(den, c0),
     ]
-    indexing = HermitianIndexing(tower, ell)
-    positions = [indexing.matrix_to_index(S) for S in supports]
+    entries = np.array(supports).transpose(1, 2, 0)
+    positions = encode(tower, ell, FAMILY_HERMITIAN, entries).tolist()
     if len(set(positions)) != 3:
         raise AssertionError("support matrices are not distinct")
     order = sorted(range(3), key=lambda i: positions[i])
@@ -604,9 +604,7 @@ def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
     H = H if H is not None else zero_matrix(ell)
     a1 = a1 if a1 is not None else tuple(1 if i == 0 else 0 for i in range(ell))
     a2 = a2 if a2 is not None else tuple(1 if i == 1 else 0 for i in range(ell))
-    from .hermitian import mat_rank
-
-    if mat_rank(tower, (tuple(a1), tuple(a2))) != 2:
+    if linalg.rank(tower, (tuple(a1), tuple(a2))) != 2:
         raise ValueError("a1, a2 must be linearly independent")
     M1 = rank_one_from_vector(tower, a1)
     cross = _outer(tower, a2, a1)
@@ -617,8 +615,8 @@ def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
         translate(tower, H, M2),
         translate(tower, translate(tower, H, M1), M2),
     ]
-    indexing = HermitianIndexing(tower, ell)
-    positions = [indexing.matrix_to_index(S) for S in supports]
+    entries = np.array(supports).transpose(1, 2, 0)
+    positions = encode(tower, ell, FAMILY_HERMITIAN, entries).tolist()
     if len(set(positions)) != 4:
         raise AssertionError("support matrices are not distinct")
     positions = tuple(sorted(positions))
@@ -646,9 +644,7 @@ def dual_support_families(gen: GeneratorMatrix, count: int = 50,
             while True:
                 a1 = tuple(rng.randrange(tower.qq) for _ in range(ell))
                 a2 = tuple(rng.randrange(tower.qq) for _ in range(ell))
-                from .hermitian import mat_rank
-
-                if mat_rank(tower, (a1, a2)) == 2:
+                if linalg.rank(tower, (a1, a2)) == 2:
                     break
             out.append(dual_word_weight4(gen, H, a1, a2))
         else:

@@ -3,10 +3,9 @@
 The Hermitian family evaluates every minor of the generic Hermitian matrix
 at all ell x ell Hermitian matrices over F_{q^2}; the affine family
 evaluates the same minor basis at all ell x ell matrices over F_q.  Row i
-of a generator is the evaluation of basis minor i; columns follow the
-canonical position enumerations (see hermitian.HermitianIndexing for the
-Hermitian order; affine positions decode the ell^2 entries row-major,
-least significant first, radix q through the sorted subfield list).
+of a generator is the evaluation of basis minor i; column t is position t
+of the family's normative order, as defined by the position codec
+`hermitian.decode` / `hermitian.encode`.
 
 Also here: the F_q row basis of the Hermitian code, membership and
 interpolation against a generator, positionwise conjugation, automorphism
@@ -24,19 +23,18 @@ from . import linalg
 from .errors import BudgetExceeded, NotInCode
 from .galois import MODULI, SUPPORTED_Q, FieldTower, make_field, tower_for_q
 from .hermitian import (
-    HermitianIndexing,
-    conj_transpose,
+    FAMILY_AFFINE,
+    FAMILY_HERMITIAN,
+    congruence_entries,
+    decode,
+    det_vectors,
+    encode,
     is_hermitian,
-    mat_mul,
-    mat_rank,
+    position_chunks,
     transpose,
-    translate,
-    upper_pairs,
 )
 from .minors import basis
 
-FAMILY_HERMITIAN = "hermitian"
-FAMILY_AFFINE = "affine"
 _FAMILY_LETTER = {FAMILY_HERMITIAN: "H", FAMILY_AFFINE: "A"}
 _LETTER_FAMILY = {v: k for k, v in _FAMILY_LETTER.items()}
 
@@ -75,46 +73,7 @@ class CodeSpec:
 def position_entries(tower: FieldTower, ell: int, family: str):
     """Entry value arrays: E[i][j][t] = entry (i, j) of the t-th evaluation
     point, for all positions t at once."""
-    q, qq = tower.q, tower.qq
-    n = q ** (ell * ell)
-    t = np.arange(n, dtype=np.int64)
-    subfield = np.array(tower.subfield, dtype=np.uint8)
-    E = [[None] * ell for _ in range(ell)]
-    if family == FAMILY_HERMITIAN:
-        for i in range(ell):
-            E[i][i] = subfield[(t // q**i) % q]
-        base = q**ell
-        for m, (i, j) in enumerate(upper_pairs(ell)):
-            u = ((t // (base * qq**m)) % qq).astype(np.uint8)
-            E[i][j] = u
-            E[j][i] = tower.conj_np[u]
-    elif family == FAMILY_AFFINE:
-        for i in range(ell):
-            for j in range(ell):
-                m = i * ell + j
-                E[i][j] = subfield[(t // q**m) % q]
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    return E
-
-
-def _det_vectors(tower, sub):
-    """Vectorized determinant over position arrays by first-row expansion."""
-    k = len(sub)
-    n = len(sub[0][0]) if k else None
-    if k == 0:
-        raise ValueError("empty submatrix handled by caller")
-    if k == 1:
-        return sub[0][0]
-    add, mul, neg = tower.add_np, tower.mul_np, tower.neg_np
-    acc = None
-    for c in range(k):
-        rest = [row[:c] + row[c + 1 :] for row in sub[1:]]
-        term = mul[sub[0][c], _det_vectors(tower, rest)]
-        if c % 2 == 1:
-            term = neg[term]
-        acc = term if acc is None else add[acc, term]
-    return acc
+    return decode(tower, ell, family, np.arange(tower.q ** (ell * ell)))
 
 
 def eval_minor_vector(tower, E, minor):
@@ -124,7 +83,7 @@ def eval_minor_vector(tower, E, minor):
     if len(I) == 0:
         return np.ones(n, dtype=np.uint8)
     sub = [[E[i - 1][j - 1] for j in J] for i in I]
-    return _det_vectors(tower, sub)
+    return det_vectors(tower, sub)
 
 
 class GeneratorMatrix:
@@ -287,43 +246,36 @@ def q_invariance_check(gen: GeneratorMatrix) -> bool:
     return all(gen.membership(conjugate_codeword(gen.tower, row)) for row in gen.rows)
 
 
-def congruence_permutation(tower: FieldTower, ell: int, A) -> np.ndarray:
-    """Position permutation of H -> A* H A through the canonical indexing."""
-    if mat_rank(tower, A) != ell:
-        raise ValueError("congruence requires an invertible matrix")
-    indexing = HermitianIndexing(tower, ell)
-    A_star = conj_transpose(tower, A)
-    perm = np.empty(indexing.total, dtype=np.int64)
-    for t in range(indexing.total):
-        H = indexing.index_to_matrix(t)
-        perm[t] = indexing.matrix_to_index(mat_mul(tower, A_star, mat_mul(tower, H, A)))
+def _position_permutation(tower: FieldTower, ell: int, act) -> np.ndarray:
+    """perm[t] = position of act(H_t), where act maps decoded entry arrays to
+    entry arrays; encode rejects any image that is not Hermitian."""
+    n = tower.q ** (ell * ell)
+    perm = np.empty(n, dtype=np.int64)
+    for t in position_chunks(n):
+        E = decode(tower, ell, FAMILY_HERMITIAN, t)
+        perm[t] = encode(tower, ell, FAMILY_HERMITIAN, act(E))
     return perm
+
+
+def congruence_permutation(tower: FieldTower, ell: int, A) -> np.ndarray:
+    """Position permutation of H -> A* H A."""
+    if linalg.rank(tower, A) != ell:
+        raise ValueError("congruence requires an invertible matrix")
+    return _position_permutation(tower, ell, lambda H: congruence_entries(tower, A, H))
 
 
 def translate_permutation(tower: FieldTower, ell: int, M) -> np.ndarray:
     """Position permutation of H -> H + M for Hermitian M."""
-    if not is_hermitian(tower, M):
-        raise ValueError("translation requires a Hermitian matrix")
-    indexing = HermitianIndexing(tower, ell)
-    perm = np.empty(indexing.total, dtype=np.int64)
-    for t in range(indexing.total):
-        H = indexing.index_to_matrix(t)
-        perm[t] = indexing.matrix_to_index(translate(tower, H, M))
-    return perm
+    if len(M) != ell or not is_hermitian(tower, M):
+        raise ValueError("translation requires a Hermitian matrix of size ell")
+    return _position_permutation(
+        tower, ell,
+        lambda H: [[tower.add_np[M[i][j]][H[i][j]] for j in range(ell)] for i in range(ell)])
 
 
 def transpose_permutation(tower: FieldTower, ell: int) -> np.ndarray:
     """Position permutation of H -> H^T."""
-    indexing = HermitianIndexing(tower, ell)
-    perm = np.empty(indexing.total, dtype=np.int64)
-    for t in range(indexing.total):
-        H = indexing.index_to_matrix(t)
-        perm[t] = indexing.matrix_to_index(transpose(tower, H))
-    return perm
-
-
-def apply_permutation(codeword, perm) -> np.ndarray:
-    return np.asarray(codeword, dtype=np.uint8)[perm]
+    return _position_permutation(tower, ell, lambda H: transpose(tower, H))
 
 
 # file formats ----------------------------------------------------------------
@@ -358,16 +310,24 @@ def write_generator(gen: GeneratorMatrix, path):
             fh.write(" ".join(str(int(v)) for v in row) + "\n")
 
 
-def read_generator(path) -> GeneratorMatrix:
+def _read_lines(path, what: str):
+    """Nonblank stripped lines of a matrix file, header first."""
     with open(path) as fh:
         lines = [line.strip() for line in fh if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty {what} file, no header")
+    return lines
+
+
+def read_generator(path) -> GeneratorMatrix:
+    lines = _read_lines(path, "generator")
     family, p, e, ell, k, n = _parse_header(lines[0], "k")
     tower = make_field(p, e)
     spec = CodeSpec(family, tower.q, ell)
     if (spec.k, spec.n) != (k, n):
         raise ValueError(f"header k={k} n={n} inconsistent with family/ell/q")
     if len(lines) != k + 1:
-        raise ValueError(f"expected {k} rows, found {len(lines) - 1}")
+        raise ValueError(f"{path}: expected {k} rows, found {len(lines) - 1}")
     rows = np.array([[int(v) for v in line.split()] for line in lines[1:]], dtype=np.int64)
     if rows.shape != (k, n) or rows.min() < 0 or rows.max() >= tower.qq:
         raise ValueError("matrix body malformed")
@@ -393,12 +353,11 @@ def write_codewords(gen: GeneratorMatrix, words, path):
 
 def read_codewords(path):
     """Returns ((family, q, ell), list of codeword arrays)."""
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    lines = _read_lines(path, "codeword")
     family, p, e, ell, count, n = _parse_header(lines[0], "words")
     tower = make_field(p, e)
     if len(lines) != count + 1:
-        raise ValueError(f"expected {count} codewords, found {len(lines) - 1}")
+        raise ValueError(f"{path}: expected {count} codewords, found {len(lines) - 1}")
     words = []
     for line in lines[1:]:
         w = np.array([int(v) for v in line.split()], dtype=np.int64)

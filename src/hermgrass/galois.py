@@ -78,12 +78,16 @@ class FieldTower:
             raise AssertionError(f"subfield has {len(self.subfield)} elements, expected {self.q}")
         self._subfield_pos = {x: i for i, x in enumerate(self.subfield)}
         self._subfield_set = frozenset(self.subfield)
+        self.subfield_np = np.array(self.subfield, dtype=np.uint8)
+        # position in the sorted subfield list, -1 outside F_q
+        self.subfield_digit_np = np.full(self.qq, -1, dtype=np.int64)
+        self.subfield_digit_np[self.subfield_np] = np.arange(self.q)
 
         self.conj_np = np.array([self._pow(x, self.q) for x in range(self.qq)], dtype=np.uint8)
         self.trace_np = self.add_np[np.arange(self.qq), self.conj_np]
         self.norm_np = self.mul_np[np.arange(self.qq), self.conj_np]
         for arr in (self.add_np, self.mul_np, self.neg_np, self.inv_np, self.conj_np,
-                    self.trace_np, self.norm_np):
+                    self.trace_np, self.norm_np, self.subfield_np, self.subfield_digit_np):
             arr.setflags(write=False)
 
     def _build_tables(self):

@@ -1,23 +1,30 @@
-"""The space of ell x ell Hermitian matrices over F_{q^2}.
+"""The space of ell x ell Hermitian matrices over F_{q^2}, and the position
+codec of both code families.
 
 A matrix is a tuple of row tuples of element indices.  H is Hermitian when
 H equals its conjugate transpose, i.e. diagonal entries lie in F_q and
 H[j][i] = H[i][j]^q.
 
-The canonical enumeration is normative for codeword coordinates: position
-t in [0, q^(ell^2)) decodes mixed-radix, least significant first, as the
-ell diagonal entries (radix q, through the sorted subfield list) followed
-by the strict upper triangle in row-major order (radix q^2); the conjugate
-transpose fills the lower triangle.  Position 0 is the zero matrix.
+`decode` and `encode` are the single definition of the normative position
+order, whose digits `position_digits` lists.  They work on arrays of
+positions; whole spaces go through them in chunks (`position_chunks`).
 """
 
 from __future__ import annotations
 
 from math import comb, prod
 
+import numpy as np
+
+from . import linalg
+
 Matrix = tuple  # tuple of row tuples of element indices
 
+FAMILY_HERMITIAN = "hermitian"
+FAMILY_AFFINE = "affine"
+
 BRUTE_FORCE_LIMIT = 10**7
+CHUNK = 1 << 14
 
 
 def upper_pairs(ell):
@@ -47,104 +54,122 @@ def elementary_row_add(ell, i, j, m) -> Matrix:
 
 
 def is_hermitian(tower, M) -> bool:
-    ell = len(M)
-    for i in range(ell):
-        if not tower.in_base_subfield(M[i][i]):
-            return False
-        for j in range(i + 1, ell):
-            if M[j][i] != tower.conjugate(M[i][j]):
-                return False
+    try:
+        encode(tower, len(M), FAMILY_HERMITIAN, M)
+    except ValueError:
+        return False
     return True
 
 
 class HermitianIndexing:
-    """Mutually inverse bijections between [0, q^(ell^2)) and Hermitian matrices."""
+    """`decode` and `encode` for one Hermitian matrix at a time, with entries
+    as Python ints."""
 
     def __init__(self, tower, ell):
         self.tower = tower
         self.ell = ell
         self.total = tower.q ** (ell * ell)
-        self._pairs = upper_pairs(ell)
 
     def index_to_matrix(self, t: int) -> Matrix:
-        if not 0 <= t < self.total:
-            raise ValueError(f"index {t} out of range [0, {self.total})")
-        tower, ell = self.tower, self.ell
-        q, qq = tower.q, tower.qq
-        entries = [[0] * ell for _ in range(ell)]
-        for i in range(ell):
-            entries[i][i] = tower.subfield[t % q]
-            t //= q
-        for (i, j) in self._pairs:
-            v = t % qq
-            t //= qq
-            entries[i][j] = v
-            entries[j][i] = tower.conjugate(v)
-        return tuple(tuple(row) for row in entries)
+        E = decode(self.tower, self.ell, FAMILY_HERMITIAN, t)
+        return tuple(tuple(int(x) for x in row) for row in E)
 
     def matrix_to_index(self, M) -> int:
-        tower, ell = self.tower, self.ell
-        if len(M) != ell or not is_hermitian(tower, M):
-            raise ValueError("not a Hermitian matrix of the expected size")
-        q, qq = tower.q, tower.qq
-        t = 0
-        for (i, j) in reversed(self._pairs):
-            t = t * qq + M[i][j]
-        for i in reversed(range(ell)):
-            t = t * q + tower.subfield_digit(M[i][i])
-        return t
+        return int(encode(self.tower, self.ell, FAMILY_HERMITIAN, M))
 
     def __iter__(self):
-        return (self.index_to_matrix(t) for t in range(self.total))
+        for t in position_chunks(self.total):
+            E = decode(self.tower, self.ell, FAMILY_HERMITIAN, t)
+            for M in np.array(E).transpose(2, 0, 1).tolist():
+                yield tuple(map(tuple, M))
+
+
+# the position codec -----------------------------------------------------------
+
+
+def position_digits(ell: int, family: str):
+    """The normative position order: for each mixed-radix digit of t, least
+    significant first, the entry (i, j) it reads and whether it runs over
+    F_q (radix q, through the sorted subfield list) or over F_{q^2} (radix
+    q^2, with the conjugate filling entry (j, i))."""
+    if family == FAMILY_HERMITIAN:
+        return [((i, i), True) for i in range(ell)] + [(ij, False) for ij in upper_pairs(ell)]
+    if family == FAMILY_AFFINE:
+        return [((i, j), True) for i in range(ell) for j in range(ell)]
+    raise ValueError(f"unknown family {family!r}")
+
+
+def position_chunks(total: int):
+    """Consecutive position arrays covering [0, total), at most CHUNK each."""
+    for start in range(0, total, CHUNK):
+        yield np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+
+
+def decode(tower, ell: int, family: str, t):
+    """Entry arrays of the matrices at positions t: E[i][j][s] = entry (i, j)
+    of the matrix at position t[s], as uint8 element indices."""
+    t = np.asarray(t, dtype=np.int64)
+    total = tower.q ** (ell * ell)
+    if t.size and (t.min() < 0 or t.max() >= total):
+        raise ValueError(f"position out of range [0, {total})")
+    E = [[None] * ell for _ in range(ell)]
+    for (i, j), in_subfield in position_digits(ell, family):
+        if in_subfield:
+            t, d = np.divmod(t, tower.q)
+            E[i][j] = tower.subfield_np[d]
+        else:
+            t, d = np.divmod(t, tower.qq)
+            E[i][j] = d.astype(np.uint8)
+            E[j][i] = tower.conj_np[E[i][j]]
+    return E
+
+
+def encode(tower, ell: int, family: str, entries):
+    """Positions of the matrices with entry arrays entries[i][j], the inverse
+    of `decode`.  Raises ValueError for a matrix outside the family: an entry
+    outside F_q where its digit runs over F_q, or outside F_{q^2}, or a lower
+    entry that is not the conjugate of its upper one."""
+    E = np.asarray(entries)
+    if E.shape[:2] != (ell, ell):
+        raise ValueError(f"expected {ell} x {ell} entries, got shape {E.shape[:2]}")
+    if E.size and (E.min() < 0 or E.max() >= tower.qq):
+        raise ValueError(f"entry outside F_{tower.qq}")
+    t = np.zeros(E.shape[2:], dtype=np.int64)
+    weight = 1
+    for (i, j), in_subfield in position_digits(ell, family):
+        if in_subfield:
+            d, radix = tower.subfield_digit_np[E[i, j]], tower.q
+            if (d < 0).any():
+                raise ValueError(f"entry ({i}, {j}) outside F_{tower.q}")
+        else:
+            d, radix = E[i, j].astype(np.int64), tower.qq
+            if (E[j, i] != tower.conj_np[d]).any():
+                raise ValueError(f"entry ({j}, {i}) is not the conjugate of entry ({i}, {j})")
+        t += d * weight
+        weight *= radix
+    return t
+
+
+def det_vectors(tower, sub):
+    """Determinants of a k x k block of entry arrays, positionwise, by
+    first-row expansion."""
+    k = len(sub)
+    if k == 0:
+        raise ValueError("empty submatrix handled by caller")
+    if k == 1:
+        return sub[0][0]
+    add, mul, neg = tower.add_np, tower.mul_np, tower.neg_np
+    acc = None
+    for c in range(k):
+        rest = [row[:c] + row[c + 1 :] for row in sub[1:]]
+        term = mul[sub[0][c], det_vectors(tower, rest)]
+        if c % 2 == 1:
+            term = neg[term]
+        acc = term if acc is None else add[acc, term]
+    return acc
 
 
 # matrix helpers over F_{q^2} ------------------------------------------------
-
-
-def mat_mul(tower, A, B) -> Matrix:
-    n, m, k = len(A), len(B[0]), len(B)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = 0
-            for s in range(k):
-                acc = tower.add(acc, tower.mul(A[i][s], B[s][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def conj_transpose(tower, A) -> Matrix:
-    n, m = len(A), len(A[0])
-    return tuple(tuple(tower.conjugate(A[i][j]) for i in range(n)) for j in range(m))
-
-
-def mat_rank(tower, M) -> int:
-    """Row rank by Gaussian elimination, first nonzero pivot in column order."""
-    rows = [list(r) for r in M]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = tower.inv(rows[r][c])
-        rows[r] = [tower.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                f = tower.neg(rows[i][c])
-                rows[i] = [tower.add(x, tower.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
 
 
 def mat_det(tower, M) -> int:
@@ -175,20 +200,32 @@ def mat_det(tower, M) -> int:
     return det
 
 
-def rank(tower, H) -> int:
-    return mat_rank(tower, H)
-
-
 # group actions ---------------------------------------------------------------
+
+
+def _scaled_sum(tower, terms):
+    """Sum over (c, x) of the scalar c times x, an element or entry array."""
+    acc = None
+    for c, x in terms:
+        term = tower.mul_np[c][x]
+        acc = term if acc is None else tower.add_np[acc, term]
+    return acc
+
+
+def congruence_entries(tower, A, H):
+    """Entries of A* H A, computed as A* (H A), from entries H[r][s] that
+    are elements or entry arrays."""
+    idx = range(len(A))
+    HA = [[_scaled_sum(tower, ((A[s][j], H[r][s]) for s in idx)) for j in idx] for r in idx]
+    return [[_scaled_sum(tower, ((tower.conjugate(A[r][i]), HA[r][j]) for r in idx))
+             for j in idx] for i in idx]
 
 
 def congruence(tower, A, H) -> Matrix:
     """A* H A for invertible A; Hermitian, rank-preserving."""
-    ell = len(H)
-    if mat_rank(tower, A) != ell:
+    if linalg.rank(tower, A) != len(H):
         raise ValueError("congruence requires an invertible matrix")
-    out = mat_mul(tower, conj_transpose(tower, A), mat_mul(tower, H, A))
-    return out
+    return tuple(tuple(int(x) for x in row) for row in congruence_entries(tower, A, H))
 
 
 def translate(tower, H, M) -> Matrix:
@@ -223,7 +260,11 @@ def count_invertible(ell: int, q: int) -> int:
 
 
 def count_invertible_bruteforce(tower, ell: int) -> int:
-    indexing = HermitianIndexing(tower, ell)
-    if indexing.total > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"too large for brute force: q^(ell^2) = {indexing.total}")
-    return sum(1 for H in indexing if mat_rank(tower, H) == ell)
+    total = tower.q ** (ell * ell)
+    if total > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"too large for brute force: q^(ell^2) = {total}")
+    count = 0
+    for t in position_chunks(total):
+        E = decode(tower, ell, FAMILY_HERMITIAN, t)
+        count += int(np.count_nonzero(det_vectors(tower, E)))
+    return count

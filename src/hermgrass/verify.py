@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from . import analysis as an
+from . import hermitian as hm
 from . import linalg
 from . import minors as mn
 from .codebuild import (
@@ -30,13 +31,7 @@ from .codebuild import (
     write_generator,
 )
 from .galois import SUPPORTED_Q, tower_for_q
-from .hermitian import (
-    HermitianIndexing,
-    count_invertible,
-    count_invertible_bruteforce,
-    is_hermitian,
-    mat_rank,
-)
+from .hermitian import HermitianIndexing, count_invertible, count_invertible_bruteforce
 
 HERMITIAN_DESK = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]
 CERTIFIED_PAIRS = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
@@ -83,20 +78,21 @@ def check_trace_norm_fibers(seed):
 
 
 def check_enumeration_bijectivity(seed):
-    pairs = []
-    for ell in (1, 2, 3, 4):
-        for q in sorted(SUPPORTED_Q):
-            if q ** (ell * ell) <= 10**7 and ell <= 4:
-                pairs.append((ell, q))
+    pairs = [(ell, q) for ell in (1, 2, 3, 4) for q in sorted(SUPPORTED_Q)
+             if q ** (ell * ell) <= 10**7]
     checked = 0
     for ell, q in pairs:
         t = tower_for_q(q)
-        indexing = HermitianIndexing(t, ell)
-        for i in range(indexing.total):
-            H = indexing.index_to_matrix(i)
-            assert is_hermitian(t, H)
-            assert indexing.matrix_to_index(H) == i
-        checked += indexing.total
+        total = q ** (ell * ell)
+        for positions in hm.position_chunks(total):
+            try:
+                back = hm.encode(t, ell, FAMILY_HERMITIAN,
+                                 hm.decode(t, ell, FAMILY_HERMITIAN, positions))
+            except ValueError as exc:
+                raise AssertionError(f"(ell={ell}, q={q}): {exc}") from exc
+            if not np.array_equal(back, positions):
+                raise AssertionError(f"(ell={ell}, q={q}): encode(decode(t)) != t")
+        checked += total
     return f"{checked} round trips over {len(pairs)} (ell, q) pairs"
 
 
@@ -254,7 +250,7 @@ def check_automorphism_membership(seed):
         perms = [transpose_permutation(tower, ell)]
         while True:
             A = tuple(tuple(rng.randrange(tower.qq) for _ in range(ell)) for _ in range(ell))
-            if mat_rank(tower, A) == ell:
+            if linalg.rank(tower, A) == ell:
                 break
         perms.append(congruence_permutation(tower, ell, A))
         M = indexing.index_to_matrix(rng.randrange(indexing.total))

@@ -9,6 +9,7 @@ import random
 import numpy as np
 
 from hermgrass import analysis as an
+from hermgrass import linalg
 from hermgrass import minors as mn
 from hermgrass.cli import main
 from hermgrass.codebuild import (
@@ -25,7 +26,6 @@ from hermgrass.hermitian import (
     HermitianIndexing,
     count_invertible,
     count_invertible_bruteforce,
-    mat_rank,
 )
 
 # comparison tables: q -> (n, k, d_affine, d_hermitian)
@@ -198,7 +198,7 @@ def test_criterion_11_q_invariance_and_automorphisms():
         idx = HermitianIndexing(t, ell)
         while True:
             A = tuple(tuple(rng.randrange(t.qq) for _ in range(ell)) for _ in range(ell))
-            if mat_rank(t, A) == ell:
+            if linalg.rank(t, A) == ell:
                 break
         M = idx.index_to_matrix(rng.randrange(idx.total))
         perms = [

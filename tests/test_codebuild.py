@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -174,15 +175,13 @@ def test_automorphism_permutations():
 
 def test_automorphisms_preserve_membership_randomized():
     rng = random.Random(13)
-    from hermgrass.hermitian import mat_rank
-
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
         gen = generator_hermitian(ell, q)
         t = gen.tower
         idx = HermitianIndexing(t, ell)
         while True:
             A = tuple(tuple(rng.randrange(t.qq) for _ in range(ell)) for _ in range(ell))
-            if mat_rank(t, A) == ell:
+            if linalg.rank(t, A) == ell:
                 break
         M = idx.index_to_matrix(rng.randrange(idx.total))
         perms = [
@@ -242,3 +241,32 @@ def test_codeword_file_round_trip(tmp_path):
     assert len(back) == 3
     for w, b in zip(words, back):
         assert np.array_equal(w, b)
+
+
+def test_read_generator_rejects_empty_and_header_only(tmp_path):
+    gen = generator_hermitian(2, 2)
+    path = tmp_path / "gen.txt"
+    path.write_text("")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_generator(path)
+    path.write_text("\n  \n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_generator(path)
+    path.write_text(gen.header() + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_generator(path)
+
+
+def test_read_codewords_rejects_empty_and_header_only(tmp_path):
+    gen = generator_hermitian(2, 2)
+    path = tmp_path / "words.txt"
+    path.write_text("")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_codewords(path)
+    write_codewords(gen, [gen.rows[0], gen.rows[1]], path)
+    path.write_text(path.read_text().splitlines()[0] + "\n")
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        read_codewords(path)
+    # a header announcing no words is a complete, empty file
+    write_codewords(gen, [], path)
+    assert read_codewords(path) == ((FAMILY_HERMITIAN, 2, 2), [])

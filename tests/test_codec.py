@@ -1,0 +1,244 @@
+"""The position codec against a scalar reference decoder, permutation
+oracles, codec properties, and the fail-closed bijectivity check."""
+
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hermgrass.codebuild import (
+    congruence_permutation,
+    position_entries,
+    translate_permutation,
+    transpose_permutation,
+)
+from hermgrass.galois import SUPPORTED_Q, tower_for_q
+from hermgrass.hermitian import (
+    FAMILY_AFFINE,
+    FAMILY_HERMITIAN,
+    HermitianIndexing,
+    decode,
+    encode,
+    upper_pairs,
+)
+from hermgrass.linalg import rank
+
+FAMILIES = (FAMILY_HERMITIAN, FAMILY_AFFINE)
+ORACLE_CELLS = [(ell, q) for ell in (1, 2, 3, 4) for q in sorted(SUPPORTED_Q)
+                if q ** (ell * ell) <= 10**5]
+PERMUTATION_CELLS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+# scalar reference decoder -------------------------------------------------------
+
+
+def oracle_index_to_matrix(tower, ell, family, t):
+    """Position t to a matrix by plain mixed-radix arithmetic, one digit at a time."""
+    q, qq = tower.q, tower.qq
+    entries = [[0] * ell for _ in range(ell)]
+    if family == FAMILY_HERMITIAN:
+        for i in range(ell):
+            entries[i][i] = tower.subfield[t % q]
+            t //= q
+        for (i, j) in upper_pairs(ell):
+            v = t % qq
+            t //= qq
+            entries[i][j] = v
+            entries[j][i] = tower.conjugate(v)
+    else:
+        for i in range(ell):
+            for j in range(ell):
+                entries[i][j] = tower.subfield[t % q]
+                t //= q
+    return tuple(tuple(row) for row in entries)
+
+
+def oracle_matrix_to_index(tower, ell, family, M):
+    q, qq = tower.q, tower.qq
+    t = 0
+    if family == FAMILY_HERMITIAN:
+        for (i, j) in reversed(upper_pairs(ell)):
+            t = t * qq + M[i][j]
+        for i in reversed(range(ell)):
+            t = t * q + tower.subfield_digit(M[i][i])
+    else:
+        for i in reversed(range(ell)):
+            for j in reversed(range(ell)):
+                t = t * q + tower.subfield_digit(M[i][j])
+    return t
+
+
+def _oracle_sum(tower, values):
+    acc = 0
+    for v in values:
+        acc = tower.add(acc, v)
+    return acc
+
+
+def oracle_mat_mul(tower, A, B):
+    return tuple(
+        tuple(_oracle_sum(tower, (tower.mul(A[i][s], B[s][j]) for s in range(len(B))))
+              for j in range(len(B[0])))
+        for i in range(len(A))
+    )
+
+
+def oracle_permutation(tower, ell, image):
+    n = tower.q ** (ell * ell)
+    return np.array([
+        oracle_matrix_to_index(tower, ell, FAMILY_HERMITIAN,
+                               image(oracle_index_to_matrix(tower, ell, FAMILY_HERMITIAN, t)))
+        for t in range(n)
+    ], dtype=np.int64)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_codec_matches_scalar_oracle_exhaustively(family):
+    for ell, q in ORACLE_CELLS:
+        tower = tower_for_q(q)
+        n = q ** (ell * ell)
+        matrices = [oracle_index_to_matrix(tower, ell, family, t) for t in range(n)]
+        assert [oracle_matrix_to_index(tower, ell, family, M) for M in matrices] == list(range(n))
+        expected = np.array(matrices, dtype=np.uint8).transpose(1, 2, 0)
+        E = position_entries(tower, ell, family)
+        for i in range(ell):
+            for j in range(ell):
+                assert E[i][j].dtype == np.uint8
+                assert np.array_equal(E[i][j], expected[i, j]), (family, ell, q, i, j)
+        assert np.array_equal(encode(tower, ell, family, expected), np.arange(n))
+
+
+def test_indexing_wrapper_matches_oracle():
+    for ell, q in [(1, 9), (2, 3), (3, 2)]:
+        tower = tower_for_q(q)
+        idx = HermitianIndexing(tower, ell)
+        listed = list(idx)
+        assert len(listed) == idx.total
+        for t in range(idx.total):
+            M = oracle_index_to_matrix(tower, ell, FAMILY_HERMITIAN, t)
+            assert idx.index_to_matrix(t) == M == listed[t]
+            assert all(type(v) is int for row in listed[t] for v in row)
+            assert idx.matrix_to_index(M) == t
+
+
+@pytest.mark.parametrize("ell,q", PERMUTATION_CELLS)
+def test_permutations_match_scalar_oracle(ell, q):
+    tower = tower_for_q(q)
+    rng = random.Random(100 * ell + q)
+    while True:
+        A = tuple(tuple(rng.randrange(tower.qq) for _ in range(ell)) for _ in range(ell))
+        if rank(tower, A) == ell:
+            break
+    M = oracle_index_to_matrix(tower, ell, FAMILY_HERMITIAN,
+                               rng.randrange(q ** (ell * ell)))
+    A_star = tuple(tuple(tower.conjugate(A[r][i]) for r in range(ell)) for i in range(ell))
+
+    def congruence_image(H):
+        return oracle_mat_mul(tower, A_star, oracle_mat_mul(tower, H, A))
+
+    def translate_image(H):
+        return tuple(tuple(tower.add(a, b) for a, b in zip(hr, mr)) for hr, mr in zip(H, M))
+
+    def transpose_image(H):
+        return tuple(zip(*H))
+
+    assert np.array_equal(congruence_permutation(tower, ell, A),
+                          oracle_permutation(tower, ell, congruence_image))
+    assert np.array_equal(translate_permutation(tower, ell, M),
+                          oracle_permutation(tower, ell, translate_image))
+    assert np.array_equal(transpose_permutation(tower, ell),
+                          oracle_permutation(tower, ell, transpose_image))
+
+
+def test_decode_rejects_out_of_range():
+    tower = tower_for_q(2)
+    for family in FAMILIES:
+        with pytest.raises(ValueError):
+            decode(tower, 2, family, np.array([0, 16]))
+        with pytest.raises(ValueError):
+            decode(tower, 2, family, -1)
+    with pytest.raises(ValueError):
+        decode(tower, 2, "projective", 0)
+
+
+def test_encode_rejects_bad_shape_and_range():
+    tower = tower_for_q(2)
+    with pytest.raises(ValueError):
+        encode(tower, 2, FAMILY_HERMITIAN, ((0, 0, 0), (0, 0, 0)))
+    with pytest.raises(ValueError):
+        encode(tower, 2, FAMILY_HERMITIAN, ((0, 4), (4, 0)))  # 4 lies outside F_4
+
+
+# properties -----------------------------------------------------------------------
+
+
+@st.composite
+def cell_positions(draw):
+    family = draw(st.sampled_from(FAMILIES))
+    ell = draw(st.integers(1, 4))
+    q = draw(st.sampled_from(sorted(SUPPORTED_Q)))
+    n = q ** (ell * ell)
+    t = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=20))
+    return family, ell, q, np.array(t, dtype=np.int64)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(cell_positions())
+def test_round_trip_property(case):
+    family, ell, q, t = case
+    tower = tower_for_q(q)
+    E = decode(tower, ell, family, t)
+    assert np.array_equal(encode(tower, ell, family, E), t)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(cell_positions(), st.data())
+def test_encode_rejects_perturbed_entries(case, data):
+    family, ell, q, t = case
+    tower = tower_for_q(q)
+    E = np.array(decode(tower, ell, family, t), dtype=np.int64)
+    s = data.draw(st.integers(0, len(t) - 1))
+    outside_fq = [x for x in range(tower.qq) if not tower.in_base_subfield(x)]
+    i = data.draw(st.integers(0, ell - 1))
+    j = data.draw(st.integers(0, ell - 1))
+    if family == FAMILY_AFFINE or i == j:
+        # an entry that must lie in F_q is moved outside it
+        E[i, j, s] = data.draw(st.sampled_from(outside_fq))
+    else:
+        # a lower entry no longer the conjugate of its upper partner
+        r, c = max(i, j), min(i, j)
+        wrong = [x for x in range(tower.qq) if x != tower.conjugate(int(E[c, r, s]))]
+        E[r, c, s] = data.draw(st.sampled_from(wrong))
+    with pytest.raises(ValueError):
+        encode(tower, ell, family, E)
+
+
+# fail closed ---------------------------------------------------------------------
+
+
+def test_bijectivity_check_fails_closed_under_optimize():
+    """With encode off by one, enumeration_bijectivity must FAIL and the run
+    exit 1 even under python -O, which strips assert statements."""
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are live'\n"
+        "import hermgrass.hermitian as hm\n"
+        "encode = hm.encode\n"
+        "hm.encode = lambda *args: encode(*args) + 1\n"
+        "from hermgrass.cli import main\n"
+        "sys.exit(main(['verify', '--suite', 'counts']))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL enumeration_bijectivity" in proc.stdout
+    assert "3/4 checks passed" in proc.stdout

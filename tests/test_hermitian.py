@@ -10,14 +10,13 @@ from hermgrass.hermitian import (
     count_invertible_bruteforce,
     identity_matrix,
     is_hermitian,
-    mat_rank,
-    rank,
     rank_one_from_vector,
     translate,
     transpose,
     unit_matrix,
     zero_matrix,
 )
+from hermgrass.linalg import rank
 
 
 def test_index_zero_is_zero_matrix():
@@ -83,7 +82,7 @@ def test_congruence_identity_and_rank_preservation():
         ell = rng.choice((2, 3))
         t = tower_for_q(q)
         A = tuple(tuple(rng.randrange(t.qq) for _ in range(ell)) for _ in range(ell))
-        if mat_rank(t, A) != ell:
+        if rank(t, A) != ell:
             continue
         idx = HermitianIndexing(t, ell)
         H = idx.index_to_matrix(rng.randrange(idx.total))
@@ -109,7 +108,7 @@ def test_congruence_orbit_of_e11_is_all_rank_one():
             for c in range(t.qq):
                 for d in range(t.qq):
                     A = ((a, b), (c, d))
-                    if mat_rank(t, A) == 2:
+                    if rank(t, A) == 2:
                         invertibles.append(A)
     assert len(invertibles) == (16 - 1) * (16 - 4)
     orbit = {unit_matrix(ell, 0, 0)}
@@ -147,7 +146,7 @@ def test_actions_are_bijections():
         idx = HermitianIndexing(t, 2)
         while True:
             A = tuple(tuple(rng.randrange(t.qq) for _ in range(2)) for _ in range(2))
-            if mat_rank(t, A) == 2:
+            if rank(t, A) == 2:
                 break
         M = idx.index_to_matrix(rng.randrange(idx.total))
         images = [set(), set(), set()]
