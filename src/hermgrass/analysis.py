@@ -8,9 +8,12 @@ row basis; sound because minimum-weight words of a q-invariant code are
 scalar multiples of subfield words), and full exhaustive enumeration as a
 cross-check.  Certificates record which method produced them.
 
-Enumeration walks the message space in reflected mixed-radix Gray order so
-each step updates the running codeword by a single scaled row.  Budgets
-are explicit; anything that would exceed them raises before doing work.
+Enumeration is projective, one message per scalar class (first nonzero
+digit 1): a mixed-radix Gray walk over the leading digits adds one scaled
+row per step and weighs a table of every combination of the trailing rows
+against it in one vectorized operation, on bit planes under XOR in
+characteristic 2.  Budgets are explicit; anything that would exceed them
+raises before doing work.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ DEFAULT_SEED = 987654321
 
 def _env_budget(name, default):
     value = os.environ.get(name)
+    if value and not value.strip().isdecimal():
+        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     return int(value) if value else default
 
 
@@ -142,7 +147,11 @@ def weight_of_function(f: dict, ell: int, q: int, family: str = FAMILY_HERMITIAN
     return int(np.count_nonzero(acc))
 
 
-# Gray-walk enumeration engine -------------------------------------------------
+# projective weight engine -----------------------------------------------------
+
+# Bound on the bytes of the table of trailing-row combinations that each
+# walk step weighs in one vectorized operation.
+TABLE_BYTES = 1 << 17
 
 
 def gray_steps(radix: int, k: int):
@@ -169,93 +178,67 @@ def gray_steps(radix: int, k: int):
         yield j, old, new, a
 
 
-def _binary_eligible(tower, rows, scalars, offset):
-    if tower.p != 2 or list(scalars) != [0, 1]:
-        return False
-    if any(int(r.max(initial=0)) > 1 for r in rows):
-        return False
-    if offset is not None and int(np.max(offset, initial=0)) > 1:
-        return False
-    return True
+def _additive_form(tower, rows, scalars):
+    """(pack, add, weigh) for the words the engine adds and weighs.
+
+    Characteristic 2: field indices add by XOR (they are base-2 digit
+    vectors).  The values of every combination span a subspace of F_2^(2e);
+    projecting onto the pivot bits of its row-reduced basis is linear and
+    injective on it, so a word is packed into those bit planes, and a
+    position is nonzero when any plane is.  Odd p: a word stays a vector of
+    indices, and T + s is zero exactly where T = -s, so weighing a table
+    against a state does no field addition.
+    """
+    if tower.p == 2:
+        values = np.unique(tower.mul_np[np.ix_(scalars, np.unique(rows))])
+        bits = linalg.rref(tower_for_q(2), (values[:, None] >> np.arange(2 * tower.e)) & 1)[1] or [0]
+
+        def pack(v):
+            planes = np.packbits([(v >> b) & 1 for b in bits], axis=1, bitorder="little")
+            return np.pad(planes, ((0, 0), (0, -planes.shape[1] % 8))).view(np.uint64)
+
+        def weigh(table, state):
+            return np.bitwise_count(np.bitwise_or.reduce(table ^ state, axis=1)).sum(axis=1)
+
+        return pack, np.bitwise_xor, weigh
+
+    def weigh(table, state):
+        return rows.shape[1] - np.count_nonzero(table == tower.neg_np[state], axis=1)
+
+    return np.asarray, lambda a, b: tower.add_np[a, b], weigh
 
 
-def _to_mask(row) -> int:
-    out = 0
-    for i, v in enumerate(row):
-        if v:
-            out |= 1 << i
-    return out
-
-
-def _search_binary(rows, n, offset, include_zero):
-    """Min weight over F_2 combinations of 0/1-valued rows via bigint XOR."""
-    masks = [_to_mask(r) for r in rows]
-    k = len(masks)
-    state = _to_mask(offset) if offset is not None else 0
-    best_w = n + 1
-    best_digits = None
-    if include_zero:
-        best_w = state.bit_count()
-        best_digits = (0,) * k
-    for step in range(1, 1 << k):
-        j = (step & -step).bit_length() - 1
-        state ^= masks[j]
-        w = state.bit_count()
-        if w < best_w:
-            g = step ^ (step >> 1)
-            best_w = w
-            best_digits = tuple((g >> i) & 1 for i in range(k))
-        elif w == best_w:
-            g = step ^ (step >> 1)
-            digits = tuple((g >> i) & 1 for i in range(k))
-            if best_digits is None or digits < best_digits:
-                best_digits = digits
-    return best_w, best_digits
-
-
-def _search_general(tower, rows, scalars, offset, include_zero):
-    """Min weight over all digit vectors, digit d meaning coefficient
-    scalars[d]; incremental update by one scaled row per Gray step."""
-    k = len(rows)
-    n = len(rows[0])
-    add = tower.add_np
+def _search_heads(tower, rows, scalars, kt, heads):
+    """Least (weight, digits) over the messages whose Gray-walked digits
+    [0, k - kt) extend one of `heads`; each walk state is weighed at once
+    against a table of every combination of the last kt rows.  An all-zero
+    head skips the zero message."""
+    pack, add, weigh = _additive_form(tower, rows, scalars)
+    n = rows.shape[1]
+    kw = len(rows) - kt
     r = len(scalars)
-    # delta[j][(old, new)] = (scalars[new] - scalars[old]) * rows[j]
-    scaled = []
-    for row in rows:
-        per = {}
-        for old in range(r):
-            for new in (old - 1, old + 1):
-                if 0 <= new < r:
-                    d = tower.sub(scalars[new], scalars[old])
-                    per[(old, new)] = tower.mul_np[d][row]
-        scaled.append(per)
-    state = np.zeros(n, dtype=np.uint8) if offset is None else np.array(offset, dtype=np.uint8)
-    best_w = n + 1
-    best_digits = None
-    if include_zero:
-        best_w = int(np.count_nonzero(state))
-        best_digits = (0,) * k
-    for j, old, new, digits in gray_steps(r, k):
-        state = add[state, scaled[j][(old, new)]]
-        w = int(np.count_nonzero(state))
-        if w < best_w:
-            best_w = w
-            best_digits = tuple(digits)
-        elif w == best_w:
-            t = tuple(digits)
-            if best_digits is None or t < best_digits:
-                best_digits = t
-    return best_w, best_digits
-
-
-def _search_job(args):
-    tower, rows, scalars, offset, include_zero = args
-    rows = [np.asarray(r, dtype=np.uint8) for r in rows]
-    n = len(rows[0]) if rows else len(offset)
-    if _binary_eligible(tower, rows, scalars, offset):
-        return _search_binary(rows, n, offset, include_zero)
-    return _search_general(tower, rows, scalars, offset, include_zero)
+    # lexicographic digit order: prepend one digit (the most significant) per level
+    table = pack(np.zeros(n, dtype=np.uint8))[None]
+    for row in rows[kw:][::-1]:
+        table = np.concatenate([table] + [add(table, pack(tower.mul_np[c][row]))
+                                          for c in scalars[1:]])
+    best = (n + 1,)
+    for head in heads:
+        h = len(head)
+        lo = 0 if any(head) else 1
+        state = pack(linalg.combine(tower, rows, [scalars[d] for d in head]))
+        walked = [0] * (kw - h)
+        for step in itertools.chain([None], gray_steps(r, kw - h)):
+            if step is not None:
+                j, old, new, walked = step
+                c = tower.sub(scalars[new], scalars[old])
+                state = add(state, pack(tower.mul_np[c][rows[h + j]]))
+            weights = weigh(table[lo:], state)
+            i = int(np.argmin(weights))
+            if weights[i] <= best[0]:
+                tail = tuple(map(int, np.unravel_index(i + lo, (r,) * kt)))
+                best = min(best, (int(weights[i]), tuple(head) + tuple(walked) + tail))
+    return best
 
 
 def min_weight_over_combinations(tower, rows, scalars, budget, threads=1):
@@ -263,40 +246,45 @@ def min_weight_over_combinations(tower, rows, scalars, budget, threads=1):
     drawn from scalars) of the given rows, with the lexicographically
     smallest witness digit vector on ties.
 
-    Returns (weight, digits, messages_searched).
+    Projective: only the messages whose first nonzero digit is 1 are
+    weighed.  The scalars must form a field with scalars[0] = 0 and
+    scalars[1] = 1; then every message is a scalar multiple of such a
+    representative of equal weight, and the representative is the
+    lexicographically smallest member of its class, so the result is the
+    minimum over all nonzero messages.
+
+    Returns (weight, digits, messages_searched), messages_searched being
+    the r^k - 1 nonzero messages covered.
     """
-    rows = [np.asarray(r, dtype=np.uint8) for r in rows]
-    scalars = list(scalars)
+    rows = np.asarray(rows, dtype=np.uint8)
+    scalars = [int(s) for s in scalars]
     k = len(rows)
     r = len(scalars)
+    if scalars[:2] != [0, 1]:
+        raise ValueError("scalars must start with 0 and 1")
+    if not set(tower.mul_np[np.ix_(scalars, scalars)].flat) <= set(scalars):
+        raise ValueError("scalars are not closed under multiplication")
     total = r**k
     if total > budget:
         raise BudgetExceeded(f"message space {r}^{k} = {total} exceeds budget {budget}")
-    if threads <= 1 or k < 2:
-        w, digits = _search_job((tower, rows, scalars, None, False))
-        return w, digits, total - 1
-
-    m = 1
-    while r**m < threads and m < k - 1:
-        m += 1
-    lower, upper = rows[: k - m], rows[k - m :]
-    jobs = []
-    for top in itertools.product(range(r), repeat=m):
-        offset = None
-        if any(top):
-            offset = np.zeros(len(rows[0]), dtype=np.uint8)
-            for d, row in zip(top, upper):
-                if scalars[d]:
-                    offset = tower.add_np[offset, tower.mul_np[scalars[d]][row]]
-        jobs.append(((tower, lower, scalars, offset, any(top)), top))
-    best = None
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as pool:
-        for (w, digits), (_, top) in zip(pool.map(_search_job, [j for j, _ in jobs]), jobs):
-            if digits is None:
-                continue
-            cand = (w, digits + top)
-            if best is None or cand < best:
-                best = cand
+    row_bytes = _additive_form(tower, rows, scalars)[0](rows[0]).nbytes
+    kt = next((t for t in range(k, 0, -1) if r**t * row_bytes <= TABLE_BYTES), 0)
+    kw = k - kt
+    heads = [(0,) * i + (1,) for i in range(kw)]
+    if threads > 1:
+        m = next(m for m in itertools.count(1) if r**m >= threads)
+        heads = [h + tail for h in heads
+                 for tail in itertools.product(range(r), repeat=min(m, kw - len(h)))]
+    if kt:
+        heads.append((0,) * kw)
+    if threads <= 1 or len(heads) < 2:
+        best = _search_heads(tower, rows, scalars, kt, heads)
+    else:
+        heads.sort(key=len)  # longest walks first, dealt round-robin
+        jobs = [heads[t::threads] for t in range(threads) if heads[t::threads]]
+        with concurrent.futures.ProcessPoolExecutor(max_workers=len(jobs)) as pool:
+            futures = [pool.submit(_search_heads, tower, rows, scalars, kt, job) for job in jobs]
+            best = min(f.result() for f in futures)
     return best[0], best[1], total - 1
 
 
@@ -354,14 +342,20 @@ class DualDistanceCertificate:
         }
 
 
-def _witness_from_digits(gen: GeneratorMatrix, combos, scalars, digits) -> dict:
+def _walk_certificate(gen: GeneratorMatrix, method, rows, combos, scalars, budget,
+                      threads) -> DistanceCertificate:
+    """Certify the least-weight combination of `rows`; combos[i] is the
+    function whose evaluation is rows[i], so the witness is the same
+    combination of combos, and its evaluation must attain the weight."""
     tower = gen.tower
-    out = {}
+    w, digits, searched = min_weight_over_combinations(tower, rows, scalars, budget, threads)
+    witness = {}
     for d, f in zip(digits, combos):
-        c = scalars[d]
-        if c:
-            out = mn.combo_add(tower, out, mn.combo_scale(tower, c, f))
-    return out
+        if scalars[d]:
+            witness = mn.combo_add(tower, witness, mn.combo_scale(tower, scalars[d], f))
+    if weight(gen.encode(witness)) != w:
+        raise AssertionError(f"witness does not attain the searched weight {w}")
+    return DistanceCertificate(gen.spec, w, method, witness, searched, gen.header())
 
 
 def min_distance_exhaustive(gen: GeneratorMatrix, budget: int | None = None,
@@ -373,12 +367,8 @@ def min_distance_exhaustive(gen: GeneratorMatrix, budget: int | None = None,
         scalars = list(range(tower.qq))
     else:
         scalars = list(tower.subfield)
-    w, digits, searched = min_weight_over_combinations(tower, list(gen.rows), scalars,
-                                                       budget, threads)
-    base = [{m: 1} for m in gen.basis]
-    witness = _witness_from_digits(gen, base, scalars, digits)
-    assert weight(gen.encode(witness)) == w
-    return DistanceCertificate(gen.spec, w, "ExhaustiveFull", witness, searched, gen.header())
+    return _walk_certificate(gen, "ExhaustiveFull", gen.rows, [{m: 1} for m in gen.basis],
+                             scalars, budget, threads)
 
 
 def min_distance_subfield(gen: GeneratorMatrix, basis: list | None = None,
@@ -397,14 +387,12 @@ def min_distance_subfield(gen: GeneratorMatrix, basis: list | None = None,
     combos = basis if basis is not None else fq_basis(gen.spec.ell, gen.spec.q)
     rows = [gen.encode(f) for f in combos]
     for row in rows:
-        bad = [v for v in np.unique(row) if not tower.in_base_subfield(int(v))]
-        assert not bad, "F_q basis row takes values outside the subfield"
-    assert linalg.rank(tower, np.stack(rows)) == gen.spec.k
-    scalars = list(tower.subfield)
-    w, digits, searched = min_weight_over_combinations(tower, rows, scalars, budget, threads)
-    witness = _witness_from_digits(gen, combos, scalars, digits)
-    assert weight(gen.encode(witness)) == w
-    return DistanceCertificate(gen.spec, w, "ExhaustiveSubfield", witness, searched, gen.header())
+        if not all(tower.in_base_subfield(int(v)) for v in np.unique(row)):
+            raise AssertionError("F_q basis row takes values outside the subfield")
+    if linalg.rank(tower, np.stack(rows)) != gen.spec.k:
+        raise AssertionError(f"F_q basis rows do not have rank k = {gen.spec.k}")
+    return _walk_certificate(gen, "ExhaustiveSubfield", rows, combos, list(tower.subfield),
+                             budget, threads)
 
 
 def min_distance_formula(family: str, ell: int, q: int,

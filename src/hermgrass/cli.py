@@ -2,13 +2,15 @@
 suites, and emit the parameter tables.
 
 Exit codes: 0 pass, 1 verification mismatch, 2 usage error, 3 budget
-exceeded.  Budgets may also be set through HERMGRASS_BUDGET_MESSAGES /
-HERMGRASS_BUDGET_SUBSETS; explicit flags win.
+exceeded.  Budgets may also be set through the HERMGRASS_BUDGET_*
+variables; explicit flags win, and malformed values exit 2 up front.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import os
 import sys
 
 import numpy as np
@@ -33,9 +35,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 TABLE_Q = (2, 3, 4, 5, 7, 8, 9)
-DESK_CERTIFIED = {(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)}
+DESK_CERTIFIED = {(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2)}
 
 
+@functools.cache  # one parser per process: each parser is a cluster of reference cycles
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hermgrass",
@@ -128,6 +131,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_mindist(args) -> int:
+    if not 1 <= args.threads <= (os.cpu_count() or 1):
+        raise ValueError(f"--threads must be in 1..{os.cpu_count() or 1}, got {args.threads}")
     if args.method == "formula":
         cert = an.min_distance_formula(args.family, args.ell, args.q)
     else:
@@ -256,6 +261,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        for read_budget in (an.budget_exhaustive, an.budget_subfield, an.budget_pairs,
+                            an.budget_positions):
+            read_budget()
         return _DISPATCH[args.command](args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Executable invariant suites behind `hermgrass verify`.
 
 Every check either returns a short detail string or raises AssertionError;
-the runner times each one and reports per-check pass/fail.  Randomized
-checks draw from a seeded generator so two runs produce identical reports
-apart from the timing fields.
+the runner times each one and reports per-check pass/fail, any other
+exception as a failure with its type.  Randomized checks draw from a
+seeded generator so two runs produce identical reports apart from the
+timing fields.
 """
 
 from __future__ import annotations
@@ -411,6 +412,9 @@ def run_suite(suite: str, seed: int, emit=print):
             ok = True
         except AssertionError as exc:
             detail = str(exc) or "assertion failed"
+            ok = False
+        except Exception as exc:  # an unexpected error fails its check, not the suite
+            detail = f"{type(exc).__name__}: {exc}"
             ok = False
         elapsed = time.perf_counter() - start
         results.append({"check": name, "ok": ok, "detail": detail, "seconds": round(elapsed, 3)})

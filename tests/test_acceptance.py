@@ -47,7 +47,7 @@ TABLE_L3 = {
     8: (134217728, 20, 115379712, 117178368),
     9: (387420489, 20, 339655680, 343842327),
 }
-DESK_CERTIFIED = {(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)}
+DESK_CERTIFIED = {(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2)}
 
 
 def test_criterion_01_dimension():

@@ -1,7 +1,12 @@
 import json
+import os
 
 import numpy as np
+import pytest
 
+from hermgrass import analysis as an
+from hermgrass import cli
+from hermgrass import verify as verify_mod
 from hermgrass.cli import main
 from hermgrass.codebuild import generator_hermitian, read_generator
 
@@ -116,6 +121,29 @@ def test_mindist_threads(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
+def test_mindist_threads_out_of_range(capsys, monkeypatch, threads):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "build_generator", no_work)
+    code, out, err = run(capsys, "mindist", "--q", "3", "--ell", "2", "--method", "subfield",
+                         "--threads", str(threads))
+    assert code == 2
+    assert out == ""
+    assert "--threads must be in 1.." in err
+
+
+def test_budget_env_malformed(capsys, monkeypatch):
+    monkeypatch.setenv("HERMGRASS_BUDGET_SUBFIELD", "12x")
+    with pytest.raises(ValueError, match="HERMGRASS_BUDGET_SUBFIELD"):
+        an.budget_subfield()
+    code, out, err = run(capsys, "mindist", "--q", "3", "--ell", "2", "--method", "subfield")
+    assert code == 2
+    assert out == ""
+    assert "HERMGRASS_BUDGET_SUBFIELD must be a non-negative integer, got '12x'" in err
+
+
 def test_dualdist(capsys):
     code, out, _ = run(capsys, "dualdist", "--q", "3", "--ell", "2")
     assert code == 0
@@ -144,6 +172,19 @@ def test_verify_fields_suite(capsys):
     assert code == 0
     assert "field_axioms" in out
     assert "3/3 checks passed" in out
+
+
+def test_verify_unexpected_error_fails_one_check(capsys, monkeypatch):
+    def broken(seed):
+        raise KeyError("missing")
+
+    checks = verify_mod.SUITES["fields"]
+    monkeypatch.setitem(verify_mod.SUITES, "fields", [("field_axioms", broken)] + checks[1:])
+    code, out, _ = run(capsys, "verify", "--suite", "fields")
+    assert code == 1
+    assert "FAIL field_axioms: KeyError: 'missing'" in out
+    assert "ok   subfield_structure" in out and "ok   trace_norm_fibers" in out
+    assert "2/3 checks passed" in out
 
 
 def test_verify_tree_format(capsys):
