@@ -12,8 +12,11 @@ Enumeration is projective, one message per scalar class (first nonzero
 digit 1): a mixed-radix Gray walk over the leading digits adds one scaled
 row per step and weighs a table of every combination of the trailing rows
 against it in one vectorized operation, on bit planes under XOR in
-characteristic 2.  Budgets are explicit; anything that would exceed them
-raises before doing work.
+characteristic 2.  That walk (`_walk`) is the only enumeration of
+combination weights: the minimum distance, the minimum weights stratified
+by maximal-minor size, the two-weight classification at ell = 2 and the
+ell = 3 reduced family are reductions of it.  Budgets are explicit;
+anything that would exceed them raises before doing work.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .codebuild import (
     position_entries,
     translate_permutation,
 )
-from .errors import BudgetExceeded, NoneFoundWithinBound, NoValidLambda
+from .errors import BudgetExceeded, NoneFoundWithinBound, NoValidLambda, require
 from .galois import FieldTower, tower_for_q
 from .hermitian import (
     HermitianIndexing,
@@ -208,37 +211,64 @@ def _additive_form(tower, rows, scalars):
     return np.asarray, lambda a, b: tower.add_np[a, b], weigh
 
 
-def _search_heads(tower, rows, scalars, kt, heads):
-    """Least (weight, digits) over the messages whose Gray-walked digits
-    [0, k - kt) extend one of `heads`; each walk state is weighed at once
-    against a table of every combination of the last kt rows.  An all-zero
-    head skips the zero message."""
+def _table_digits(tower, rows, scalars, most=None):
+    """How many trailing digits (at most `most`) go into the table that each
+    walk step weighs at once: the most whose table fits in TABLE_BYTES."""
+    k = len(rows) if most is None else most
+    row_bytes = _additive_form(tower, rows, scalars)[0](rows[0]).nbytes
+    return next((t for t in range(k, 0, -1) if len(scalars) ** t * row_bytes <= TABLE_BYTES), 0)
+
+
+def _walk(tower, rows, scalars, kt, heads):
+    """The engine: yields (head, walked, weights) for each Gray state.
+
+    The messages covered are those whose leading digits extend one of
+    `heads`; the digits after the head and before the last kt are
+    Gray-walked (`walked`, a live list), and weights[i] is the weight of
+    the message completed by the i-th combination, in lexicographic digit
+    order, of the last kt rows.
+    """
     pack, add, weigh = _additive_form(tower, rows, scalars)
-    n = rows.shape[1]
     kw = len(rows) - kt
     r = len(scalars)
     # lexicographic digit order: prepend one digit (the most significant) per level
-    table = pack(np.zeros(n, dtype=np.uint8))[None]
+    table = pack(np.zeros(rows.shape[1], dtype=np.uint8))[None]
     for row in rows[kw:][::-1]:
         table = np.concatenate([table] + [add(table, pack(tower.mul_np[c][row]))
                                           for c in scalars[1:]])
-    best = (n + 1,)
     for head in heads:
         h = len(head)
-        lo = 0 if any(head) else 1
         state = pack(linalg.combine(tower, rows, [scalars[d] for d in head]))
         walked = [0] * (kw - h)
-        for step in itertools.chain([None], gray_steps(r, kw - h)):
-            if step is not None:
-                j, old, new, walked = step
-                c = tower.sub(scalars[new], scalars[old])
-                state = add(state, pack(tower.mul_np[c][rows[h + j]]))
-            weights = weigh(table[lo:], state)
-            i = int(np.argmin(weights))
-            if weights[i] <= best[0]:
-                tail = tuple(map(int, np.unravel_index(i + lo, (r,) * kt)))
-                best = min(best, (int(weights[i]), tuple(head) + tuple(walked) + tail))
+        yield head, walked, weigh(table, state)
+        for j, old, new, walked in gray_steps(r, kw - h):
+            c = tower.sub(scalars[new], scalars[old])
+            state = add(state, pack(tower.mul_np[c][rows[h + j]]))
+            yield head, walked, weigh(table, state)
+
+
+def _least_weight(tower, rows, scalars, kt, heads):
+    """Least (weight, digits) over the nonzero messages `_walk` covers."""
+    best = (rows.shape[1] + 1,)
+    for head, walked, weights in _walk(tower, rows, scalars, kt, heads):
+        if not any(head):
+            weights[0] = rows.shape[1] + 1  # the zero message
+        i = int(np.argmin(weights))
+        if weights[i] <= best[0]:
+            tail = tuple(map(int, np.unravel_index(i, (len(scalars),) * kt)))
+            best = min(best, (int(weights[i]), tuple(head) + tuple(walked) + tail))
     return best
+
+
+def _weights_by_digits(tower, rows, scalars, head):
+    """(digits, weight) of every message whose leading digits are `head`."""
+    rows = np.asarray(rows, dtype=np.uint8)
+    kt = _table_digits(tower, rows, scalars, len(rows) - len(head))
+    tails = list(itertools.product(range(len(scalars)), repeat=kt))
+    for _, walked, weights in _walk(tower, rows, scalars, kt, [head]):
+        prefix = tuple(head) + tuple(walked)
+        for tail, w in zip(tails, weights.tolist()):
+            yield prefix + tail, w
 
 
 def min_weight_over_combinations(tower, rows, scalars, budget, threads=1):
@@ -267,8 +297,7 @@ def min_weight_over_combinations(tower, rows, scalars, budget, threads=1):
     total = r**k
     if total > budget:
         raise BudgetExceeded(f"message space {r}^{k} = {total} exceeds budget {budget}")
-    row_bytes = _additive_form(tower, rows, scalars)[0](rows[0]).nbytes
-    kt = next((t for t in range(k, 0, -1) if r**t * row_bytes <= TABLE_BYTES), 0)
+    kt = _table_digits(tower, rows, scalars)
     kw = k - kt
     heads = [(0,) * i + (1,) for i in range(kw)]
     if threads > 1:
@@ -278,12 +307,12 @@ def min_weight_over_combinations(tower, rows, scalars, budget, threads=1):
     if kt:
         heads.append((0,) * kw)
     if threads <= 1 or len(heads) < 2:
-        best = _search_heads(tower, rows, scalars, kt, heads)
+        best = _least_weight(tower, rows, scalars, kt, heads)
     else:
         heads.sort(key=len)  # longest walks first, dealt round-robin
         jobs = [heads[t::threads] for t in range(threads) if heads[t::threads]]
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            futures = [pool.submit(_search_heads, tower, rows, scalars, kt, job) for job in jobs]
+            futures = [pool.submit(_least_weight, tower, rows, scalars, kt, job) for job in jobs]
             best = min(f.result() for f in futures)
     return best[0], best[1], total - 1
 
@@ -353,8 +382,7 @@ def _walk_certificate(gen: GeneratorMatrix, method, rows, combos, scalars, budge
     for d, f in zip(digits, combos):
         if scalars[d]:
             witness = mn.combo_add(tower, witness, mn.combo_scale(tower, scalars[d], f))
-    if weight(gen.encode(witness)) != w:
-        raise AssertionError(f"witness does not attain the searched weight {w}")
+    require(weight(gen.encode(witness)) == w, f"witness does not attain the searched weight {w}")
     return DistanceCertificate(gen.spec, w, method, witness, searched, gen.header())
 
 
@@ -387,10 +415,10 @@ def min_distance_subfield(gen: GeneratorMatrix, basis: list | None = None,
     combos = basis if basis is not None else fq_basis(gen.spec.ell, gen.spec.q)
     rows = [gen.encode(f) for f in combos]
     for row in rows:
-        if not all(tower.in_base_subfield(int(v)) for v in np.unique(row)):
-            raise AssertionError("F_q basis row takes values outside the subfield")
-    if linalg.rank(tower, np.stack(rows)) != gen.spec.k:
-        raise AssertionError(f"F_q basis rows do not have rank k = {gen.spec.k}")
+        require(all(tower.in_base_subfield(int(v)) for v in np.unique(row)),
+                "F_q basis row takes values outside the subfield")
+    require(linalg.rank(tower, np.stack(rows)) == gen.spec.k,
+            f"F_q basis rows do not have rank k = {gen.spec.k}")
     return _walk_certificate(gen, "ExhaustiveSubfield", rows, combos, list(tower.subfield),
                              budget, threads)
 
@@ -411,8 +439,7 @@ def min_distance_formula(family: str, ell: int, q: int,
     witness_budget = witness_budget if witness_budget is not None else budget_positions()
     if wit is not None and spec.n <= witness_budget:
         w = weight_of_function(wit, ell, q, family, budget=witness_budget)
-        if w != d:
-            raise AssertionError(f"witness weight {w} contradicts formula value {d}")
+        require(w == d, f"witness weight {w} contradicts formula value {d}")
         return DistanceCertificate(spec, d, "WitnessOnly", wit, 0, None)
     return DistanceCertificate(spec, d, "Formula", None, 0, None)
 
@@ -421,14 +448,8 @@ def min_distance_formula(family: str, ell: int, q: int,
 
 
 def _verify_dual_word(gen: GeneratorMatrix, positions, coeffs) -> bool:
-    tower = gen.tower
-    for row in gen.rows:
-        acc = 0
-        for pos, c in zip(positions, coeffs):
-            acc = tower.add(acc, tower.mul(c, int(row[pos])))
-        if acc:
-            return False
-    return True
+    """Whether the word with coeffs at positions is orthogonal to every row."""
+    return not linalg.combine(gen.tower, gen.rows[:, list(positions)].T, coeffs).any()
 
 
 def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4,
@@ -457,13 +478,13 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4,
     cols = [tuple(int(gen.rows[r, c]) for r in range(k)) for c in range(n)]
 
     def finish(t, positions, coeffs):
-        assert len(set(positions)) == t
+        require(len(set(positions)) == t)
         order = sorted(range(t), key=lambda i: positions[i])
         positions = tuple(positions[i] for i in order)
         coeffs = tuple(coeffs[i] for i in order)
         scale = inv(coeffs[0])
         coeffs = tuple(mul(scale, c) for c in coeffs)
-        assert _verify_dual_word(gen, positions, coeffs)
+        require(_verify_dual_word(gen, positions, coeffs))
         return DualDistanceCertificate(spec, t, positions, coeffs, t, gen.header())
 
     # t = 1: a zero column
@@ -569,13 +590,12 @@ def dual_word_weight3(gen: GeneratorMatrix, alpha: int, c0: int = 1,
     ]
     entries = np.array(supports).transpose(1, 2, 0)
     positions = encode(tower, ell, FAMILY_HERMITIAN, entries).tolist()
-    if len(set(positions)) != 3:
-        raise AssertionError("support matrices are not distinct")
+    require(len(set(positions)) == 3, "support matrices are not distinct")
     order = sorted(range(3), key=lambda i: positions[i])
     positions = tuple(positions[i] for i in order)
     coeffs = tuple(coeffs[i] for i in order)
-    if not _verify_dual_word(gen, positions, coeffs):
-        raise AssertionError("constructed weight-3 word is not orthogonal to the code")
+    require(_verify_dual_word(gen, positions, coeffs),
+            "constructed weight-3 word is not orthogonal to the code")
     return positions, coeffs
 
 
@@ -605,12 +625,11 @@ def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
     ]
     entries = np.array(supports).transpose(1, 2, 0)
     positions = encode(tower, ell, FAMILY_HERMITIAN, entries).tolist()
-    if len(set(positions)) != 4:
-        raise AssertionError("support matrices are not distinct")
+    require(len(set(positions)) == 4, "support matrices are not distinct")
     positions = tuple(sorted(positions))
     coeffs = (1, 1, 1, 1)
-    if not _verify_dual_word(gen, positions, coeffs):
-        raise AssertionError("constructed weight-4 word is not orthogonal to the code")
+    require(_verify_dual_word(gen, positions, coeffs),
+            "constructed weight-4 word is not orthogonal to the code")
     return positions, coeffs
 
 
@@ -664,8 +683,7 @@ def hyperbolic_zero_count(tower: FieldTower, a: int, b: int, lam: int) -> int:
         for x2 in tower.subfield:
             if tower.mul(u, tower.add(x2, b)) == lam:
                 brute += 1
-    if brute != formula:
-        raise AssertionError(f"hyperbolic count mismatch: formula {formula}, brute {brute}")
+    require(brute == formula, f"hyperbolic count mismatch: formula {formula}, brute {brute}")
     return brute
 
 
@@ -695,8 +713,7 @@ def system_solution_count(tower: FieldTower, a, b) -> int:
                     break
         if ok:
             count += 1
-    if count > tower.q + 1:
-        raise AssertionError(f"system has {count} solutions, exceeding q + 1 = {tower.q + 1}")
+    require(count <= tower.q + 1, f"system has {count} solutions, exceeding q + 1 = {tower.q + 1}")
     return count
 
 
@@ -730,51 +747,36 @@ def classify_weights_l2(q: int) -> dict:
     if q > 4:
         raise ValueError("q <= 4 required")
     tower = tower_for_q(q)
-    ell = 2
-    E = position_entries(tower, ell, FAMILY_HERMITIAN)
-    vec = {m: eval_minor_vector(tower, E, m) for m in mn.basis(ell)}
-    det_v = vec[((1, 2), (1, 2))]
-    x1_v, x2_v, x2q_v, x3_v = (
-        vec[((1,), (1,))],
-        vec[((1,), (2,))],
-        vec[((2,), (1,))],
-        vec[((2,), (2,))],
-    )
-    add, mul = tower.add_np, tower.mul_np
+    gen = build_generator(FAMILY_HERMITIAN, 2, q)
+    # det + span over F_q of the other F_q basis rows: the constant, x11,
+    # the two x12 pair rows and x22
+    const, x11, pair_a, pair_b, x22, det = fq_basis(2, q)
+    rows = [gen.encode(f) for f in (det, const, x11, pair_a, pair_b, x22)]
+    alpha = pair_a[((1,), (2,))]
+    alpha_q = tower.conjugate(alpha)
+    sub = tower.subfield
     w_high = q**4 - q**3 + q**2 - q
     w_low = q**4 - q**3 - q
     weights_seen = set()
     count_high = 0
     plus_ok = True
     minus_ok = True
-    for f0 in tower.subfield:
-        for f11 in tower.subfield:
-            for f22 in tower.subfield:
-                for f12 in range(tower.qq):
-                    c = det_v
-                    if f0:
-                        c = add[c, np.full_like(c, f0)]
-                    if f11:
-                        c = add[c, mul[f11][x1_v]]
-                    if f22:
-                        c = add[c, mul[f22][x3_v]]
-                    if f12:
-                        c = add[c, mul[f12][x2_v]]
-                        c = add[c, mul[tower.conjugate(f12)][x2q_v]]
-                    w = int(np.count_nonzero(c))
-                    weights_seen.add(w)
-                    prod = tower.mul(f11, f22)
-                    nrm = tower.norm(f12)
-                    plus_form = tower.sub(tower.add(f0, nrm), prod) == 0
-                    minus_form = tower.add(tower.sub(nrm, f0), prod) == 0
-                    is_high = w == w_high
-                    if is_high:
-                        count_high += 1
-                    plus_ok = plus_ok and (plus_form == is_high)
-                    minus_ok = minus_ok and (minus_form == is_high)
+    for digits, w in _weights_by_digits(tower, rows, sub, (1,)):
+        f0, f11, s_a, s_b, f22 = (sub[d] for d in digits[1:])
+        f12 = tower.add(tower.mul(s_a, alpha), tower.mul(s_b, alpha_q))
+        weights_seen.add(w)
+        prod = tower.mul(f11, f22)
+        nrm = tower.norm(f12)
+        plus_form = tower.sub(tower.add(f0, nrm), prod) == 0
+        minus_form = tower.add(tower.sub(nrm, f0), prod) == 0
+        is_high = w == w_high
+        if is_high:
+            count_high += 1
+        plus_ok = plus_ok and (plus_form == is_high)
+        minus_ok = minus_ok and (minus_form == is_high)
     expected = {w_high, w_low}
-    if weights_seen != expected:
-        raise AssertionError(f"observed weights {sorted(weights_seen)} != expected {sorted(expected)}")
+    require(weights_seen == expected,
+            f"observed weights {sorted(weights_seen)} != expected {sorted(expected)}")
     if plus_ok and minus_ok:
         resolved = "both"
     elif plus_ok:
@@ -811,25 +813,16 @@ def verify_l3_bounds(q: int = 2) -> dict:
     if q != 2:
         raise ValueError("the reduced-family sweep is budgeted for q = 2")
     tower = tower_for_q(q)
-    ell = 3
-    E = position_entries(tower, ell, FAMILY_HERMITIAN)
-    full = ((1, 2, 3), (1, 2, 3))
-    det_v = eval_minor_vector(tower, E, full)
-    diag_v = [eval_minor_vector(tower, E, ((i,), (i,))) for i in (1, 2, 3)]
-    add, mul = tower.add_np, tower.mul_np
+    E = position_entries(tower, 3, FAMILY_HERMITIAN)
+    # det + span over F_q of x11, x22, x33 and the constant
+    family = [((1, 2, 3), (1, 2, 3)), ((1,), (1,)), ((2,), (2,)), ((3,), (3,)), ((), ())]
+    rows = [eval_minor_vector(tower, E, m) for m in family]
     bound = q**9 - q**8 - q**6 + q**5 - q**4 + q**3
     det_product_form = count_invertible(3, q)
     det_alt_expansion = q**9 - q**8 + q**7 - 2 * q**6 - q**4 + q**3
     det_plus_expected = q**9 - q**8 - q**6 + q**5 + q**3
-    weights = {}
-    for a in itertools.product(tower.subfield, repeat=4):
-        c = det_v
-        for coef, v in zip(a[:3], diag_v):
-            if coef:
-                c = add[c, mul[coef][v]]
-        if a[3]:
-            c = add[c, np.full_like(c, a[3])]
-        weights[a] = int(np.count_nonzero(c))
+    weights = {tuple(tower.subfield[d] for d in digits[1:]): w
+               for digits, w in _weights_by_digits(tower, rows, tower.subfield, (1,))}
     weight_det = weights[(0, 0, 0, 0)]
     det_plus_weights = {weights[(0, 0, 0, c)] for c in tower.subfield if c}
     report = {
@@ -846,12 +839,10 @@ def verify_l3_bounds(q: int = 2) -> dict:
         "weight_det_plus_const": sorted(det_plus_weights),
         "weight_det_plus_const_expected": det_plus_expected,
     }
-    if not report["all_above_bound"]:
-        raise AssertionError("a family member falls below the structural bound")
-    if weight_det != det_product_form:
-        raise AssertionError("weight(det) does not match the invertible count")
-    if det_plus_weights != {det_plus_expected}:
-        raise AssertionError("weight(det + c) does not match its closed form")
+    require(report["all_above_bound"], "a family member falls below the structural bound")
+    require(weight_det == det_product_form, "weight(det) does not match the invertible count")
+    require(det_plus_weights == {det_plus_expected},
+            "weight(det + c) does not match its closed form")
     return report
 
 # minimum weight stratified by maximal-minor size --------------------------------
@@ -886,39 +877,23 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
     count = 0
     if exhaustive:
         budget = budget if budget is not None else budget_exhaustive()
-        total = tower.qq ** gen.spec.k
+        if self_conjugate_only:
+            combos, scalars = fq_basis(ell, q), list(tower.subfield)
+        else:
+            combos, scalars = [{m: 1} for m in gen.basis], list(range(tower.qq))
+        total = len(scalars) ** gen.spec.k
         if total > budget:
             raise BudgetExceeded(f"message space {total} exceeds budget {budget}")
-        # basis digit positions for ell = 2: 0 constant, 1..4 the 1x1 minors
-        # (x1, x2, x2^q, x3), 5 the full minor
-        rows = list(gen.rows)
-        state = np.zeros(gen.spec.n, dtype=np.uint8)
-        add, mul, conj = tower.add_np, tower.mul_np, tower.conj_np
-        scaled = [{(old, new): mul[tower.sub(new, old)][row]
-                   for old in range(tower.qq) for new in (old - 1, old + 1)
-                   if 0 <= new < tower.qq}
-                  for row in rows]
-        subfield = tower._subfield_set
-        for j, old, new, a in gray_steps(tower.qq, gen.spec.k):
-            state = add[state, scaled[j][(old, new)]]
-            if a[5]:
-                cls = 2
-            elif a[1] or a[2] or a[3] or a[4]:
-                cls = 1
-            else:
-                cls = 0
-            if cls != k:
-                continue
-            if self_conjugate_only:
-                if a[3] != int(conj[a[2]]):
-                    continue
-                if not (a[0] in subfield and a[1] in subfield
-                        and a[4] in subfield and a[5] in subfield):
-                    continue
-            count += 1
-            w = int(np.count_nonzero(state))
-            if best is None or w < best:
-                best = w
+        # the class of a message is the largest minor size among its nonzero
+        # digits: projective heads over the size-k rows, smaller rows after
+        size = [len(next(iter(f))[0]) for f in combos]
+        rows = np.stack([gen.encode(f) for f, z in zip(combos, size) if z == k]
+                        + [gen.encode(f) for f, z in zip(combos, size) if z < k])
+        m = size.count(k)
+        r = len(scalars)
+        count = (r**m - 1) * r ** (len(rows) - m)
+        kt = _table_digits(tower, rows, scalars, len(rows) - m)
+        best = _least_weight(tower, rows, scalars, kt, [(0,) * i + (1,) for i in range(m)])[0]
     else:
         import random
 
@@ -951,8 +926,7 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
         bound = induction_bound(k, q)
         report["bound"] = bound
         report["meets_bound"] = best >= bound
-        if not report["meets_bound"]:
-            raise AssertionError(f"minimum weight {best} falls below bound {bound}")
+        require(report["meets_bound"], f"minimum weight {best} falls below bound {bound}")
     return report
 
 
@@ -989,8 +963,7 @@ def verify_translation_clearing(gen: GeneratorMatrix, f: dict, I: tuple) -> bool
     if c != 1:
         f = mn.combo_scale(tower, tower.inv(c), f)
     H = translation_clearing_matrix(tower, ell, f, I)
-    if not is_hermitian(tower, H):
-        raise AssertionError("clearing matrix is not Hermitian")
+    require(is_hermitian(tower, H), "clearing matrix is not Hermitian")
     perm = translate_permutation(tower, ell, H)
     translated = gen.interpolate(np.asarray(gen.encode(f))[perm])
     si = set(I)
@@ -1044,7 +1017,7 @@ def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     I1 = tuple(range(1, k + 1))
     J1 = tuple(range(s - k + 1, s + 1))
     a = f1.get((I1, J1), 0)
-    assert a, "relabeled combination lost its target minor"
+    require(a, "relabeled combination lost its target minor")
     partner = (tuple(sorted(set(I1) - {1} | {s})), tuple(sorted(set(J1) - {s} | {1})))
     b = f1.get(partner, 0)
     lam = None
@@ -1058,8 +1031,7 @@ def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     c2 = c1[congruence_permutation(tower, ell, A)]
     f2 = gen.interpolate(c2)
     reduced = (I1, tuple(sorted(set(J1) - {s} | {1})))
-    if not f2.get(reduced, 0):
-        raise AssertionError("spread reduction did not produce the expected minor")
+    require(f2.get(reduced, 0), "spread reduction did not produce the expected minor")
     info = {
         "minor": M,
         "size": k,

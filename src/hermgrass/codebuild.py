@@ -20,7 +20,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .errors import BudgetExceeded, NotInCode
+from .errors import BudgetExceeded, NotInCode, require
 from .galois import MODULI, SUPPORTED_Q, FieldTower, make_field, tower_for_q
 from .hermitian import (
     FAMILY_AFFINE,
@@ -229,7 +229,7 @@ def fq_basis(ell: int, q: int) -> list:
         elif (I, J) < (J, I):
             out.append({(I, J): alpha, (J, I): alpha_q})
             out.append({(I, J): alpha_q, (J, I): alpha})
-    assert len(out) == comb(2 * ell, ell)
+    require(len(out) == comb(2 * ell, ell))
     return out
 
 

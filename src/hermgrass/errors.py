@@ -34,3 +34,10 @@ class NoneFoundWithinBound(HermgrassError):
 
 class NoValidLambda(HermgrassError):
     """The spread-reduction scalar search exhausted all nonzero field elements."""
+
+
+def require(condition, message=""):
+    """Raise AssertionError(message) unless condition holds.  Unlike an
+    assert statement, this check is not stripped by python -O."""
+    if not condition:
+        raise AssertionError(message)

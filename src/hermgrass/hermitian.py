@@ -169,37 +169,6 @@ def det_vectors(tower, sub):
     return acc
 
 
-# matrix helpers over F_{q^2} ------------------------------------------------
-
-
-def mat_det(tower, M) -> int:
-    """Exact determinant by elimination (empty matrix has determinant 1)."""
-    n = len(M)
-    if n == 0:
-        return 1
-    rows = [list(r) for r in M]
-    det = 1
-    for c in range(n):
-        piv = None
-        for i in range(c, n):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            det = tower.neg(det)
-        pv = rows[c][c]
-        det = tower.mul(det, pv)
-        inv = tower.inv(pv)
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = tower.neg(tower.mul(rows[i][c], inv))
-                rows[i] = [tower.add(x, tower.mul(f, y)) for x, y in zip(rows[i], rows[c])]
-    return det
-
-
 # group actions ---------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .hermitian import mat_det
+from .errors import require
 
 Minor = tuple  # ((i1, i2, ...), (j1, j2, ...)), 1-based, sorted
 
@@ -32,7 +32,7 @@ def basis(ell: int) -> list:
         for I in combinations(range(1, ell + 1), size):
             for J in combinations(range(1, ell + 1), size):
                 out.append((I, J))
-    assert len(out) == comb(2 * ell, ell)
+    require(len(out) == comb(2 * ell, ell))
     return out
 
 
@@ -51,31 +51,19 @@ def format_combination(f: dict) -> str:
 
 
 def eval_minor(tower, minor: Minor, M) -> int:
-    """Determinant of the (I, J) submatrix of M; the empty minor is 1.
-
-    Cofactor expansion for sizes <= 3, elimination for size 4.
-    """
+    """Determinant of the (I, J) submatrix of M by first-row expansion; the
+    empty minor is 1."""
     I, J = minor
-    k = len(I)
-    if k == 0:
+    if not I:
         return 1
-    if k == 1:
-        return M[I[0] - 1][J[0] - 1]
-    sub = [[M[i - 1][j - 1] for j in J] for i in I]
-    if k == 2:
-        return tower.sub(tower.mul(sub[0][0], sub[1][1]), tower.mul(sub[0][1], sub[1][0]))
-    if k == 3:
-        acc = 0
-        for c, sign in ((0, False), (1, True), (2, False)):
-            cols = [j for j in range(3) if j != c]
-            m2 = tower.sub(
-                tower.mul(sub[1][cols[0]], sub[2][cols[1]]),
-                tower.mul(sub[1][cols[1]], sub[2][cols[0]]),
-            )
-            term = tower.mul(sub[0][c], m2)
-            acc = tower.sub(acc, term) if sign else tower.add(acc, term)
-        return acc
-    return mat_det(tower, sub)
+    row = M[I[0] - 1]
+    if len(I) == 1:
+        return row[J[0] - 1]
+    acc = 0
+    for c, j in enumerate(J):
+        term = tower.mul(row[j - 1], eval_minor(tower, (I[1:], J[:c] + J[c + 1:]), M))
+        acc = tower.sub(acc, term) if c % 2 else tower.add(acc, term)
+    return acc
 
 
 def eval_combination(tower, f: dict, M) -> int:

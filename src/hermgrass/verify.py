@@ -31,6 +31,7 @@ from .codebuild import (
     transpose_permutation,
     write_generator,
 )
+from .errors import require
 from .galois import SUPPORTED_Q, tower_for_q
 from .hermitian import HermitianIndexing, count_invertible, count_invertible_bruteforce
 
@@ -46,23 +47,24 @@ def check_field_axioms(seed):
         b = np.arange(n).reshape(1, n, 1)
         c = np.arange(n).reshape(1, 1, n)
         add, mul = t.add_np, t.mul_np
-        assert np.array_equal(add[add[a, b], c], add[a, add[b, c]]), f"add assoc q={q}"
-        assert np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]), f"mul assoc q={q}"
-        assert np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]]), f"distrib q={q}"
+        require(np.array_equal(add[add[a, b], c], add[a, add[b, c]]), f"add assoc q={q}")
+        require(np.array_equal(mul[mul[a, b], c], mul[a, mul[b, c]]), f"mul assoc q={q}")
+        require(np.array_equal(mul[a, add[b, c]], add[mul[a, b], mul[a, c]]),
+                f"distrib q={q}")
         aa = np.arange(n)
-        assert np.array_equal(add[aa, t.neg_np[aa]], np.zeros(n, dtype=np.uint8))
+        require(np.array_equal(add[aa, t.neg_np[aa]], np.zeros(n, dtype=np.uint8)))
         for x in range(1, n):
-            assert t.mul(x, t.inv(x)) == 1
+            require(t.mul(x, t.inv(x)) == 1)
     return f"axioms exhaustive for q in {sorted(SUPPORTED_Q)}"
 
 
 def check_subfield_structure(seed):
     for q in sorted(SUPPORTED_Q):
         t = tower_for_q(q)
-        assert len(t.subfield) == q
+        require(len(t.subfield) == q)
         for x in range(t.qq):
-            assert (t.conjugate(x) == x) == t.in_base_subfield(x)
-            assert t.conjugate(t.conjugate(x)) == x
+            require((t.conjugate(x) == x) == t.in_base_subfield(x))
+            require(t.conjugate(t.conjugate(x)) == x)
     return "subfield = Frobenius fixed points, conjugation involutive"
 
 
@@ -72,9 +74,9 @@ def check_trace_norm_fibers(seed):
         traces = [t.trace(x) for x in range(t.qq)]
         norms = [t.norm(x) for x in range(t.qq)]
         for c in t.subfield:
-            assert traces.count(c) == q, f"trace fiber at q={q}"
+            require(traces.count(c) == q, f"trace fiber at q={q}")
             if c:
-                assert norms.count(c) == q + 1, f"norm fiber at q={q}"
+                require(norms.count(c) == q + 1, f"norm fiber at q={q}")
     return "trace fibers q, nonzero norm fibers q+1, all towers"
 
 
@@ -91,8 +93,7 @@ def check_enumeration_bijectivity(seed):
                                  hm.decode(t, ell, FAMILY_HERMITIAN, positions))
             except ValueError as exc:
                 raise AssertionError(f"(ell={ell}, q={q}): {exc}") from exc
-            if not np.array_equal(back, positions):
-                raise AssertionError(f"(ell={ell}, q={q}): encode(decode(t)) != t")
+            require(np.array_equal(back, positions), f"(ell={ell}, q={q}): encode(decode(t)) != t")
         checked += total
     return f"{checked} round trips over {len(pairs)} (ell, q) pairs"
 
@@ -103,7 +104,8 @@ def check_invertible_counts(seed):
         t = tower_for_q(q)
         formula = count_invertible(ell, q)
         brute = count_invertible_bruteforce(t, ell)
-        assert formula == brute, f"(ell={ell}, q={q}): formula {formula} != brute {brute}"
+        require(formula == brute,
+                f"(ell={ell}, q={q}): formula {formula} != brute {brute}")
     return f"formula = brute force on {len(cases)} cases, incl. 10 at (2,2) and 280 at (3,2)"
 
 
@@ -129,7 +131,7 @@ def check_system_solutions(seed):
                 a, b = an.random_system(t, n, rng, consistent=(i % 2 == 0))
                 count = an.system_solution_count(t, a, b)
                 if i % 2 == 0:
-                    assert count >= 1, "consistent system lost its solution"
+                    require(count >= 1, "consistent system lost its solution")
                 total += 1
     return f"{total} systems, all within the q+1 bound"
 
@@ -137,7 +139,7 @@ def check_system_solutions(seed):
 def check_two_weight_classifier(seed):
     reports = [an.classify_weights_l2(q) for q in (2, 3)]
     for r in reports:
-        assert r["resolved_predicate"] in ("plus_f0", "both"), r
+        require(r["resolved_predicate"] in ("plus_f0", "both"), r)
     resolved = {r["q"]: r["resolved_predicate"] for r in reports}
     return f"two weights exact at q=2,3; resolved predicate: {resolved}"
 
@@ -154,13 +156,13 @@ def check_l3_reduced_family(seed):
 
 def check_min_weight_strata(seed):
     r22 = an.min_weight_by_max_minor(2, 2, 2)
-    assert r22["min_weight"] == 6
+    require(r22["min_weight"] == 6)
     r21 = an.min_weight_by_max_minor(2, 1, 2)
-    assert r21["min_weight"] >= 2**4 - 2**3
+    require(r21["min_weight"] >= 2**4 - 2**3)
     r20 = an.min_weight_by_max_minor(2, 0, 2)
-    assert r20["min_weight"] == 16
+    require(r20["min_weight"] == 16)
     r23 = an.min_weight_by_max_minor(2, 2, 3)
-    assert r23["min_weight"] == 51
+    require(r23["min_weight"] == 51)
     r33 = an.min_weight_by_max_minor(3, 3, 2, samples=25, seed=seed)
     return (
         f"minima: (2,2,q=2)={r22['min_weight']}, (2,1,q=2)={r21['min_weight']}, "
@@ -171,9 +173,9 @@ def check_min_weight_strata(seed):
 
 def check_translation_clearing(seed):
     g22 = build_generator(FAMILY_HERMITIAN, 2, 2)
-    assert an.verify_translation_clearing(g22, {((1, 2), (1, 2)): 1}, (1, 2))
+    require(an.verify_translation_clearing(g22, {((1, 2), (1, 2)): 1}, (1, 2)))
     f = {((1, 2), (1, 2)): 1, ((1,), (1,)): 1, ((2,), (2,)): 1}
-    assert an.verify_translation_clearing(g22, f, (1, 2))
+    require(an.verify_translation_clearing(g22, f, (1, 2)))
     g32 = build_generator(FAMILY_HERMITIAN, 3, 2)
     tower = g32.tower
     rng = random.Random(seed)
@@ -183,7 +185,7 @@ def check_translation_clearing(seed):
         f = mn.random_combination(tower, 3, rng, self_conjugate=True)
         if not f.get(full, 0):
             f[full] = 1
-        assert an.verify_translation_clearing(g32, f, (1, 2, 3))
+        require(an.verify_translation_clearing(g32, f, (1, 2, 3)))
         cleared += 1
     return f"2 fixed cases and {cleared} random self-conjugate functions cleared"
 
@@ -192,15 +194,15 @@ def check_spread_reduction(seed):
     g32 = build_generator(FAMILY_HERMITIAN, 3, 2)
     f = {((1, 2), (2, 3)): 1}
     f2, info = an.spread_reduction_step(g32, f)
-    assert info["new_minor"] == ((1, 2), (1, 2))
+    require(info["new_minor"] == ((1, 2), (1, 2)))
     w0 = an.weight(g32.encode(f))
     w1 = an.weight(g32.encode(f2))
-    assert w0 == w1, f"weight changed: {w0} -> {w1}"
+    require(w0 == w1, f"weight changed: {w0} -> {w1}")
     f3 = {((1, 3), (2, 3)): 1, ((), ()): 1}
     f4, info2 = an.spread_reduction_step(g32, f3)
-    assert an.weight(g32.encode(f3)) == an.weight(g32.encode(f4))
-    assert any(len(m[0]) == info2["size"] and mn.spread(m) <= info2["spread"] - 1
-               for m in mn.support(f4))
+    require(an.weight(g32.encode(f3)) == an.weight(g32.encode(f4)))
+    require(any(len(m[0]) == info2["size"] and mn.spread(m) <= info2["spread"] - 1
+                for m in mn.support(f4)))
     return f"size-2 spread-3 minors reduced to spread 2 at equal weight ({w0})"
 
 
@@ -210,8 +212,8 @@ def check_dual_distances(seed):
     for (ell, q), want in expected.items():
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
         cert = an.dual_min_distance(gen)
-        assert cert.d_dual == want, f"(ell={ell}, q={q}): d_dual {cert.d_dual} != {want}"
-        assert cert.exhausted_below == cert.d_dual
+        require(cert.d_dual == want, f"(ell={ell}, q={q}): d_dual {cert.d_dual} != {want}")
+        require(cert.exhausted_below == cert.d_dual)
         got[(ell, q)] = cert.d_dual
     return f"dual distances {got}"
 
@@ -229,7 +231,7 @@ def check_generator_dimensions(seed):
     dims = {}
     for ell, q in HERMITIAN_DESK:
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
-        assert gen.rank == gen.spec.k
+        require(gen.rank == gen.spec.k)
         dims[(ell, q)] = gen.rank
     return f"ranks equal binom(2 ell, ell): {dims}"
 
@@ -237,7 +239,7 @@ def check_generator_dimensions(seed):
 def check_q_invariance(seed):
     for ell, q in ((2, 2), (2, 3), (3, 2)):
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
-        assert q_invariance_check(gen), f"(ell={ell}, q={q})"
+        require(q_invariance_check(gen), f"(ell={ell}, q={q})")
     return "conjugated generator rows are codewords at (2,2), (2,3), (3,2)"
 
 
@@ -257,13 +259,13 @@ def check_automorphism_membership(seed):
         M = indexing.index_to_matrix(rng.randrange(indexing.total))
         perms.append(translate_permutation(tower, ell, M))
         for perm in perms:
-            assert sorted(perm) == list(range(indexing.total)), "not a permutation"
+            require(sorted(perm) == list(range(indexing.total)), "not a permutation")
             for _ in range(5):
                 f = mn.random_combination(tower, ell, rng)
                 c = np.asarray(gen.encode(f))
                 image = c[perm]
-                assert gen.membership(image)
-                assert an.weight(image) == an.weight(c)
+                require(gen.membership(image))
+                require(an.weight(image) == an.weight(c))
                 checked += 1
     return f"{checked} permuted codewords pass membership at equal weight"
 
@@ -278,14 +280,15 @@ def check_conjugate_minor_identity(seed):
                 I, J = minor
                 lhs = mn.eval_minor(t2, (J, I), H)
                 rhs = t2.conjugate(mn.eval_minor(t2, (I, J), H))
-                assert lhs == rhs
+                require(lhs == rhs)
     t3 = tower_for_q(3)
     indexing = HermitianIndexing(t3, 2)
     for _ in range(500):
         H = indexing.index_to_matrix(rng.randrange(indexing.total))
         for minor in mn.basis(2):
             I, J = minor
-            assert mn.eval_minor(t3, (J, I), H) == t3.conjugate(mn.eval_minor(t3, (I, J), H))
+            require(mn.eval_minor(t3, (J, I), H)
+                    == t3.conjugate(mn.eval_minor(t3, (I, J), H)))
     return "det_JI = det_IJ^q exhaustive at q=2 (ell<=3), sampled at q=3"
 
 
@@ -296,7 +299,7 @@ def check_interpolation_round_trip(seed):
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
         for _ in range(200):
             f = mn.random_combination(gen.tower, ell, rng)
-            assert gen.interpolate(gen.encode(f)) == f
+            require(gen.interpolate(gen.encode(f)) == f)
             total += 1
     return f"{total} random combinations recovered exactly"
 
@@ -307,20 +310,20 @@ def check_distance_certifications(seed):
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
         cert = an.min_distance_subfield(gen)
         formula = an.distance_hermitian_formula(ell, q)
-        assert cert.d == formula, f"H (ell={ell}, q={q}): {cert.d} != {formula}"
+        require(cert.d == formula, f"H (ell={ell}, q={q}): {cert.d} != {formula}")
         details.append(f"H({ell},{q})={cert.d}")
     for ell, q in ((2, 2), (2, 3)):
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
         cert = an.min_distance_exhaustive(gen)
-        assert cert.d == an.distance_hermitian_formula(ell, q)
+        require(cert.d == an.distance_hermitian_formula(ell, q))
     for ell, q in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]:
         gen = build_generator(FAMILY_AFFINE, ell, q)
         cert = an.min_distance_exhaustive(gen)
         formula = an.distance_affine_formula(ell, q)
-        assert cert.d == formula, f"A (ell={ell}, q={q}): {cert.d} != {formula}"
+        require(cert.d == formula, f"A (ell={ell}, q={q}): {cert.d} != {formula}")
         details.append(f"A({ell},{q})={cert.d}")
     w = an.weight_of_function(an.hermitian_witness(3), 3, 2)
-    assert w == 192
+    require(w == 192)
     return "; ".join(details) + "; witness weight at (3,2) = 192"
 
 
@@ -330,11 +333,11 @@ def check_fq_basis_structure(seed):
         tower = gen.tower
         combos = fq_basis(ell, q)
         rows = np.stack([gen.encode(f) for f in combos])
-        assert all(tower.in_base_subfield(int(v)) for v in np.unique(rows))
-        assert linalg.rank(tower, rows) == gen.spec.k
+        require(all(tower.in_base_subfield(int(v)) for v in np.unique(rows)))
+        require(linalg.rank(tower, rows) == gen.spec.k)
         R, pivots, _ = linalg.rref(tower, rows)
         for row in gen.rows:
-            assert linalg.solve_in_row_space(tower, R, pivots, row) is not None
+            require(linalg.solve_in_row_space(tower, R, pivots, row) is not None)
     return "F_q-valued, full F_q-rank, spans the minor row space"
 
 
@@ -347,9 +350,9 @@ def check_file_round_trip(seed):
             path = os.path.join(tmp, "gen.txt")
             write_generator(gen, path)
             back = read_generator(path)
-            assert back.header() == gen.header()
-            assert np.array_equal(back.rows, gen.rows)
-            assert back.rank == gen.spec.k
+            require(back.header() == gen.header())
+            require(np.array_equal(back.rows, gen.rows))
+            require(back.rank == gen.spec.k)
     return "write/read identical at (2,2) and (3,2), rank re-verified"
 
 

@@ -1,0 +1,102 @@
+"""The classifier reductions of the weight engine: the maximal-minor strata,
+the two-weight classification and the table walk they share, against
+pinned reports and brute force."""
+
+import itertools
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from hermgrass import analysis as an
+from hermgrass import minors as mn
+from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator
+
+# (functions_examined, min_weight) for k = 0, 1, 2, recorded from the
+# hand-written Gray walk the engine replaced
+STRATA = {
+    (2, False): [(3, 16), (1020, 8), (3072, 6)],
+    (2, True): [(1, 16), (30, 8), (32, 6)],
+    (3, False): [(8, 81), (59040, 54), (472392, 51)],
+    (3, True): [(2, 81), (240, 54), (486, 51)],
+}
+
+
+@pytest.mark.parametrize("q, sc", sorted(STRATA))
+def test_min_weight_by_max_minor_pinned(q, sc):
+    got = []
+    for k in (0, 1, 2):
+        r = an.min_weight_by_max_minor(2, k, q, self_conjugate_only=sc)
+        assert r["method"] == "exhaustive"
+        got.append((r["functions_examined"], r["min_weight"]))
+    assert got == STRATA[(q, sc)]
+
+
+def strata_brute_force(q, self_conjugate):
+    """{k: (count, min weight)} over every nonzero ell = 2 combination (or
+    every self-conjugate one), classed by the sizes of its maximal minors."""
+    gen = build_generator(FAMILY_HERMITIAN, 2, q)
+    tower = gen.tower
+    sub = tower.subfield
+    if self_conjugate:
+        x12, x21 = ((1,), (2,)), ((2,), (1,))
+        combos = ({((), ()): f0, ((1,), (1,)): f11, x12: f12, x21: tower.conjugate(f12),
+                   ((2,), (2,)): f22, ((1, 2), (1, 2)): fd}
+                  for f0, f11, f12, f22, fd in itertools.product(
+                      sub, sub, range(tower.qq), sub, sub))
+    else:
+        combos = (dict(zip(gen.basis, digits))
+                  for digits in itertools.product(range(tower.qq), repeat=len(gen.basis)))
+    out = {}
+    for f in combos:
+        f = {m: c for m, c in f.items() if c}
+        if not f:
+            continue
+        sizes = {len(m[0]) for m in mn.maximal_minors(f)}
+        assert len(sizes) == 1  # the classes are nested at ell = 2
+        (k,) = sizes
+        w = an.weight(gen.encode(f))
+        count, best = out.get(k, (0, w))
+        out[k] = (count + 1, min(best, w))
+    return out
+
+
+@pytest.mark.parametrize("sc", [False, True])
+@pytest.mark.parametrize("table_bytes", [0, 100, an.TABLE_BYTES])
+def test_min_weight_by_max_minor_equals_brute_force(sc, table_bytes):
+    expected = strata_brute_force(2, sc)
+    with mock.patch.object(an, "TABLE_BYTES", table_bytes):
+        for k in (0, 1, 2):
+            r = an.min_weight_by_max_minor(2, k, 2, self_conjugate_only=sc)
+            assert (r["functions_examined"], r["min_weight"]) == expected[k]
+
+
+def test_classify_weights_l2_q4_pinned():
+    r = an.classify_weights_l2(4)
+    assert r["weights"] == r["expected_weights"] == [188, 204]
+    assert r["family_size"] == 1024
+    assert r["count_weight_high"] == 256
+    assert r["count_weight_low"] == 768
+    assert r["resolved_predicate"] == "both"
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("table_bytes", [0, 300, an.TABLE_BYTES])
+def test_weights_by_digits_equals_brute_force(q, table_bytes):
+    """Every message under the head (1,) once, with the weight its digits
+    give as a plain sum of scaled rows, wherever the table split falls."""
+    gen = build_generator(FAMILY_HERMITIAN, 2, q)
+    tower = gen.tower
+    rows = list(gen.rows[::-1][:4])
+    scalars = list(tower.subfield)
+    with mock.patch.object(an, "TABLE_BYTES", table_bytes):
+        got = sorted(an._weights_by_digits(tower, rows, scalars, (1,)))
+    expected = []
+    for digits in itertools.product(range(q), repeat=len(rows) - 1):
+        digits = (1,) + digits
+        word = np.zeros(gen.spec.n, dtype=np.uint8)
+        for d, row in zip(digits, rows):
+            word = tower.add_np[word, tower.mul_np[scalars[d]][row]]
+        expected.append((digits, an.weight(word)))
+    assert got == expected
+

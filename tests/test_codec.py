@@ -1,11 +1,7 @@
 """The position codec against a scalar reference decoder, permutation
 oracles, codec properties, and the fail-closed bijectivity check."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,7 +218,7 @@ def test_encode_rejects_perturbed_entries(case, data):
 # fail closed ---------------------------------------------------------------------
 
 
-def test_bijectivity_check_fails_closed_under_optimize():
+def test_bijectivity_check_fails_closed_under_optimize(run_optimized):
     """With encode off by one, enumeration_bijectivity must FAIL and the run
     exit 1 even under python -O, which strips assert statements."""
     script = (
@@ -234,11 +230,7 @@ def test_bijectivity_check_fails_closed_under_optimize():
         "from hermgrass.cli import main\n"
         "sys.exit(main(['verify', '--suite', 'counts']))\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_optimized(script)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "FAIL enumeration_bijectivity" in proc.stdout
     assert "3/4 checks passed" in proc.stdout

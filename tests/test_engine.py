@@ -3,10 +3,6 @@ pinned certificates, a brute-force property, and the fail-closed subfield
 precondition."""
 
 import itertools
-import os
-import subprocess
-import sys
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -175,7 +171,7 @@ def test_threaded_engine_equals_brute_force(case):
 # fail closed ------------------------------------------------------------------
 
 
-def test_subfield_precondition_fails_closed_under_optimize():
+def test_subfield_precondition_fails_closed_under_optimize(run_optimized):
     """A basis row with values outside F_q must make min_distance_subfield
     raise even under python -O, which strips assert statements."""
     script = (
@@ -188,10 +184,6 @@ def test_subfield_precondition_fails_closed_under_optimize():
         "basis[0] = mn.combo_scale(gen.tower, outside, basis[0])\n"
         "an.min_distance_subfield(gen, basis=basis)\n"
     )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_optimized(script)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "AssertionError: F_q basis row takes values outside the subfield" in proc.stderr

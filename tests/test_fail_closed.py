@@ -1,0 +1,61 @@
+"""Checks and certificates fail closed: no assert statement in the package,
+and injected faults still fail under python -O."""
+
+import ast
+from pathlib import Path
+
+from hermgrass import analysis as an
+from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hermgrass"
+
+
+def test_package_has_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_counts_suite_fails_closed_under_optimize(run_optimized):
+    """With count_invertible off by one, invertible_counts must FAIL and the
+    run exit 1 even under python -O, which strips assert statements."""
+    script = (
+        "import sys\n"
+        "assert False, 'asserts are live'\n"
+        "import hermgrass.verify as verify\n"
+        "count = verify.count_invertible\n"
+        "verify.count_invertible = lambda ell, q: count(ell, q) + 1\n"
+        "from hermgrass.cli import main\n"
+        "sys.exit(main(['verify', '--suite', 'counts']))\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "FAIL invertible_counts: (ell=1, q=2): formula 2 != brute 1" in proc.stdout
+    assert "3/4 checks passed" in proc.stdout
+
+
+def test_dual_word_check_fails_closed_under_optimize(run_optimized):
+    """A dual word that fails its orthogonality check must make
+    dual_min_distance raise even under python -O."""
+    script = (
+        "assert False, 'asserts are live'\n"
+        "from hermgrass import analysis as an\n"
+        "from hermgrass.codebuild import build_generator\n"
+        "an._verify_dual_word = lambda *args: False\n"
+        "an.dual_min_distance(build_generator('hermitian', 2, 3))\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "AssertionError" in proc.stderr
+
+
+def test_verify_dual_word():
+    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
+    cert = an.dual_min_distance(gen)
+    assert an._verify_dual_word(gen, cert.columns, cert.coefficients)
+    for i in range(len(cert.coefficients)):
+        coeffs = list(cert.coefficients)
+        coeffs[i] = gen.tower.add(coeffs[i], 1)
+        assert not an._verify_dual_word(gen, cert.columns, coeffs)

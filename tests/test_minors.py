@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -41,6 +42,31 @@ def test_eval_minor_identity_example():
     assert mn.eval_minor(t, ((1, 2), (2, 3)), identity_matrix(3)) == 0
     assert mn.eval_minor(t, ((), ()), identity_matrix(3)) == 1
     assert mn.eval_minor(t, ((1, 2, 3), (1, 2, 3)), identity_matrix(3)) == 1
+
+
+
+def leibniz_det(tower, sub):
+    """sum over permutations s of sign(s) * prod_i sub[i][s(i)]."""
+    acc = 0
+    for perm in itertools.permutations(range(len(sub))):
+        term = 1
+        for i, j in enumerate(perm):
+            term = tower.mul(term, sub[i][j])
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        acc = tower.sub(acc, term) if inversions % 2 else tower.add(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_eval_minor_equals_leibniz(q):
+    """Every minor of random 4 x 4 matrices over F_{q^2}, sizes 0 to 4."""
+    t = tower_for_q(q)
+    rng = random.Random(q)
+    for _ in range(10):
+        M = [[rng.randrange(t.qq) for _ in range(4)] for _ in range(4)]
+        for I, J in mn.basis(4):
+            sub = [[M[i - 1][j - 1] for j in J] for i in I]
+            assert mn.eval_minor(t, (I, J), M) == leibniz_det(t, sub)
 
 
 def test_conjugate_minor_identity_exhaustive_q2():
