@@ -17,6 +17,12 @@ combination weights: the minimum distance, the minimum weights stratified
 by maximal-minor size, the two-weight classification at ell = 2 and the
 ell = 3 reduced family are reductions of it.  Budgets are explicit;
 anything that would exceed them raises before doing work.
+
+Dual distance works on the generator's columns as one array: a column or
+pair sum is keyed by its projective normal form (`_projective_keys`), t = 1
+and t = 2 are read off the column keys, and one scan of the pair sums
+col_i + a col_j rules out t = 3 and finds the t = 4 word.  Every dual word,
+searched or constructed, is sorted and checked by one helper (`_dual_word`).
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .hermitian import (
     elementary_row_add,
     encode,
     is_hermitian,
+    outer,
     rank_one_from_vector,
     translate,
     zero_matrix,
@@ -452,6 +459,24 @@ def _verify_dual_word(gen: GeneratorMatrix, positions, coeffs) -> bool:
     return not linalg.combine(gen.tower, gen.rows[:, list(positions)].T, coeffs).any()
 
 
+def _dual_word(gen: GeneratorMatrix, positions, coeffs):
+    """(positions, coeffs) sorted by position, after requiring the positions
+    to be distinct and the word to be orthogonal to every generator row."""
+    require(len(set(positions)) == len(positions), "support positions are not distinct")
+    positions, coeffs = zip(*sorted(zip(map(int, positions), coeffs)))
+    require(_verify_dual_word(gen, positions, coeffs),
+            f"weight-{len(positions)} word is not orthogonal to the code")
+    return positions, coeffs
+
+
+def _projective_keys(tower, vecs):
+    """(keys, leads) of the nonzero rows of vecs: each row scaled by the
+    inverse of its first nonzero entry, as bytes, and that entry."""
+    leads = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
+    normed = tower.mul_np[tower.inv_np[leads][:, None], vecs]
+    return [row.tobytes() for row in normed], leads.tolist()
+
+
 def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4,
                       budget: int | None = None) -> DualDistanceCertificate:
     """Smallest t <= max_t such that t generator columns are linearly
@@ -459,52 +484,41 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4,
 
     Sizes are searched in increasing order; every size below the returned
     one is exhaustively ruled out.  Scalars range over the code's alphabet.
+    One scan of col_i + a col_j in (i, j, a) order finds t = 3 (a sum
+    proportional to a column) and t = 4 (the first two proportional sums).
     """
     if not 1 <= max_t <= 4:
         raise ValueError("max_t must be in 1..4")
     budget = budget if budget is not None else budget_pairs()
     tower = gen.tower
     spec = gen.spec
-    n, k = spec.n, spec.k
+    n = spec.n
     if spec.family == FAMILY_HERMITIAN:
-        nonzero = [s for s in range(1, tower.qq)]
+        nonzero = list(range(1, tower.qq))
     else:
         nonzero = [s for s in tower.subfield if s]
     if n * (n - 1) // 2 * len(nonzero) > budget:
         raise BudgetExceeded(
             f"pair search size {n * (n - 1) // 2 * len(nonzero)} exceeds budget {budget}"
         )
-    add, mul, neg, inv = tower.add, tower.mul, tower.neg, tower.inv
-    cols = [tuple(int(gen.rows[r, c]) for r in range(k)) for c in range(n)]
+    mul, neg, inv = tower.mul, tower.neg, tower.inv
+    cols = gen.rows.T
 
     def finish(t, positions, coeffs):
-        require(len(set(positions)) == t)
-        order = sorted(range(t), key=lambda i: positions[i])
-        positions = tuple(positions[i] for i in order)
-        coeffs = tuple(coeffs[i] for i in order)
-        scale = inv(coeffs[0])
-        coeffs = tuple(mul(scale, c) for c in coeffs)
-        require(_verify_dual_word(gen, positions, coeffs))
+        scale = inv(coeffs[positions.index(min(positions))])
+        positions, coeffs = _dual_word(gen, positions, [mul(scale, c) for c in coeffs])
         return DualDistanceCertificate(spec, t, positions, coeffs, t, gen.header())
 
     # t = 1: a zero column
-    for i, col in enumerate(cols):
-        if not any(col):
-            return finish(1, (i,), (1,))
+    zero = np.flatnonzero(~cols.any(axis=1))
+    if zero.size:
+        return finish(1, (int(zero[0]),), (1,))
     if max_t == 1:
         raise NoneFoundWithinBound(1)
 
-    def normalize(vec):
-        lead = next(v for v in vec if v)
-        if lead == 1:
-            return bytes(vec), 1
-        lut = tower.mul_np[inv(lead)]
-        return bytes(int(lut[v]) for v in vec), lead
-
     # t = 2: two proportional columns
     seen = {}
-    for i, col in enumerate(cols):
-        key, lead = normalize(col)
+    for i, (key, lead) in enumerate(zip(*_projective_keys(tower, cols))):
         if key in seen:
             j, lead_j = seen[key]
             return finish(2, (j, i), (inv(lead_j), neg(inv(lead))))
@@ -512,53 +526,31 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4,
     if max_t == 2:
         raise NoneFoundWithinBound(2)
 
-    # t = 3: col_i + a*col_j proportional to some col_m
-    scaled = [{a: [mul(a, v) for v in col] for a in nonzero} for col in cols]
-    for i in range(n):
-        col_i = cols[i]
-        for j in range(i + 1, n):
-            for a in nonzero:
-                sj = scaled[j][a]
-                vec = [add(x, y) for x, y in zip(col_i, sj)]
-                key, lead = normalize(vec)
-                hit = seen.get(key)
-                if hit is not None:
-                    m, lead_m = hit
-                    # col_i + a col_j = lead * u and col_m = lead_m * u
-                    c_m = neg(mul(lead, inv(lead_m)))
-                    return finish(3, (i, j, m), (1, a, c_m))
-    if max_t == 3:
-        raise NoneFoundWithinBound(3)
-
-    # t = 4: two pair combinations meeting at the same normalized vector
+    # t = 3 and t = 4: col_i + a col_j, never zero since t = 2 is ruled out
+    r = len(nonzero)
+    scaled = tower.mul_np[np.array(nonzero)[:, None], cols[:, None, :]]
     pair_seen = {}
-    for i in range(n):
-        col_i = cols[i]
-        for j in range(i + 1, n):
-            for a in nonzero:
-                sj = scaled[j][a]
-                vec = [add(x, y) for x, y in zip(col_i, sj)]
-                key, lead = normalize(vec)
-                hit = pair_seen.get(key)
-                if hit is not None:
-                    i2, j2, a2, lead2 = hit
-                    # sizes 1..3 are exhausted, so the index sets are disjoint
+    t4 = None
+    for i in range(n - 1):
+        sums = tower.add_np[cols[i], scaled[i + 1:]].reshape(-1, spec.k)
+        for s, (key, lead) in enumerate(zip(*_projective_keys(tower, sums))):
+            j, a = i + 1 + s // r, nonzero[s % r]
+            hit = seen.get(key)
+            if hit is not None:
+                m, lead_m = hit
+                # col_i + a col_j = lead * u and col_m = lead_m * u
+                return finish(3, (i, j, m), (1, a, neg(mul(lead, inv(lead_m)))))
+            if max_t == 4 and t4 is None:
+                i2, j2, a2, lead2 = pair_seen.setdefault(key, (i, j, a, lead))
+                if (i2, j2, a2) != (i, j, a):
+                    # returned only once t <= 3 is ruled out, so the pairs are disjoint
                     inv1, inv2 = inv(lead), inv(lead2)
-                    coeffs = (mul(inv2, 1), mul(inv2, a2), neg(inv1), neg(mul(inv1, a)))
-                    return finish(4, (i2, j2, i, j), coeffs)
-                pair_seen[key] = (i, j, a, lead)
-    raise NoneFoundWithinBound(max_t)
+                    t4 = ((i2, j2, i, j), (inv2, mul(inv2, a2), neg(inv1), neg(mul(inv1, a))))
+    if t4 is None:
+        raise NoneFoundWithinBound(max_t)
+    return finish(4, *t4)
 
 # dual minimum-weight support families ----------------------------------------
-
-
-def _scale_matrix(tower, c, M):
-    return tuple(tuple(tower.mul(c, v) for v in row) for row in M)
-
-
-def _outer(tower, u, v):
-    """u* v: entry (i, j) = conj(u_i) * v_j."""
-    return tuple(tuple(tower.mul(tower.conjugate(ui), vj) for vj in v) for ui in u)
 
 
 def dual_word_weight3(gen: GeneratorMatrix, alpha: int, c0: int = 1,
@@ -581,7 +573,8 @@ def dual_word_weight3(gen: GeneratorMatrix, alpha: int, c0: int = 1,
     H = H if H is not None else zero_matrix(ell)
     b = b if b is not None else tuple(1 if i == 0 else 0 for i in range(ell))
     M = rank_one_from_vector(tower, b)
-    supports = [H, translate(tower, H, M), translate(tower, H, _scale_matrix(tower, alpha, M))]
+    alpha_M = outer(tower, b, [tower.mul(alpha, x) for x in b])
+    supports = [H, translate(tower, H, M), translate(tower, H, alpha_M)]
     den = tower.inv(tower.sub(alpha, 1))
     coeffs = [
         c0,
@@ -589,14 +582,7 @@ def dual_word_weight3(gen: GeneratorMatrix, alpha: int, c0: int = 1,
         tower.mul(den, c0),
     ]
     entries = np.array(supports).transpose(1, 2, 0)
-    positions = encode(tower, ell, FAMILY_HERMITIAN, entries).tolist()
-    require(len(set(positions)) == 3, "support matrices are not distinct")
-    order = sorted(range(3), key=lambda i: positions[i])
-    positions = tuple(positions[i] for i in order)
-    coeffs = tuple(coeffs[i] for i in order)
-    require(_verify_dual_word(gen, positions, coeffs),
-            "constructed weight-3 word is not orthogonal to the code")
-    return positions, coeffs
+    return _dual_word(gen, encode(tower, ell, FAMILY_HERMITIAN, entries), coeffs)
 
 
 def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
@@ -615,8 +601,7 @@ def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
     if linalg.rank(tower, (tuple(a1), tuple(a2))) != 2:
         raise ValueError("a1, a2 must be linearly independent")
     M1 = rank_one_from_vector(tower, a1)
-    cross = _outer(tower, a2, a1)
-    M2 = translate(tower, cross, _outer(tower, a1, a2))
+    M2 = translate(tower, outer(tower, a2, a1), outer(tower, a1, a2))
     supports = [
         H,
         translate(tower, H, M1),
@@ -624,13 +609,7 @@ def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
         translate(tower, translate(tower, H, M1), M2),
     ]
     entries = np.array(supports).transpose(1, 2, 0)
-    positions = encode(tower, ell, FAMILY_HERMITIAN, entries).tolist()
-    require(len(set(positions)) == 4, "support matrices are not distinct")
-    positions = tuple(sorted(positions))
-    coeffs = (1, 1, 1, 1)
-    require(_verify_dual_word(gen, positions, coeffs),
-            "constructed weight-4 word is not orthogonal to the code")
-    return positions, coeffs
+    return _dual_word(gen, encode(tower, ell, FAMILY_HERMITIAN, entries), (1, 1, 1, 1))
 
 
 def dual_support_families(gen: GeneratorMatrix, count: int = 50,

@@ -282,10 +282,17 @@ def transpose_permutation(tower: FieldTower, ell: int) -> np.ndarray:
 
 
 def _parse_header(line: str, count_key: str):
+    """(spec, tower, count) of a file header, validated like a built code."""
     parts = line.split()
     if parts[:2] != FORMAT_MAGIC.split():
         raise ValueError(f"bad magic in header: {line!r}")
-    fields = dict(part.split("=", 1) for part in parts[2:])
+    pairs = [part.split("=", 1) for part in parts[2:]]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"header field without '=' in {line!r}")
+    fields = dict(pairs)
+    if len(fields) != len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated header fields {sorted({k for k in keys if keys.count(k) > 1})}")
     required = {"family", "p", "e", "ell", count_key, "n", "modulus"}
     if set(fields) != required:
         raise ValueError(f"header fields {sorted(fields)} != expected {sorted(required)}")
@@ -300,7 +307,24 @@ def _parse_header(line: str, count_key: str):
         raise ValueError(
             f"modulus {fields['modulus']} does not match shipped modulus {shipped}"
         )
-    return family, p, e, int(fields["ell"]), int(fields[count_key]), int(fields["n"])
+    tower = make_field(p, e)
+    spec = CodeSpec(family, tower.q, int(fields["ell"]))
+    if int(fields["n"]) != spec.n:
+        raise ValueError(f"header n={fields['n']} inconsistent with family/ell/q (n = {spec.n})")
+    return spec, tower, int(fields[count_key])
+
+
+def _parse_body(lines, width: int, tower, what: str):
+    """Rows of field-element indices, each of the given width."""
+    if not lines:
+        return np.zeros((0, width), dtype=np.uint8)
+    try:
+        rows = np.array([[int(v) for v in line.split()] for line in lines], dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"{what} body entry out of range: {exc}") from exc
+    if rows.shape != (len(lines), width) or rows.min() < 0 or rows.max() >= tower.qq:
+        raise ValueError(f"{what} body malformed")
+    return rows.astype(np.uint8)
 
 
 def write_generator(gen: GeneratorMatrix, path):
@@ -321,17 +345,16 @@ def _read_lines(path, what: str):
 
 def read_generator(path) -> GeneratorMatrix:
     lines = _read_lines(path, "generator")
-    family, p, e, ell, k, n = _parse_header(lines[0], "k")
-    tower = make_field(p, e)
-    spec = CodeSpec(family, tower.q, ell)
-    if (spec.k, spec.n) != (k, n):
-        raise ValueError(f"header k={k} n={n} inconsistent with family/ell/q")
+    spec, tower, k = _parse_header(lines[0], "k")
+    if k != spec.k:
+        raise ValueError(f"header k={k} inconsistent with family/ell/q (k = {spec.k})")
     if len(lines) != k + 1:
         raise ValueError(f"{path}: expected {k} rows, found {len(lines) - 1}")
-    rows = np.array([[int(v) for v in line.split()] for line in lines[1:]], dtype=np.int64)
-    if rows.shape != (k, n) or rows.min() < 0 or rows.max() >= tower.qq:
-        raise ValueError("matrix body malformed")
-    return GeneratorMatrix(spec, tower, rows.astype(np.uint8))
+    rows = _parse_body(lines[1:], spec.n, tower, "matrix")
+    try:
+        return GeneratorMatrix(spec, tower, rows)
+    except AssertionError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def codeword_header(gen: GeneratorMatrix, count: int) -> str:
@@ -354,14 +377,8 @@ def write_codewords(gen: GeneratorMatrix, words, path):
 def read_codewords(path):
     """Returns ((family, q, ell), list of codeword arrays)."""
     lines = _read_lines(path, "codeword")
-    family, p, e, ell, count, n = _parse_header(lines[0], "words")
-    tower = make_field(p, e)
+    spec, tower, count = _parse_header(lines[0], "words")
     if len(lines) != count + 1:
         raise ValueError(f"{path}: expected {count} codewords, found {len(lines) - 1}")
-    words = []
-    for line in lines[1:]:
-        w = np.array([int(v) for v in line.split()], dtype=np.int64)
-        if w.shape != (n,) or w.min() < 0 or w.max() >= tower.qq:
-            raise ValueError("codeword body malformed")
-        words.append(w.astype(np.uint8))
-    return (family, tower.q, ell), words
+    words = list(_parse_body(lines[1:], spec.n, tower, "codeword"))
+    return (spec.family, spec.q, spec.ell), words

@@ -210,13 +210,16 @@ def transpose(tower, H) -> Matrix:
     return tuple(tuple(H[j][i] for j in range(ell)) for i in range(ell))
 
 
+def outer(tower, u, v) -> Matrix:
+    """u* v: entry (i, j) = conj(u_i) * v_j."""
+    return tuple(tuple(tower.mul(tower.conjugate(ui), vj) for vj in v) for ui in u)
+
+
 def rank_one_from_vector(tower, a) -> Matrix:
     """The outer product a* a (conjugate transpose of the row vector a times a)."""
     if not any(a):
         raise ValueError("zero vector")
-    return tuple(
-        tuple(tower.mul(tower.conjugate(ai), aj) for aj in a) for ai in a
-    )
+    return outer(tower, a, a)
 
 
 # cardinality -----------------------------------------------------------------

@@ -50,30 +50,6 @@ def format_combination(f: dict) -> str:
     return " + ".join(parts)
 
 
-def eval_minor(tower, minor: Minor, M) -> int:
-    """Determinant of the (I, J) submatrix of M by first-row expansion; the
-    empty minor is 1."""
-    I, J = minor
-    if not I:
-        return 1
-    row = M[I[0] - 1]
-    if len(I) == 1:
-        return row[J[0] - 1]
-    acc = 0
-    for c, j in enumerate(J):
-        term = tower.mul(row[j - 1], eval_minor(tower, (I[1:], J[:c] + J[c + 1:]), M))
-        acc = tower.sub(acc, term) if c % 2 else tower.add(acc, term)
-    return acc
-
-
-def eval_combination(tower, f: dict, M) -> int:
-    acc = 0
-    for minor, c in f.items():
-        if c:
-            acc = tower.add(acc, tower.mul(c, eval_minor(tower, minor, M)))
-    return acc
-
-
 def conjugate_combination(tower, f: dict) -> dict:
     """f_conj: coefficient f_{I,J}^q attached to the transposed minor (J, I)."""
     return {(J, I): tower.conjugate(c) for (I, J), c in f.items() if c}

@@ -24,7 +24,9 @@ from .codebuild import (
     FAMILY_HERMITIAN,
     build_generator,
     congruence_permutation,
+    eval_minor_vector,
     fq_basis,
+    position_entries,
     q_invariance_check,
     read_generator,
     translate_permutation,
@@ -272,23 +274,14 @@ def check_automorphism_membership(seed):
 
 def check_conjugate_minor_identity(seed):
     rng = random.Random(seed)
-    for ell in (2, 3):
-        t2 = tower_for_q(2)
-        indexing = HermitianIndexing(t2, ell)
-        for H in indexing:
-            for minor in mn.basis(ell):
-                I, J = minor
-                lhs = mn.eval_minor(t2, (J, I), H)
-                rhs = t2.conjugate(mn.eval_minor(t2, (I, J), H))
-                require(lhs == rhs)
-    t3 = tower_for_q(3)
-    indexing = HermitianIndexing(t3, 2)
-    for _ in range(500):
-        H = indexing.index_to_matrix(rng.randrange(indexing.total))
-        for minor in mn.basis(2):
-            I, J = minor
-            require(mn.eval_minor(t3, (J, I), H)
-                    == t3.conjugate(mn.eval_minor(t3, (I, J), H)))
+    t2, t3 = tower_for_q(2), tower_for_q(3)
+    cases = [(t2, ell, position_entries(t2, ell, FAMILY_HERMITIAN)) for ell in (2, 3)]
+    sample = [rng.randrange(t3.q ** 4) for _ in range(500)]  # positions at ell = 2
+    cases.append((t3, 2, hm.decode(t3, 2, FAMILY_HERMITIAN, sample)))
+    for tower, ell, E in cases:
+        for I, J in mn.basis(ell):
+            require(np.array_equal(eval_minor_vector(tower, E, (J, I)),
+                                   tower.conj_np[eval_minor_vector(tower, E, (I, J))]))
     return "det_JI = det_IJ^q exhaustive at q=2 (ell<=3), sampled at q=3"
 
 

@@ -1,8 +1,13 @@
 import random
 import re
+import tempfile
+from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hermgrass import linalg
 from hermgrass import minors as mn
@@ -12,6 +17,7 @@ from hermgrass.codebuild import (
     FAMILY_HERMITIAN,
     CodeSpec,
     build_generator,
+    codeword_header,
     congruence_permutation,
     conjugate_codeword,
     fq_basis,
@@ -29,6 +35,7 @@ from hermgrass.codebuild import (
 from hermgrass.errors import BudgetExceeded
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
 from hermgrass.hermitian import HermitianIndexing, identity_matrix, unit_matrix, zero_matrix
+from test_minors import eval_minor
 
 
 def test_generator_shapes_and_ranks():
@@ -51,7 +58,7 @@ def test_generator_columns_match_scalar_evaluation():
             pos = rng.randrange(idx.total)
             H = idx.index_to_matrix(pos)
             for r, minor in enumerate(gen.basis):
-                assert int(gen.rows[r, pos]) == mn.eval_minor(t, minor, H)
+                assert int(gen.rows[r, pos]) == eval_minor(t, minor, H)
 
 
 def test_generator_too_large():
@@ -270,3 +277,139 @@ def test_read_codewords_rejects_empty_and_header_only(tmp_path):
     # a header announcing no words is a complete, empty file
     write_codewords(gen, [], path)
     assert read_codewords(path) == ((FAMILY_HERMITIAN, 2, 2), [])
+
+
+def test_read_codewords_rejects_inconsistent_header(tmp_path):
+    gen = generator_hermitian(2, 2)
+    path = tmp_path / "words.txt"
+    write_codewords(gen, [gen.rows[0]], path)
+    text = path.read_text()
+    for old, new in [("ell=2", "ell=3"), ("ell=2 words=1 n=16", "ell=9 words=1 n=4"),
+                     ("n=16", "n=17"), ("family=H", "family=Q")]:
+        path.write_text(text.replace(old, new))
+        with pytest.raises(ValueError):
+            read_codewords(path)
+
+
+def test_readers_reject_entries_beyond_int64(tmp_path):
+    gen = generator_hermitian(2, 2)
+    path = tmp_path / "m.txt"
+    for write in (write_generator, lambda g, p: write_codewords(g, [g.rows[1]], p)):
+        write(gen, path)
+        header, first, rest = path.read_text().split("\n", 2)
+        path.write_text("\n".join([header, "99999999999999999999999" + first[1:], rest]))
+        with pytest.raises(ValueError, match="out of range"):
+            (read_generator if write is write_generator else read_codewords)(path)
+
+
+def test_readers_reject_repeated_header_fields(tmp_path):
+    gen = generator_hermitian(2, 2)
+    path = tmp_path / "m.txt"
+    for write, read in ((write_generator, read_generator),
+                        (lambda g, p: write_codewords(g, [], p), read_codewords)):
+        write(gen, path)
+        path.write_text(path.read_text().replace("modulus=111", "modulus=111 modulus=111", 1))
+        with pytest.raises(ValueError, match=re.escape("repeated header fields ['modulus']")):
+            read(path)
+
+
+def test_read_generator_rejects_rank_deficient_body(tmp_path):
+    gen = generator_hermitian(2, 2)
+    path = tmp_path / "gen.txt"
+    write_generator(gen, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:2] + [lines[1]] + lines[3:]) + "\n")
+    with pytest.raises(ValueError, match="rank 5"):
+        read_generator(path)
+
+
+# header fuzz: a file written from a small code, then up to two edits ---------
+
+READER_CELLS = [(family, ell, q) for family in (FAMILY_HERMITIAN, FAMILY_AFFINE)
+                for ell, q in ((1, 2), (1, 3), (1, 4), (2, 2))]
+FIELD_VALUES = st.one_of(st.integers(-2, 17).map(str),
+                         st.sampled_from(["", "x", "1.5", "111", "1011", "H", "A",
+                                          "99999999999999999999999"]))
+
+
+@st.composite
+def reader_inputs(draw):
+    """(kind, header, body lines) of a generator or codeword file with up to
+    two edits: a header field set, repeated, dropped or garbled, or a body
+    entry or row changed."""
+    kind = draw(st.sampled_from(["generator", "codewords"]))
+    gen = build_generator(*draw(st.sampled_from(READER_CELLS)))
+    if kind == "generator":
+        header, rows = gen.header(), gen.rows
+    else:
+        rows = gen.rows[:draw(st.integers(0, 3))]
+        header = codeword_header(gen, len(rows))
+    tokens = header.split()
+    body = [[str(int(v)) for v in row] for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["set", "repeat", "drop", "garble", "entry", "row"]))
+        fields = range(2, len(tokens))
+        if edit == "set" and fields:
+            i = draw(st.sampled_from(fields))
+            tokens[i] = tokens[i].split("=")[0] + "=" + draw(FIELD_VALUES)
+        elif edit == "repeat" and fields:
+            tokens.insert(draw(st.integers(2, len(tokens))), tokens[draw(st.sampled_from(fields))])
+        elif edit == "drop" and fields:
+            del tokens[draw(st.sampled_from(fields))]
+        elif edit == "garble":
+            tokens.insert(draw(st.integers(2, len(tokens))), draw(st.sampled_from(["x", "=", "n=="])))
+        elif edit == "entry" and body:
+            row = draw(st.sampled_from(body))
+            row[draw(st.integers(0, len(row) - 1))] = draw(FIELD_VALUES)
+        elif edit == "row" and body:
+            del body[draw(st.integers(0, len(body) - 1))]
+    return kind, " ".join(tokens), [" ".join(row) for row in body]
+
+
+def header_spec(header, count_key):
+    """(spec, count) of a header that names each field once, with values that
+    describe a supported code of the stated length; None otherwise."""
+    pairs = [token.split("=", 1) for token in header.split()[2:]]
+    fields = dict(pair for pair in pairs if len(pair) == 2)
+    if len(fields) != len(pairs) or set(fields) != {"family", "p", "e", "ell", count_key, "n",
+                                                    "modulus"}:
+        return None
+    try:
+        family = {"H": FAMILY_HERMITIAN, "A": FAMILY_AFFINE}[fields["family"]]
+        q = int(fields["p"]) ** int(fields["e"])
+        spec = CodeSpec(family, q, int(fields["ell"]))
+        tower = tower_for_q(q)
+        if (tower.p, tower.e) != (int(fields["p"]), int(fields["e"])):
+            return None
+    except (KeyError, ValueError):
+        return None
+    if int(fields["n"]) != spec.n or fields["modulus"] != "".join(map(str, tower.modulus)):
+        return None
+    return spec, int(fields[count_key])
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(reader_inputs())
+def test_readers_accept_only_consistent_files(case):
+    """Each reader returns what a well-formed header describes, or raises
+    ValueError; no other exception type escapes."""
+    kind, header, body = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.txt"
+        path.write_text("\n".join([header] + body) + "\n")
+        try:
+            result = read_generator(path) if kind == "generator" else read_codewords(path)
+        except ValueError:
+            return
+    described = header_spec(header, "k" if kind == "generator" else "words")
+    assert described is not None, header
+    spec, count = described
+    entries = [[int(v) for v in line.split()] for line in body]
+    if kind == "generator":
+        assert result.spec == spec and count == spec.k
+        assert result.rows.tolist() == entries
+    else:
+        (family, q, ell), words = result
+        assert CodeSpec(family, q, ell) == spec
+        assert [w.tolist() for w in words] == entries and len(words) == count
+    assert all(len(row) == spec.n for row in entries)
