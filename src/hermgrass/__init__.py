@@ -26,6 +26,6 @@ from .codebuild import (
     write_generator,
 )
 from .galois import FieldTower, make_field, tower_for_q
-from .hermitian import HermitianIndexing, count_invertible
+from .hermitian import count_invertible
 
 __version__ = "0.1.0"

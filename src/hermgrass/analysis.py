@@ -50,8 +50,8 @@ from .codebuild import (
 from .errors import BudgetExceeded, NoneFoundWithinBound, NoValidLambda, require
 from .galois import FieldTower, tower_for_q
 from .hermitian import (
-    HermitianIndexing,
     count_invertible,
+    decode,
     elementary_row_add,
     encode,
     is_hermitian,
@@ -622,10 +622,9 @@ def dual_support_families(gen: GeneratorMatrix, count: int = 50,
     ell = gen.spec.ell
     q = gen.spec.q
     rng = random.Random(seed)
-    indexing = HermitianIndexing(tower, ell)
     out = []
     for _ in range(count):
-        H = indexing.index_to_matrix(rng.randrange(indexing.total))
+        H = decode(tower, ell, FAMILY_HERMITIAN, rng.randrange(q ** (ell * ell)))
         if q == 2:
             while True:
                 a1 = tuple(rng.randrange(tower.qq) for _ in range(ell))

@@ -21,13 +21,14 @@ from . import verify as verify_mod
 from .codebuild import (
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
+    CodeSpec,
     build_generator,
     read_generator,
     write_generator,
 )
 from .errors import BudgetExceeded, NoneFoundWithinBound
 from .galois import SUPPORTED_Q
-from .hermitian import HermitianIndexing
+from .hermitian import decode
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -36,6 +37,13 @@ EXIT_BUDGET = 3
 
 TABLE_Q = (2, 3, 4, 5, 7, 8, 9)
 DESK_CERTIFIED = {(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2)}
+
+
+def _budget(value: str) -> int:
+    """A budget flag's value, checked as the HERMGRASS_BUDGET_* variables are."""
+    if not value.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 @functools.cache  # one parser per process: each parser is a cluster of reference cycles
@@ -65,13 +73,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("mindist", help="minimum-distance certificate")
     add_common(sp, ells=(1, 2, 3), family=True)
     sp.add_argument("--method", choices=("formula", "subfield", "exhaustive"), default="subfield")
-    sp.add_argument("--budget-messages", type=int, default=None)
+    sp.add_argument("--budget-messages", type=_budget, default=None)
     sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("dualdist", help="dual minimum-distance certificate")
     add_common(sp, ells=(2, 3))
     sp.add_argument("--max-t", type=int, default=4, choices=(1, 2, 3, 4))
-    sp.add_argument("--budget-subsets", type=int, default=None)
+    sp.add_argument("--budget-subsets", type=_budget, default=None)
 
     sp = sub.add_parser("verify", help="run an invariant suite")
     sp.add_argument("--suite", choices=("fields", "counts", "classifiers", "duals", "all"),
@@ -98,8 +106,6 @@ def _emit(text: str, out):
 
 
 def cmd_params(args) -> int:
-    from .codebuild import CodeSpec
-
     spec = CodeSpec(FAMILY_HERMITIAN, args.q, args.ell)
     d_h = an.distance_hermitian_formula(args.ell, args.q)
     report = {
@@ -121,9 +127,10 @@ def cmd_gen(args) -> int:
         return EXIT_USAGE
     gen = build_generator(args.family, args.ell, args.q)
     write_generator(gen, args.out)
-    back = read_generator(args.out)
-    if not np.array_equal(back.rows, gen.rows):
-        print("error: read-back mismatch", file=sys.stderr)
+    try:
+        back = read_generator(args.out)
+    except ValueError as exc:
+        print(f"error: read-back mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     print(gen.header())
     print(f"rank = {back.rank} (verified on read-back)")
@@ -133,15 +140,13 @@ def cmd_gen(args) -> int:
 def cmd_mindist(args) -> int:
     if not 1 <= args.threads <= (os.cpu_count() or 1):
         raise ValueError(f"--threads must be in 1..{os.cpu_count() or 1}, got {args.threads}")
+    if args.method == "subfield" and args.family != FAMILY_HERMITIAN:
+        raise ValueError("subfield enumeration applies to the Hermitian family")
     if args.method == "formula":
         cert = an.min_distance_formula(args.family, args.ell, args.q)
     else:
         gen = build_generator(args.family, args.ell, args.q)
         if args.method == "subfield":
-            if args.family != FAMILY_HERMITIAN:
-                print("error: subfield enumeration applies to the Hermitian family",
-                      file=sys.stderr)
-                return EXIT_USAGE
             cert = an.min_distance_subfield(gen, budget=args.budget_messages,
                                             threads=args.threads)
         else:
@@ -171,11 +176,10 @@ def cmd_dualdist(args) -> int:
         _emit(reports.render(report, args.format), args.out)
         return EXIT_OK
     report = cert.as_dict()
-    indexing = HermitianIndexing(gen.tower, args.ell)
+    matrices = np.array(decode(gen.tower, args.ell, FAMILY_HERMITIAN, cert.columns))
     report["support"] = [
-        {"position": int(t), "coefficient": int(c),
-         "matrix": [list(row) for row in indexing.index_to_matrix(int(t))]}
-        for t, c in zip(cert.columns, cert.coefficients)
+        {"position": int(t), "coefficient": int(c), "matrix": M}
+        for t, c, M in zip(cert.columns, cert.coefficients, matrices.transpose(2, 0, 1).tolist())
     ]
     expected = 4 if args.q == 2 else 3
     report["expected"] = expected
@@ -206,8 +210,6 @@ def cmd_verify(args) -> int:
 
 
 def _table_rows(ell: int, certify: bool):
-    from .codebuild import CodeSpec
-
     rows = []
     mismatch = False
     for q in TABLE_Q:

@@ -25,12 +25,13 @@ from .galois import MODULI, SUPPORTED_Q, FieldTower, make_field, tower_for_q
 from .hermitian import (
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
-    congruence_entries,
+    congruence,
     decode,
     det_vectors,
     encode,
     is_hermitian,
     position_chunks,
+    translate,
     transpose,
 )
 from .minors import basis
@@ -107,12 +108,7 @@ class GeneratorMatrix:
             )
 
     def header(self) -> str:
-        t, s = self.tower, self.spec
-        modulus = "".join(str(d) for d in t.modulus)
-        return (
-            f"{FORMAT_MAGIC} family={_FAMILY_LETTER[s.family]} p={t.p} e={t.e} "
-            f"ell={s.ell} k={s.k} n={s.n} modulus={modulus}"
-        )
+        return _header(self, "k", self.spec.k)
 
     def _elim(self):
         if self._elim_cache is None:
@@ -259,18 +255,14 @@ def _position_permutation(tower: FieldTower, ell: int, act) -> np.ndarray:
 
 def congruence_permutation(tower: FieldTower, ell: int, A) -> np.ndarray:
     """Position permutation of H -> A* H A."""
-    if linalg.rank(tower, A) != ell:
-        raise ValueError("congruence requires an invertible matrix")
-    return _position_permutation(tower, ell, lambda H: congruence_entries(tower, A, H))
+    return _position_permutation(tower, ell, lambda H: congruence(tower, A, H))
 
 
 def translate_permutation(tower: FieldTower, ell: int, M) -> np.ndarray:
     """Position permutation of H -> H + M for Hermitian M."""
     if len(M) != ell or not is_hermitian(tower, M):
         raise ValueError("translation requires a Hermitian matrix of size ell")
-    return _position_permutation(
-        tower, ell,
-        lambda H: [[tower.add_np[M[i][j]][H[i][j]] for j in range(ell)] for i in range(ell)])
+    return _position_permutation(tower, ell, lambda H: translate(tower, H, M))
 
 
 def transpose_permutation(tower: FieldTower, ell: int) -> np.ndarray:
@@ -327,11 +319,25 @@ def _parse_body(lines, width: int, tower, what: str):
     return rows.astype(np.uint8)
 
 
-def write_generator(gen: GeneratorMatrix, path):
+def _header(gen: GeneratorMatrix, count_key: str, count: int) -> str:
+    """The header of a generator (count_key k) or codeword (words) file."""
+    t, s = gen.tower, gen.spec
+    modulus = "".join(str(d) for d in t.modulus)
+    return (
+        f"{FORMAT_MAGIC} family={_FAMILY_LETTER[s.family]} p={t.p} e={t.e} "
+        f"ell={s.ell} {count_key}={count} n={s.n} modulus={modulus}"
+    )
+
+
+def _write_rows(path, header: str, rows):
     with open(path, "w") as fh:
-        fh.write(gen.header() + "\n")
-        for row in gen.rows:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(" ".join(map(str, row.tolist())) + "\n")
+
+
+def write_generator(gen: GeneratorMatrix, path):
+    _write_rows(path, gen.header(), gen.rows)
 
 
 def _read_lines(path, what: str):
@@ -344,6 +350,7 @@ def _read_lines(path, what: str):
 
 
 def read_generator(path) -> GeneratorMatrix:
+    """The generator the header names, once the body is checked to be its rows."""
     lines = _read_lines(path, "generator")
     spec, tower, k = _parse_header(lines[0], "k")
     if k != spec.k:
@@ -351,27 +358,16 @@ def read_generator(path) -> GeneratorMatrix:
     if len(lines) != k + 1:
         raise ValueError(f"{path}: expected {k} rows, found {len(lines) - 1}")
     rows = _parse_body(lines[1:], spec.n, tower, "matrix")
-    try:
-        return GeneratorMatrix(spec, tower, rows)
-    except AssertionError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def codeword_header(gen: GeneratorMatrix, count: int) -> str:
-    t, s = gen.tower, gen.spec
-    modulus = "".join(str(d) for d in t.modulus)
-    return (
-        f"{FORMAT_MAGIC} family={_FAMILY_LETTER[s.family]} p={t.p} e={t.e} "
-        f"ell={s.ell} words={count} n={s.n} modulus={modulus}"
-    )
+    gen = build_generator(spec.family, spec.ell, spec.q)
+    differs = np.flatnonzero((rows != gen.rows).any(axis=1))
+    if differs.size:
+        raise ValueError(f"{path}: body row {differs[0] + 1} differs from the generator")
+    return gen
 
 
 def write_codewords(gen: GeneratorMatrix, words, path):
     words = [np.asarray(w, dtype=np.uint8) for w in words]
-    with open(path, "w") as fh:
-        fh.write(codeword_header(gen, len(words)) + "\n")
-        for w in words:
-            fh.write(" ".join(str(int(v)) for v in w) + "\n")
+    _write_rows(path, _header(gen, "words", len(words)), words)
 
 
 def read_codewords(path):

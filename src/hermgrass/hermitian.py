@@ -6,8 +6,10 @@ H equals its conjugate transpose, i.e. diagonal entries lie in F_q and
 H[j][i] = H[i][j]^q.
 
 `decode` and `encode` are the single definition of the normative position
-order, whose digits `position_digits` lists.  They work on arrays of
-positions; whole spaces go through them in chunks (`position_chunks`).
+order, whose digits `position_digits` lists.  They take one position or an
+array of them; whole spaces go through them in chunks (`position_chunks`).
+`congruence`, `translate` and `transpose` take one matrix or the entry
+arrays of many, so the position permutations apply them to decoded chunks.
 """
 
 from __future__ import annotations
@@ -59,29 +61,6 @@ def is_hermitian(tower, M) -> bool:
     except ValueError:
         return False
     return True
-
-
-class HermitianIndexing:
-    """`decode` and `encode` for one Hermitian matrix at a time, with entries
-    as Python ints."""
-
-    def __init__(self, tower, ell):
-        self.tower = tower
-        self.ell = ell
-        self.total = tower.q ** (ell * ell)
-
-    def index_to_matrix(self, t: int) -> Matrix:
-        E = decode(self.tower, self.ell, FAMILY_HERMITIAN, t)
-        return tuple(tuple(int(x) for x in row) for row in E)
-
-    def matrix_to_index(self, M) -> int:
-        return int(encode(self.tower, self.ell, FAMILY_HERMITIAN, M))
-
-    def __iter__(self):
-        for t in position_chunks(self.total):
-            E = decode(self.tower, self.ell, FAMILY_HERMITIAN, t)
-            for M in np.array(E).transpose(2, 0, 1).tolist():
-                yield tuple(map(tuple, M))
 
 
 # the position codec -----------------------------------------------------------
@@ -181,28 +160,22 @@ def _scaled_sum(tower, terms):
     return acc
 
 
-def congruence_entries(tower, A, H):
-    """Entries of A* H A, computed as A* (H A), from entries H[r][s] that
-    are elements or entry arrays."""
-    idx = range(len(A))
-    HA = [[_scaled_sum(tower, ((A[s][j], H[r][s]) for s in idx)) for j in idx] for r in idx]
-    return [[_scaled_sum(tower, ((tower.conjugate(A[r][i]), HA[r][j]) for r in idx))
-             for j in idx] for i in idx]
-
-
 def congruence(tower, A, H) -> Matrix:
-    """A* H A for invertible A; Hermitian, rank-preserving."""
+    """A* H A for invertible A, computed as A* (H A); the entries of H are
+    elements or entry arrays, and so are those of the image."""
     if linalg.rank(tower, A) != len(H):
         raise ValueError("congruence requires an invertible matrix")
-    return tuple(tuple(int(x) for x in row) for row in congruence_entries(tower, A, H))
+    idx = range(len(A))
+    HA = [[_scaled_sum(tower, ((A[s][j], H[r][s]) for s in idx)) for j in idx] for r in idx]
+    return tuple(tuple(_scaled_sum(tower, ((tower.conjugate(A[r][i]), HA[r][j]) for r in idx))
+                       for j in idx) for i in idx)
 
 
 def translate(tower, H, M) -> Matrix:
+    """H + M, for entries that are elements or entry arrays."""
     if len(H) != len(M):
         raise ValueError("size mismatch")
-    return tuple(
-        tuple(tower.add(a, b) for a, b in zip(hr, mr)) for hr, mr in zip(H, M)
-    )
+    return tuple(tuple(tower.add_np[a, b] for a, b in zip(hr, mr)) for hr, mr in zip(H, M))
 
 
 def transpose(tower, H) -> Matrix:

@@ -35,7 +35,7 @@ from .codebuild import (
 )
 from .errors import require
 from .galois import SUPPORTED_Q, tower_for_q
-from .hermitian import HermitianIndexing, count_invertible, count_invertible_bruteforce
+from .hermitian import count_invertible, count_invertible_bruteforce
 
 HERMITIAN_DESK = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]
 CERTIFIED_PAIRS = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]
@@ -251,17 +251,16 @@ def check_automorphism_membership(seed):
     for ell, q in ((2, 2), (2, 3), (3, 2)):
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
         tower = gen.tower
-        indexing = HermitianIndexing(tower, ell)
         perms = [transpose_permutation(tower, ell)]
         while True:
             A = tuple(tuple(rng.randrange(tower.qq) for _ in range(ell)) for _ in range(ell))
             if linalg.rank(tower, A) == ell:
                 break
         perms.append(congruence_permutation(tower, ell, A))
-        M = indexing.index_to_matrix(rng.randrange(indexing.total))
+        M = hm.decode(tower, ell, FAMILY_HERMITIAN, rng.randrange(gen.spec.n))
         perms.append(translate_permutation(tower, ell, M))
         for perm in perms:
-            require(sorted(perm) == list(range(indexing.total)), "not a permutation")
+            require(sorted(perm) == list(range(gen.spec.n)), "not a permutation")
             for _ in range(5):
                 f = mn.random_combination(tower, ell, rng)
                 c = np.asarray(gen.encode(f))

@@ -22,11 +22,7 @@ from hermgrass.codebuild import (
     transpose_permutation,
 )
 from hermgrass.galois import tower_for_q
-from hermgrass.hermitian import (
-    HermitianIndexing,
-    count_invertible,
-    count_invertible_bruteforce,
-)
+from hermgrass.hermitian import count_invertible, count_invertible_bruteforce, decode
 
 # comparison tables: q -> (n, k, d_affine, d_hermitian)
 TABLE_L2 = {
@@ -195,12 +191,11 @@ def test_criterion_11_q_invariance_and_automorphisms():
         t = gen.tower
         for row in gen.rows:
             assert gen.membership(conjugate_codeword(t, row))
-        idx = HermitianIndexing(t, ell)
         while True:
             A = tuple(tuple(rng.randrange(t.qq) for _ in range(ell)) for _ in range(ell))
             if linalg.rank(t, A) == ell:
                 break
-        M = idx.index_to_matrix(rng.randrange(idx.total))
+        M = decode(t, ell, FAMILY_HERMITIAN, rng.randrange(gen.spec.n))
         perms = [
             congruence_permutation(t, ell, A),
             translate_permutation(t, ell, M),

@@ -16,7 +16,8 @@ from hermgrass.codebuild import (
 )
 from hermgrass.errors import BudgetExceeded, NoneFoundWithinBound
 from hermgrass.galois import tower_for_q
-from hermgrass.hermitian import HermitianIndexing, count_invertible, unit_matrix, zero_matrix
+from hermgrass.hermitian import count_invertible, unit_matrix, zero_matrix
+from test_hermitian import matrices_at
 
 
 def test_weight_and_distance():
@@ -167,9 +168,8 @@ def test_dual_min_distance_q3():
     assert cert.exhausted_below == 3
     _recheck_dual(gen, cert)
     # the support is {0, E11, 2 E11}
-    idx = HermitianIndexing(gen.tower, 2)
-    assert idx.index_to_matrix(1) == unit_matrix(2, 0, 0)
-    assert idx.index_to_matrix(2) == unit_matrix(2, 0, 0, value=2)
+    assert matrices_at(gen.tower, 2, [1, 2]) == [unit_matrix(2, 0, 0),
+                                                 unit_matrix(2, 0, 0, value=2)]
 
 
 def test_dual_min_distance_q2():
@@ -179,11 +179,10 @@ def test_dual_min_distance_q2():
     assert cert.columns == (0, 1, 4, 5)
     assert cert.coefficients == (1, 1, 1, 1)
     _recheck_dual(gen, cert)
-    idx = HermitianIndexing(gen.tower, 2)
     e11 = unit_matrix(2, 0, 0)
     cross = ((0, 1), (1, 0))
     both = ((1, 1), (1, 0))
-    assert [idx.index_to_matrix(t) for t in cert.columns] == [zero_matrix(2), e11, cross, both]
+    assert matrices_at(gen.tower, 2, cert.columns) == [zero_matrix(2), e11, cross, both]
 
 
 def test_dual_min_distance_more():

@@ -8,13 +8,18 @@ from hermgrass import analysis as an
 from hermgrass import cli
 from hermgrass import verify as verify_mod
 from hermgrass.cli import main
-from hermgrass.codebuild import generator_hermitian, read_generator
+from hermgrass.codebuild import generator_hermitian, read_generator, write_generator
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def no_work(*args, **kwargs):
+    """Stands in for build_generator where a usage error must come first."""
+    raise AssertionError("work started")
 
 
 def test_params(capsys):
@@ -123,15 +128,48 @@ def test_mindist_threads(capsys):
 
 @pytest.mark.parametrize("threads", [0, (os.cpu_count() or 1) + 1])
 def test_mindist_threads_out_of_range(capsys, monkeypatch, threads):
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started")
-
     monkeypatch.setattr(cli, "build_generator", no_work)
     code, out, err = run(capsys, "mindist", "--q", "3", "--ell", "2", "--method", "subfield",
                          "--threads", str(threads))
     assert code == 2
     assert out == ""
     assert "--threads must be in 1.." in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("mindist", "--q", "2", "--ell", "2", "--budget-messages", "-1"),
+    ("dualdist", "--q", "2", "--ell", "2", "--budget-subsets", "-1"),
+])
+def test_negative_budget_flag_exits_2_before_the_build(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "build_generator", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "must be a non-negative integer, got '-1'" in err
+
+
+def test_affine_subfield_exits_2_before_the_build(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_generator", no_work)
+    code, out, err = run(capsys, "mindist", "--q", "9", "--ell", "3", "--family", "affine",
+                         "--method", "subfield")
+    assert code == 2
+    assert out == ""
+    assert "error: subfield enumeration applies to the Hermitian family" in err
+
+
+def test_gen_read_back_mismatch_exits_1(tmp_path, capsys, monkeypatch):
+    def write_swapped(gen, path):
+        write_generator(gen, path)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines[:1] + [lines[2], lines[1]] + lines[3:]) + "\n")
+
+    monkeypatch.setattr(cli, "write_generator", write_swapped)
+    code, out, err = run(capsys, "gen", "--q", "2", "--ell", "2", "--out", str(tmp_path / "g.txt"))
+    assert code == 1
+    assert out == ""
+    assert "read-back mismatch" in err
 
 
 def test_budget_env_malformed(capsys, monkeypatch):

@@ -16,8 +16,8 @@ from hermgrass.codebuild import (
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
     CodeSpec,
+    _header,
     build_generator,
-    codeword_header,
     congruence_permutation,
     conjugate_codeword,
     fq_basis,
@@ -34,7 +34,8 @@ from hermgrass.codebuild import (
 )
 from hermgrass.errors import BudgetExceeded
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
-from hermgrass.hermitian import HermitianIndexing, identity_matrix, unit_matrix, zero_matrix
+from hermgrass.hermitian import decode, identity_matrix, unit_matrix, zero_matrix
+from test_hermitian import matrices_at
 from test_minors import eval_minor
 
 
@@ -52,11 +53,9 @@ def test_generator_columns_match_scalar_evaluation():
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
         gen = generator_hermitian(ell, q)
         t = gen.tower
-        idx = HermitianIndexing(t, ell)
         rng = random.Random(1)
-        for _ in range(25):
-            pos = rng.randrange(idx.total)
-            H = idx.index_to_matrix(pos)
+        positions = [rng.randrange(gen.spec.n) for _ in range(25)]
+        for pos, H in zip(positions, matrices_at(t, ell, positions)):
             for r, minor in enumerate(gen.basis):
                 assert int(gen.rows[r, pos]) == eval_minor(t, minor, H)
 
@@ -185,19 +184,18 @@ def test_automorphisms_preserve_membership_randomized():
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
         gen = generator_hermitian(ell, q)
         t = gen.tower
-        idx = HermitianIndexing(t, ell)
         while True:
             A = tuple(tuple(rng.randrange(t.qq) for _ in range(ell)) for _ in range(ell))
             if linalg.rank(t, A) == ell:
                 break
-        M = idx.index_to_matrix(rng.randrange(idx.total))
+        M = decode(t, ell, FAMILY_HERMITIAN, rng.randrange(gen.spec.n))
         perms = [
             congruence_permutation(t, ell, A),
             translate_permutation(t, ell, M),
             transpose_permutation(t, ell),
         ]
         for perm in perms:
-            assert sorted(perm) == list(range(idx.total))
+            assert sorted(perm) == list(range(gen.spec.n))
             for _ in range(5):
                 f = mn.random_combination(t, ell, rng)
                 c = np.asarray(gen.encode(f))
@@ -319,7 +317,18 @@ def test_read_generator_rejects_rank_deficient_body(tmp_path):
     write_generator(gen, path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:2] + [lines[1]] + lines[3:]) + "\n")
-    with pytest.raises(ValueError, match="rank 5"):
+    with pytest.raises(ValueError, match="body row 2 differs"):
+        read_generator(path)
+
+
+def test_read_generator_rejects_swapped_rows(tmp_path):
+    # a full-rank body that is not the family's generator
+    gen = generator_hermitian(2, 2)
+    path = tmp_path / "gen.txt"
+    write_generator(gen, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:1] + [lines[2], lines[1]] + lines[3:]) + "\n")
+    with pytest.raises(ValueError, match="body row 1 differs"):
         read_generator(path)
 
 
@@ -343,7 +352,7 @@ def reader_inputs(draw):
         header, rows = gen.header(), gen.rows
     else:
         rows = gen.rows[:draw(st.integers(0, 3))]
-        header = codeword_header(gen, len(rows))
+        header = _header(gen, "words", len(rows))
     tokens = header.split()
     body = [[str(int(v)) for v in row] for row in rows]
     for _ in range(draw(st.integers(0, 2))):

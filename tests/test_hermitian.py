@@ -1,13 +1,16 @@
 import random
 
+import numpy as np
 import pytest
 
 from hermgrass.galois import tower_for_q
 from hermgrass.hermitian import (
-    HermitianIndexing,
+    FAMILY_HERMITIAN,
     congruence,
     count_invertible,
     count_invertible_bruteforce,
+    decode,
+    encode,
     identity_matrix,
     is_hermitian,
     rank_one_from_vector,
@@ -19,39 +22,40 @@ from hermgrass.hermitian import (
 from hermgrass.linalg import rank
 
 
+def matrices_at(tower, ell, positions):
+    """The Hermitian matrices at the given positions, decoded in one call,
+    as tuples of int rows."""
+    E = np.array(decode(tower, ell, FAMILY_HERMITIAN, positions))
+    return [tuple(map(tuple, M)) for M in E.transpose(2, 0, 1).tolist()]
+
+
 def test_index_zero_is_zero_matrix():
     for q in (2, 3, 4):
         t = tower_for_q(q)
-        idx = HermitianIndexing(t, 2)
-        assert idx.index_to_matrix(0) == zero_matrix(2)
+        assert np.array_equal(decode(t, 2, FAMILY_HERMITIAN, 0), zero_matrix(2))
 
 
 def test_round_trip_and_totals():
     cases = [(2, 2, 16), (3, 2, 512), (2, 3, 81), (1, 5, 5)]
     for ell, q, total in cases:
         t = tower_for_q(q)
-        idx = HermitianIndexing(t, ell)
-        assert idx.total == total
-        seen = set()
-        for i in range(total):
-            H = idx.index_to_matrix(i)
-            assert is_hermitian(t, H)
-            assert idx.matrix_to_index(H) == i
-            seen.add(H)
-        assert len(seen) == total
+        E = decode(t, ell, FAMILY_HERMITIAN, np.arange(total))
+        assert np.array_equal(encode(t, ell, FAMILY_HERMITIAN, E), np.arange(total))
+        matrices = matrices_at(t, ell, np.arange(total))
+        assert all(is_hermitian(t, H) for H in matrices)
+        assert len(set(matrices)) == total
 
 
 def test_index_errors():
     t = tower_for_q(2)
-    idx = HermitianIndexing(t, 2)
     with pytest.raises(ValueError):
-        idx.index_to_matrix(16)
+        decode(t, 2, FAMILY_HERMITIAN, 16)
     with pytest.raises(ValueError):
-        idx.index_to_matrix(-1)
+        decode(t, 2, FAMILY_HERMITIAN, -1)
     with pytest.raises(ValueError):
-        idx.matrix_to_index(((2, 0), (0, 0)))  # diagonal entry outside F_q
+        encode(t, 2, FAMILY_HERMITIAN, ((2, 0), (0, 0)))  # diagonal entry outside F_q
     with pytest.raises(ValueError):
-        idx.matrix_to_index(((0, 2), (2, 0)))  # lower entry not the conjugate
+        encode(t, 2, FAMILY_HERMITIAN, ((0, 2), (2, 0)))  # lower entry not the conjugate
 
 
 def test_rank_basics():
@@ -63,8 +67,7 @@ def test_rank_basics():
 
 def test_rank2_count_matches_invertible_formula():
     t = tower_for_q(2)
-    idx = HermitianIndexing(t, 2)
-    full_rank = sum(1 for H in idx if rank(t, H) == 2)
+    full_rank = sum(1 for H in matrices_at(t, 2, np.arange(16)) if rank(t, H) == 2)
     assert full_rank == 10 == count_invertible(2, 2)
 
 
@@ -73,9 +76,8 @@ def test_congruence_identity_and_rank_preservation():
     for q in (2, 3):
         t = tower_for_q(q)
         for ell in (2, 3):
-            idx = HermitianIndexing(t, ell)
-            H = idx.index_to_matrix(rng.randrange(idx.total))
-            assert congruence(t, identity_matrix(ell), H) == H
+            H = decode(t, ell, FAMILY_HERMITIAN, rng.randrange(q ** (ell * ell)))
+            assert np.array_equal(congruence(t, identity_matrix(ell), H), H)
     checks = 0
     while checks < 1000:
         q = rng.choice((2, 3))
@@ -84,8 +86,7 @@ def test_congruence_identity_and_rank_preservation():
         A = tuple(tuple(rng.randrange(t.qq) for _ in range(ell)) for _ in range(ell))
         if rank(t, A) != ell:
             continue
-        idx = HermitianIndexing(t, ell)
-        H = idx.index_to_matrix(rng.randrange(idx.total))
+        H = decode(t, ell, FAMILY_HERMITIAN, rng.randrange(q ** (ell * ell)))
         out = congruence(t, A, H)
         assert is_hermitian(t, out)
         assert rank(t, out) == rank(t, H)
@@ -120,16 +121,13 @@ def test_congruence_orbit_of_e11_is_all_rank_one():
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)
-    idx = HermitianIndexing(t, ell)
-    rank_one = {H for H in idx if rank(t, H) == 1}
+    rank_one = {H for H in matrices_at(t, ell, np.arange(16)) if rank(t, H) == 1}
     assert orbit == rank_one
 
 
 def test_translate_transpose():
     t = tower_for_q(2)
-    idx = HermitianIndexing(t, 2)
-    for i in range(idx.total):
-        H = idx.index_to_matrix(i)
+    for H in matrices_at(t, 2, np.arange(16)):
         assert translate(t, H, zero_matrix(2)) == H
         assert translate(t, H, H) == zero_matrix(2)  # characteristic 2
         assert transpose(t, transpose(t, H)) == H
@@ -143,19 +141,19 @@ def test_actions_are_bijections():
     rng = random.Random(3)
     for q in (2, 3):
         t = tower_for_q(q)
-        idx = HermitianIndexing(t, 2)
+        n = q**4
         while True:
             A = tuple(tuple(rng.randrange(t.qq) for _ in range(2)) for _ in range(2))
             if rank(t, A) == 2:
                 break
-        M = idx.index_to_matrix(rng.randrange(idx.total))
+        M = decode(t, 2, FAMILY_HERMITIAN, rng.randrange(n))
         images = [set(), set(), set()]
-        for H in idx:
+        for H in matrices_at(t, 2, np.arange(n)):
             images[0].add(congruence(t, A, H))
             images[1].add(translate(t, H, M))
             images[2].add(transpose(t, H))
         for im in images:
-            assert len(im) == idx.total
+            assert len(im) == n
 
 
 def test_count_invertible():
