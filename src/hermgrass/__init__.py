@@ -6,8 +6,10 @@ from .analysis import (
     DistanceCertificate,
     DualDistanceCertificate,
     distance_affine_formula,
+    distance_formula,
     distance_hermitian_formula,
     dual_min_distance,
+    min_distance,
     min_distance_exhaustive,
     min_distance_formula,
     min_distance_subfield,
@@ -21,7 +23,6 @@ from .codebuild import (
     fq_basis,
     generator_affine_grassmann,
     generator_hermitian,
-    interpolate,
     read_generator,
     write_generator,
 )

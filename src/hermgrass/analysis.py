@@ -2,11 +2,14 @@
 verifiers for the counting and classification facts the code families rest
 on.
 
-Minimum-distance strategy ladder: closed formula (optionally confirmed by a
-witness evaluation), subfield enumeration (every F_q-combination of the F_q
-row basis; sound because minimum-weight words of a q-invariant code are
-scalar multiples of subfield words), and full exhaustive enumeration as a
-cross-check.  Certificates record which method produced them.
+Minimum-distance strategy ladder: the closed form with its witness
+(`distance_formula`, optionally confirmed by evaluating the witness); the
+family's certifying enumeration (`min_distance`): every F_q-combination of
+the F_q row basis for the Hermitian family (sound because minimum-weight
+words of a q-invariant code are scalar multiples of subfield words), every
+message over the alphabet `GeneratorMatrix.scalars` for the affine family;
+and the full F_{q^2} enumeration as a Hermitian cross-check.  Certificates
+record which method produced them.
 
 Enumeration is projective, one message per scalar class (first nonzero
 digit 1): a mixed-radix Gray walk over the leading digits adds one scaled
@@ -125,17 +128,16 @@ def distance_affine_formula(ell: int, q: int) -> int:
     return out
 
 
-def hermitian_witness(ell: int) -> dict:
-    """The 2x2 principal minor plus one attains the Hermitian distance."""
-    if ell < 2:
-        raise ValueError("witness needs ell >= 2")
-    return {((1, 2), (1, 2)): 1, ((), ()): 1}
-
-
-def affine_witness(ell: int) -> dict:
-    """The full determinant attains the affine Grassmann distance."""
+def distance_formula(family: str, ell: int, q: int):
+    """(d, witness) of the family's closed form, the witness attaining d: the
+    2x2 principal minor plus one for the Hermitian family ((None, None) at
+    ell < 2, where it has none), the full determinant for the affine one."""
+    if family == FAMILY_HERMITIAN:
+        if ell < 2:
+            return None, None
+        return distance_hermitian_formula(ell, q), {((1, 2), (1, 2)): 1, ((), ()): 1}
     full = tuple(range(1, ell + 1))
-    return {(full, full): 1}
+    return distance_affine_formula(ell, q), {(full, full): 1}
 
 
 # streaming weight of a function ----------------------------------------------
@@ -150,11 +152,7 @@ def weight_of_function(f: dict, ell: int, q: int, family: str = FAMILY_HERMITIAN
         raise BudgetExceeded(f"q^(ell^2) = {n} exceeds position budget {budget}")
     tower = tower_for_q(q)
     E = position_entries(tower, ell, family)
-    acc = np.zeros(n, dtype=np.uint8)
-    for minor, c in f.items():
-        if c:
-            acc = tower.add_np[acc, tower.mul_np[c][eval_minor_vector(tower, E, minor)]]
-    return int(np.count_nonzero(acc))
+    return weight(linalg.combine(tower, [eval_minor_vector(tower, E, m) for m in f], f.values()))
 
 
 # projective weight engine -----------------------------------------------------
@@ -385,10 +383,8 @@ def _walk_certificate(gen: GeneratorMatrix, method, rows, combos, scalars, budge
     combination of combos, and its evaluation must attain the weight."""
     tower = gen.tower
     w, digits, searched = min_weight_over_combinations(tower, rows, scalars, budget, threads)
-    witness = {}
-    for d, f in zip(digits, combos):
-        if scalars[d]:
-            witness = mn.combo_add(tower, witness, mn.combo_scale(tower, scalars[d], f))
+    message = linalg.combine(tower, [gen.message(f) for f in combos], [scalars[d] for d in digits])
+    witness = {m: int(c) for m, c in zip(gen.basis, message) if c}
     require(weight(gen.encode(witness)) == w, f"witness does not attain the searched weight {w}")
     return DistanceCertificate(gen.spec, w, method, witness, searched, gen.header())
 
@@ -397,13 +393,8 @@ def min_distance_exhaustive(gen: GeneratorMatrix, budget: int | None = None,
                             threads: int = 1) -> DistanceCertificate:
     """Minimum weight over every nonzero message of the code's alphabet."""
     budget = budget if budget is not None else budget_exhaustive()
-    tower = gen.tower
-    if gen.spec.family == FAMILY_HERMITIAN:
-        scalars = list(range(tower.qq))
-    else:
-        scalars = list(tower.subfield)
     return _walk_certificate(gen, "ExhaustiveFull", gen.rows, [{m: 1} for m in gen.basis],
-                             scalars, budget, threads)
+                             gen.scalars, budget, threads)
 
 
 def min_distance_subfield(gen: GeneratorMatrix, basis: list | None = None,
@@ -421,13 +412,26 @@ def min_distance_subfield(gen: GeneratorMatrix, basis: list | None = None,
     tower = gen.tower
     combos = basis if basis is not None else fq_basis(gen.spec.ell, gen.spec.q)
     rows = [gen.encode(f) for f in combos]
-    for row in rows:
-        require(all(tower.in_base_subfield(int(v)) for v in np.unique(row)),
-                "F_q basis row takes values outside the subfield")
+    require(all(tower.in_base_subfield(int(v)) for v in np.unique(rows)),
+            "F_q basis row takes values outside the subfield")
     require(linalg.rank(tower, np.stack(rows)) == gen.spec.k,
             f"F_q basis rows do not have rank k = {gen.spec.k}")
     return _walk_certificate(gen, "ExhaustiveSubfield", rows, combos, list(tower.subfield),
                              budget, threads)
+
+
+def min_distance(gen: GeneratorMatrix, method: str | None = None, budget: int | None = None,
+                 threads: int = 1) -> DistanceCertificate:
+    """Certified minimum distance by the enumeration `method` names, by
+    default the family's certifying one: subfield for the Hermitian family,
+    exhaustive for the affine family, where "subfield" raises ValueError."""
+    if method is None:
+        method = "subfield" if gen.spec.family == FAMILY_HERMITIAN else "exhaustive"
+    if method == "subfield":
+        return min_distance_subfield(gen, budget=budget, threads=threads)
+    if method == "exhaustive":
+        return min_distance_exhaustive(gen, budget=budget, threads=threads)
+    raise ValueError(f"unknown enumeration method {method!r}")
 
 
 def min_distance_formula(family: str, ell: int, q: int,
@@ -435,16 +439,11 @@ def min_distance_formula(family: str, ell: int, q: int,
     """Formula-only certificate; upgraded to WitnessOnly when evaluating the
     canonical witness is affordable and confirms the value."""
     spec = CodeSpec(family, q, ell)
-    if family == FAMILY_HERMITIAN:
-        d = distance_hermitian_formula(ell, q)
-        wit = hermitian_witness(ell) if ell >= 2 else None
-    else:
-        d = distance_affine_formula(ell, q)
-        wit = affine_witness(ell)
+    d, wit = distance_formula(family, ell, q)
     if d is None:
         raise ValueError("no closed form for the Hermitian family at ell < 2")
     witness_budget = witness_budget if witness_budget is not None else budget_positions()
-    if wit is not None and spec.n <= witness_budget:
+    if spec.n <= witness_budget:
         w = weight_of_function(wit, ell, q, family, budget=witness_budget)
         require(w == d, f"witness weight {w} contradicts formula value {d}")
         return DistanceCertificate(spec, d, "WitnessOnly", wit, 0, None)
@@ -493,10 +492,7 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4,
     tower = gen.tower
     spec = gen.spec
     n = spec.n
-    if spec.family == FAMILY_HERMITIAN:
-        nonzero = list(range(1, tower.qq))
-    else:
-        nonzero = [s for s in tower.subfield if s]
+    nonzero = gen.scalars[1:]
     if n * (n - 1) // 2 * len(nonzero) > budget:
         raise BudgetExceeded(
             f"pair search size {n * (n - 1) // 2 * len(nonzero)} exceeds budget {budget}"
@@ -858,7 +854,7 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
         if self_conjugate_only:
             combos, scalars = fq_basis(ell, q), list(tower.subfield)
         else:
-            combos, scalars = [{m: 1} for m in gen.basis], list(range(tower.qq))
+            combos, scalars = [{m: 1} for m in gen.basis], gen.scalars
         total = len(scalars) ** gen.spec.k
         if total > budget:
             raise BudgetExceeded(f"message space {total} exceeds budget {budget}")

@@ -72,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("mindist", help="minimum-distance certificate")
     add_common(sp, ells=(1, 2, 3), family=True)
-    sp.add_argument("--method", choices=("formula", "subfield", "exhaustive"), default="subfield")
+    sp.add_argument("--method", choices=("formula", "subfield", "exhaustive"), default=None,
+                    help="default: the family's certifying enumeration")
     sp.add_argument("--budget-messages", type=_budget, default=None)
     sp.add_argument("--threads", type=int, default=1)
 
@@ -146,17 +147,10 @@ def cmd_mindist(args) -> int:
         cert = an.min_distance_formula(args.family, args.ell, args.q)
     else:
         gen = build_generator(args.family, args.ell, args.q)
-        if args.method == "subfield":
-            cert = an.min_distance_subfield(gen, budget=args.budget_messages,
-                                            threads=args.threads)
-        else:
-            cert = an.min_distance_exhaustive(gen, budget=args.budget_messages,
-                                              threads=args.threads)
+        cert = an.min_distance(gen, args.method, budget=args.budget_messages,
+                               threads=args.threads)
     report = cert.as_dict()
-    if args.family == FAMILY_HERMITIAN:
-        formula = an.distance_hermitian_formula(args.ell, args.q)
-    else:
-        formula = an.distance_affine_formula(args.ell, args.q)
+    formula = an.distance_formula(args.family, args.ell, args.q)[0]
     mismatch = False
     if formula is not None:
         report["formula"] = formula
@@ -218,10 +212,8 @@ def _table_rows(ell: int, certify: bool):
         d_h = an.distance_hermitian_formula(ell, q)
         certified = "no"
         if certify and (ell, q) in DESK_CERTIFIED:
-            gen_h = build_generator(FAMILY_HERMITIAN, ell, q)
-            cert_h = an.min_distance_subfield(gen_h)
-            gen_a = build_generator(FAMILY_AFFINE, ell, q)
-            cert_a = an.min_distance_exhaustive(gen_a)
+            cert_h = an.min_distance(build_generator(FAMILY_HERMITIAN, ell, q))
+            cert_a = an.min_distance(build_generator(FAMILY_AFFINE, ell, q))
             if cert_h.d == d_h and cert_a.d == d_a:
                 certified = "certified"
             else:

@@ -66,10 +66,6 @@ class CodeSpec:
     def k(self) -> int:
         return comb(2 * self.ell, self.ell)
 
-    @property
-    def alphabet_size(self) -> int:
-        return self.q**2 if self.family == FAMILY_HERMITIAN else self.q
-
 
 def position_entries(tower: FieldTower, ell: int, family: str):
     """Entry value arrays: E[i][j][t] = entry (i, j) of the t-th evaluation
@@ -88,10 +84,13 @@ def eval_minor_vector(tower, E, minor):
 
 
 class GeneratorMatrix:
-    """k x n generator whose rows are minor evaluations in canonical order.
+    """k x n generator whose rows are minor evaluations in canonical order,
+    for messages over `scalars` (0 and 1 first): all of F_{q^2} for the
+    Hermitian family, the sorted subfield F_q for the affine family.
 
     The rank check at construction equals k for every supported build, which
-    certifies empirically that evaluation is injective on the minor span.
+    certifies empirically that evaluation is injective on the minor span; its
+    elimination is kept for interpolation.
     """
 
     def __init__(self, spec: CodeSpec, tower: FieldTower, rows: np.ndarray):
@@ -100,8 +99,12 @@ class GeneratorMatrix:
         self.rows = rows
         self.rows.setflags(write=False)
         self.basis = basis(spec.ell)
-        self._elim_cache = None
-        self.rank = linalg.rank(tower, rows)
+        self._index = {m: i for i, m in enumerate(self.basis)}
+        self.scalars = tuple(range(tower.qq)) if spec.family == FAMILY_HERMITIAN else tower.subfield
+        self._in_alphabet = np.zeros(tower.qq, dtype=bool)
+        self._in_alphabet[list(self.scalars)] = True
+        self.rref = linalg.rref(tower, rows)
+        self.rank = len(self.rref[1])
         if self.rank != spec.k:
             raise AssertionError(
                 f"generator rank {self.rank} != expected dimension {spec.k}"
@@ -110,40 +113,36 @@ class GeneratorMatrix:
     def header(self) -> str:
         return _header(self, "k", self.spec.k)
 
-    def _elim(self):
-        if self._elim_cache is None:
-            self._elim_cache = linalg.rref(self.tower, self.rows)
-        return self._elim_cache
-
     def encode_message(self, message) -> np.ndarray:
         """Codeword of a length-k coefficient vector over the alphabet."""
         if len(message) != self.spec.k:
             raise ValueError("message length mismatch")
         return linalg.combine(self.tower, self.rows, message)
 
-    def encode(self, f: dict) -> np.ndarray:
-        """Codeword of a minor combination."""
-        lookup = {m: i for i, m in enumerate(self.basis)}
+    def message(self, f: dict) -> list:
+        """Length-k coefficient vector of a minor combination."""
         message = [0] * self.spec.k
         for minor, c in f.items():
-            if minor not in lookup:
+            if minor not in self._index:
                 raise ValueError(f"minor {minor} not valid for ell={self.spec.ell}")
-            message[lookup[minor]] = c
-        return self.encode_message(message)
+            message[self._index[minor]] = c
+        return message
+
+    def encode(self, f: dict) -> np.ndarray:
+        """Codeword of a minor combination."""
+        return self.encode_message(self.message(f))
 
     def coefficients_of(self, codeword) -> np.ndarray:
         """Length-k message recovering the codeword, or NotInCode."""
         codeword = np.asarray(codeword, dtype=np.uint8)
         if codeword.shape != (self.spec.n,):
             raise ValueError("codeword length mismatch")
-        R, pivots, T = self._elim()
+        R, pivots, T = self.rref
         y = linalg.solve_in_row_space(self.tower, R, pivots, codeword)
         if y is None:
             raise NotInCode("vector is not in the row space")
         message = linalg.combine(self.tower, T, y)
-        if self.spec.family == FAMILY_AFFINE and not all(
-            self.tower.in_base_subfield(int(v)) for v in message
-        ):
+        if not self._in_alphabet[message].all():
             raise NotInCode("vector is in the F_{q^2} span but not the F_q code")
         return message
 
@@ -184,11 +183,6 @@ def generator_hermitian(ell: int, q: int) -> GeneratorMatrix:
 
 def generator_affine_grassmann(ell: int, q: int) -> GeneratorMatrix:
     return build_generator(FAMILY_AFFINE, ell, q)
-
-
-def interpolate(codeword, gen: GeneratorMatrix) -> dict:
-    """Inverse of encoding: the unique combination f with ev(f) = codeword."""
-    return gen.interpolate(codeword)
 
 
 # F_q basis -------------------------------------------------------------------

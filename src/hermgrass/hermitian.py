@@ -151,24 +151,16 @@ def det_vectors(tower, sub):
 # group actions ---------------------------------------------------------------
 
 
-def _scaled_sum(tower, terms):
-    """Sum over (c, x) of the scalar c times x, an element or entry array."""
-    acc = None
-    for c, x in terms:
-        term = tower.mul_np[c][x]
-        acc = term if acc is None else tower.add_np[acc, term]
-    return acc
-
-
 def congruence(tower, A, H) -> Matrix:
     """A* H A for invertible A, computed as A* (H A); the entries of H are
     elements or entry arrays, and so are those of the image."""
     if linalg.rank(tower, A) != len(H):
         raise ValueError("congruence requires an invertible matrix")
     idx = range(len(A))
-    HA = [[_scaled_sum(tower, ((A[s][j], H[r][s]) for s in idx)) for j in idx] for r in idx]
-    return tuple(tuple(_scaled_sum(tower, ((tower.conjugate(A[r][i]), HA[r][j]) for r in idx))
-                       for j in idx) for i in idx)
+    HA = [[linalg.combine(tower, H[r], [A[s][j] for s in idx]) for j in idx] for r in idx]
+    A_star = [[tower.conjugate(A[r][i]) for r in idx] for i in idx]
+    return tuple(tuple(linalg.combine(tower, [HA[r][j] for r in idx], A_star[i]) for j in idx)
+                 for i in idx)
 
 
 def translate(tower, H, M) -> Matrix:

@@ -53,12 +53,16 @@ def rank(tower, rows) -> int:
 
 
 def combine(tower, rows, coeffs):
-    """Sum of coeffs[i] * rows[i] over the field."""
-    rows = np.asarray(rows, dtype=np.uint8)
-    acc = np.zeros(rows.shape[1], dtype=np.uint8)
+    """Sum of coeffs[i] * rows[i] over the field, where the rows are field
+    elements or equal-shape arrays of them, each scaled in place of stacking
+    them; the sum has their shape, and the sum of no rows is the element 0."""
+    acc = None
     for s, row in zip(coeffs, rows):
         if s:
-            acc = tower.add_np[acc, tower.mul_np[s][row]]
+            term = tower.mul_np[s][row]
+            acc = term if acc is None else tower.add_np[acc, term]
+    if acc is None:
+        return tower.mul_np[0][rows[0]] if len(rows) else np.uint8(0)
     return acc
 
 

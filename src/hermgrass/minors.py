@@ -94,17 +94,6 @@ def combo_scale(tower, c: int, f: dict) -> dict:
     return {m: tower.mul(c, v) for m, v in f.items() if v}
 
 
-def combo_add(tower, f: dict, g: dict) -> dict:
-    out = dict(f)
-    for m, v in g.items():
-        s = tower.add(out.get(m, 0), v)
-        if s:
-            out[m] = s
-        else:
-            out.pop(m, None)
-    return out
-
-
 def random_combination(tower, ell: int, rng, self_conjugate: bool = False) -> dict:
     """A uniformly random nonzero combination (optionally self-conjugate)."""
     while True:

@@ -298,23 +298,16 @@ def check_interpolation_round_trip(seed):
 
 def check_distance_certifications(seed):
     details = []
-    for ell, q in CERTIFIED_PAIRS:
-        gen = build_generator(FAMILY_HERMITIAN, ell, q)
-        cert = an.min_distance_subfield(gen)
-        formula = an.distance_hermitian_formula(ell, q)
-        require(cert.d == formula, f"H (ell={ell}, q={q}): {cert.d} != {formula}")
-        details.append(f"H({ell},{q})={cert.d}")
+    for letter, family in (("H", FAMILY_HERMITIAN), ("A", FAMILY_AFFINE)):
+        for ell, q in CERTIFIED_PAIRS:
+            cert = an.min_distance(build_generator(family, ell, q))
+            formula = an.distance_formula(family, ell, q)[0]
+            require(cert.d == formula, f"{letter} (ell={ell}, q={q}): {cert.d} != {formula}")
+            details.append(f"{letter}({ell},{q})={cert.d}")
     for ell, q in ((2, 2), (2, 3)):
-        gen = build_generator(FAMILY_HERMITIAN, ell, q)
-        cert = an.min_distance_exhaustive(gen)
+        cert = an.min_distance(build_generator(FAMILY_HERMITIAN, ell, q), "exhaustive")
         require(cert.d == an.distance_hermitian_formula(ell, q))
-    for ell, q in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2)]:
-        gen = build_generator(FAMILY_AFFINE, ell, q)
-        cert = an.min_distance_exhaustive(gen)
-        formula = an.distance_affine_formula(ell, q)
-        require(cert.d == formula, f"A (ell={ell}, q={q}): {cert.d} != {formula}")
-        details.append(f"A({ell},{q})={cert.d}")
-    w = an.weight_of_function(an.hermitian_witness(3), 3, 2)
+    w = an.weight_of_function(an.distance_formula(FAMILY_HERMITIAN, 3, 2)[1], 3, 2)
     require(w == 192)
     return "; ".join(details) + "; witness weight at (3,2) = 192"
 
@@ -341,10 +334,21 @@ def check_file_round_trip(seed):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "gen.txt")
             write_generator(gen, path)
-            back = read_generator(path)
-            require(back.header() == gen.header())
-            require(np.array_equal(back.rows, gen.rows))
-            require(back.rank == gen.spec.k)
+            with open(path) as fh:
+                header, *body = fh.read().splitlines()
+            rows = np.array([line.split() for line in body], dtype=np.int64)
+            require(header == gen.header() and np.array_equal(rows, gen.rows),
+                    f"(ell={ell}, q={q}): the written file differs from the generator")
+            require(linalg.rank(gen.tower, rows) == gen.spec.k, f"(ell={ell}, q={q}): file rank")
+            require(read_generator(path) is gen, f"(ell={ell}, q={q}): read-back is not the code")
+            rows[0, 0] = (rows[0, 0] + 1) % gen.tower.qq  # a valid entry; only the row check fails
+            with open(path, "w") as fh:
+                fh.write("\n".join([header] + [" ".join(map(str, row)) for row in rows.tolist()]))
+            try:
+                read_generator(path)
+            except ValueError:
+                continue
+            raise AssertionError(f"(ell={ell}, q={q}): a file with one entry changed reads back")
     return "write/read identical at (2,2) and (3,2), rank re-verified"
 
 

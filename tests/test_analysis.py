@@ -129,6 +129,29 @@ def test_min_distance_subfield_budget_and_family():
         an.min_distance_subfield(generator_affine_grassmann(2, 2))
 
 
+def test_min_distance_runs_the_family_enumeration():
+    cert = an.min_distance(generator_hermitian(2, 3))
+    assert (cert.method, cert.d) == ("ExhaustiveSubfield", 51)
+    cert = an.min_distance(generator_affine_grassmann(2, 3))
+    assert (cert.method, cert.d) == ("ExhaustiveFull", 48)
+    cert = an.min_distance(generator_hermitian(2, 3), "exhaustive")
+    assert (cert.method, cert.d) == ("ExhaustiveFull", 51)
+    # no silent fallback to another enumeration
+    with pytest.raises(ValueError, match="subfield enumeration applies to the Hermitian family"):
+        an.min_distance(generator_affine_grassmann(2, 3), "subfield")
+    with pytest.raises(ValueError):
+        an.min_distance(generator_hermitian(2, 3), "formula")
+
+
+def test_distance_formula():
+    assert an.distance_formula(FAMILY_HERMITIAN, 1, 2) == (None, None)
+    for family, ell, q, d in [(FAMILY_HERMITIAN, 2, 3, 51), (FAMILY_HERMITIAN, 3, 2, 192),
+                              (FAMILY_AFFINE, 2, 3, 48), (FAMILY_AFFINE, 3, 2, 168)]:
+        formula, witness = an.distance_formula(family, ell, q)
+        assert formula == d
+        assert an.weight_of_function(witness, ell, q, family) == d
+
+
 def test_min_distance_threads_match():
     gen = generator_hermitian(2, 3)
     one = an.min_distance_subfield(gen, threads=1)

@@ -155,6 +155,22 @@ def test_affine_membership_stays_in_subfield():
     assert gen.membership(t.mul_np[2][gen.rows[1]])
 
 
+def test_message_alphabet():
+    for q in (2, 3, 4):
+        gen_h, gen_a = generator_hermitian(2, q), generator_affine_grassmann(2, q)
+        t = gen_h.tower
+        assert gen_h.scalars == tuple(range(t.qq))
+        assert gen_a.scalars == t.subfield == tuple(sorted(t.subfield))
+        assert gen_h.scalars[:2] == gen_a.scalars[:2] == (0, 1)
+        # the elimination kept from the rank check serves interpolation
+        assert len(gen_h.rref[1]) == gen_h.rank == gen_h.spec.k
+        f = {((1,), (2,)): 2 % t.qq, ((), ()): 1}
+        assert gen_h.message(f) == [1, 0, 2 % t.qq, 0, 0, 0]
+        assert gen_h.interpolate(gen_h.encode(f)) == {m: c for m, c in f.items() if c}
+    with pytest.raises(ValueError):
+        gen_h.message({((1, 2), (1, 3)): 1})
+
+
 def test_automorphism_permutations():
     gen = generator_hermitian(2, 2)
     t = gen.tower

@@ -4,6 +4,8 @@ and injected faults still fail under python -O."""
 import ast
 from pathlib import Path
 
+import pytest
+
 from hermgrass import analysis as an
 from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator
 
@@ -59,3 +61,14 @@ def test_verify_dual_word():
         coeffs = list(cert.coefficients)
         coeffs[i] = gen.tower.add(coeffs[i], 1)
         assert not an._verify_dual_word(gen, cert.columns, coeffs)
+
+
+def test_file_round_trip_fails_on_a_reader_that_skips_the_body(monkeypatch):
+    """file_round_trip parses the written body itself and changes one entry,
+    so a reader that trusts the header alone fails the check."""
+    from hermgrass import verify
+
+    monkeypatch.setattr(verify, "read_generator",
+                        lambda path: build_generator(FAMILY_HERMITIAN, 2, 2))
+    with pytest.raises(AssertionError, match=r"\(ell=2, q=2\): a file with one entry changed"):
+        verify.check_file_round_trip(0)

@@ -1,8 +1,9 @@
 """Golden sha256 digests of outputs that must stay the same byte for byte:
 the `mindist` and `dualdist` tree reports, the randomized dual support
-families and the automorphism permutations at (3, 3).  None of these
-outputs has a timing field.  A change that alters one of them on purpose
-says why and updates its digest here."""
+families, the automorphism permutations at (3, 3) and the uncertified
+`table`; and, as literal strings, the details of two `verify` checks.
+None of these outputs has a timing field.  A change that alters one of
+them on purpose says why and updates its digest here."""
 
 import hashlib
 import json
@@ -10,7 +11,8 @@ import json
 import numpy as np
 import pytest
 
-from hermgrass.analysis import dual_support_families
+from hermgrass import verify
+from hermgrass.analysis import DEFAULT_SEED, dual_support_families
 from hermgrass.cli import main
 from hermgrass.codebuild import (
     FAMILY_AFFINE,
@@ -83,6 +85,20 @@ PERMUTATIONS = {
     "translate": "75b992a153de6c6553df770d9970bc21b0b776023321d1ffc04adae66dfafc7c",
     "transpose": "393bb30daaa6a645966c18c422bcd19340eab4b962febfaa958a291a98b44dac",
 }
+# ell -> digest of `table --certify none --ell <ell>`
+TABLES = {
+    2: "93c4e0061b73a5ac86a809be0fe8c0ca9c10d2798eeffd3e838f33754337427f",
+    3: "4c125f9557a7b368acc8c44c2a36bbdf75108251c3f642c442e9477c33425b33",
+}
+
+# check name -> its detail at the default seed
+CHECK_DETAILS = {
+    "distance_certifications":
+        "H(2,2)=6; H(2,3)=51; H(2,4)=188; H(2,5)=495; H(3,2)=192; A(2,2)=6; A(2,3)=48; "
+        "A(2,4)=180; A(2,5)=480; A(3,2)=168; witness weight at (3,2) = 192",
+    "file_round_trip": "write/read identical at (2,2) and (3,2), rank re-verified",
+}
+
 CONGRUENCE = ((1, 0, 0), (4, 1, 0), (2, 7, 1))  # unit lower triangular, so invertible
 TRANSLATION = ((1, 5, 3), (6, 2, 8), (7, 4, 0))  # Hermitian over F_9
 
@@ -102,6 +118,14 @@ def test_mindist_report(tmp_path, family, ell, q, method):
     digest = tree_report(tmp_path, "mindist", "--q", str(q), "--ell", str(ell),
                          "--family", family, "--method", method)
     assert digest == MINDIST_REPORTS[family, ell, q, method]
+
+
+@pytest.mark.parametrize("ell,q", [(ell, q) for family, ell, q, method in MINDIST_REPORTS
+                                   if family == FAMILY_AFFINE])
+def test_affine_mindist_defaults_to_exhaustive(tmp_path, ell, q):
+    digest = tree_report(tmp_path, "mindist", "--q", str(q), "--ell", str(ell),
+                         "--family", FAMILY_AFFINE)
+    assert digest == MINDIST_REPORTS[FAMILY_AFFINE, ell, q, "exhaustive"]
 
 
 @pytest.mark.parametrize("ell,q", list(DUALDIST_REPORTS))
@@ -126,3 +150,14 @@ def test_permutations():
     }
     digests = {kind: sha256(perm.astype(np.int64).tobytes()) for kind, perm in perms.items()}
     assert digests == PERMUTATIONS
+
+
+@pytest.mark.parametrize("ell", list(TABLES))
+def test_table_without_certification(capsys, ell):
+    assert main(["table", "--certify", "none", "--ell", str(ell)]) == 0
+    assert sha256(capsys.readouterr().out) == TABLES[ell]
+
+
+@pytest.mark.parametrize("name", list(CHECK_DETAILS))
+def test_check_detail(name):
+    assert dict(verify.checks_for("all"))[name](DEFAULT_SEED) == CHECK_DETAILS[name]
