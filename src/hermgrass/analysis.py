@@ -48,6 +48,7 @@ from .codebuild import (
     eval_minor_vector,
     fq_basis,
     position_entries,
+    subfield_rows,
     translate_permutation,
 )
 from .errors import BudgetExceeded, NoneFoundWithinBound, NoValidLambda, require
@@ -409,15 +410,9 @@ def min_distance_subfield(gen: GeneratorMatrix, basis: list | None = None,
     if gen.spec.family != FAMILY_HERMITIAN:
         raise ValueError("subfield enumeration applies to the Hermitian family")
     budget = budget if budget is not None else budget_subfield()
-    tower = gen.tower
     combos = basis if basis is not None else fq_basis(gen.spec.ell, gen.spec.q)
-    rows = [gen.encode(f) for f in combos]
-    require(all(tower.in_base_subfield(int(v)) for v in np.unique(rows)),
-            "F_q basis row takes values outside the subfield")
-    require(linalg.rank(tower, np.stack(rows)) == gen.spec.k,
-            f"F_q basis rows do not have rank k = {gen.spec.k}")
-    return _walk_certificate(gen, "ExhaustiveSubfield", rows, combos, list(tower.subfield),
-                             budget, threads)
+    return _walk_certificate(gen, "ExhaustiveSubfield", subfield_rows(gen, combos), combos,
+                             list(gen.tower.subfield), budget, threads)
 
 
 def min_distance(gen: GeneratorMatrix, method: str | None = None, budget: int | None = None,
@@ -651,12 +646,9 @@ def hyperbolic_zero_count(tower: FieldTower, a: int, b: int, lam: int) -> int:
             raise ValueError("a, b, lam must lie in F_q")
     q = tower.q
     formula = 2 * q - 1 if lam == 0 else q - 1
-    brute = 0
-    for x1 in tower.subfield:
-        u = tower.add(x1, a)
-        for x2 in tower.subfield:
-            if tower.mul(u, tower.add(x2, b)) == lam:
-                brute += 1
+    sub = tower.subfield_np
+    brute = int(np.count_nonzero(
+        tower.mul_np[tower.add_np[sub, a][:, None], tower.add_np[sub, b]] == lam))
     require(brute == formula, f"hyperbolic count mismatch: formula {formula}, brute {brute}")
     return brute
 
@@ -670,23 +662,14 @@ def system_solution_count(tower: FieldTower, a, b) -> int:
     for v in a:
         if not tower.in_base_subfield(v):
             raise ValueError("a_i must lie in F_q")
-    count = 0
-    for X in itertools.product(range(tower.qq), repeat=n):
-        ok = True
-        for i in range(n):
-            if tower.norm(X[i]) != a[i]:
-                ok = False
-                break
-        if ok:
-            for i in range(n):
-                for j in range(n):
-                    if i != j and tower.mul(X[i], tower.conjugate(X[j])) != b[i][j]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            count += 1
+    X = np.indices((tower.qq,) * n, dtype=np.uint8).reshape(n, -1)  # column = one vector
+    ok = np.ones(X.shape[1], dtype=bool)
+    for i in range(n):
+        ok &= tower.norm_np[X[i]] == a[i]
+        for j in range(n):
+            if i != j:
+                ok &= tower.mul_np[X[i], tower.conj_np[X[j]]] == b[i][j]
+    count = int(np.count_nonzero(ok))
     require(count <= tower.q + 1, f"system has {count} solutions, exceeding q + 1 = {tower.q + 1}")
     return count
 
@@ -725,7 +708,7 @@ def classify_weights_l2(q: int) -> dict:
     # det + span over F_q of the other F_q basis rows: the constant, x11,
     # the two x12 pair rows and x22
     const, x11, pair_a, pair_b, x22, det = fq_basis(2, q)
-    rows = [gen.encode(f) for f in (det, const, x11, pair_a, pair_b, x22)]
+    rows = subfield_rows(gen, (det, const, x11, pair_a, pair_b, x22))
     alpha = pair_a[((1,), (2,))]
     alpha_q = tower.conjugate(alpha)
     sub = tower.subfield
@@ -786,11 +769,11 @@ def verify_l3_bounds(q: int = 2) -> dict:
     """
     if q != 2:
         raise ValueError("the reduced-family sweep is budgeted for q = 2")
-    tower = tower_for_q(q)
-    E = position_entries(tower, 3, FAMILY_HERMITIAN)
+    gen = build_generator(FAMILY_HERMITIAN, 3, q)
+    tower = gen.tower
     # det + span over F_q of x11, x22, x33 and the constant
     family = [((1, 2, 3), (1, 2, 3)), ((1,), (1,)), ((2,), (2,)), ((3,), (3,)), ((), ())]
-    rows = [eval_minor_vector(tower, E, m) for m in family]
+    rows = [gen.encode({m: 1}) for m in family]
     bound = q**9 - q**8 - q**6 + q**5 - q**4 + q**3
     det_product_form = count_invertible(3, q)
     det_alt_expansion = q**9 - q**8 + q**7 - 2 * q**6 - q**4 + q**3
@@ -884,7 +867,7 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
             if {len(m[0]) for m in mn.maximal_minors(f)} != {k}:
                 continue
             count += 1
-            w = weight_of_function(f, ell, q)
+            w = weight(gen.encode(f))
             if best is None or w < best:
                 best = w
     report = {

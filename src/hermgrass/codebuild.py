@@ -7,9 +7,10 @@ of a generator is the evaluation of basis minor i; column t is position t
 of the family's normative order, as defined by the position codec
 `hermitian.decode` / `hermitian.encode`.
 
-Also here: the F_q row basis of the Hermitian code, membership and
-interpolation against a generator, positionwise conjugation, automorphism
-permutations, and the matrix/codeword file formats.
+Also here: the F_q row basis of the Hermitian code and its check
+(`subfield_rows`), membership and interpolation against a generator,
+positionwise conjugation, automorphism permutations, and the
+matrix/codeword file formats.
 """
 
 from __future__ import annotations
@@ -89,8 +90,12 @@ class GeneratorMatrix:
     Hermitian family, the sorted subfield F_q for the affine family.
 
     The rank check at construction equals k for every supported build, which
-    certifies empirically that evaluation is injective on the minor span; its
-    elimination is kept for interpolation.
+    certifies empirically that evaluation is injective on the minor span.
+    Of its elimination only the pivot columns and the transform T are kept
+    (the reduced rows are T.rows): a codeword's message is T applied to its
+    pivot entries, and it lies in the code when that message re-encodes to
+    it.  Span questions about known combinations are then asked of their
+    k-entry messages (`subfield_rows`).
     """
 
     def __init__(self, spec: CodeSpec, tower: FieldTower, rows: np.ndarray):
@@ -103,8 +108,8 @@ class GeneratorMatrix:
         self.scalars = tuple(range(tower.qq)) if spec.family == FAMILY_HERMITIAN else tower.subfield
         self._in_alphabet = np.zeros(tower.qq, dtype=bool)
         self._in_alphabet[list(self.scalars)] = True
-        self.rref = linalg.rref(tower, rows)
-        self.rank = len(self.rref[1])
+        _, self.pivots, self.transform = linalg.rref(tower, rows)
+        self.rank = len(self.pivots)
         if self.rank != spec.k:
             raise AssertionError(
                 f"generator rank {self.rank} != expected dimension {spec.k}"
@@ -137,11 +142,9 @@ class GeneratorMatrix:
         codeword = np.asarray(codeword, dtype=np.uint8)
         if codeword.shape != (self.spec.n,):
             raise ValueError("codeword length mismatch")
-        R, pivots, T = self.rref
-        y = linalg.solve_in_row_space(self.tower, R, pivots, codeword)
-        if y is None:
+        message = linalg.combine(self.tower, self.transform, codeword[self.pivots])
+        if not np.array_equal(self.encode_message(message), codeword):
             raise NotInCode("vector is not in the row space")
-        message = linalg.combine(self.tower, T, y)
         if not self._in_alphabet[message].all():
             raise NotInCode("vector is in the F_{q^2} span but not the F_q code")
         return message
@@ -221,6 +224,22 @@ def fq_basis(ell: int, q: int) -> list:
             out.append({(I, J): alpha_q, (J, I): alpha})
     require(len(out) == comb(2 * ell, ell))
     return out
+
+
+def subfield_rows(gen: GeneratorMatrix, combos) -> np.ndarray:
+    """The codewords of `combos`, required F_q-valued and of rank k.
+
+    Evaluation is injective (the generator's rank check), so the codewords
+    span the code exactly when their k-entry messages have rank k; the rank
+    is taken on those messages, not on the length-n rows.
+    """
+    messages = [gen.message(f) for f in combos]
+    rows = np.stack([gen.encode_message(m) for m in messages])
+    require((gen.tower.subfield_digit_np[rows] >= 0).all(),
+            "F_q basis row takes values outside the subfield")
+    require(linalg.rank(gen.tower, messages) == gen.spec.k,
+            f"F_q basis rows do not have rank k = {gen.spec.k}")
+    return rows
 
 
 # conjugation and automorphisms -----------------------------------------------

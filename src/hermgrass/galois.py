@@ -76,8 +76,6 @@ class FieldTower:
         self.subfield = tuple(x for x in range(self.qq) if self._pow(x, self.q) == x)
         if len(self.subfield) != self.q:
             raise AssertionError(f"subfield has {len(self.subfield)} elements, expected {self.q}")
-        self._subfield_pos = {x: i for i, x in enumerate(self.subfield)}
-        self._subfield_set = frozenset(self.subfield)
         self.subfield_np = np.array(self.subfield, dtype=np.uint8)
         # position in the sorted subfield list, -1 outside F_q
         self.subfield_digit_np = np.full(self.qq, -1, dtype=np.int64)
@@ -206,11 +204,7 @@ class FieldTower:
         return int(self.norm_np[a])
 
     def in_base_subfield(self, a: int) -> bool:
-        return a in self._subfield_set
-
-    def subfield_digit(self, a: int) -> int:
-        """Position of a in the sorted subfield list (a must lie in F_q)."""
-        return self._subfield_pos[a]
+        return 0 <= a < self.qq and bool(self.subfield_digit_np[a] >= 0)
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, e={self.e}, q={self.q})"

@@ -38,15 +38,6 @@ def zero_matrix(ell) -> Matrix:
     return tuple((0,) * ell for _ in range(ell))
 
 
-def identity_matrix(ell) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(ell)) for i in range(ell))
-
-
-def unit_matrix(ell, i, j, value=1) -> Matrix:
-    """E_{i,j} scaled: all zero except entry (i, j) (0-based)."""
-    return tuple(tuple(value if (r, c) == (i, j) else 0 for c in range(ell)) for r in range(ell))
-
-
 def elementary_row_add(ell, i, j, m) -> Matrix:
     """L_{i,j}(m) = I + m E_{i,j}: adds m times row j to row i (0-based)."""
     return tuple(

@@ -65,16 +65,3 @@ def combine(tower, rows, coeffs):
         return tower.mul_np[0][rows[0]] if len(rows) else np.uint8(0)
     return acc
 
-
-def solve_in_row_space(tower, R, pivots, target):
-    """Coefficients of target in the RREF basis R, or None if not in span.
-
-    Because R's pivot columns are unit vectors, the candidate coefficient
-    vector is just target restricted to the pivot positions; membership is
-    then an exact reconstruction check.
-    """
-    target = np.asarray(target, dtype=np.uint8)
-    y = target[pivots]
-    if np.array_equal(combine(tower, R, y), target):
-        return y
-    return None

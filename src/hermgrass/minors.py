@@ -50,11 +50,6 @@ def format_combination(f: dict) -> str:
     return " + ".join(parts)
 
 
-def conjugate_combination(tower, f: dict) -> dict:
-    """f_conj: coefficient f_{I,J}^q attached to the transposed minor (J, I)."""
-    return {(J, I): tower.conjugate(c) for (I, J), c in f.items() if c}
-
-
 def is_self_conjugate(tower, f: dict) -> bool:
     """True iff f_{I,J}^q = f_{J,I} for every pair; such f is F_q-valued on
     Hermitian matrices."""

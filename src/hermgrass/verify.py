@@ -29,6 +29,7 @@ from .codebuild import (
     position_entries,
     q_invariance_check,
     read_generator,
+    subfield_rows,
     translate_permutation,
     transpose_permutation,
     write_generator,
@@ -314,15 +315,7 @@ def check_distance_certifications(seed):
 
 def check_fq_basis_structure(seed):
     for ell, q in ((2, 2), (2, 3), (3, 2)):
-        gen = build_generator(FAMILY_HERMITIAN, ell, q)
-        tower = gen.tower
-        combos = fq_basis(ell, q)
-        rows = np.stack([gen.encode(f) for f in combos])
-        require(all(tower.in_base_subfield(int(v)) for v in np.unique(rows)))
-        require(linalg.rank(tower, rows) == gen.spec.k)
-        R, pivots, _ = linalg.rref(tower, rows)
-        for row in gen.rows:
-            require(linalg.solve_in_row_space(tower, R, pivots, row) is not None)
+        subfield_rows(build_generator(FAMILY_HERMITIAN, ell, q), fq_basis(ell, q))
     return "F_q-valued, full F_q-rank, spans the minor row space"
 
 

@@ -15,9 +15,9 @@ from hermgrass.codebuild import (
     generator_hermitian,
 )
 from hermgrass.errors import BudgetExceeded, NoneFoundWithinBound
-from hermgrass.galois import tower_for_q
-from hermgrass.hermitian import count_invertible, unit_matrix, zero_matrix
-from test_hermitian import matrices_at
+from hermgrass.galois import SUPPORTED_Q, tower_for_q
+from hermgrass.hermitian import count_invertible, zero_matrix
+from test_hermitian import matrices_at, unit_matrix
 
 
 def test_weight_and_distance():
@@ -311,6 +311,51 @@ def test_system_solution_count():
                 assert count <= q + 1
                 if i % 2 == 0:
                     assert count >= 1
+
+
+def oracle_hyperbolic_count(tower, a, b, lam):
+    """Scalar oracle: solutions (x1, x2) over F_q of (x1 + a)(x2 + b) = lam."""
+    count = 0
+    for x1 in tower.subfield:
+        u = tower.add(x1, a)
+        for x2 in tower.subfield:
+            if tower.mul(u, tower.add(x2, b)) == lam:
+                count += 1
+    return count
+
+
+def oracle_system_count(tower, a, b):
+    """Scalar oracle: X in F_{q^2}^n with x_i^(q+1) = a_i and
+    x_i x_j^q = b[i][j] for i != j."""
+    n = len(a)
+    count = 0
+    for X in itertools.product(range(tower.qq), repeat=n):
+        if all(tower.norm(X[i]) == a[i] for i in range(n)) and all(
+                tower.mul(X[i], tower.conjugate(X[j])) == b[i][j]
+                for i in range(n) for j in range(n) if i != j):
+            count += 1
+    return count
+
+
+def test_counts_match_scalar_oracles():
+    """The table counts equal the scalar loops on every case the verify
+    checks draw from: all (a, b, lam) for every q, and consistent and
+    inconsistent systems for n <= 3, q <= 4."""
+    for q in sorted(SUPPORTED_Q):
+        t = tower_for_q(q)
+        for a, b, lam in itertools.product(t.subfield, repeat=3):
+            assert an.hyperbolic_zero_count(t, a, b, lam) == oracle_hyperbolic_count(t, a, b, lam)
+    rng = random.Random(5)
+    counts = set()
+    for n in (1, 2, 3):
+        for q in (2, 3, 4):
+            t = tower_for_q(q)
+            for i in range(10):
+                a, b = an.random_system(t, n, rng, consistent=(i % 2 == 0))
+                count = an.system_solution_count(t, a, b)
+                assert count == oracle_system_count(t, a, b)
+                counts.add(count)
+    assert 0 in counts and max(counts) > 1
 
 
 def test_classify_weights_l2():

@@ -27,6 +27,7 @@ from hermgrass.codebuild import (
     read_codewords,
     read_generator,
     subfield_generator_element,
+    subfield_rows,
     translate_permutation,
     transpose_permutation,
     write_codewords,
@@ -34,8 +35,8 @@ from hermgrass.codebuild import (
 )
 from hermgrass.errors import BudgetExceeded
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
-from hermgrass.hermitian import decode, identity_matrix, unit_matrix, zero_matrix
-from test_hermitian import matrices_at
+from hermgrass.hermitian import decode, zero_matrix
+from test_hermitian import identity_matrix, matrices_at, unit_matrix
 from test_minors import eval_minor
 
 
@@ -123,6 +124,19 @@ def test_fq_basis_structure():
         assert linalg.rank(t, rows) == gen.spec.k
 
 
+def test_subfield_rows_fails_closed():
+    """subfield_rows returns the codewords of a basis, and rejects a repeated
+    combination (rank k - 1) and a row scaled outside F_q."""
+    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
+    combos = fq_basis(2, 3)
+    assert np.array_equal(subfield_rows(gen, combos), [gen.encode(f) for f in combos])
+    with pytest.raises(AssertionError, match=r"^F_q basis rows do not have rank k = 6$"):
+        subfield_rows(gen, combos[:-1] + combos[:1])
+    outside = next(x for x in range(gen.tower.qq) if not gen.tower.in_base_subfield(x))
+    with pytest.raises(AssertionError, match="^F_q basis row takes values outside the subfield$"):
+        subfield_rows(gen, [mn.combo_scale(gen.tower, outside, combos[0])] + combos[1:])
+
+
 def test_conjugated_rows_are_codewords():
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
         gen = generator_hermitian(ell, q)
@@ -162,8 +176,8 @@ def test_message_alphabet():
         assert gen_h.scalars == tuple(range(t.qq))
         assert gen_a.scalars == t.subfield == tuple(sorted(t.subfield))
         assert gen_h.scalars[:2] == gen_a.scalars[:2] == (0, 1)
-        # the elimination kept from the rank check serves interpolation
-        assert len(gen_h.rref[1]) == gen_h.rank == gen_h.spec.k
+        # the pivots kept from the rank check serve interpolation
+        assert len(gen_h.pivots) == gen_h.rank == gen_h.spec.k
         f = {((1,), (2,)): 2 % t.qq, ((), ()): 1}
         assert gen_h.message(f) == [1, 0, 2 % t.qq, 0, 0, 0]
         assert gen_h.interpolate(gen_h.encode(f)) == {m: c for m, c in f.items() if c}

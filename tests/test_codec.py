@@ -61,11 +61,11 @@ def oracle_matrix_to_index(tower, ell, family, M):
         for (i, j) in reversed(upper_pairs(ell)):
             t = t * qq + M[i][j]
         for i in reversed(range(ell)):
-            t = t * q + tower.subfield_digit(M[i][i])
+            t = t * q + tower.subfield.index(M[i][i])
     else:
         for i in reversed(range(ell)):
             for j in reversed(range(ell)):
-                t = t * q + tower.subfield_digit(M[i][j])
+                t = t * q + tower.subfield.index(M[i][j])
     return t
 
 

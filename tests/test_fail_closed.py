@@ -53,6 +53,31 @@ def test_dual_word_check_fails_closed_under_optimize(run_optimized):
     assert "AssertionError" in proc.stderr
 
 
+def test_subfield_rows_fails_closed_under_optimize(run_optimized):
+    """A repeated basis combination (rank k - 1) and a row scaled outside F_q
+    must each make subfield_rows raise even under python -O."""
+    script = (
+        "assert False, 'asserts are live'\n"
+        "from hermgrass import minors as mn\n"
+        "from hermgrass.codebuild import build_generator, fq_basis, subfield_rows\n"
+        "gen = build_generator('hermitian', 2, 3)\n"
+        "basis = fq_basis(2, 3)\n"
+        "outside = next(x for x in range(9) if not gen.tower.in_base_subfield(x))\n"
+        "for bad in (basis[:-1] + basis[:1],\n"
+        "            [mn.combo_scale(gen.tower, outside, basis[0])] + basis[1:]):\n"
+        "    try:\n"
+        "        subfield_rows(gen, bad)\n"
+        "    except AssertionError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["F_q basis rows do not have rank k = 6",
+                                        "F_q basis row takes values outside the subfield"]
+
+
 def test_verify_dual_word():
     gen = build_generator(FAMILY_HERMITIAN, 2, 3)
     cert = an.dual_min_distance(gen)

@@ -123,6 +123,9 @@ def test_conjugate_is_involution_fixing_subfield():
         for x in range(t.qq):
             assert t.conjugate(t.conjugate(x)) == x
             assert (t.conjugate(x) == x) == t.in_base_subfield(x)
+        # out-of-range indices are outside F_q, not wrapped around
+        assert not t.in_base_subfield(-1)
+        assert not t.in_base_subfield(t.qq)
     # F_4: conjugate(alpha) = alpha^2 = alpha + 1, computed via the mul table
     t = make_field(2, 1)
     assert t.conjugate(2) == t.mul(2, 2) == 3
@@ -189,4 +192,4 @@ def test_subfield_is_sorted_and_closed():
             for b in t.subfield:
                 assert t.in_base_subfield(t.add(a, b))
                 assert t.in_base_subfield(t.mul(a, b))
-            assert t.subfield[t.subfield_digit(a)] == a
+            assert t.subfield[t.subfield_digit_np[a]] == a

@@ -11,15 +11,22 @@ from hermgrass.hermitian import (
     count_invertible_bruteforce,
     decode,
     encode,
-    identity_matrix,
     is_hermitian,
     rank_one_from_vector,
     translate,
     transpose,
-    unit_matrix,
     zero_matrix,
 )
 from hermgrass.linalg import rank
+
+
+def identity_matrix(ell):
+    return tuple(tuple(1 if i == j else 0 for j in range(ell)) for i in range(ell))
+
+
+def unit_matrix(ell, i, j, value=1):
+    """E_{i,j} scaled: all zero except entry (i, j) (0-based)."""
+    return tuple(tuple(value if (r, c) == (i, j) else 0 for c in range(ell)) for r in range(ell))
 
 
 def matrices_at(tower, ell, positions):
