@@ -15,11 +15,13 @@ Enumeration is projective, one message per scalar class (first nonzero
 digit 1): a mixed-radix Gray walk over the leading digits adds one scaled
 row per step and weighs a table of every combination of the trailing rows
 against it in one vectorized operation, on bit planes under XOR in
-characteristic 2.  That walk (`_walk`) is the only enumeration of
-combination weights: the minimum distance, the minimum weights stratified
-by maximal-minor size, the two-weight classification at ell = 2 and the
-ell = 3 reduced family are reductions of it.  Budgets are explicit;
-anything that would exceed them raises before doing work.
+characteristic 2.  That walk (`_walk`), laid out by one plan (`_plan`:
+the table digits, the projective heads, the `--threads` split), is the
+only enumeration of combination weights: the minimum distance, the minimum
+weights stratified by maximal-minor size, the two-weight classification at
+ell = 2 and the ell = 3 reduced family are reductions of it.  Every walk
+is bounded by one message budget (`budget_messages`); anything that would
+exceed a budget raises before doing work.
 
 Dual distance works on the generator's columns as one array: a column or
 pair sum is keyed by its projective normal form (`_projective_keys`), t = 1
@@ -65,8 +67,7 @@ from .hermitian import (
     zero_matrix,
 )
 
-DEFAULT_BUDGET_EXHAUSTIVE = 2**24
-DEFAULT_BUDGET_SUBFIELD = 2**26
+DEFAULT_BUDGET_MESSAGES = 2**24
 DEFAULT_BUDGET_PAIRS = 2**23
 DEFAULT_BUDGET_POSITIONS = 2**22
 DEFAULT_SEED = 987654321
@@ -79,12 +80,8 @@ def _env_budget(name, default):
     return int(value) if value else default
 
 
-def budget_exhaustive():
-    return _env_budget("HERMGRASS_BUDGET_MESSAGES", DEFAULT_BUDGET_EXHAUSTIVE)
-
-
-def budget_subfield():
-    return _env_budget("HERMGRASS_BUDGET_SUBFIELD", DEFAULT_BUDGET_SUBFIELD)
+def budget_messages():
+    return _env_budget("HERMGRASS_BUDGET_MESSAGES", DEFAULT_BUDGET_MESSAGES)
 
 
 def budget_pairs():
@@ -217,15 +214,36 @@ def _additive_form(tower, rows, scalars):
     return np.asarray, lambda a, b: tower.add_np[a, b], weigh
 
 
-def _table_digits(tower, rows, scalars, most=None):
-    """How many trailing digits (at most `most`) go into the table that each
-    walk step weighs at once: the most whose table fits in TABLE_BYTES."""
-    k = len(rows) if most is None else most
-    row_bytes = _additive_form(tower, rows, scalars)[0](rows[0]).nbytes
-    return next((t for t in range(k, 0, -1) if len(scalars) ** t * row_bytes <= TABLE_BYTES), 0)
+def _plan(tower, rows, scalars, lead, threads=1):
+    """(form, kt, jobs): how a walk covers the messages whose first `lead`
+    digits are not all zero, one per scalar class.
+
+    form is the `_additive_form` of the walk; the table takes the last kt
+    digits, the most that fit in TABLE_BYTES, and never a lead digit unless
+    lead = k, where the one all-zero head puts the zero message into the
+    table for the reducer to mask.  The projective heads (0,)*i + (1,) over
+    the lead digits, refined by ceil(log_r threads) more digits for
+    threads > 1, are dealt round-robin into at most `threads` jobs, longest
+    walks first.
+    """
+    form = _additive_form(tower, rows, scalars)
+    k, r = len(rows), len(scalars)
+    row_bytes = form[0](rows[0]).nbytes
+    most = k if lead == k else k - lead
+    kt = next((t for t in range(most, 0, -1) if r**t * row_bytes <= TABLE_BYTES), 0)
+    h = min(lead, k - kt)
+    heads = [(0,) * i + (1,) for i in range(h)]
+    if threads > 1:
+        m = next(m for m in itertools.count(1) if r**m >= threads)
+        heads = [head + tail for head in heads
+                 for tail in itertools.product(range(r), repeat=min(m, k - kt - len(head)))]
+    if h < lead:
+        heads.append((0,) * h)
+    heads.sort(key=len)
+    return form, kt, [heads[t::threads] for t in range(threads) if heads[t::threads]]
 
 
-def _walk(tower, rows, scalars, kt, heads):
+def _walk(tower, rows, scalars, form, kt, heads):
     """The engine: yields (head, walked, weights) for each Gray state.
 
     The messages covered are those whose leading digits extend one of
@@ -234,7 +252,7 @@ def _walk(tower, rows, scalars, kt, heads):
     the message completed by the i-th combination, in lexicographic digit
     order, of the last kt rows.
     """
-    pack, add, weigh = _additive_form(tower, rows, scalars)
+    pack, add, weigh = form
     kw = len(rows) - kt
     r = len(scalars)
     # lexicographic digit order: prepend one digit (the most significant) per level
@@ -253,74 +271,71 @@ def _walk(tower, rows, scalars, kt, heads):
             yield head, walked, weigh(table, state)
 
 
-def _least_weight(tower, rows, scalars, kt, heads):
-    """Least (weight, digits) over the nonzero messages `_walk` covers."""
+def _least_weight(tower, rows, scalars, kt, heads, form=None):
+    """Least (weight, digits) over the nonzero messages `_walk` covers; a
+    worker process, which is passed no form, builds its own."""
+    form = form or _additive_form(tower, rows, scalars)
     best = (rows.shape[1] + 1,)
-    for head, walked, weights in _walk(tower, rows, scalars, kt, heads):
+    for head, walked, weights in _walk(tower, rows, scalars, form, kt, heads):
         if not any(head):
             weights[0] = rows.shape[1] + 1  # the zero message
         i = int(np.argmin(weights))
         if weights[i] <= best[0]:
             tail = tuple(map(int, np.unravel_index(i, (len(scalars),) * kt)))
-            best = min(best, (int(weights[i]), tuple(head) + tuple(walked) + tail))
+            best = min(best, (int(weights[i]), head + tuple(walked) + tail))
     return best
 
 
-def _weights_by_digits(tower, rows, scalars, head):
-    """(digits, weight) of every message whose leading digits are `head`."""
+def _weights_by_digits(tower, rows, scalars):
+    """(digits, weight) of every message of two or more rows whose first
+    digit is 1."""
     rows = np.asarray(rows, dtype=np.uint8)
-    kt = _table_digits(tower, rows, scalars, len(rows) - len(head))
+    form, kt, [heads] = _plan(tower, rows, scalars, 1)
     tails = list(itertools.product(range(len(scalars)), repeat=kt))
-    for _, walked, weights in _walk(tower, rows, scalars, kt, [head]):
-        prefix = tuple(head) + tuple(walked)
+    for head, walked, weights in _walk(tower, rows, scalars, form, kt, heads):
+        prefix = head + tuple(walked)
         for tail, w in zip(tails, weights.tolist()):
             yield prefix + tail, w
 
 
-def min_weight_over_combinations(tower, rows, scalars, budget, threads=1):
-    """Minimum weight over all nonzero coefficient vectors (coefficients
-    drawn from scalars) of the given rows, with the lexicographically
-    smallest witness digit vector on ties.
+def min_weight_over_combinations(tower, rows, scalars, budget=None, threads=1, lead=None):
+    """Minimum weight over the coefficient vectors (coefficients drawn from
+    scalars) of the given rows whose first `lead` digits (default: all) are
+    not all zero, with the lexicographically smallest witness digit vector
+    on ties.
 
     Projective: only the messages whose first nonzero digit is 1 are
     weighed.  The scalars must form a field with scalars[0] = 0 and
     scalars[1] = 1; then every message is a scalar multiple of such a
     representative of equal weight, and the representative is the
     lexicographically smallest member of its class, so the result is the
-    minimum over all nonzero messages.
+    minimum over all the messages covered.
 
     Returns (weight, digits, messages_searched), messages_searched being
-    the r^k - 1 nonzero messages covered.
+    the (r^lead - 1) r^(k - lead) messages covered.  The r^k messages of
+    the rows are bounded by `budget` (default: `budget_messages()`).
     """
     rows = np.asarray(rows, dtype=np.uint8)
     scalars = [int(s) for s in scalars]
-    k = len(rows)
-    r = len(scalars)
+    k, r = len(rows), len(scalars)
+    lead = k if lead is None else lead
+    if not 1 <= lead <= k:
+        raise ValueError(f"lead must be in 1..{k}, got {lead}")
     if scalars[:2] != [0, 1]:
         raise ValueError("scalars must start with 0 and 1")
     if not set(tower.mul_np[np.ix_(scalars, scalars)].flat) <= set(scalars):
         raise ValueError("scalars are not closed under multiplication")
-    total = r**k
-    if total > budget:
-        raise BudgetExceeded(f"message space {r}^{k} = {total} exceeds budget {budget}")
-    kt = _table_digits(tower, rows, scalars)
-    kw = k - kt
-    heads = [(0,) * i + (1,) for i in range(kw)]
-    if threads > 1:
-        m = next(m for m in itertools.count(1) if r**m >= threads)
-        heads = [h + tail for h in heads
-                 for tail in itertools.product(range(r), repeat=min(m, kw - len(h)))]
-    if kt:
-        heads.append((0,) * kw)
-    if threads <= 1 or len(heads) < 2:
-        best = _least_weight(tower, rows, scalars, kt, heads)
+    budget = budget if budget is not None else budget_messages()
+    if r**k > budget:
+        raise BudgetExceeded(f"message space {r}^{k} = {r**k} exceeds budget {budget}")
+    form, kt, jobs = _plan(tower, rows, scalars, lead, threads)
+    if len(jobs) == 1:
+        best = _least_weight(tower, rows, scalars, kt, jobs[0], form)
     else:
-        heads.sort(key=len)  # longest walks first, dealt round-robin
-        jobs = [heads[t::threads] for t in range(threads) if heads[t::threads]]
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(jobs)) as pool:
             futures = [pool.submit(_least_weight, tower, rows, scalars, kt, job) for job in jobs]
             best = min(f.result() for f in futures)
-    return best[0], best[1], total - 1
+    return best[0], best[1], (r**lead - 1) * r ** (k - lead)
 
 
 # distance certificates --------------------------------------------------------
@@ -393,7 +408,6 @@ def _walk_certificate(gen: GeneratorMatrix, method, rows, combos, scalars, budge
 def min_distance_exhaustive(gen: GeneratorMatrix, budget: int | None = None,
                             threads: int = 1) -> DistanceCertificate:
     """Minimum weight over every nonzero message of the code's alphabet."""
-    budget = budget if budget is not None else budget_exhaustive()
     return _walk_certificate(gen, "ExhaustiveFull", gen.rows, [{m: 1} for m in gen.basis],
                              gen.scalars, budget, threads)
 
@@ -409,7 +423,6 @@ def min_distance_subfield(gen: GeneratorMatrix, basis: list | None = None,
     """
     if gen.spec.family != FAMILY_HERMITIAN:
         raise ValueError("subfield enumeration applies to the Hermitian family")
-    budget = budget if budget is not None else budget_subfield()
     combos = basis if basis is not None else fq_basis(gen.spec.ell, gen.spec.q)
     return _walk_certificate(gen, "ExhaustiveSubfield", subfield_rows(gen, combos), combos,
                              list(gen.tower.subfield), budget, threads)
@@ -640,7 +653,8 @@ def dual_support_families(gen: GeneratorMatrix, count: int = 50,
 def hyperbolic_zero_count(tower: FieldTower, a: int, b: int, lam: int) -> int:
     """Solutions over F_q of (x1 + a)(x2 + b) = lam: 2q - 1 when lam = 0,
     q - 1 otherwise.  Computed both by formula and by brute force; they must
-    agree."""
+    agree.  x1 -> x1 + a and x2 -> x2 + b are bijections of F_q, so neither
+    count depends on a or b: swapping them changes nothing."""
     for v in (a, b, lam):
         if not tower.in_base_subfield(v):
             raise ValueError("a, b, lam must lie in F_q")
@@ -718,7 +732,7 @@ def classify_weights_l2(q: int) -> dict:
     count_high = 0
     plus_ok = True
     minus_ok = True
-    for digits, w in _weights_by_digits(tower, rows, sub, (1,)):
+    for digits, w in _weights_by_digits(tower, rows, sub):
         f0, f11, s_a, s_b, f22 = (sub[d] for d in digits[1:])
         f12 = tower.add(tower.mul(s_a, alpha), tower.mul(s_b, alpha_q))
         weights_seen.add(w)
@@ -779,7 +793,7 @@ def verify_l3_bounds(q: int = 2) -> dict:
     det_alt_expansion = q**9 - q**8 + q**7 - 2 * q**6 - q**4 + q**3
     det_plus_expected = q**9 - q**8 - q**6 + q**5 + q**3
     weights = {tuple(tower.subfield[d] for d in digits[1:]): w
-               for digits, w in _weights_by_digits(tower, rows, tower.subfield, (1,))}
+               for digits, w in _weights_by_digits(tower, rows, tower.subfield)}
     weight_det = weights[(0, 0, 0, 0)]
     det_plus_weights = {weights[(0, 0, 0, c)] for c in tower.subfield if c}
     report = {
@@ -833,24 +847,17 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
     best = None
     count = 0
     if exhaustive:
-        budget = budget if budget is not None else budget_exhaustive()
         if self_conjugate_only:
             combos, scalars = fq_basis(ell, q), list(tower.subfield)
         else:
             combos, scalars = [{m: 1} for m in gen.basis], gen.scalars
-        total = len(scalars) ** gen.spec.k
-        if total > budget:
-            raise BudgetExceeded(f"message space {total} exceeds budget {budget}")
         # the class of a message is the largest minor size among its nonzero
-        # digits: projective heads over the size-k rows, smaller rows after
+        # digits: the size-k rows lead, and the smaller rows follow
         size = [len(next(iter(f))[0]) for f in combos]
         rows = np.stack([gen.encode(f) for f, z in zip(combos, size) if z == k]
                         + [gen.encode(f) for f, z in zip(combos, size) if z < k])
-        m = size.count(k)
-        r = len(scalars)
-        count = (r**m - 1) * r ** (len(rows) - m)
-        kt = _table_digits(tower, rows, scalars, len(rows) - m)
-        best = _least_weight(tower, rows, scalars, kt, [(0,) * i + (1,) for i in range(m)])[0]
+        best, _, count = min_weight_over_combinations(tower, rows, scalars, budget,
+                                                       lead=size.count(k))
     else:
         import random
 

@@ -255,8 +255,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        for read_budget in (an.budget_exhaustive, an.budget_subfield, an.budget_pairs,
-                            an.budget_positions):
+        for read_budget in (an.budget_messages, an.budget_pairs, an.budget_positions):
             read_budget()
         return _DISPATCH[args.command](args)
     except BudgetExceeded as exc:

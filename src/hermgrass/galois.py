@@ -66,98 +66,53 @@ class FieldTower:
             raise ValueError(f"no modulus available for (p, e) = ({p}, {e})")
         self.p = p
         self.e = e
-        self.q = p**e
-        self.qq = p ** (2 * e)
+        self.q = q = p**e
+        self.qq = qq = p ** (2 * e)
         self.modulus = MODULI[(p, e)]
+        deg = 2 * e
+        place = p ** np.arange(deg)
+        digits = np.arange(qq)[:, None] // place % p
+        # addition is digitwise mod p on the base-p encodings
+        self.add_np = ((digits[:, None] + digits[None]) % p @ place).astype(np.uint8)
 
-        self._build_tables()
+        # exp by powers of x, which must return to 1 first at step qq - 1.
+        # Times x shifts the digits up one place; a top digit c carried out
+        # is c x^deg = -c (modulus - x^deg), the index red[c].
+        top = p ** (deg - 1)
+        red = -np.outer(np.arange(p), self.modulus[:deg]) % p @ place
+        exp = np.empty(qq - 1, dtype=np.uint8)
+        cur = 1
+        for i in range(qq - 1):
+            if cur == 1 and i > 0:
+                raise AssertionError(f"modulus {self.modulus} over F_{p}: x has order {i}, not primitive")
+            exp[i] = cur
+            cur = int(self.add_np[cur % top * p, red[cur // top]])
+        if cur != 1:
+            raise AssertionError(f"modulus {self.modulus} over F_{p} is not irreducible")
+        log = np.zeros(qq, dtype=np.int64)
+        log[exp] = np.arange(qq - 1)
+        self._exp, self._log = exp, log
 
-        # F_q = fixed field of x -> x^q.
-        self.subfield = tuple(x for x in range(self.qq) if self._pow(x, self.q) == x)
-        if len(self.subfield) != self.q:
-            raise AssertionError(f"subfield has {len(self.subfield)} elements, expected {self.q}")
-        self.subfield_np = np.array(self.subfield, dtype=np.uint8)
+        # products of nonzero elements through the logs, behind a zero row
+        # (and column) for 0; -x = (p-1) * x is the identity at p = 2, and
+        # conjugation x -> x^q fixes exactly F_q
+        nonzero = log[1:]
+        self.mul_np = np.pad(exp[(nonzero[:, None] + nonzero) % (qq - 1)], (1, 0))
+        self.neg_np = self.mul_np[p - 1]
+        self.inv_np = np.pad(exp[-nonzero % (qq - 1)], (1, 0))
+        self.conj_np = np.pad(exp[nonzero * q % (qq - 1)], (1, 0))
+        self.trace_np = self.add_np[np.arange(qq), self.conj_np]
+        self.norm_np = self.mul_np[np.arange(qq), self.conj_np]
+        self.subfield_np = np.flatnonzero(self.conj_np == np.arange(qq)).astype(np.uint8)
+        if len(self.subfield_np) != q:
+            raise AssertionError(f"subfield has {len(self.subfield_np)} elements, expected {q}")
+        self.subfield = tuple(self.subfield_np.tolist())
         # position in the sorted subfield list, -1 outside F_q
-        self.subfield_digit_np = np.full(self.qq, -1, dtype=np.int64)
-        self.subfield_digit_np[self.subfield_np] = np.arange(self.q)
-
-        self.conj_np = np.array([self._pow(x, self.q) for x in range(self.qq)], dtype=np.uint8)
-        self.trace_np = self.add_np[np.arange(self.qq), self.conj_np]
-        self.norm_np = self.mul_np[np.arange(self.qq), self.conj_np]
+        self.subfield_digit_np = np.full(qq, -1, dtype=np.int64)
+        self.subfield_digit_np[self.subfield_np] = np.arange(q)
         for arr in (self.add_np, self.mul_np, self.neg_np, self.inv_np, self.conj_np,
                     self.trace_np, self.norm_np, self.subfield_np, self.subfield_digit_np):
             arr.setflags(write=False)
-
-    def _build_tables(self):
-        p, e, qq = self.p, self.e, self.qq
-        deg = 2 * e
-
-        def poly_of(idx):
-            digits = []
-            for _ in range(deg):
-                digits.append(idx % p)
-                idx //= p
-            return digits
-
-        def idx_of(poly):
-            out = 0
-            for d in reversed(poly):
-                out = out * p + d
-            return out
-
-        def mul_by_x(poly):
-            # multiply by x and reduce by the monic modulus
-            lead = poly[-1]
-            out = [0] + poly[:-1]
-            if lead:
-                for i in range(deg):
-                    out[i] = (out[i] - lead * self.modulus[i]) % p
-            return out
-
-        # exp/log by powers of x; the walk must return to 1 first at step qq-1
-        exp = [0] * (qq - 1)
-        log = [0] * qq
-        cur = poly_of(1)
-        for i in range(qq - 1):
-            v = idx_of(cur)
-            if v == 1 and i > 0:
-                raise AssertionError(f"modulus {self.modulus} over F_{p}: x has order {i}, not primitive")
-            exp[i] = v
-            log[v] = i
-            cur = mul_by_x(cur)
-        if idx_of(cur) != 1:
-            raise AssertionError(f"modulus {self.modulus} over F_{p} is not irreducible")
-        self._exp = exp
-        self._log = log
-
-        # addition is digitwise mod p on the base-p encodings
-        idx = np.arange(qq)
-        digits = np.empty((qq, deg), dtype=np.int64)
-        rest = idx.copy()
-        for i in range(deg):
-            digits[:, i] = rest % p
-            rest //= p
-        summed = (digits[:, None, :] + digits[None, :, :]) % p
-        weights = p ** np.arange(deg)
-        self.add_np = (summed * weights).sum(axis=2).astype(np.uint8)
-
-        mul = np.zeros((qq, qq), dtype=np.uint8)
-        for a in range(1, qq):
-            la = log[a]
-            for b in range(1, qq):
-                mul[a, b] = exp[(la + log[b]) % (qq - 1)]
-        self.mul_np = mul
-
-        # -x = (p-1) * x; the constant p-1 has index p-1 (negation is the
-        # identity in characteristic 2)
-        if p == 2:
-            self.neg_np = np.arange(qq, dtype=np.uint8)
-        else:
-            self.neg_np = mul[p - 1].copy()
-        inv = np.zeros(qq, dtype=np.uint8)
-        for a in range(1, qq):
-            inv[a] = exp[(qq - 1 - log[a]) % (qq - 1)]
-        self.inv_np = inv
 
     # scalar operations -------------------------------------------------
 
@@ -178,18 +133,15 @@ class FieldTower:
             raise ZeroDivisionError("inverse of 0")
         return int(self.inv_np[a])
 
-    def _pow(self, a: int, n: int) -> int:
-        if n == 0:
-            return 1
-        if a == 0:
-            return 0
-        return self._exp[(self._log[a] * n) % (self.qq - 1)]
-
     def pow(self, a: int, n: int) -> int:
         """a^n for n >= 0, with a^0 = 1 (including 0^0)."""
         if n < 0:
             return self.pow(self.inv(a), -n)
-        return self._pow(a, n)
+        if n == 0:
+            return 1
+        if a == 0:
+            return 0
+        return int(self._exp[int(self._log[a]) * n % (self.qq - 1)])
 
     def conjugate(self, a: int) -> int:
         """The involutive automorphism a -> a^q; fixes exactly F_q."""

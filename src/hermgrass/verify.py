@@ -103,13 +103,12 @@ def check_enumeration_bijectivity(seed):
 
 def check_invertible_counts(seed):
     cases = [(1, q) for q in sorted(SUPPORTED_Q)] + [(2, q) for q in (2, 3, 4, 5)] + [(3, 2), (3, 3)]
-    for ell, q in cases:
-        t = tower_for_q(q)
+    brute = {(ell, q): count_invertible_bruteforce(tower_for_q(q), ell) for ell, q in cases}
+    for (ell, q), count in brute.items():
         formula = count_invertible(ell, q)
-        brute = count_invertible_bruteforce(t, ell)
-        require(formula == brute,
-                f"(ell={ell}, q={q}): formula {formula} != brute {brute}")
-    return f"formula = brute force on {len(cases)} cases, incl. 10 at (2,2) and 280 at (3,2)"
+        require(formula == count, f"(ell={ell}, q={q}): formula {formula} != brute {count}")
+    return (f"formula = brute force on {len(cases)} cases, "
+            f"incl. {brute[2, 2]} at (2,2) and {brute[3, 2]} at (3,2)")
 
 
 def check_hyperbolic_counts(seed):
@@ -150,7 +149,7 @@ def check_two_weight_classifier(seed):
 def check_l3_reduced_family(seed):
     r = an.verify_l3_bounds(2)
     return (
-        f"16 members >= {r['bound']}; weight(det) = {r['weight_det']} "
+        f"{r['family_size']} members >= {r['bound']}; weight(det) = {r['weight_det']} "
         f"(product form {r['weight_det_product_form']}, alt expansion "
         f"{r['weight_det_alt_expansion']} matches: {r['weight_det_matches_alt_expansion']}); "
         f"weight(det+c) = {r['weight_det_plus_const']}"
@@ -310,7 +309,7 @@ def check_distance_certifications(seed):
         require(cert.d == an.distance_hermitian_formula(ell, q))
     w = an.weight_of_function(an.distance_formula(FAMILY_HERMITIAN, 3, 2)[1], 3, 2)
     require(w == 192)
-    return "; ".join(details) + "; witness weight at (3,2) = 192"
+    return "; ".join(details) + f"; witness weight at (3,2) = {w}"
 
 
 def check_fq_basis_structure(seed):

@@ -32,6 +32,17 @@ def test_min_weight_by_max_minor_pinned(q, sc):
     assert got == STRATA[(q, sc)]
 
 
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("sc", [False, True])
+def test_strata_account_for_every_nonzero_message(q, sc):
+    """The k = 0, 1, 2 strata walk disjoint message sets that together are
+    every nonzero message over the r = q (self-conjugate) or q^2 scalars."""
+    r = q if sc else q * q
+    examined = [an.min_weight_by_max_minor(2, k, q, self_conjugate_only=sc)["functions_examined"]
+                for k in (0, 1, 2)]
+    assert sum(examined) == r**6 - 1
+
+
 def strata_brute_force(q, self_conjugate):
     """{k: (count, min weight)} over every nonzero ell = 2 combination (or
     every self-conjugate one), classed by the sizes of its maximal minors."""
@@ -83,14 +94,14 @@ def test_classify_weights_l2_q4_pinned():
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("table_bytes", [0, 300, an.TABLE_BYTES])
 def test_weights_by_digits_equals_brute_force(q, table_bytes):
-    """Every message under the head (1,) once, with the weight its digits
+    """Every message with first digit 1 once, with the weight its digits
     give as a plain sum of scaled rows, wherever the table split falls."""
     gen = build_generator(FAMILY_HERMITIAN, 2, q)
     tower = gen.tower
     rows = list(gen.rows[::-1][:4])
     scalars = list(tower.subfield)
     with mock.patch.object(an, "TABLE_BYTES", table_bytes):
-        got = sorted(an._weights_by_digits(tower, rows, scalars, (1,)))
+        got = sorted(an._weights_by_digits(tower, rows, scalars))
     expected = []
     for digits in itertools.product(range(q), repeat=len(rows) - 1):
         digits = (1,) + digits

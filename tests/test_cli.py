@@ -1,5 +1,8 @@
 import json
+import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,13 +176,39 @@ def test_gen_read_back_mismatch_exits_1(tmp_path, capsys, monkeypatch):
 
 
 def test_budget_env_malformed(capsys, monkeypatch):
-    monkeypatch.setenv("HERMGRASS_BUDGET_SUBFIELD", "12x")
-    with pytest.raises(ValueError, match="HERMGRASS_BUDGET_SUBFIELD"):
-        an.budget_subfield()
+    monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "12x")
+    with pytest.raises(ValueError, match="HERMGRASS_BUDGET_MESSAGES"):
+        an.budget_messages()
     code, out, err = run(capsys, "mindist", "--q", "3", "--ell", "2", "--method", "subfield")
     assert code == 2
     assert out == ""
-    assert "HERMGRASS_BUDGET_SUBFIELD must be a non-negative integer, got '12x'" in err
+    assert "HERMGRASS_BUDGET_MESSAGES must be a non-negative integer, got '12x'" in err
+
+
+def test_message_budget_variable_bounds_the_default_mindist(capsys, monkeypatch):
+    """The subfield walk, which `mindist` runs by default on the Hermitian
+    family, reads the same message budget as the flag."""
+    monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "100")
+    code, out, err = run(capsys, "mindist", "--q", "3", "--ell", "2")
+    assert code == 3
+    assert out == ""
+    assert "exceeds budget 100" in err
+
+
+def test_desk_cells_are_the_cells_within_the_message_budget():
+    for ell in (2, 3):
+        for q in cli.TABLE_Q:
+            fits = q ** math.comb(2 * ell, ell) <= an.DEFAULT_BUDGET_MESSAGES
+            assert ((ell, q) in cli.DESK_CERTIFIED) == fits, (ell, q)
+
+
+def test_readme_names_the_budget_variables_src_reads():
+    root = Path(__file__).resolve().parents[1]
+    readme = set(re.findall(r"HERMGRASS_\w+", (root / "README.md").read_text()))
+    src = {name for path in (root / "src" / "hermgrass").glob("*.py")
+           for name in re.findall(r'_env_budget\("(HERMGRASS_\w+)"', path.read_text())}
+    assert readme == src == {"HERMGRASS_BUDGET_MESSAGES", "HERMGRASS_BUDGET_SUBSETS",
+                             "HERMGRASS_BUDGET_POSITIONS"}
 
 
 def test_dualdist(capsys):

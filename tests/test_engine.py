@@ -168,6 +168,41 @@ def test_threaded_engine_equals_brute_force(case):
     assert (w, digits) == brute_force(tower, rows, scalars)
 
 
+def brute_force_lead(tower, rows, scalars, lead):
+    """Least (weight, digits) over the digit vectors whose first `lead`
+    digits are not all zero."""
+    best = None
+    for digits in itertools.product(range(len(scalars)), repeat=len(rows)):
+        if any(digits[:lead]):
+            word = np.zeros(len(rows[0]), dtype=np.uint8)
+            for d, row in zip(digits, rows):
+                word = tower.add_np[word, tower.mul_np[scalars[d]][row]]
+            cand = (int(np.count_nonzero(word)), digits)
+            if best is None or cand < best:
+                best = cand
+    return best
+
+
+@pytest.mark.parametrize("table_bytes", [0, 100, an.TABLE_BYTES])
+def test_lead_walk_is_the_same_on_two_threads(table_bytes):
+    """A walk over the messages of 6 rows over F_4 with a nonzero among
+    their first 2 digits: one process and two give the brute-force least
+    word and count (r^2 - 1) r^4 messages.  The 2 lead rows are dense and
+    the 4 others unit vectors, so a walk that let the zero lead in would
+    find weight 1."""
+    tower = tower_for_q(2)
+    rows = np.array([[1] * 8, [1, 2, 3, 1, 2, 3, 1, 2]] + np.eye(4, 8, dtype=int).tolist(),
+                    dtype=np.uint8)
+    scalars = list(range(4))
+    with mock.patch.object(an, "TABLE_BYTES", table_bytes):
+        one = an.min_weight_over_combinations(tower, rows, scalars, BIG, lead=2)
+        two = an.min_weight_over_combinations(tower, rows, scalars, BIG, threads=2, lead=2)
+    assert one == two
+    assert one[:2] == brute_force_lead(tower, rows, scalars, 2)
+    assert one[0] > 1
+    assert one[2] == (4**2 - 1) * 4**4
+
+
 # fail closed ------------------------------------------------------------------
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -193,3 +195,27 @@ def test_subfield_is_sorted_and_closed():
                 assert t.in_base_subfield(t.add(a, b))
                 assert t.in_base_subfield(t.mul(a, b))
             assert t.subfield[t.subfield_digit_np[a]] == a
+
+
+# sha256 over the bytes of add_np, mul_np, neg_np, inv_np, conj_np and
+# subfield_digit_np, in that order, recorded from the scalar polynomial
+# construction the array arithmetic replaced.  The indices are the file
+# encoding, so every table is normative.
+TABLE_DIGESTS = {
+    2: "986126dbd200bb8d86a43fd68671c7b445663f154466a1874135e19472de279c",
+    3: "af63f78894e2445aa59c112f47fbe1d7582d60978df33908c036a3bb0c4d06a2",
+    4: "c50f458e8c0c0c7df4f18805592b2d4996b6e06c22a5a3b500ad056d55bcec12",
+    5: "c69c9924cabb0c75383600f613b0aa5c580da73b990c5bd1f7bc04c5d10fd511",
+    7: "99c53ec2f7e3d7b52280174f61eab67a06b1afa18ed86312302e6c53ad41647b",
+    8: "9f018df59846936a6fe7fa5f4f1050a62af698dcb2928d0cb8b39c83ff74f534",
+    9: "49a4d8ba9cb8dcdef26217e81eef6c19643f330e074f0e2cb8dc4bbf4b72c784",
+}
+
+
+@pytest.mark.parametrize("q", sorted(TABLE_DIGESTS))
+def test_tables_are_pinned(q):
+    t = tower_for_q(q)
+    digest = hashlib.sha256()
+    for table in (t.add_np, t.mul_np, t.neg_np, t.inv_np, t.conj_np, t.subfield_digit_np):
+        digest.update(table.tobytes())
+    assert digest.hexdigest() == TABLE_DIGESTS[q]
