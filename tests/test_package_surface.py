@@ -3,6 +3,7 @@ exported from `__init__`, or on a short list of public API; helpers that only
 tests call live in `tests/`."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hermgrass"
@@ -21,23 +22,31 @@ def definitions(tree):
                     yield f"{node.name}.{item.name}", item
 
 
-def referenced_names(trees, outside):
-    """Names loaded as a bare name or an attribute anywhere in the trees,
-    except inside the node `outside`."""
-    skip = {id(n) for n in ast.walk(outside)}
-    return {n.id if isinstance(n, ast.Name) else n.attr
-            for tree in trees for n in ast.walk(tree)
-            if id(n) not in skip and isinstance(n, (ast.Name, ast.Attribute))}
+def references(node, owner=None):
+    """(name, enclosing definition) for each bare name or attribute under the
+    node, in one walk; the definition is the outermost function or method
+    the name sits in, or None at module or class level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name):
+            yield child.id, owner
+        elif isinstance(child, ast.Attribute):
+            yield child.attr, owner
+        inner = child if owner is None and isinstance(child, ast.FunctionDef) else owner
+        yield from references(child, inner)
 
 
 def unused_definitions():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     exported = {alias.name for node in trees.pop("__init__").body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
+    owners = defaultdict(set)
+    for tree in trees.values():
+        for name, owner in references(tree):
+            owners[name].add(owner)
     return [f"{module}.{name}" for module, tree in trees.items()
             for name, node in definitions(tree)
             if node.name not in exported and f"{module}.{name}" not in PUBLIC_API
-            and node.name not in referenced_names(trees.values(), node)]
+            and not owners[node.name] - {node}]
 
 
 def test_every_definition_is_used_exported_or_public():
