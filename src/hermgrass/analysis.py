@@ -262,7 +262,7 @@ def _walk(tower, rows, scalars, form, kt, heads):
                                           for c in scalars[1:]])
     for head in heads:
         h = len(head)
-        state = pack(linalg.combine(tower, rows, [scalars[d] for d in head]))
+        state = pack(linalg.combine(tower, rows[:h or 1], [scalars[d] for d in head]))
         walked = [0] * (kw - h)
         yield head, walked, weigh(table, state)
         for j, old, new, walked in gray_steps(r, kw - h):
@@ -400,7 +400,7 @@ def _walk_certificate(gen: GeneratorMatrix, method, rows, combos, scalars, budge
     tower = gen.tower
     w, digits, searched = min_weight_over_combinations(tower, rows, scalars, budget, threads)
     message = linalg.combine(tower, [gen.message(f) for f in combos], [scalars[d] for d in digits])
-    witness = {m: int(c) for m, c in zip(gen.basis, message) if c}
+    witness = gen.combination(message)
     require(weight(gen.encode(witness)) == w, f"witness does not attain the searched weight {w}")
     return DistanceCertificate(gen.spec, w, method, witness, searched, gen.header())
 
@@ -841,6 +841,8 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
     """
     if not 0 <= k <= ell:
         raise ValueError("need 0 <= k <= ell")
+    if samples < 1:
+        raise ValueError(f"need samples >= 1, got {samples}")
     tower = tower_for_q(q)
     gen = build_generator(FAMILY_HERMITIAN, ell, q)
     exhaustive = ell == 2 and q <= 3
@@ -913,9 +915,9 @@ def translation_clearing_matrix(tower: FieldTower, ell: int, f: dict, I: tuple):
 
 
 def verify_translation_clearing(gen: GeneratorMatrix, f: dict, I: tuple) -> bool:
-    """Translate f by the clearing matrix and check (via interpolation of the
-    permuted codeword) that no (|I|-1)-minor with rows and columns inside I
-    survives in the support."""
+    """Translate f, scaled to det coefficient 1, by the clearing matrix and
+    check (on its message, under the translation's action) that no
+    (|I|-1)-minor with rows and columns inside I survives in the support."""
     tower = gen.tower
     ell = gen.spec.ell
     I = tuple(sorted(I))
@@ -923,13 +925,11 @@ def verify_translation_clearing(gen: GeneratorMatrix, f: dict, I: tuple) -> bool
         raise ValueError("f must be self-conjugate")
     if (I, I) not in mn.maximal_minors(f):
         raise ValueError(f"the principal minor on {I} is not maximal in f")
-    c = f[(I, I)]
-    if c != 1:
-        f = mn.combo_scale(tower, tower.inv(c), f)
-    H = translation_clearing_matrix(tower, ell, f, I)
+    message = tower.mul_np[tower.inv(f[(I, I)])][gen.message(f)]
+    H = translation_clearing_matrix(tower, ell, gen.combination(message), I)
     require(is_hermitian(tower, H), "clearing matrix is not Hermitian")
-    perm = translate_permutation(tower, ell, H)
-    translated = gen.interpolate(np.asarray(gen.encode(f))[perm])
+    action = gen.action(translate_permutation(tower, ell, H))
+    translated = gen.combination(linalg.combine(tower, action, message))
     si = set(I)
     target = len(I) - 1
     for (Ip, Jp) in mn.support(translated):
@@ -944,7 +944,7 @@ def verify_translation_clearing(gen: GeneratorMatrix, f: dict, I: tuple) -> bool
 def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     """One spread-reduction move: relabel rows/columns so the chosen maximal
     minor of minimal spread sits at I = [k], J = {s-k+1..s}, then apply the
-    congruence by I + lambda E_{1,s} and interpolate.
+    congruence by I + lambda E_{1,s}, both as actions on the message of f.
 
     Returns (f_new, info); f_new has identical weight (both transforms are
     position permutations) and its support contains a size-k minor of
@@ -975,9 +975,8 @@ def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     P = tuple(
         tuple(1 if pi[i + 1] == j + 1 else 0 for j in range(ell)) for i in range(ell)
     )
-    c = np.asarray(gen.encode(f))
-    c1 = c[congruence_permutation(tower, ell, P)]
-    f1 = gen.interpolate(c1)
+    m1 = linalg.combine(tower, gen.action(congruence_permutation(tower, ell, P)), gen.message(f))
+    f1 = gen.combination(m1)
     I1 = tuple(range(1, k + 1))
     J1 = tuple(range(s - k + 1, s + 1))
     a = f1.get((I1, J1), 0)
@@ -992,8 +991,8 @@ def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     if lam is None:
         raise NoValidLambda("no scalar keeps the reduced minor alive")
     A = elementary_row_add(ell, 0, s - 1, lam)
-    c2 = c1[congruence_permutation(tower, ell, A)]
-    f2 = gen.interpolate(c2)
+    m2 = linalg.combine(tower, gen.action(congruence_permutation(tower, ell, A)), m1)
+    f2 = gen.combination(m2)
     reduced = (I1, tuple(sorted(set(J1) - {s} | {1})))
     require(f2.get(reduced, 0), "spread reduction did not produce the expected minor")
     info = {

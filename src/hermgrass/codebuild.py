@@ -9,8 +9,8 @@ of the family's normative order, as defined by the position codec
 
 Also here: the F_q row basis of the Hermitian code and its check
 (`subfield_rows`), membership and interpolation against a generator,
-positionwise conjugation, automorphism permutations, and the
-matrix/codeword file formats.
+positionwise conjugation, automorphism permutations and their actions on
+messages, and the matrix/codeword file formats.
 """
 
 from __future__ import annotations
@@ -156,10 +156,19 @@ class GeneratorMatrix:
         except NotInCode:
             return False
 
+    def combination(self, message) -> dict:
+        """The minor combination of a length-k message; the inverse of `message`."""
+        return {m: int(v) for m, v in zip(self.basis, message) if v}
+
     def interpolate(self, codeword) -> dict:
         """The unique minor combination evaluating to the codeword."""
-        message = self.coefficients_of(codeword)
-        return {m: int(v) for m, v in zip(self.basis, message) if v}
+        return self.combination(self.coefficients_of(codeword))
+
+    def action(self, perm) -> np.ndarray:
+        """k x k matrix Mat with word(m)[perm] == word(combine(Mat, m)): row i
+        is the message of rows[i, perm], which `coefficients_of` re-encodes, so
+        a permutation that does not map the code to itself raises NotInCode."""
+        return np.stack([self.coefficients_of(row[perm]) for row in self.rows])
 
 
 _GEN_CACHE: dict = {}
@@ -267,7 +276,9 @@ def _position_permutation(tower: FieldTower, ell: int, act) -> np.ndarray:
 
 
 def congruence_permutation(tower: FieldTower, ell: int, A) -> np.ndarray:
-    """Position permutation of H -> A* H A."""
+    """Position permutation of H -> A* H A for invertible A."""
+    if linalg.rank(tower, A) != ell:
+        raise ValueError("congruence requires an invertible matrix")
     return _position_permutation(tower, ell, lambda H: congruence(tower, A, H))
 
 

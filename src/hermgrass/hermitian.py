@@ -143,10 +143,8 @@ def det_vectors(tower, sub):
 
 
 def congruence(tower, A, H) -> Matrix:
-    """A* H A for invertible A, computed as A* (H A); the entries of H are
-    elements or entry arrays, and so are those of the image."""
-    if linalg.rank(tower, A) != len(H):
-        raise ValueError("congruence requires an invertible matrix")
+    """A* H A, computed as A* (H A); the entries of H are elements or entry
+    arrays, and so are those of the image."""
     idx = range(len(A))
     HA = [[linalg.combine(tower, H[r], [A[s][j] for s in idx]) for j in idx] for r in idx]
     A_star = [[tower.conjugate(A[r][i]) for r in idx] for i in idx]

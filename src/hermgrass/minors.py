@@ -20,8 +20,6 @@ Minor = tuple  # ((i1, i2, ...), (j1, j2, ...)), 1-based, sorted
 
 MAX_ELL = 4
 
-EMPTY_MINOR = ((), ())
-
 
 def basis(ell: int) -> list:
     """All binom(2*ell, ell) minors in canonical order, empty minor first."""
@@ -81,12 +79,6 @@ def maximal_minors(f: dict) -> set:
 def spread(minor: Minor) -> int:
     I, J = minor
     return len(set(I) | set(J))
-
-
-def combo_scale(tower, c: int, f: dict) -> dict:
-    if c == 0:
-        return {}
-    return {m: tower.mul(c, v) for m, v in f.items() if v}
 
 
 def random_combination(tower, ell: int, rng, self_conjugate: bool = False) -> dict:

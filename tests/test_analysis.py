@@ -401,6 +401,18 @@ def test_min_weight_by_max_minor():
     assert r_sc["functions_examined"] == 2**3 * 4  # f0, f11, f22 in F_2; f12 in F_4
 
 
+def test_min_weight_by_max_minor_rejects_no_samples(monkeypatch):
+    """samples < 1 is refused before any build, at k = ell (which compared
+    None with the bound) and at k < ell (which reported min_weight None)."""
+    def no_build(*args):
+        raise AssertionError("built a generator")
+
+    monkeypatch.setattr(an, "build_generator", no_build)
+    for k, samples in [(3, 0), (2, 0), (3, -1)]:
+        with pytest.raises(ValueError, match=f"^need samples >= 1, got {samples}$"):
+            an.min_weight_by_max_minor(3, k, 2, samples=samples)
+
+
 def test_translation_clearing():
     g22 = generator_hermitian(2, 2)
     assert an.verify_translation_clearing(g22, {((1, 2), (1, 2)): 1}, (1, 2))

@@ -134,7 +134,8 @@ def test_subfield_rows_fails_closed():
         subfield_rows(gen, combos[:-1] + combos[:1])
     outside = next(x for x in range(gen.tower.qq) if not gen.tower.in_base_subfield(x))
     with pytest.raises(AssertionError, match="^F_q basis row takes values outside the subfield$"):
-        subfield_rows(gen, [mn.combo_scale(gen.tower, outside, combos[0])] + combos[1:])
+        scaled = {m: gen.tower.mul(outside, v) for m, v in combos[0].items()}
+        subfield_rows(gen, [scaled] + combos[1:])
 
 
 def test_conjugated_rows_are_codewords():

@@ -211,12 +211,12 @@ def test_subfield_precondition_fails_closed_under_optimize(run_optimized):
     raise even under python -O, which strips assert statements."""
     script = (
         "assert False, 'asserts are live'\n"
-        "from hermgrass import analysis as an, minors as mn\n"
+        "from hermgrass import analysis as an\n"
         "from hermgrass.codebuild import build_generator, fq_basis\n"
         "gen = build_generator('hermitian', 2, 3)\n"
         "basis = fq_basis(2, 3)\n"
         "outside = next(x for x in range(9) if not gen.tower.in_base_subfield(x))\n"
-        "basis[0] = mn.combo_scale(gen.tower, outside, basis[0])\n"
+        "basis[0] = {m: gen.tower.mul(outside, v) for m, v in basis[0].items()}\n"
         "an.min_distance_subfield(gen, basis=basis)\n"
     )
     proc = run_optimized(script)

@@ -58,13 +58,12 @@ def test_subfield_rows_fails_closed_under_optimize(run_optimized):
     must each make subfield_rows raise even under python -O."""
     script = (
         "assert False, 'asserts are live'\n"
-        "from hermgrass import minors as mn\n"
         "from hermgrass.codebuild import build_generator, fq_basis, subfield_rows\n"
         "gen = build_generator('hermitian', 2, 3)\n"
         "basis = fq_basis(2, 3)\n"
         "outside = next(x for x in range(9) if not gen.tower.in_base_subfield(x))\n"
         "for bad in (basis[:-1] + basis[:1],\n"
-        "            [mn.combo_scale(gen.tower, outside, basis[0])] + basis[1:]):\n"
+        "            [{m: gen.tower.mul(outside, v) for m, v in basis[0].items()}] + basis[1:]):\n"
         "    try:\n"
         "        subfield_rows(gen, bad)\n"
         "    except AssertionError as exc:\n"

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from hermgrass.codebuild import congruence_permutation
 from hermgrass.galois import tower_for_q
 from hermgrass.hermitian import (
     FAMILY_HERMITIAN,
@@ -102,8 +103,8 @@ def test_congruence_identity_and_rank_preservation():
 
 def test_congruence_rejects_singular():
     t = tower_for_q(2)
-    with pytest.raises(ValueError):
-        congruence(t, zero_matrix(2), identity_matrix(2))
+    with pytest.raises(ValueError, match="^congruence requires an invertible matrix$"):
+        congruence_permutation(t, 2, ((1, 1), (1, 1)))
 
 
 def test_congruence_orbit_of_e11_is_all_rank_one():

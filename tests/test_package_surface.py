@@ -1,6 +1,6 @@
-"""Every top-level function and method of the package is used by the package,
-exported from `__init__`, or on a short list of public API; helpers that only
-tests call live in `tests/`."""
+"""Every top-level function, method and module-level name of the package is
+used by the package, exported from `__init__`, or on a short list of public
+API; helpers and constants that only tests use live in `tests/`."""
 
 import ast
 from collections import defaultdict
@@ -12,22 +12,30 @@ PUBLIC_API = {"analysis.distance", "galois.FieldTower.pow",
 
 
 def definitions(tree):
-    """(qualified name, node) of each top-level function and non-dunder method."""
+    """(qualified name, bare name, node) of each top-level function,
+    non-dunder method and non-dunder name assigned at module level."""
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
-            yield node.name, node
+            yield node.name, node.name, node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
-                    yield f"{node.name}.{item.name}", item
+                    yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)):
+                if not name.id.startswith("__"):
+                    yield name.id, name.id, node
 
 
 def references(node, owner=None):
-    """(name, enclosing definition) for each bare name or attribute under the
-    node, in one walk; the definition is the outermost function or method
-    the name sits in, or None at module or class level."""
+    """(name, enclosing definition) for each bare name read or attribute under
+    the node, in one walk; the definition is the outermost function or method
+    the name sits in, or None at module or class level.  A name assigned to
+    is not a reference, so a module-level name is not used by its own
+    assignment."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Name):
+        if isinstance(child, ast.Name) and not isinstance(child.ctx, ast.Store):
             yield child.id, owner
         elif isinstance(child, ast.Attribute):
             yield child.attr, owner
@@ -44,9 +52,9 @@ def unused_definitions():
         for name, owner in references(tree):
             owners[name].add(owner)
     return [f"{module}.{name}" for module, tree in trees.items()
-            for name, node in definitions(tree)
-            if node.name not in exported and f"{module}.{name}" not in PUBLIC_API
-            and not owners[node.name] - {node}]
+            for name, bare, node in definitions(tree)
+            if bare not in exported and f"{module}.{name}" not in PUBLIC_API
+            and not owners[bare] - {node}]
 
 
 def test_every_definition_is_used_exported_or_public():
