@@ -20,8 +20,10 @@ the table digits, the projective heads, the `--threads` split), is the
 only enumeration of combination weights: the minimum distance, the minimum
 weights stratified by maximal-minor size, the two-weight classification at
 ell = 2 and the ell = 3 reduced family are reductions of it.  Every walk
-is bounded by one message budget (`budget_messages`); anything that would
-exceed a budget raises before doing work.
+is bounded by one message budget (`budget_messages`).  One rule,
+`require_budget`, sizes a code's certifying enumeration from its spec
+alone, so anything that would exceed a budget raises before the generator
+is built.
 
 Dual distance works on the generator's columns as one array: a column or
 pair sum is keyed by its projective normal form (`_projective_keys`), t = 1
@@ -92,6 +94,33 @@ def budget_positions():
     return _env_budget("HERMGRASS_BUDGET_POSITIONS", DEFAULT_BUDGET_POSITIONS)
 
 
+def _require_messages(r: int, k: int, budget: int | None):
+    """Raise BudgetExceeded when a walk's r^k messages exceed the budget
+    (default: `budget_messages()`)."""
+    budget = budget if budget is not None else budget_messages()
+    if r**k > budget:
+        raise BudgetExceeded(f"message space {r}^{k} = {r**k} exceeds budget {budget}")
+
+
+def require_budget(spec: CodeSpec, method: str | None = None, budget: int | None = None) -> str:
+    """The enumeration `method` names (default: the family's certifying one,
+    "subfield" for the Hermitian family, "exhaustive" for the affine one),
+    once its size, worked out from `spec` alone, fits the budget; otherwise
+    BudgetExceeded.  A walk covers r^k messages (r = q for "subfield", the
+    alphabet for "exhaustive"); "dual" scans n(n-1)/2 column pairs times
+    the alphabet's nonzero scalars, under the pair budget."""
+    if method == "dual":
+        size = spec.n * (spec.n - 1) // 2 * (spec.alphabet - 1)
+        budget = budget if budget is not None else budget_pairs()
+        if size > budget:
+            raise BudgetExceeded(f"pair search size {size} exceeds budget {budget}")
+        return method
+    if method is None:
+        method = "subfield" if spec.family == FAMILY_HERMITIAN else "exhaustive"
+    _require_messages(spec.q if method == "subfield" else spec.alphabet, spec.k, budget)
+    return method
+
+
 # basic weight/distance --------------------------------------------------------
 
 
@@ -136,6 +165,12 @@ def distance_formula(family: str, ell: int, q: int):
         return distance_hermitian_formula(ell, q), {((1, 2), (1, 2)): 1, ((), ()): 1}
     full = tuple(range(1, ell + 1))
     return distance_affine_formula(ell, q), {(full, full): 1}
+
+
+def dual_distance_formula(ell: int, q: int) -> int:
+    """Dual minimum distance of the Hermitian code at ell >= 2: 4 at q = 2
+    (`dual_word_weight4`), 3 otherwise (`dual_word_weight3`)."""
+    return 4 if q == 2 else 3
 
 
 # streaming weight of a function ----------------------------------------------
@@ -262,7 +297,10 @@ def _walk(tower, rows, scalars, form, kt, heads):
                                           for c in scalars[1:]])
     for head in heads:
         h = len(head)
-        state = pack(linalg.combine(tower, rows[:h or 1], [scalars[d] for d in head]))
+        state = table[0]  # the zero word
+        for d, row in zip(head, rows):
+            if d:
+                state = add(state, pack(tower.mul_np[scalars[d]][row]))
         walked = [0] * (kw - h)
         yield head, walked, weigh(table, state)
         for j, old, new, walked in gray_steps(r, kw - h):
@@ -325,9 +363,7 @@ def min_weight_over_combinations(tower, rows, scalars, budget=None, threads=1, l
         raise ValueError("scalars must start with 0 and 1")
     if not set(tower.mul_np[np.ix_(scalars, scalars)].flat) <= set(scalars):
         raise ValueError("scalars are not closed under multiplication")
-    budget = budget if budget is not None else budget_messages()
-    if r**k > budget:
-        raise BudgetExceeded(f"message space {r}^{k} = {r**k} exceeds budget {budget}")
+    _require_messages(r, k, budget)
     form, kt, jobs = _plan(tower, rows, scalars, lead, threads)
     if len(jobs) == 1:
         best = _least_weight(tower, rows, scalars, kt, jobs[0], form)
@@ -432,9 +468,9 @@ def min_distance(gen: GeneratorMatrix, method: str | None = None, budget: int | 
                  threads: int = 1) -> DistanceCertificate:
     """Certified minimum distance by the enumeration `method` names, by
     default the family's certifying one: subfield for the Hermitian family,
-    exhaustive for the affine family, where "subfield" raises ValueError."""
-    if method is None:
-        method = "subfield" if gen.spec.family == FAMILY_HERMITIAN else "exhaustive"
+    exhaustive for the affine family, where "subfield" raises ValueError.
+    Its size is bounded by `require_budget`."""
+    method = require_budget(gen.spec, method, budget)
     if method == "subfield":
         return min_distance_subfield(gen, budget=budget, threads=threads)
     if method == "exhaustive":
@@ -496,15 +532,11 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4,
     """
     if not 1 <= max_t <= 4:
         raise ValueError("max_t must be in 1..4")
-    budget = budget if budget is not None else budget_pairs()
     tower = gen.tower
     spec = gen.spec
+    require_budget(spec, "dual", budget)
     n = spec.n
     nonzero = gen.scalars[1:]
-    if n * (n - 1) // 2 * len(nonzero) > budget:
-        raise BudgetExceeded(
-            f"pair search size {n * (n - 1) // 2 * len(nonzero)} exceeds budget {budget}"
-        )
     mul, neg, inv = tower.mul, tower.neg, tower.inv
     cols = gen.rows.T
 

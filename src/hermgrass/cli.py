@@ -3,7 +3,9 @@ suites, and emit the parameter tables.
 
 Exit codes: 0 pass, 1 verification mismatch, 2 usage error, 3 budget
 exceeded.  Budgets may also be set through the HERMGRASS_BUDGET_*
-variables; explicit flags win, and malformed values exit 2 up front.
+variables; explicit flags win, and malformed values exit 2 up front.  A
+certifying enumeration whose size, read off (family, ell, q), exceeds its
+budget exits 3 before any generator is built.
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-TABLE_Q = (2, 3, 4, 5, 7, 8, 9)
-DESK_CERTIFIED = {(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2)}
-
 
 def _budget(value: str) -> int:
     """A budget flag's value, checked as the HERMGRASS_BUDGET_* variables are."""
@@ -54,21 +53,23 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, ells, family=False):
+    def add_common(sp, ells, family=False, report=True):
         sp.add_argument("--q", type=int, required=True, choices=sorted(SUPPORTED_Q))
         sp.add_argument("--ell", type=int, required=True, choices=ells)
         if family:
             sp.add_argument(
                 "--family", choices=(FAMILY_HERMITIAN, FAMILY_AFFINE), default=FAMILY_HERMITIAN
             )
-        sp.add_argument("--format", choices=("text", "tree"), default="text")
-        sp.add_argument("--out", default=None, help="write the report to a file")
+        if report:
+            sp.add_argument("--format", choices=("text", "tree"), default="text")
+            sp.add_argument("--out", default=None, help="write the report to a file")
 
     sp = sub.add_parser("params", help="closed-form parameters n, k, d for both families")
     add_common(sp, ells=(1, 2, 3, 4))
 
     sp = sub.add_parser("gen", help="build a generator matrix and write it to a file")
-    add_common(sp, ells=(1, 2, 3), family=True)
+    add_common(sp, ells=(1, 2, 3), family=True, report=False)
+    sp.add_argument("--out", required=True, help="the generator file to write")
 
     sp = sub.add_parser("mindist", help="minimum-distance certificate")
     add_common(sp, ells=(1, 2, 3), family=True)
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ell", type=int, choices=(2, 3), default=None,
                     help="emit one table only (default: both)")
     sp.add_argument("--certify", choices=("desk", "none"), default="desk",
-                    help="desk: re-certify the desk-scale cells by enumeration")
+                    help="desk: re-certify by enumeration the cells within the message budget")
     sp.add_argument("--out", default=None)
     return p
 
@@ -123,9 +124,6 @@ def cmd_params(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if not args.out:
-        print("error: gen requires --out", file=sys.stderr)
-        return EXIT_USAGE
     gen = build_generator(args.family, args.ell, args.q)
     write_generator(gen, args.out)
     try:
@@ -146,6 +144,8 @@ def cmd_mindist(args) -> int:
     if args.method == "formula":
         cert = an.min_distance_formula(args.family, args.ell, args.q)
     else:
+        an.require_budget(CodeSpec(args.family, args.q, args.ell), args.method,
+                          args.budget_messages)
         gen = build_generator(args.family, args.ell, args.q)
         cert = an.min_distance(gen, args.method, budget=args.budget_messages,
                                threads=args.threads)
@@ -161,6 +161,7 @@ def cmd_mindist(args) -> int:
 
 
 def cmd_dualdist(args) -> int:
+    an.require_budget(CodeSpec(FAMILY_HERMITIAN, args.q, args.ell), "dual", args.budget_subsets)
     gen = build_generator(FAMILY_HERMITIAN, args.ell, args.q)
     try:
         cert = an.dual_min_distance(gen, max_t=args.max_t, budget=args.budget_subsets)
@@ -175,7 +176,7 @@ def cmd_dualdist(args) -> int:
         {"position": int(t), "coefficient": int(c), "matrix": M}
         for t, c, M in zip(cert.columns, cert.coefficients, matrices.transpose(2, 0, 1).tolist())
     ]
-    expected = 4 if args.q == 2 else 3
+    expected = an.dual_distance_formula(args.ell, args.q)
     report["expected"] = expected
     report["matches_expected"] = cert.d_dual == expected
     _emit(reports.render(report, args.format), args.out)
@@ -203,15 +204,25 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_MISMATCH
 
 
+def _within_budget(spec: CodeSpec) -> bool:
+    """Whether the certifying enumeration of the code fits the message budget."""
+    try:
+        an.require_budget(spec)
+    except BudgetExceeded:
+        return False
+    return True
+
+
 def _table_rows(ell: int, certify: bool):
     rows = []
     mismatch = False
-    for q in TABLE_Q:
+    for q in sorted(SUPPORTED_Q):
         spec = CodeSpec(FAMILY_HERMITIAN, q, ell)
         d_a = an.distance_affine_formula(ell, q)
         d_h = an.distance_hermitian_formula(ell, q)
         certified = "no"
-        if certify and (ell, q) in DESK_CERTIFIED:
+        if certify and all(_within_budget(CodeSpec(family, q, ell))
+                           for family in (FAMILY_HERMITIAN, FAMILY_AFFINE)):
             cert_h = an.min_distance(build_generator(FAMILY_HERMITIAN, ell, q))
             cert_a = an.min_distance(build_generator(FAMILY_AFFINE, ell, q))
             if cert_h.d == d_h and cert_a.d == d_a:

@@ -67,6 +67,12 @@ class CodeSpec:
     def k(self) -> int:
         return comb(2 * self.ell, self.ell)
 
+    @property
+    def alphabet(self) -> int:
+        """Size of the message alphabet: q^2 for the Hermitian family, whose
+        code is F_{q^2}-linear, q for the affine family."""
+        return self.q**2 if self.family == FAMILY_HERMITIAN else self.q
+
 
 def position_entries(tower: FieldTower, ell: int, family: str):
     """Entry value arrays: E[i][j][t] = entry (i, j) of the t-th evaluation
@@ -105,7 +111,7 @@ class GeneratorMatrix:
         self.rows.setflags(write=False)
         self.basis = basis(spec.ell)
         self._index = {m: i for i, m in enumerate(self.basis)}
-        self.scalars = tuple(range(tower.qq)) if spec.family == FAMILY_HERMITIAN else tower.subfield
+        self.scalars = tuple(range(tower.qq)) if spec.alphabet == tower.qq else tower.subfield
         self._in_alphabet = np.zeros(tower.qq, dtype=bool)
         self._in_alphabet[list(self.scalars)] = True
         _, self.pivots, self.transform = linalg.rref(tower, rows)
@@ -167,7 +173,11 @@ class GeneratorMatrix:
     def action(self, perm) -> np.ndarray:
         """k x k matrix Mat with word(m)[perm] == word(combine(Mat, m)): row i
         is the message of rows[i, perm], which `coefficients_of` re-encodes, so
-        a permutation that does not map the code to itself raises NotInCode."""
+        a permutation that does not map the code to itself raises NotInCode.
+        A perm that is not a bijection of range(n) raises ValueError."""
+        perm = np.asarray(perm)
+        if not np.array_equal(np.sort(perm), np.arange(self.spec.n)):
+            raise ValueError("perm is not a permutation of the n positions")
         return np.stack([self.coefficients_of(row[perm]) for row in self.rows])
 
 

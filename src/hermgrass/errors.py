@@ -13,7 +13,9 @@ class HermgrassError(Exception):
 class BudgetExceeded(HermgrassError):
     """An enumeration would exceed its configured budget.
 
-    Raised before any work is done, never mid-run.
+    Raised before any work is done, never mid-run: `analysis.require_budget`
+    sizes a code's enumeration from its (family, ell, q) before the
+    generator is built.
     """
 
 

@@ -1,23 +1,12 @@
 """Report serialization: flat `key = value` text and a JSON tree.
 
-Nested dictionaries flatten with dot-separated keys; insertion order is
-preserved so reports are deterministic.
+Insertion order is preserved so reports are deterministic.  A text value
+that is a list, tuple or dict is written as JSON.
 """
 
 from __future__ import annotations
 
 import json
-
-
-def flatten(obj, prefix=""):
-    out = []
-    for key, value in obj.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, dict):
-            out.extend(flatten(value, prefix=f"{name}."))
-        else:
-            out.append((name, value))
-    return out
 
 
 def render_value(value) -> str:
@@ -29,7 +18,7 @@ def render_value(value) -> str:
 
 
 def to_text(report: dict) -> str:
-    return "\n".join(f"{k} = {render_value(v)}" for k, v in flatten(report)) + "\n"
+    return "\n".join(f"{k} = {render_value(v)}" for k, v in report.items()) + "\n"
 
 
 def to_tree(report: dict) -> str:

@@ -152,3 +152,15 @@ def test_action_rejects_a_non_automorphism(family):
     perm[[0, 1]] = perm[[1, 0]]
     with pytest.raises(NotInCode):
         gen.action(perm)
+
+
+@pytest.mark.parametrize("family", [FAMILY_HERMITIAN, FAMILY_AFFINE])
+def test_action_rejects_a_map_that_is_not_a_bijection(family):
+    """A constant map sends every word to a constant word, which is in the
+    code, so only the bijection check stands between it and a singular Mat."""
+    gen = build_generator(family, 2, 2)
+    repeated = np.arange(gen.spec.n)
+    repeated[1] = 0
+    for perm in (np.zeros(gen.spec.n, dtype=np.int64), repeated, np.zeros(gen.spec.n)):
+        with pytest.raises(ValueError, match="not a permutation of the n positions"):
+            gen.action(perm)

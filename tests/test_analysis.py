@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from hermgrass import analysis as an
@@ -9,10 +10,12 @@ from hermgrass import minors as mn
 from hermgrass.codebuild import (
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
+    CodeSpec,
     build_generator,
     fq_basis,
     generator_affine_grassmann,
     generator_hermitian,
+    subfield_rows,
 )
 from hermgrass.errors import BudgetExceeded, NoneFoundWithinBound
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
@@ -127,6 +130,46 @@ def test_min_distance_subfield_budget_and_family():
         an.min_distance_subfield(generator_hermitian(3, 3))
     with pytest.raises(ValueError):
         an.min_distance_subfield(generator_affine_grassmann(2, 2))
+
+
+def test_walk_heads_do_not_call_combine(monkeypatch):
+    """Each walk head's state is built by the walk's own add and pack from the
+    zero word, so the H2q8 subfield walk (six-lane words) calls no `combine`."""
+    gen = generator_hermitian(2, 8)
+    t = gen.tower
+    rows = subfield_rows(gen, fq_basis(2, 8))
+
+    def no_combine(*args, **kwargs):
+        raise AssertionError("linalg.combine called")
+
+    monkeypatch.setattr(linalg, "combine", no_combine)
+    w, digits, searched = an.min_weight_over_combinations(t, rows, t.subfield)
+    assert (w, searched) == (3576, 8**6 - 1)
+    word = np.zeros(gen.spec.n, dtype=np.uint8)
+    for d, row in zip(digits, rows):
+        word = t.add_np[word, t.mul_np[t.subfield[d]][row]]
+    assert an.weight(word) == w
+
+
+def test_require_budget_sizes_each_enumeration_from_the_spec(monkeypatch):
+    monkeypatch.delenv("HERMGRASS_BUDGET_MESSAGES", raising=False)
+    monkeypatch.delenv("HERMGRASS_BUDGET_SUBSETS", raising=False)
+    h25, a25 = CodeSpec(FAMILY_HERMITIAN, 5, 2), CodeSpec(FAMILY_AFFINE, 5, 2)
+    assert (h25.alphabet, a25.alphabet) == (25, 5)
+    assert an.require_budget(h25) == "subfield"
+    assert an.require_budget(a25) == "exhaustive"
+    assert an.require_budget(h25, "exhaustive", budget=25**6) == "exhaustive"
+    with pytest.raises(BudgetExceeded, match=r"message space 25\^6 = 244140625 exceeds budget"):
+        an.require_budget(h25, "exhaustive")
+    with pytest.raises(BudgetExceeded, match=r"message space 5\^6 = 15625 exceeds budget 15624"):
+        an.require_budget(a25, budget=5**6 - 1)
+    # the dual scan: n(n - 1)/2 column pairs times the nonzero scalars
+    pairs = 625 * 624 // 2 * 24
+    assert an.require_budget(h25, "dual") == "dual"
+    with pytest.raises(BudgetExceeded, match=f"pair search size {pairs} exceeds budget {pairs - 1}"):
+        an.require_budget(h25, "dual", budget=pairs - 1)
+    with pytest.raises(BudgetExceeded, match=f"pair search size {625 * 624 // 2 * 4} exceeds"):
+        an.require_budget(a25, "dual", budget=1000)
 
 
 def test_min_distance_runs_the_family_enumeration():

@@ -11,7 +11,16 @@ from hermgrass import analysis as an
 from hermgrass import cli
 from hermgrass import verify as verify_mod
 from hermgrass.cli import main
-from hermgrass.codebuild import generator_hermitian, read_generator, write_generator
+from hermgrass.codebuild import (
+    FAMILY_AFFINE,
+    FAMILY_HERMITIAN,
+    CodeSpec,
+    generator_hermitian,
+    read_generator,
+    write_generator,
+)
+from hermgrass.errors import BudgetExceeded
+from hermgrass.galois import SUPPORTED_Q
 
 
 def run(capsys, *argv):
@@ -160,6 +169,20 @@ def test_affine_subfield_exits_2_before_the_build(capsys, monkeypatch):
     assert "error: subfield enumeration applies to the Hermitian family" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("gen", "--q", "2", "--ell", "2"),
+                 "the following arguments are required: --out", id="no-out"),
+    pytest.param(("gen", "--q", "2", "--ell", "2", "--out", "g.txt", "--format", "tree"),
+                 "unrecognized arguments: --format tree", id="format"),
+])
+def test_gen_usage_exits_2_before_the_build(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "build_generator", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_gen_read_back_mismatch_exits_1(tmp_path, capsys, monkeypatch):
     def write_swapped(gen, path):
         write_generator(gen, path)
@@ -195,11 +218,52 @@ def test_message_budget_variable_bounds_the_default_mindist(capsys, monkeypatch)
     assert "exceeds budget 100" in err
 
 
-def test_desk_cells_are_the_cells_within_the_message_budget():
-    for ell in (2, 3):
-        for q in cli.TABLE_Q:
-            fits = q ** math.comb(2 * ell, ell) <= an.DEFAULT_BUDGET_MESSAGES
-            assert ((ell, q) in cli.DESK_CERTIFIED) == fits, (ell, q)
+def test_desk_cells_are_the_cells_within_the_message_budget(monkeypatch):
+    """`require_budget` passes a code's certifying enumeration exactly when its
+    q^k messages fit the default budget, in both families: the Hermitian
+    subfield walk and the affine walk both have q scalars."""
+    monkeypatch.delenv("HERMGRASS_BUDGET_MESSAGES", raising=False)
+    for family in (FAMILY_HERMITIAN, FAMILY_AFFINE):
+        for ell in (2, 3):
+            for q in sorted(SUPPORTED_Q):
+                fits = q ** math.comb(2 * ell, ell) <= an.DEFAULT_BUDGET_MESSAGES
+                try:
+                    an.require_budget(CodeSpec(family, q, ell))
+                    within = True
+                except BudgetExceeded:
+                    within = False
+                assert within == fits, (family, ell, q)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(("mindist", "--q", "3", "--ell", "3"), id="mindist-H3q3"),
+    pytest.param(("mindist", "--q", "4", "--ell", "3"), id="mindist-H3q4"),
+    pytest.param(("mindist", "--q", "5", "--ell", "3"), id="mindist-H3q5"),
+    pytest.param(("mindist", "--q", "3", "--ell", "3", "--family", "affine"), id="mindist-A3q3"),
+    pytest.param(("mindist", "--q", "5", "--ell", "3", "--family", "affine"), id="mindist-A3q5"),
+    pytest.param(("mindist", "--q", "5", "--ell", "2", "--method", "exhaustive"),
+                 id="mindist-H2q5-exhaustive"),
+    pytest.param(("dualdist", "--q", "3", "--ell", "3"), id="dualdist-H3q3"),
+    pytest.param(("dualdist", "--q", "5", "--ell", "3"), id="dualdist-H3q5"),
+])
+def test_over_budget_exits_3_before_the_build(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "build_generator", no_work)
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert "exceeds budget" in err
+
+
+def test_table_certifies_the_cells_within_a_lowered_budget(capsys, monkeypatch):
+    """At a budget of 100,000 messages the ell = 2 walks of q^6 messages fit
+    for q <= 5 (15,625) and not for q >= 7 (117,649)."""
+    monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "100000")
+    code, out, _ = run(capsys, "table", "--ell", "2")
+    assert code == 0
+    flags = {int(line.split(",")[0]): line.split(",")[-1]
+             for line in out.strip().splitlines()[2:]}
+    assert flags == {2: "certified", 3: "certified", 4: "certified", 5: "certified",
+                     7: "no", 8: "no", 9: "no"}
 
 
 def test_readme_names_the_budget_variables_src_reads():
