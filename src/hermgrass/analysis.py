@@ -19,11 +19,16 @@ characteristic 2.  That walk (`_walk`), laid out by one plan (`_plan`:
 the table digits, the projective heads, the `--threads` split), is the
 only enumeration of combination weights: the minimum distance, the minimum
 weights stratified by maximal-minor size, the two-weight classification at
-ell = 2 and the ell = 3 reduced family are reductions of it.  Every walk
-is bounded by one message budget (`budget_messages`).  One rule,
-`require_budget`, sizes a code's certifying enumeration from its spec
-alone, so anything that would exceed a budget raises before the generator
-is built.
+ell = 2 and the ell = 3 reduced family are reductions of it.
+
+One gate, `require_budget`, decides from a code's spec alone whether an
+enumeration may start: it refuses a method that does not apply to the
+family, then sizes the walk against the message budget
+(`budget_messages`, HERMGRASS_BUDGET_MESSAGES) or the dual pair scan
+against the pair budget (`budget_pairs`, HERMGRASS_BUDGET_SUBSETS), so
+anything over budget raises before the generator is built.  The engine
+keeps its own message check for arbitrary rows.  Positions are bounded by
+`hermitian.BUILD_LIMIT`.
 
 Dual distance works on the generator's columns as one array: a column or
 pair sum is keyed by its projective normal form (`_projective_keys`), t = 1
@@ -58,6 +63,7 @@ from .codebuild import (
 from .errors import BudgetExceeded, NoneFoundWithinBound, NoValidLambda, require
 from .galois import FieldTower, tower_for_q
 from .hermitian import (
+    BUILD_LIMIT,
     count_invertible,
     decode,
     elementary_row_add,
@@ -71,7 +77,6 @@ from .hermitian import (
 
 DEFAULT_BUDGET_MESSAGES = 2**24
 DEFAULT_BUDGET_PAIRS = 2**23
-DEFAULT_BUDGET_POSITIONS = 2**22
 DEFAULT_SEED = 987654321
 
 
@@ -90,34 +95,34 @@ def budget_pairs():
     return _env_budget("HERMGRASS_BUDGET_SUBSETS", DEFAULT_BUDGET_PAIRS)
 
 
-def budget_positions():
-    return _env_budget("HERMGRASS_BUDGET_POSITIONS", DEFAULT_BUDGET_POSITIONS)
-
-
-def _require_messages(r: int, k: int, budget: int | None):
-    """Raise BudgetExceeded when a walk's r^k messages exceed the budget
-    (default: `budget_messages()`)."""
-    budget = budget if budget is not None else budget_messages()
+def _require_messages(r: int, k: int):
+    """Raise BudgetExceeded when a walk's r^k messages exceed `budget_messages()`."""
+    budget = budget_messages()
     if r**k > budget:
         raise BudgetExceeded(f"message space {r}^{k} = {r**k} exceeds budget {budget}")
 
 
-def require_budget(spec: CodeSpec, method: str | None = None, budget: int | None = None) -> str:
+def require_budget(spec: CodeSpec, method: str | None = None, max_t: int = 4) -> str:
     """The enumeration `method` names (default: the family's certifying one,
     "subfield" for the Hermitian family, "exhaustive" for the affine one),
-    once its size, worked out from `spec` alone, fits the budget; otherwise
+    once it applies to the family and its size, worked out from `spec`
+    alone, fits the budget.  "subfield" on the affine family raises
+    ValueError before anything is sized; a size over budget raises
     BudgetExceeded.  A walk covers r^k messages (r = q for "subfield", the
-    alphabet for "exhaustive"); "dual" scans n(n-1)/2 column pairs times
-    the alphabet's nonzero scalars, under the pair budget."""
+    alphabet for "exhaustive"); "dual" up to `max_t` >= 3 scans n(n-1)/2
+    column pairs times the alphabet's nonzero scalars, under the pair
+    budget, and up to max_t <= 2 scans none."""
+    if method == "subfield" and spec.family != FAMILY_HERMITIAN:
+        raise ValueError("subfield enumeration applies to the Hermitian family")
     if method == "dual":
         size = spec.n * (spec.n - 1) // 2 * (spec.alphabet - 1)
-        budget = budget if budget is not None else budget_pairs()
-        if size > budget:
+        budget = budget_pairs()
+        if max_t >= 3 and size > budget:
             raise BudgetExceeded(f"pair search size {size} exceeds budget {budget}")
         return method
     if method is None:
         method = "subfield" if spec.family == FAMILY_HERMITIAN else "exhaustive"
-    _require_messages(spec.q if method == "subfield" else spec.alphabet, spec.k, budget)
+    _require_messages(spec.q if method == "subfield" else spec.alphabet, spec.k)
     return method
 
 
@@ -176,13 +181,12 @@ def dual_distance_formula(ell: int, q: int) -> int:
 # streaming weight of a function ----------------------------------------------
 
 
-def weight_of_function(f: dict, ell: int, q: int, family: str = FAMILY_HERMITIAN,
-                       budget: int | None = None) -> int:
-    """weight(ev(f)) computed positionwise, without building a generator."""
-    budget = budget if budget is not None else budget_positions()
+def weight_of_function(f: dict, ell: int, q: int, family: str = FAMILY_HERMITIAN) -> int:
+    """weight(ev(f)) computed positionwise, without building a generator,
+    over at most BUILD_LIMIT positions."""
     n = q ** (ell * ell)
-    if n > budget:
-        raise BudgetExceeded(f"q^(ell^2) = {n} exceeds position budget {budget}")
+    if n > BUILD_LIMIT:
+        raise BudgetExceeded(f"q^(ell^2) = {n} exceeds build limit {BUILD_LIMIT}")
     tower = tower_for_q(q)
     E = position_entries(tower, ell, family)
     return weight(linalg.combine(tower, [eval_minor_vector(tower, E, m) for m in f], f.values()))
@@ -336,7 +340,7 @@ def _weights_by_digits(tower, rows, scalars):
             yield prefix + tail, w
 
 
-def min_weight_over_combinations(tower, rows, scalars, budget=None, threads=1, lead=None):
+def min_weight_over_combinations(tower, rows, scalars, *, threads=1, lead=None):
     """Minimum weight over the coefficient vectors (coefficients drawn from
     scalars) of the given rows whose first `lead` digits (default: all) are
     not all zero, with the lexicographically smallest witness digit vector
@@ -351,7 +355,7 @@ def min_weight_over_combinations(tower, rows, scalars, budget=None, threads=1, l
 
     Returns (weight, digits, messages_searched), messages_searched being
     the (r^lead - 1) r^(k - lead) messages covered.  The r^k messages of
-    the rows are bounded by `budget` (default: `budget_messages()`).
+    the rows are bounded by `budget_messages()`.
     """
     rows = np.asarray(rows, dtype=np.uint8)
     scalars = [int(s) for s in scalars]
@@ -363,7 +367,7 @@ def min_weight_over_combinations(tower, rows, scalars, budget=None, threads=1, l
         raise ValueError("scalars must start with 0 and 1")
     if not set(tower.mul_np[np.ix_(scalars, scalars)].flat) <= set(scalars):
         raise ValueError("scalars are not closed under multiplication")
-    _require_messages(r, k, budget)
+    _require_messages(r, k)
     form, kt, jobs = _plan(tower, rows, scalars, lead, threads)
     if len(jobs) == 1:
         best = _least_weight(tower, rows, scalars, kt, jobs[0], form)
@@ -428,67 +432,63 @@ class DualDistanceCertificate:
         }
 
 
-def _walk_certificate(gen: GeneratorMatrix, method, rows, combos, scalars, budget,
+def _walk_certificate(gen: GeneratorMatrix, method, rows, combos, scalars,
                       threads) -> DistanceCertificate:
     """Certify the least-weight combination of `rows`; combos[i] is the
     function whose evaluation is rows[i], so the witness is the same
     combination of combos, and its evaluation must attain the weight."""
     tower = gen.tower
-    w, digits, searched = min_weight_over_combinations(tower, rows, scalars, budget, threads)
+    w, digits, searched = min_weight_over_combinations(tower, rows, scalars, threads=threads)
     message = linalg.combine(tower, [gen.message(f) for f in combos], [scalars[d] for d in digits])
     witness = gen.combination(message)
     require(weight(gen.encode(witness)) == w, f"witness does not attain the searched weight {w}")
     return DistanceCertificate(gen.spec, w, method, witness, searched, gen.header())
 
 
-def min_distance_exhaustive(gen: GeneratorMatrix, budget: int | None = None,
-                            threads: int = 1) -> DistanceCertificate:
+def min_distance_exhaustive(gen: GeneratorMatrix, *, threads: int = 1) -> DistanceCertificate:
     """Minimum weight over every nonzero message of the code's alphabet."""
     return _walk_certificate(gen, "ExhaustiveFull", gen.rows, [{m: 1} for m in gen.basis],
-                             gen.scalars, budget, threads)
+                             gen.scalars, threads)
 
 
-def min_distance_subfield(gen: GeneratorMatrix, basis: list | None = None,
-                          budget: int | None = None,
+def min_distance_subfield(gen: GeneratorMatrix, basis: list | None = None, *,
                           threads: int = 1) -> DistanceCertificate:
     """Minimum weight over all nonzero F_q-combinations of the F_q row basis
     (fq_basis output; computed here when not supplied).
 
     Equals the true minimum distance of the Hermitian code because its
-    minimum-weight words are scalar multiples of subfield-valued words.
+    minimum-weight words are scalar multiples of subfield-valued words;
+    `require_budget` refuses it on the affine family.
     """
-    if gen.spec.family != FAMILY_HERMITIAN:
-        raise ValueError("subfield enumeration applies to the Hermitian family")
+    require_budget(gen.spec, "subfield")
     combos = basis if basis is not None else fq_basis(gen.spec.ell, gen.spec.q)
     return _walk_certificate(gen, "ExhaustiveSubfield", subfield_rows(gen, combos), combos,
-                             list(gen.tower.subfield), budget, threads)
+                             list(gen.tower.subfield), threads)
 
 
-def min_distance(gen: GeneratorMatrix, method: str | None = None, budget: int | None = None,
+def min_distance(gen: GeneratorMatrix, method: str | None = None, *,
                  threads: int = 1) -> DistanceCertificate:
     """Certified minimum distance by the enumeration `method` names, by
     default the family's certifying one: subfield for the Hermitian family,
     exhaustive for the affine family, where "subfield" raises ValueError.
     Its size is bounded by `require_budget`."""
-    method = require_budget(gen.spec, method, budget)
+    method = require_budget(gen.spec, method)
     if method == "subfield":
-        return min_distance_subfield(gen, budget=budget, threads=threads)
+        return min_distance_subfield(gen, threads=threads)
     if method == "exhaustive":
-        return min_distance_exhaustive(gen, budget=budget, threads=threads)
+        return min_distance_exhaustive(gen, threads=threads)
     raise ValueError(f"unknown enumeration method {method!r}")
 
 
-def min_distance_formula(family: str, ell: int, q: int,
-                         witness_budget: int | None = None) -> DistanceCertificate:
-    """Formula-only certificate; upgraded to WitnessOnly when evaluating the
-    canonical witness is affordable and confirms the value."""
+def min_distance_formula(family: str, ell: int, q: int) -> DistanceCertificate:
+    """Formula-only certificate; upgraded to WitnessOnly when the canonical
+    witness can be evaluated (n <= BUILD_LIMIT) and confirms the value."""
     spec = CodeSpec(family, q, ell)
     d, wit = distance_formula(family, ell, q)
     if d is None:
         raise ValueError("no closed form for the Hermitian family at ell < 2")
-    witness_budget = witness_budget if witness_budget is not None else budget_positions()
-    if spec.n <= witness_budget:
-        w = weight_of_function(wit, ell, q, family, budget=witness_budget)
+    if spec.n <= BUILD_LIMIT:
+        w = weight_of_function(wit, ell, q, family)
         require(w == d, f"witness weight {w} contradicts formula value {d}")
         return DistanceCertificate(spec, d, "WitnessOnly", wit, 0, None)
     return DistanceCertificate(spec, d, "Formula", None, 0, None)
@@ -520,8 +520,7 @@ def _projective_keys(tower, vecs):
     return [row.tobytes() for row in normed], leads.tolist()
 
 
-def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4,
-                      budget: int | None = None) -> DualDistanceCertificate:
+def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCertificate:
     """Smallest t <= max_t such that t generator columns are linearly
     dependent, with the dependency coefficients (a weight-t dual codeword).
 
@@ -534,7 +533,7 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4,
         raise ValueError("max_t must be in 1..4")
     tower = gen.tower
     spec = gen.spec
-    require_budget(spec, "dual", budget)
+    require_budget(spec, "dual", max_t)
     n = spec.n
     nonzero = gen.scalars[1:]
     mul, neg, inv = tower.mul, tower.neg, tower.inv
@@ -682,19 +681,17 @@ def dual_support_families(gen: GeneratorMatrix, count: int = 50,
 # counting identities ---------------------------------------------------------------
 
 
-def hyperbolic_zero_count(tower: FieldTower, a: int, b: int, lam: int) -> int:
+def hyperbolic_zero_count(tower: FieldTower, lam: int) -> int:
     """Solutions over F_q of (x1 + a)(x2 + b) = lam: 2q - 1 when lam = 0,
-    q - 1 otherwise.  Computed both by formula and by brute force; they must
-    agree.  x1 -> x1 + a and x2 -> x2 + b are bijections of F_q, so neither
-    count depends on a or b: swapping them changes nothing."""
-    for v in (a, b, lam):
-        if not tower.in_base_subfield(v):
-            raise ValueError("a, b, lam must lie in F_q")
+    q - 1 otherwise.  Computed both by formula and by brute force on
+    x1 x2 = lam; they must agree.  x1 -> x1 + a and x2 -> x2 + b are
+    bijections of F_q, so the count does not depend on a or b."""
+    if not tower.in_base_subfield(lam):
+        raise ValueError("lam must lie in F_q")
     q = tower.q
     formula = 2 * q - 1 if lam == 0 else q - 1
     sub = tower.subfield_np
-    brute = int(np.count_nonzero(
-        tower.mul_np[tower.add_np[sub, a][:, None], tower.add_np[sub, b]] == lam))
+    brute = int(np.count_nonzero(tower.mul_np[sub[:, None], sub] == lam))
     require(brute == formula, f"hyperbolic count mismatch: formula {formula}, brute {brute}")
     return brute
 
@@ -860,7 +857,6 @@ def induction_bound(k: int, q: int) -> int:
 
 def min_weight_by_max_minor(ell: int, k: int, q: int,
                             self_conjugate_only: bool = False,
-                            budget: int | None = None,
                             samples: int = 40,
                             seed: int = DEFAULT_SEED) -> dict:
     """Empirical minimum weight over combinations whose maximal support
@@ -890,8 +886,7 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
         size = [len(next(iter(f))[0]) for f in combos]
         rows = np.stack([gen.encode(f) for f, z in zip(combos, size) if z == k]
                         + [gen.encode(f) for f, z in zip(combos, size) if z < k])
-        best, _, count = min_weight_over_combinations(tower, rows, scalars, budget,
-                                                       lead=size.count(k))
+        best, _, count = min_weight_over_combinations(tower, rows, scalars, lead=size.count(k))
     else:
         import random
 

@@ -2,10 +2,12 @@
 suites, and emit the parameter tables.
 
 Exit codes: 0 pass, 1 verification mismatch, 2 usage error, 3 budget
-exceeded.  Budgets may also be set through the HERMGRASS_BUDGET_*
-variables; explicit flags win, and malformed values exit 2 up front.  A
-certifying enumeration whose size, read off (family, ell, q), exceeds its
-budget exits 3 before any generator is built.
+exceeded.  The budgets are read from HERMGRASS_BUDGET_MESSAGES and
+HERMGRASS_BUDGET_SUBSETS only, and malformed values exit 2 up front.
+`analysis.require_budget` decides whether a command's enumeration may
+start: one that does not apply to the family exits 2, and one whose size,
+read off (family, ell, q), exceeds its budget exits 3, both before any
+generator is built.
 """
 
 from __future__ import annotations
@@ -38,13 +40,6 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _budget(value: str) -> int:
-    """A budget flag's value, checked as the HERMGRASS_BUDGET_* variables are."""
-    if not value.strip().isdecimal():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value!r}")
-    return int(value)
-
-
 @functools.cache  # one parser per process: each parser is a cluster of reference cycles
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -75,13 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, ells=(1, 2, 3), family=True)
     sp.add_argument("--method", choices=("formula", "subfield", "exhaustive"), default=None,
                     help="default: the family's certifying enumeration")
-    sp.add_argument("--budget-messages", type=_budget, default=None)
     sp.add_argument("--threads", type=int, default=1)
 
     sp = sub.add_parser("dualdist", help="dual minimum-distance certificate")
     add_common(sp, ells=(2, 3))
     sp.add_argument("--max-t", type=int, default=4, choices=(1, 2, 3, 4))
-    sp.add_argument("--budget-subsets", type=_budget, default=None)
 
     sp = sub.add_parser("verify", help="run an invariant suite")
     sp.add_argument("--suite", choices=("fields", "counts", "classifiers", "duals", "all"),
@@ -139,16 +132,12 @@ def cmd_gen(args) -> int:
 def cmd_mindist(args) -> int:
     if not 1 <= args.threads <= (os.cpu_count() or 1):
         raise ValueError(f"--threads must be in 1..{os.cpu_count() or 1}, got {args.threads}")
-    if args.method == "subfield" and args.family != FAMILY_HERMITIAN:
-        raise ValueError("subfield enumeration applies to the Hermitian family")
     if args.method == "formula":
         cert = an.min_distance_formula(args.family, args.ell, args.q)
     else:
-        an.require_budget(CodeSpec(args.family, args.q, args.ell), args.method,
-                          args.budget_messages)
+        an.require_budget(CodeSpec(args.family, args.q, args.ell), args.method)
         gen = build_generator(args.family, args.ell, args.q)
-        cert = an.min_distance(gen, args.method, budget=args.budget_messages,
-                               threads=args.threads)
+        cert = an.min_distance(gen, args.method, threads=args.threads)
     report = cert.as_dict()
     formula = an.distance_formula(args.family, args.ell, args.q)[0]
     mismatch = False
@@ -161,10 +150,10 @@ def cmd_mindist(args) -> int:
 
 
 def cmd_dualdist(args) -> int:
-    an.require_budget(CodeSpec(FAMILY_HERMITIAN, args.q, args.ell), "dual", args.budget_subsets)
+    an.require_budget(CodeSpec(FAMILY_HERMITIAN, args.q, args.ell), "dual", args.max_t)
     gen = build_generator(FAMILY_HERMITIAN, args.ell, args.q)
     try:
-        cert = an.dual_min_distance(gen, max_t=args.max_t, budget=args.budget_subsets)
+        cert = an.dual_min_distance(gen, max_t=args.max_t)
     except NoneFoundWithinBound as exc:
         report = {"command": "dualdist", "q": args.q, "ell": args.ell,
                   "d_dual": f"> {exc.max_t}", "searched_upto": exc.max_t}
@@ -266,8 +255,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        for read_budget in (an.budget_messages, an.budget_pairs, an.budget_positions):
-            read_budget()
+        an.budget_messages()  # a malformed budget variable exits 2 before any command
+        an.budget_pairs()
         return _DISPATCH[args.command](args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

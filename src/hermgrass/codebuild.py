@@ -24,6 +24,7 @@ from . import linalg
 from .errors import BudgetExceeded, NotInCode, require
 from .galois import MODULI, SUPPORTED_Q, FieldTower, make_field, tower_for_q
 from .hermitian import (
+    BUILD_LIMIT,
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
     congruence,
@@ -39,8 +40,6 @@ from .minors import basis
 
 _FAMILY_LETTER = {FAMILY_HERMITIAN: "H", FAMILY_AFFINE: "A"}
 _LETTER_FAMILY = {v: k for k, v in _FAMILY_LETTER.items()}
-
-BUILD_LIMIT = 10**7
 
 FORMAT_MAGIC = "hermgrass-gen v1"
 

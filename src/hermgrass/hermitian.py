@@ -25,7 +25,8 @@ Matrix = tuple  # tuple of row tuples of element indices
 FAMILY_HERMITIAN = "hermitian"
 FAMILY_AFFINE = "affine"
 
-BRUTE_FORCE_LIMIT = 10**7
+# The most positions q^(ell^2) a code is built, weighed or counted over.
+BUILD_LIMIT = 10**7
 CHUNK = 1 << 14
 
 
@@ -187,7 +188,7 @@ def count_invertible(ell: int, q: int) -> int:
 
 def count_invertible_bruteforce(tower, ell: int) -> int:
     total = tower.q ** (ell * ell)
-    if total > BRUTE_FORCE_LIMIT:
+    if total > BUILD_LIMIT:
         raise ValueError(f"too large for brute force: q^(ell^2) = {total}")
     count = 0
     for t in position_chunks(total):

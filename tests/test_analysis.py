@@ -158,18 +158,46 @@ def test_require_budget_sizes_each_enumeration_from_the_spec(monkeypatch):
     assert (h25.alphabet, a25.alphabet) == (25, 5)
     assert an.require_budget(h25) == "subfield"
     assert an.require_budget(a25) == "exhaustive"
-    assert an.require_budget(h25, "exhaustive", budget=25**6) == "exhaustive"
     with pytest.raises(BudgetExceeded, match=r"message space 25\^6 = 244140625 exceeds budget"):
         an.require_budget(h25, "exhaustive")
-    with pytest.raises(BudgetExceeded, match=r"message space 5\^6 = 15625 exceeds budget 15624"):
-        an.require_budget(a25, budget=5**6 - 1)
     # the dual scan: n(n - 1)/2 column pairs times the nonzero scalars
     pairs = 625 * 624 // 2 * 24
     assert an.require_budget(h25, "dual") == "dual"
+    monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", str(25**6))
+    assert an.require_budget(h25, "exhaustive") == "exhaustive"
+    monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", str(5**6 - 1))
+    with pytest.raises(BudgetExceeded, match=r"message space 5\^6 = 15625 exceeds budget 15624"):
+        an.require_budget(a25)
+    monkeypatch.setenv("HERMGRASS_BUDGET_SUBSETS", str(pairs - 1))
     with pytest.raises(BudgetExceeded, match=f"pair search size {pairs} exceeds budget {pairs - 1}"):
-        an.require_budget(h25, "dual", budget=pairs - 1)
+        an.require_budget(h25, "dual")
+    monkeypatch.setenv("HERMGRASS_BUDGET_SUBSETS", "1000")
     with pytest.raises(BudgetExceeded, match=f"pair search size {625 * 624 // 2 * 4} exceeds"):
-        an.require_budget(a25, "dual", budget=1000)
+        an.require_budget(a25, "dual")
+
+
+def test_require_budget_refuses_subfield_on_affine_before_sizing(monkeypatch):
+    """Validity comes before size: even at a zero budget the affine
+    subfield request is a ValueError, not BudgetExceeded."""
+    monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "0")
+    with pytest.raises(ValueError, match="subfield enumeration applies to the Hermitian family"):
+        an.require_budget(CodeSpec(FAMILY_AFFINE, 2, 2), "subfield")
+    with pytest.raises(BudgetExceeded):
+        an.require_budget(CodeSpec(FAMILY_HERMITIAN, 2, 2), "subfield")
+
+
+def test_require_budget_charges_the_pair_scan_only_from_max_t_3(monkeypatch):
+    """t <= 2 is read off the column keys, with no pair scan, so the H3q3
+    dual search to max_t = 2 passes the default budget; from max_t = 3 its
+    1,549,603,224 pair sums do not."""
+    monkeypatch.delenv("HERMGRASS_BUDGET_SUBSETS", raising=False)
+    h33 = CodeSpec(FAMILY_HERMITIAN, 3, 3)
+    for max_t in (1, 2):
+        assert an.require_budget(h33, "dual", max_t=max_t) == "dual"
+    for max_t in (3, 4):
+        with pytest.raises(BudgetExceeded,
+                           match="pair search size 1549603224 exceeds budget 8388608"):
+            an.require_budget(h33, "dual", max_t=max_t)
 
 
 def test_min_distance_runs_the_family_enumeration():
@@ -282,10 +310,14 @@ def test_dual_none_found_within_bound():
         an.dual_min_distance(gen, max_t=2)
 
 
-def test_dual_budget():
+def test_dual_budget(monkeypatch):
     gen = generator_hermitian(3, 2)
+    monkeypatch.setenv("HERMGRASS_BUDGET_SUBSETS", "1000")
     with pytest.raises(BudgetExceeded):
-        an.dual_min_distance(gen, budget=1000)
+        an.dual_min_distance(gen)
+    # max_t = 2 scans no pairs, so the same budget lets it run
+    with pytest.raises(NoneFoundWithinBound):
+        an.dual_min_distance(gen, max_t=2)
 
 
 def test_dual_word_weight3():
@@ -330,14 +362,12 @@ def test_dual_support_families_randomized():
 
 def test_hyperbolic_zero_count():
     t3 = tower_for_q(3)
-    assert an.hyperbolic_zero_count(t3, 0, 0, 0) == 5
-    assert an.hyperbolic_zero_count(t3, 2, 1, 1) == 2
+    assert an.hyperbolic_zero_count(t3, 0) == 5
+    assert an.hyperbolic_zero_count(t3, 1) == 2
     t9 = tower_for_q(9)
-    for a in t9.subfield:
-        for b in t9.subfield:
-            assert an.hyperbolic_zero_count(t9, a, b, t9.subfield[1]) == 8
+    assert an.hyperbolic_zero_count(t9, t9.subfield[1]) == 8
     with pytest.raises(ValueError):
-        an.hyperbolic_zero_count(t3, 3, 0, 0)  # 3 is not in F_3 inside F_9
+        an.hyperbolic_zero_count(t3, 3)  # 3 is not in F_3 inside F_9
 
 
 def test_system_solution_count():
@@ -382,12 +412,13 @@ def oracle_system_count(tower, a, b):
 
 def test_counts_match_scalar_oracles():
     """The table counts equal the scalar loops on every case the verify
-    checks draw from: all (a, b, lam) for every q, and consistent and
+    checks draw from: every lam for every q, against the oracle at every
+    (a, b), since the count does not depend on them, and consistent and
     inconsistent systems for n <= 3, q <= 4."""
     for q in sorted(SUPPORTED_Q):
         t = tower_for_q(q)
         for a, b, lam in itertools.product(t.subfield, repeat=3):
-            assert an.hyperbolic_zero_count(t, a, b, lam) == oracle_hyperbolic_count(t, a, b, lam)
+            assert an.hyperbolic_zero_count(t, lam) == oracle_hyperbolic_count(t, a, b, lam)
     rng = random.Random(5)
     counts = set()
     for n in (1, 2, 3):

@@ -119,15 +119,24 @@ def test_mindist_budget_exceeded(capsys):
 
 
 def test_budget_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "100")
-    code, _, err = run(capsys, "mindist", "--q", "2", "--ell", "2", "--method", "exhaustive")
-    assert code == 3
-    assert "budget" in err
-    # an explicit flag wins over the environment
-    code, out, _ = run(capsys, "mindist", "--q", "2", "--ell", "2",
-                       "--method", "exhaustive", "--budget-messages", "5000")
-    assert code == 0
-    assert "d = 6" in out
+    """Each budget is its variable: the H2q2 run fits a budget of exactly
+    its size (4^6 messages; 120 pairs times 3 scalars) and exits 3 below."""
+    for variable, size, argv, result in [
+        ("HERMGRASS_BUDGET_MESSAGES", 4**6,
+         ("mindist", "--q", "2", "--ell", "2", "--method", "exhaustive"), "d = 6"),
+        ("HERMGRASS_BUDGET_SUBSETS", 16 * 15 // 2 * 3,
+         ("dualdist", "--q", "2", "--ell", "2"), "d_dual = 4"),
+    ]:
+        monkeypatch.setenv(variable, str(size))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert result in out
+        monkeypatch.setenv(variable, str(size - 1))
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert f"{size} exceeds budget {size - 1}" in err
+        monkeypatch.delenv(variable)
 
 
 def test_mindist_threads(capsys):
@@ -149,15 +158,32 @@ def test_mindist_threads_out_of_range(capsys, monkeypatch, threads):
 
 
 @pytest.mark.parametrize("argv", [
-    ("mindist", "--q", "2", "--ell", "2", "--budget-messages", "-1"),
-    ("dualdist", "--q", "2", "--ell", "2", "--budget-subsets", "-1"),
+    ("mindist", "--q", "2", "--ell", "2"),
+    ("dualdist", "--q", "2", "--ell", "2"),
 ])
-def test_negative_budget_flag_exits_2_before_the_build(capsys, monkeypatch, argv):
+def test_negative_budget_variable_exits_2_before_the_build(capsys, monkeypatch, argv):
+    """Either variable, malformed, stops either command, whichever budget
+    the command reads."""
+    monkeypatch.setattr(cli, "build_generator", no_work)
+    for variable in ("HERMGRASS_BUDGET_MESSAGES", "HERMGRASS_BUDGET_SUBSETS"):
+        monkeypatch.setenv(variable, "-1")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"{variable} must be a non-negative integer, got '-1'" in err
+        monkeypatch.delenv(variable)
+
+
+@pytest.mark.parametrize("argv", [
+    ("mindist", "--q", "2", "--ell", "2", "--budget-messages", "5000"),
+    ("dualdist", "--q", "2", "--ell", "2", "--budget-subsets", "5000"),
+])
+def test_budgets_have_no_flags(capsys, monkeypatch, argv):
     monkeypatch.setattr(cli, "build_generator", no_work)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "must be a non-negative integer, got '-1'" in err
+    assert f"unrecognized arguments: {argv[-2]} 5000" in err
 
 
 def test_affine_subfield_exits_2_before_the_build(capsys, monkeypatch):
@@ -210,7 +236,7 @@ def test_budget_env_malformed(capsys, monkeypatch):
 
 def test_message_budget_variable_bounds_the_default_mindist(capsys, monkeypatch):
     """The subfield walk, which `mindist` runs by default on the Hermitian
-    family, reads the same message budget as the flag."""
+    family, reads the message budget variable."""
     monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "100")
     code, out, err = run(capsys, "mindist", "--q", "3", "--ell", "2")
     assert code == 3
@@ -254,6 +280,17 @@ def test_over_budget_exits_3_before_the_build(capsys, monkeypatch, argv):
     assert "exceeds budget" in err
 
 
+@pytest.mark.parametrize("q", ["3", "4"])
+def test_dualdist_to_max_t_2_scans_no_pairs(capsys, monkeypatch, q):
+    """The t <= 2 search is read off the column keys, so the default pair
+    budget, which the full H3q3 and H3q4 scans exceed, does not refuse it."""
+    monkeypatch.delenv("HERMGRASS_BUDGET_SUBSETS", raising=False)
+    code, out, err = run(capsys, "dualdist", "--q", q, "--ell", "3", "--max-t", "2")
+    assert code == 0
+    assert err == ""
+    assert "d_dual = > 2" in out and "searched_upto = 2" in out
+
+
 def test_table_certifies_the_cells_within_a_lowered_budget(capsys, monkeypatch):
     """At a budget of 100,000 messages the ell = 2 walks of q^6 messages fit
     for q <= 5 (15,625) and not for q >= 7 (117,649)."""
@@ -271,8 +308,7 @@ def test_readme_names_the_budget_variables_src_reads():
     readme = set(re.findall(r"HERMGRASS_\w+", (root / "README.md").read_text()))
     src = {name for path in (root / "src" / "hermgrass").glob("*.py")
            for name in re.findall(r'_env_budget\("(HERMGRASS_\w+)"', path.read_text())}
-    assert readme == src == {"HERMGRASS_BUDGET_MESSAGES", "HERMGRASS_BUDGET_SUBSETS",
-                             "HERMGRASS_BUDGET_POSITIONS"}
+    assert readme == src == {"HERMGRASS_BUDGET_MESSAGES", "HERMGRASS_BUDGET_SUBSETS"}
 
 
 def test_dualdist(capsys):

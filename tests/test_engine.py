@@ -3,6 +3,7 @@ pinned certificates, a brute-force property, and the fail-closed subfield
 precondition."""
 
 import itertools
+import os
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,13 @@ from hermgrass.codebuild import FAMILY_AFFINE, FAMILY_HERMITIAN, build_generator
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
 
 BIG = 2**40
+
+
+def big_budget():
+    """The message budget raised past every walk here; `mock.patch.dict`,
+    not the function-scoped monkeypatch fixture, which Hypothesis rejects
+    inside @given tests."""
+    return mock.patch.dict(os.environ, {"HERMGRASS_BUDGET_MESSAGES": str(BIG)})
 
 
 # scalar reference walk --------------------------------------------------------
@@ -69,7 +77,8 @@ ORACLE_CELLS = ([(FAMILY_HERMITIAN, 2, q, False) for q in (2, 3, 4, 5)]
 @pytest.mark.parametrize("cell", ORACLE_CELLS)
 def test_engine_matches_scalar_walk(cell):
     tower, rows, scalars = walk_inputs(cell)
-    w, digits, searched = an.min_weight_over_combinations(tower, rows, scalars, BIG)
+    with big_budget():
+        w, digits, searched = an.min_weight_over_combinations(tower, rows, scalars)
     assert (w, digits) == search_general(tower, rows, scalars)
     assert searched == len(scalars) ** len(rows) - 1
 
@@ -107,10 +116,26 @@ def test_threads_give_the_same_certificate(ell, q, table_bytes):
 def test_engine_rejects_scalars_it_cannot_reduce():
     tower = tower_for_q(2)
     rows = [np.array([1, 2, 3], dtype=np.uint8)]
-    with pytest.raises(ValueError):
-        an.min_weight_over_combinations(tower, rows, [1, 0], BIG)
-    with pytest.raises(ValueError):
-        an.min_weight_over_combinations(tower, rows, [0, 1, 2], BIG)  # 2 * 2 = 3 in F_4
+    with big_budget(), pytest.raises(ValueError):
+        an.min_weight_over_combinations(tower, rows, [1, 0])
+    with big_budget(), pytest.raises(ValueError):
+        an.min_weight_over_combinations(tower, rows, [0, 1, 2])  # 2 * 2 = 3 in F_4
+
+
+def test_threads_and_lead_are_keyword_only():
+    """A positional argument after the rows and scalars, or after the
+    generator (and basis), is refused, not taken as a thread count."""
+    tower = tower_for_q(2)
+    rows = [np.array([1, 2, 3], dtype=np.uint8)]
+    gen = build_generator(FAMILY_HERMITIAN, 2, 2)
+    with pytest.raises(TypeError):
+        an.min_weight_over_combinations(tower, rows, [0, 1], 2)
+    with pytest.raises(TypeError):
+        an.min_distance(gen, None, 2)
+    with pytest.raises(TypeError):
+        an.min_distance_subfield(gen, None, 2)
+    with pytest.raises(TypeError):
+        an.min_distance_exhaustive(gen, 2)
 
 
 # brute-force property ---------------------------------------------------------
@@ -154,8 +179,8 @@ def brute_force(tower, rows, scalars):
 @given(row_sets())
 def test_engine_equals_brute_force(case):
     tower, rows, scalars, table_bytes = case
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes):
-        w, digits, _ = an.min_weight_over_combinations(tower, rows, scalars, BIG)
+    with mock.patch.object(an, "TABLE_BYTES", table_bytes), big_budget():
+        w, digits, _ = an.min_weight_over_combinations(tower, rows, scalars)
     assert (w, digits) == brute_force(tower, rows, scalars)
 
 
@@ -163,8 +188,8 @@ def test_engine_equals_brute_force(case):
 @given(row_sets())
 def test_threaded_engine_equals_brute_force(case):
     tower, rows, scalars, table_bytes = case
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes):
-        w, digits, _ = an.min_weight_over_combinations(tower, rows, scalars, BIG, threads=2)
+    with mock.patch.object(an, "TABLE_BYTES", table_bytes), big_budget():
+        w, digits, _ = an.min_weight_over_combinations(tower, rows, scalars, threads=2)
     assert (w, digits) == brute_force(tower, rows, scalars)
 
 
@@ -194,9 +219,9 @@ def test_lead_walk_is_the_same_on_two_threads(table_bytes):
     rows = np.array([[1] * 8, [1, 2, 3, 1, 2, 3, 1, 2]] + np.eye(4, 8, dtype=int).tolist(),
                     dtype=np.uint8)
     scalars = list(range(4))
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes):
-        one = an.min_weight_over_combinations(tower, rows, scalars, BIG, lead=2)
-        two = an.min_weight_over_combinations(tower, rows, scalars, BIG, threads=2, lead=2)
+    with mock.patch.object(an, "TABLE_BYTES", table_bytes), big_budget():
+        one = an.min_weight_over_combinations(tower, rows, scalars, lead=2)
+        two = an.min_weight_over_combinations(tower, rows, scalars, threads=2, lead=2)
     assert one == two
     assert one[:2] == brute_force_lead(tower, rows, scalars, 2)
     assert one[0] > 1

@@ -1,7 +1,8 @@
 """The family policy lives behind `GeneratorMatrix.scalars`,
-`analysis.distance_formula` and `analysis.min_distance`: `verify` compares no
-family constant, and `cli` compares one, in the check that rejects
-`--family affine --method subfield` before the build."""
+`analysis.distance_formula`, `analysis.min_distance` and
+`analysis.require_budget`, which rejects `--family affine --method
+subfield` before the build: neither `verify` nor `cli` compares a family
+constant."""
 
 import ast
 from pathlib import Path
@@ -35,9 +36,5 @@ def test_verify_compares_no_family():
     assert family_comparisons("verify.py") == []
 
 
-def test_cli_compares_the_family_once_before_the_build():
-    found = family_comparisons("cli.py")
-    assert len(found) == 1
-    test, _ = found[0]
-    assert test is not None
-    assert any(isinstance(c, ast.Constant) and c.value == "subfield" for c in ast.walk(test))
+def test_cli_compares_no_family():
+    assert family_comparisons("cli.py") == []

@@ -59,3 +59,16 @@ def unused_definitions():
 
 def test_every_definition_is_used_exported_or_public():
     assert unused_definitions() == []
+
+
+def test_no_function_takes_a_budget_parameter():
+    """Each budget has one setting, its environment variable: no function
+    of the package takes a budget as an argument to forward or override."""
+    found = [f"{path.stem}.{node.name}({arg.arg})"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+             for arg in [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs,
+                         *filter(None, [node.args.vararg, node.args.kwarg])]
+             if "budget" in arg.arg]
+    assert found == []
