@@ -21,8 +21,6 @@ from .codebuild import (
     GeneratorMatrix,
     build_generator,
     fq_basis,
-    generator_affine_grassmann,
-    generator_hermitian,
     read_generator,
     write_generator,
 )

@@ -22,13 +22,14 @@ weights stratified by maximal-minor size, the two-weight classification at
 ell = 2 and the ell = 3 reduced family are reductions of it.
 
 One gate, `require_budget`, decides from a code's spec alone whether an
-enumeration may start: it refuses a method that does not apply to the
-family, then sizes the walk against the message budget
+enumeration may start: it refuses a method it does not know or that does
+not apply to the family, then sizes the walk against the message budget
 (`budget_messages`, HERMGRASS_BUDGET_MESSAGES) or the dual pair scan
 against the pair budget (`budget_pairs`, HERMGRASS_BUDGET_SUBSETS), so
 anything over budget raises before the generator is built.  The engine
 keeps its own message check for arbitrary rows.  Positions are bounded by
-`hermitian.BUILD_LIMIT`.
+`hermitian.BUILD_LIMIT`.  These two limits, and nothing else, bound the
+classifiers, which enumerate every message they report on.
 
 Dual distance works on the generator's columns as one array: a column or
 pair sum is keyed by its projective normal form (`_projective_keys`), t = 1
@@ -106,12 +107,14 @@ def require_budget(spec: CodeSpec, method: str | None = None, max_t: int = 4) ->
     """The enumeration `method` names (default: the family's certifying one,
     "subfield" for the Hermitian family, "exhaustive" for the affine one),
     once it applies to the family and its size, worked out from `spec`
-    alone, fits the budget.  "subfield" on the affine family raises
-    ValueError before anything is sized; a size over budget raises
-    BudgetExceeded.  A walk covers r^k messages (r = q for "subfield", the
-    alphabet for "exhaustive"); "dual" up to `max_t` >= 3 scans n(n-1)/2
-    column pairs times the alphabet's nonzero scalars, under the pair
-    budget, and up to max_t <= 2 scans none."""
+    alone, fits the budget.  An unknown method, or "subfield" on the affine
+    family, raises ValueError before anything is sized; a size over budget
+    raises BudgetExceeded.  A walk covers r^k messages (r = q for
+    "subfield", the alphabet for "exhaustive"); "dual" up to `max_t` >= 3
+    scans n(n-1)/2 column pairs times the alphabet's nonzero scalars, under
+    the pair budget, and up to max_t <= 2 scans none."""
+    if method not in (None, "subfield", "exhaustive", "dual"):
+        raise ValueError(f"unknown enumeration method {method!r}")
     if method == "subfield" and spec.family != FAMILY_HERMITIAN:
         raise ValueError("subfield enumeration applies to the Hermitian family")
     if method == "dual":
@@ -126,19 +129,11 @@ def require_budget(spec: CodeSpec, method: str | None = None, max_t: int = 4) ->
     return method
 
 
-# basic weight/distance --------------------------------------------------------
+# weight -----------------------------------------------------------------------
 
 
 def weight(codeword) -> int:
     return int(np.count_nonzero(np.asarray(codeword)))
-
-
-def distance(c1, c2) -> int:
-    c1 = np.asarray(c1)
-    c2 = np.asarray(c2)
-    if c1.shape != c2.shape:
-        raise ValueError("length mismatch")
-    return int(np.count_nonzero(c1 != c2))
 
 
 # closed forms -----------------------------------------------------------------
@@ -330,8 +325,10 @@ def _least_weight(tower, rows, scalars, kt, heads, form=None):
 
 def _weights_by_digits(tower, rows, scalars):
     """(digits, weight) of every message of two or more rows whose first
-    digit is 1."""
+    digit is 1.  The r^k messages of the rows are bounded by
+    `budget_messages()`."""
     rows = np.asarray(rows, dtype=np.uint8)
+    _require_messages(len(scalars), len(rows))
     form, kt, [heads] = _plan(tower, rows, scalars, 1)
     tails = list(itertools.product(range(len(scalars)), repeat=kt))
     for head, walked, weights in _walk(tower, rows, scalars, form, kt, heads):
@@ -471,13 +468,13 @@ def min_distance(gen: GeneratorMatrix, method: str | None = None, *,
     """Certified minimum distance by the enumeration `method` names, by
     default the family's certifying one: subfield for the Hermitian family,
     exhaustive for the affine family, where "subfield" raises ValueError.
-    Its size is bounded by `require_budget`."""
-    method = require_budget(gen.spec, method)
-    if method == "subfield":
+    Its size is bounded by `require_budget`, which refuses a method it does
+    not know; "dual" names no walk and is refused before anything is sized."""
+    if method == "dual":
+        raise ValueError("the dual pair scan does not certify a minimum distance")
+    if require_budget(gen.spec, method) == "subfield":
         return min_distance_subfield(gen, threads=threads)
-    if method == "exhaustive":
-        return min_distance_exhaustive(gen, threads=threads)
-    raise ValueError(f"unknown enumeration method {method!r}")
+    return min_distance_exhaustive(gen, threads=threads)
 
 
 def min_distance_formula(family: str, ell: int, q: int) -> DistanceCertificate:
@@ -744,8 +741,6 @@ def classify_weights_l2(q: int) -> dict:
       plus_f0 form:   f0 + f12^(q+1) - f11 f22 = 0
       minus_f0 form:  f12^(q+1) - f0 + f11 f22 = 0
     """
-    if q > 4:
-        raise ValueError("q <= 4 required")
     tower = tower_for_q(q)
     gen = build_generator(FAMILY_HERMITIAN, 2, q)
     # det + span over F_q of the other F_q basis rows: the constant, x11,
@@ -810,8 +805,6 @@ def verify_l3_bounds(q: int = 2) -> dict:
     for comparison), and weight(det + c) for c != 0 must equal
     q^9 - q^8 - q^6 + q^5 + q^3.
     """
-    if q != 2:
-        raise ValueError("the reduced-family sweep is budgeted for q = 2")
     gen = build_generator(FAMILY_HERMITIAN, 3, q)
     tower = gen.tower
     # det + span over F_q of x11, x22, x33 and the constant
@@ -856,62 +849,43 @@ def induction_bound(k: int, q: int) -> int:
 
 
 def min_weight_by_max_minor(ell: int, k: int, q: int,
-                            self_conjugate_only: bool = False,
-                            samples: int = 40,
-                            seed: int = DEFAULT_SEED) -> dict:
-    """Empirical minimum weight over combinations whose maximal support
-    minors all have size exactly k.
+                            self_conjugate_only: bool = False) -> dict:
+    """Exhaustive minimum weight over the combinations whose maximal support
+    minors all have size exactly k (over the F_q basis when
+    `self_conjugate_only`), checked against the induction bound at k = ell.
 
-    Exhaustive for ell = 2 with q <= 3 (the support classes are nested
-    there, so the class of a message is read off its digits); sampled
-    otherwise.  When k = ell the minimum is checked against the induction
-    bound.
+    The stratum must be read off the message digits: at ell = 2 the support
+    classes nest, so the class is the largest minor size among the nonzero
+    digits, and at k = ell it is "the det digit is nonzero"; any other
+    (ell, k) raises ValueError.  `require_budget` sizes the code's whole
+    walk before the build; the walk of a stratum k < ell is smaller.
+
+    At k = ell the self-conjugate minimum is also the minimum over every
+    combination.  Take a word c whose det coefficient a is nonzero and a
+    beta with Tr(beta a) != 0: beta c + (beta c)^q is self-conjugate, its
+    det coefficient is Tr(beta a), and its support lies inside c's.
     """
     if not 0 <= k <= ell:
         raise ValueError("need 0 <= k <= ell")
-    if samples < 1:
-        raise ValueError(f"need samples >= 1, got {samples}")
-    tower = tower_for_q(q)
+    if ell != 2 and k != ell:
+        raise ValueError(f"the stratum k = {k} at ell = {ell} is not read off the digits")
+    spec = CodeSpec(FAMILY_HERMITIAN, q, ell)
+    require_budget(spec, "subfield" if self_conjugate_only else "exhaustive")
     gen = build_generator(FAMILY_HERMITIAN, ell, q)
-    exhaustive = ell == 2 and q <= 3
-    best = None
-    count = 0
-    if exhaustive:
-        if self_conjugate_only:
-            combos, scalars = fq_basis(ell, q), list(tower.subfield)
-        else:
-            combos, scalars = [{m: 1} for m in gen.basis], gen.scalars
-        # the class of a message is the largest minor size among its nonzero
-        # digits: the size-k rows lead, and the smaller rows follow
-        size = [len(next(iter(f))[0]) for f in combos]
-        rows = np.stack([gen.encode(f) for f, z in zip(combos, size) if z == k]
-                        + [gen.encode(f) for f, z in zip(combos, size) if z < k])
-        best, _, count = min_weight_over_combinations(tower, rows, scalars, lead=size.count(k))
+    if self_conjugate_only:
+        combos, scalars = fq_basis(ell, q), gen.tower.subfield
     else:
-        import random
-
-        rng = random.Random(seed)
-        size_k = [m for m in mn.basis(ell) if len(m[0]) == k]
-        small = [m for m in mn.basis(ell) if len(m[0]) <= k]
-        principal_k = tuple(range(1, k + 1))
-        while count < samples:
-            f = mn.random_combination(tower, ell, rng, self_conjugate=self_conjugate_only)
-            f = {m: c for m, c in f.items() if m in small}
-            if not any(m in f for m in size_k):
-                c = tower.subfield[rng.randrange(1, tower.q)]
-                f[(principal_k, principal_k)] = c
-            if {len(m[0]) for m in mn.maximal_minors(f)} != {k}:
-                continue
-            count += 1
-            w = weight(gen.encode(f))
-            if best is None or w < best:
-                best = w
+        combos, scalars = [{m: 1} for m in gen.basis], gen.scalars
+    # the size-k rows lead, and the smaller rows follow
+    size = [len(next(iter(f))[0]) for f in combos]
+    rows = np.stack([gen.encode(f) for f, z in zip(combos, size) if z == k]
+                    + [gen.encode(f) for f, z in zip(combos, size) if z < k])
+    best, _, count = min_weight_over_combinations(gen.tower, rows, scalars, lead=size.count(k))
     report = {
         "ell": ell,
         "k": k,
         "q": q,
         "self_conjugate_only": self_conjugate_only,
-        "method": "exhaustive" if exhaustive else "sampled",
         "functions_examined": count,
         "min_weight": best,
     }

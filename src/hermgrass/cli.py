@@ -86,8 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("table", help="parameter tables for ell = 2 and 3, comma-separated")
     sp.add_argument("--ell", type=int, choices=(2, 3), default=None,
                     help="emit one table only (default: both)")
-    sp.add_argument("--certify", choices=("desk", "none"), default="desk",
-                    help="desk: re-certify by enumeration the cells within the message budget")
     sp.add_argument("--out", default=None)
     return p
 
@@ -202,7 +200,9 @@ def _within_budget(spec: CodeSpec) -> bool:
     return True
 
 
-def _table_rows(ell: int, certify: bool):
+def _table_rows(ell: int):
+    """One row per q; a cell is re-certified by enumeration in both families
+    when both certifying walks fit the message budget."""
     rows = []
     mismatch = False
     for q in sorted(SUPPORTED_Q):
@@ -210,8 +210,8 @@ def _table_rows(ell: int, certify: bool):
         d_a = an.distance_affine_formula(ell, q)
         d_h = an.distance_hermitian_formula(ell, q)
         certified = "no"
-        if certify and all(_within_budget(CodeSpec(family, q, ell))
-                           for family in (FAMILY_HERMITIAN, FAMILY_AFFINE)):
+        if all(_within_budget(CodeSpec(family, q, ell))
+               for family in (FAMILY_HERMITIAN, FAMILY_AFFINE)):
             cert_h = an.min_distance(build_generator(FAMILY_HERMITIAN, ell, q))
             cert_a = an.min_distance(build_generator(FAMILY_AFFINE, ell, q))
             if cert_h.d == d_h and cert_a.d == d_a:
@@ -230,7 +230,7 @@ def cmd_table(args) -> int:
     for ell in ells:
         out_lines.append(f"# ell = {ell}")
         out_lines.append("q,n,k,d(C^A),d(C^H),certified")
-        rows, mismatch = _table_rows(ell, certify=args.certify == "desk")
+        rows, mismatch = _table_rows(ell)
         any_mismatch = any_mismatch or mismatch
         for row in rows:
             out_lines.append(",".join(str(v) for v in row))

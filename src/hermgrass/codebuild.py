@@ -10,7 +10,7 @@ of the family's normative order, as defined by the position codec
 Also here: the F_q row basis of the Hermitian code and its check
 (`subfield_rows`), membership and interpolation against a generator,
 positionwise conjugation, automorphism permutations and their actions on
-messages, and the matrix/codeword file formats.
+messages, and the generator file format.
 """
 
 from __future__ import annotations
@@ -121,7 +121,12 @@ class GeneratorMatrix:
             )
 
     def header(self) -> str:
-        return _header(self, "k", self.spec.k)
+        t, s = self.tower, self.spec
+        modulus = "".join(str(d) for d in t.modulus)
+        return (
+            f"{FORMAT_MAGIC} family={_FAMILY_LETTER[s.family]} p={t.p} e={t.e} "
+            f"ell={s.ell} k={s.k} n={s.n} modulus={modulus}"
+        )
 
     def encode_message(self, message) -> np.ndarray:
         """Codeword of a length-k coefficient vector over the alphabet."""
@@ -196,14 +201,6 @@ def build_generator(family: str, ell: int, q: int) -> GeneratorMatrix:
     gen = GeneratorMatrix(spec, tower, rows)
     _GEN_CACHE[key] = gen
     return gen
-
-
-def generator_hermitian(ell: int, q: int) -> GeneratorMatrix:
-    return build_generator(FAMILY_HERMITIAN, ell, q)
-
-
-def generator_affine_grassmann(ell: int, q: int) -> GeneratorMatrix:
-    return build_generator(FAMILY_AFFINE, ell, q)
 
 
 # F_q basis -------------------------------------------------------------------
@@ -303,11 +300,11 @@ def transpose_permutation(tower: FieldTower, ell: int) -> np.ndarray:
     return _position_permutation(tower, ell, lambda H: transpose(tower, H))
 
 
-# file formats ----------------------------------------------------------------
+# generator file --------------------------------------------------------------
 
 
-def _parse_header(line: str, count_key: str):
-    """(spec, tower, count) of a file header, validated like a built code."""
+def _parse_header(line: str):
+    """(spec, tower, k) of a generator file header, validated like a built code."""
     parts = line.split()
     if parts[:2] != FORMAT_MAGIC.split():
         raise ValueError(f"bad magic in header: {line!r}")
@@ -318,7 +315,7 @@ def _parse_header(line: str, count_key: str):
     if len(fields) != len(pairs):
         keys = [key for key, _ in pairs]
         raise ValueError(f"repeated header fields {sorted({k for k in keys if keys.count(k) > 1})}")
-    required = {"family", "p", "e", "ell", count_key, "n", "modulus"}
+    required = {"family", "p", "e", "ell", "k", "n", "modulus"}
     if set(fields) != required:
         raise ValueError(f"header fields {sorted(fields)} != expected {sorted(required)}")
     family = _LETTER_FAMILY.get(fields["family"])
@@ -336,78 +333,42 @@ def _parse_header(line: str, count_key: str):
     spec = CodeSpec(family, tower.q, int(fields["ell"]))
     if int(fields["n"]) != spec.n:
         raise ValueError(f"header n={fields['n']} inconsistent with family/ell/q (n = {spec.n})")
-    return spec, tower, int(fields[count_key])
+    return spec, tower, int(fields["k"])
 
 
-def _parse_body(lines, width: int, tower, what: str):
+def _parse_body(lines, width: int, tower):
     """Rows of field-element indices, each of the given width."""
-    if not lines:
-        return np.zeros((0, width), dtype=np.uint8)
     try:
         rows = np.array([[int(v) for v in line.split()] for line in lines], dtype=np.int64)
     except OverflowError as exc:
-        raise ValueError(f"{what} body entry out of range: {exc}") from exc
+        raise ValueError(f"matrix body entry out of range: {exc}") from exc
     if rows.shape != (len(lines), width) or rows.min() < 0 or rows.max() >= tower.qq:
-        raise ValueError(f"{what} body malformed")
+        raise ValueError("matrix body malformed")
     return rows.astype(np.uint8)
 
 
-def _header(gen: GeneratorMatrix, count_key: str, count: int) -> str:
-    """The header of a generator (count_key k) or codeword (words) file."""
-    t, s = gen.tower, gen.spec
-    modulus = "".join(str(d) for d in t.modulus)
-    return (
-        f"{FORMAT_MAGIC} family={_FAMILY_LETTER[s.family]} p={t.p} e={t.e} "
-        f"ell={s.ell} {count_key}={count} n={s.n} modulus={modulus}"
-    )
-
-
-def _write_rows(path, header: str, rows):
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(" ".join(map(str, row.tolist())) + "\n")
-
-
 def write_generator(gen: GeneratorMatrix, path):
-    _write_rows(path, gen.header(), gen.rows)
-
-
-def _read_lines(path, what: str):
-    """Nonblank stripped lines of a matrix file, header first."""
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty {what} file, no header")
-    return lines
+    with open(path, "w") as fh:
+        fh.write(gen.header() + "\n")
+        for row in gen.rows:
+            fh.write(" ".join(map(str, row.tolist())) + "\n")
 
 
 def read_generator(path) -> GeneratorMatrix:
     """The generator the header names, once the body is checked to be its rows."""
-    lines = _read_lines(path, "generator")
-    spec, tower, k = _parse_header(lines[0], "k")
+    with open(path) as fh:
+        lines = [line.strip() for line in fh if line.strip()]
+    if not lines:
+        raise ValueError(f"{path}: empty generator file, no header")
+    spec, tower, k = _parse_header(lines[0])
     if k != spec.k:
         raise ValueError(f"header k={k} inconsistent with family/ell/q (k = {spec.k})")
     if len(lines) != k + 1:
         raise ValueError(f"{path}: expected {k} rows, found {len(lines) - 1}")
-    rows = _parse_body(lines[1:], spec.n, tower, "matrix")
+    rows = _parse_body(lines[1:], spec.n, tower)
     gen = build_generator(spec.family, spec.ell, spec.q)
     differs = np.flatnonzero((rows != gen.rows).any(axis=1))
     if differs.size:
         raise ValueError(f"{path}: body row {differs[0] + 1} differs from the generator")
     return gen
 
-
-def write_codewords(gen: GeneratorMatrix, words, path):
-    words = [np.asarray(w, dtype=np.uint8) for w in words]
-    _write_rows(path, _header(gen, "words", len(words)), words)
-
-
-def read_codewords(path):
-    """Returns ((family, q, ell), list of codeword arrays)."""
-    lines = _read_lines(path, "codeword")
-    spec, tower, count = _parse_header(lines[0], "words")
-    if len(lines) != count + 1:
-        raise ValueError(f"{path}: expected {count} codewords, found {len(lines) - 1}")
-    words = list(_parse_body(lines[1:], spec.n, tower, "codeword"))
-    return (spec.family, spec.q, spec.ell), words

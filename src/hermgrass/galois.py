@@ -91,7 +91,6 @@ class FieldTower:
             raise AssertionError(f"modulus {self.modulus} over F_{p} is not irreducible")
         log = np.zeros(qq, dtype=np.int64)
         log[exp] = np.arange(qq - 1)
-        self._exp, self._log = exp, log
 
         # products of nonzero elements through the logs, behind a zero row
         # (and column) for 0; -x = (p-1) * x is the identity at p = 2, and
@@ -132,16 +131,6 @@ class FieldTower:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return int(self.inv_np[a])
-
-    def pow(self, a: int, n: int) -> int:
-        """a^n for n >= 0, with a^0 = 1 (including 0^0)."""
-        if n < 0:
-            return self.pow(self.inv(a), -n)
-        if n == 0:
-            return 1
-        if a == 0:
-            return 0
-        return int(self._exp[int(self._log[a]) * n % (self.qq - 1)])
 
     def conjugate(self, a: int) -> int:
         """The involutive automorphism a -> a^q; fixes exactly F_q."""

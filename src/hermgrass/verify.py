@@ -163,11 +163,11 @@ def check_min_weight_strata(seed):
     require(r20["min_weight"] == 16)
     r23 = an.min_weight_by_max_minor(2, 2, 3)
     require(r23["min_weight"] == 51)
-    r33 = an.min_weight_by_max_minor(3, 3, 2, samples=25, seed=seed)
+    r33 = an.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)
     return (
         f"minima: (2,2,q=2)={r22['min_weight']}, (2,1,q=2)={r21['min_weight']}, "
         f"(2,0,q=2)={r20['min_weight']}, (2,2,q=3)={r23['min_weight']}, "
-        f"(3,3,q=2) sampled={r33['min_weight']} >= {r33['bound']}"
+        f"(3,3,q=2)={r33['min_weight']} >= {r33['bound']}"
     )
 
 
@@ -258,28 +258,19 @@ def check_automorphism_membership(seed):
         M = hm.decode(tower, ell, FAMILY_HERMITIAN, rng.randrange(gen.spec.n))
         perms.append(translate_permutation(tower, ell, M))
         for perm in perms:
-            require(sorted(perm) == list(range(gen.spec.n)), "not a permutation")
-            for _ in range(5):
-                f = mn.random_combination(tower, ell, rng)
-                c = np.asarray(gen.encode(f))
-                image = c[perm]
-                require(gen.membership(image))
-                require(an.weight(image) == an.weight(c))
-                checked += 1
-    return f"{checked} permuted codewords pass membership at equal weight"
+            gen.action(perm)  # a bijection whose images of every generator row are codewords
+            checked += 1
+    return f"{checked} permutations map the code onto itself, checked on every generator row"
 
 
 def check_conjugate_minor_identity(seed):
-    rng = random.Random(seed)
-    t2, t3 = tower_for_q(2), tower_for_q(3)
-    cases = [(t2, ell, position_entries(t2, ell, FAMILY_HERMITIAN)) for ell in (2, 3)]
-    sample = [rng.randrange(t3.q ** 4) for _ in range(500)]  # positions at ell = 2
-    cases.append((t3, 2, hm.decode(t3, 2, FAMILY_HERMITIAN, sample)))
-    for tower, ell, E in cases:
+    for ell, q in ((2, 2), (3, 2), (2, 3)):
+        tower = tower_for_q(q)
+        E = position_entries(tower, ell, FAMILY_HERMITIAN)
         for I, J in mn.basis(ell):
             require(np.array_equal(eval_minor_vector(tower, E, (J, I)),
                                    tower.conj_np[eval_minor_vector(tower, E, (I, J))]))
-    return "det_JI = det_IJ^q exhaustive at q=2 (ell<=3), sampled at q=3"
+    return "det_JI = det_IJ^q exhaustive at q=2 (ell<=3) and q=3 (ell=2)"
 
 
 def check_interpolation_round_trip(seed):

@@ -17,7 +17,6 @@ from hermgrass.codebuild import (
     build_generator,
     congruence_permutation,
     conjugate_codeword,
-    generator_hermitian,
     translate_permutation,
     transpose_permutation,
 )
@@ -49,7 +48,7 @@ DESK_CERTIFIED = {(2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2)
 def test_criterion_01_dimension():
     expected = {(2, 2): 6, (2, 3): 6, (2, 4): 6, (2, 5): 6, (3, 2): 20, (3, 3): 20}
     for (ell, q), k in expected.items():
-        gen = generator_hermitian(ell, q)
+        gen = build_generator(FAMILY_HERMITIAN, ell, q)
         assert gen.rank == k == gen.spec.k
     print("ACCEPTANCE 01 dimension = binom(2l, l) at all six (l, q): PASS")
 
@@ -57,18 +56,18 @@ def test_criterion_01_dimension():
 def test_criterion_02_min_distance_l2():
     expected = {2: 6, 3: 51, 4: 188, 5: 495}
     for q, d in expected.items():
-        gen = generator_hermitian(2, q)
+        gen = build_generator(FAMILY_HERMITIAN, 2, q)
         cert = an.min_distance_subfield(gen)
         assert cert.d == d, f"q={q}: subfield enumeration gave {cert.d}, expected {d}"
     for q in (2, 3):
-        gen = generator_hermitian(2, q)
+        gen = build_generator(FAMILY_HERMITIAN, 2, q)
         full = an.min_distance_exhaustive(gen)
         assert full.d == expected[q]
     print("ACCEPTANCE 02 d(C^H(2)) = 6, 51, 188, 495 certified (exhaustive cross-check q=2,3): PASS")
 
 
 def test_criterion_03_min_distance_l3_q2():
-    gen = generator_hermitian(3, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 3, 2)
     cert = an.min_distance_subfield(gen)
     assert cert.d == 192
     assert cert.messages_searched == 2**20 - 1
@@ -112,7 +111,7 @@ def test_criterion_05_invertible_counts():
 def test_criterion_06_dual_distances():
     expected = {(2, 3): 3, (2, 4): 3, (2, 5): 3, (2, 2): 4, (3, 2): 4}
     for (ell, q), d in expected.items():
-        gen = generator_hermitian(ell, q)
+        gen = build_generator(FAMILY_HERMITIAN, ell, q)
         cert = an.dual_min_distance(gen)
         assert cert.d_dual == d, f"(ell={ell}, q={q})"
         assert cert.exhausted_below == d  # no smaller dependent column set exists
@@ -138,7 +137,7 @@ def test_criterion_07_dual_support_families():
                     acc = t.add(acc, t.mul(c, int(row[pos])))
                 assert acc == 0
     # coefficient pattern for q > 2: (c0, -a/(a-1) c0, 1/(a-1) c0)
-    gen = generator_hermitian(2, 3)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
     assert an.dual_word_weight3(gen, alpha=2, c0=1) == ((0, 1, 2), (1, 1, 1))
     print("ACCEPTANCE 07 dual support families orthogonal, 50 instances each at (2,2),(2,3),(3,2): PASS")
 
@@ -189,7 +188,7 @@ def test_criterion_10_l3_structural_bounds():
 def test_criterion_11_q_invariance_and_automorphisms():
     rng = random.Random(an.DEFAULT_SEED)
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
-        gen = generator_hermitian(ell, q)
+        gen = build_generator(FAMILY_HERMITIAN, ell, q)
         t = gen.tower
         for row in gen.rows:
             assert gen.membership(conjugate_codeword(t, row))

@@ -13,8 +13,6 @@ from hermgrass.codebuild import (
     CodeSpec,
     build_generator,
     fq_basis,
-    generator_affine_grassmann,
-    generator_hermitian,
     subfield_rows,
 )
 from hermgrass.errors import BudgetExceeded, NoneFoundWithinBound
@@ -23,12 +21,9 @@ from hermgrass.hermitian import count_invertible, zero_matrix
 from test_hermitian import matrices_at, unit_matrix
 
 
-def test_weight_and_distance():
-    assert an.distance([1, 0, 1, 0], [1, 1, 0, 0]) == 2
+def test_weight():
     assert an.weight([0, 0, 0]) == 0
     assert an.weight([0, 2, 3]) == 2
-    with pytest.raises(ValueError):
-        an.distance([0, 1], [0, 1, 2])
 
 
 def test_weight_of_function_values():
@@ -44,7 +39,7 @@ def test_weight_of_function_values():
 def test_weight_of_function_matches_encoding():
     rng = random.Random(3)
     for ell, q in [(2, 3), (3, 2)]:
-        gen = generator_hermitian(ell, q)
+        gen = build_generator(FAMILY_HERMITIAN, ell, q)
         for _ in range(10):
             f = mn.random_combination(gen.tower, ell, rng)
             assert an.weight_of_function(f, ell, q) == an.weight(gen.encode(f))
@@ -53,7 +48,7 @@ def test_weight_of_function_matches_encoding():
 def test_engine_matches_independent_enumeration():
     # the Gray-walk engine agrees with brute-force re-encoding of every
     # message, on both a binary-path case and a general-radix case
-    gen = generator_hermitian(2, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 2)
     t = gen.tower
     combos = fq_basis(2, 2)
     rows = [gen.encode(f) for f in combos]
@@ -72,7 +67,7 @@ def test_engine_matches_independent_enumeration():
     )
     assert an.min_distance_exhaustive(gen).d == full == 6
 
-    g23 = generator_hermitian(2, 3)
+    g23 = build_generator(FAMILY_HERMITIAN, 2, 3)
     combos = fq_basis(2, 3)
     rows = [g23.encode(f) for f in combos]
     brute = min(
@@ -84,26 +79,26 @@ def test_engine_matches_independent_enumeration():
 
 
 def test_min_distance_exhaustive():
-    cert = an.min_distance_exhaustive(generator_hermitian(2, 2))
+    cert = an.min_distance_exhaustive(build_generator(FAMILY_HERMITIAN, 2, 2))
     assert cert.d == 6
     assert cert.method == "ExhaustiveFull"
     assert cert.messages_searched == 4**6 - 1
-    assert an.weight(generator_hermitian(2, 2).encode(cert.witness)) == 6
+    assert an.weight(build_generator(FAMILY_HERMITIAN, 2, 2).encode(cert.witness)) == 6
 
-    cert_a = an.min_distance_exhaustive(generator_affine_grassmann(2, 2))
+    cert_a = an.min_distance_exhaustive(build_generator(FAMILY_AFFINE, 2, 2))
     assert cert_a.d == 6
     assert cert_a.messages_searched == 2**6 - 1
 
-    assert an.min_distance_exhaustive(generator_hermitian(1, 2)).d == 1
+    assert an.min_distance_exhaustive(build_generator(FAMILY_HERMITIAN, 1, 2)).d == 1
 
     with pytest.raises(BudgetExceeded):
-        an.min_distance_exhaustive(generator_hermitian(3, 2))
+        an.min_distance_exhaustive(build_generator(FAMILY_HERMITIAN, 3, 2))
 
 
 def test_min_distance_subfield():
     expected = {2: 6, 3: 51, 4: 188, 5: 495}
     for q, d in expected.items():
-        gen = generator_hermitian(2, q)
+        gen = build_generator(FAMILY_HERMITIAN, 2, q)
         cert = an.min_distance_subfield(gen)
         assert cert.d == d
         assert cert.method == "ExhaustiveSubfield"
@@ -112,13 +107,13 @@ def test_min_distance_subfield():
 
 
 def test_min_distance_subfield_explicit_basis():
-    gen = generator_hermitian(2, 3)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
     cert = an.min_distance_subfield(gen, basis=fq_basis(2, 3))
     assert cert.d == 51
 
 
 def test_min_distance_subfield_l3():
-    gen = generator_hermitian(3, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 3, 2)
     cert = an.min_distance_subfield(gen)
     assert cert.d == 192
     assert cert.messages_searched == 2**20 - 1
@@ -127,15 +122,15 @@ def test_min_distance_subfield_l3():
 
 def test_min_distance_subfield_budget_and_family():
     with pytest.raises(BudgetExceeded):
-        an.min_distance_subfield(generator_hermitian(3, 3))
+        an.min_distance_subfield(build_generator(FAMILY_HERMITIAN, 3, 3))
     with pytest.raises(ValueError):
-        an.min_distance_subfield(generator_affine_grassmann(2, 2))
+        an.min_distance_subfield(build_generator(FAMILY_AFFINE, 2, 2))
 
 
 def test_walk_heads_do_not_call_combine(monkeypatch):
     """Each walk head's state is built by the walk's own add and pack from the
     zero word, so the H2q8 subfield walk (six-lane words) calls no `combine`."""
-    gen = generator_hermitian(2, 8)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 8)
     t = gen.tower
     rows = subfield_rows(gen, fq_basis(2, 8))
 
@@ -201,17 +196,30 @@ def test_require_budget_charges_the_pair_scan_only_from_max_t_3(monkeypatch):
 
 
 def test_min_distance_runs_the_family_enumeration():
-    cert = an.min_distance(generator_hermitian(2, 3))
+    cert = an.min_distance(build_generator(FAMILY_HERMITIAN, 2, 3))
     assert (cert.method, cert.d) == ("ExhaustiveSubfield", 51)
-    cert = an.min_distance(generator_affine_grassmann(2, 3))
+    cert = an.min_distance(build_generator(FAMILY_AFFINE, 2, 3))
     assert (cert.method, cert.d) == ("ExhaustiveFull", 48)
-    cert = an.min_distance(generator_hermitian(2, 3), "exhaustive")
+    cert = an.min_distance(build_generator(FAMILY_HERMITIAN, 2, 3), "exhaustive")
     assert (cert.method, cert.d) == ("ExhaustiveFull", 51)
     # no silent fallback to another enumeration
     with pytest.raises(ValueError, match="subfield enumeration applies to the Hermitian family"):
-        an.min_distance(generator_affine_grassmann(2, 3), "subfield")
-    with pytest.raises(ValueError):
-        an.min_distance(generator_hermitian(2, 3), "formula")
+        an.min_distance(build_generator(FAMILY_AFFINE, 2, 3), "subfield")
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_min_distance_refuses_a_method_it_does_not_run(q):
+    """An unknown method is a usage error at every q, never a budget error:
+    at q = 5 the alphabet walk (25^6 messages) is over budget, and the gate
+    refuses the method before it sizes anything.  "dual" names the pair
+    scan, not a walk, and is refused before the scan is sized."""
+    gen = build_generator(FAMILY_HERMITIAN, 2, q)
+    with pytest.raises(ValueError, match="^unknown enumeration method 'formula'$"):
+        an.min_distance(gen, "formula")
+    with pytest.raises(ValueError, match="^unknown enumeration method 'formula'$"):
+        an.require_budget(gen.spec, "formula")
+    with pytest.raises(ValueError, match="does not certify a minimum distance"):
+        an.min_distance(gen, "dual")
 
 
 def test_distance_formula():
@@ -224,7 +232,7 @@ def test_distance_formula():
 
 
 def test_min_distance_threads_match():
-    gen = generator_hermitian(2, 3)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
     one = an.min_distance_subfield(gen, threads=1)
     two = an.min_distance_subfield(gen, threads=2)
     assert one.d == two.d
@@ -254,7 +262,7 @@ def _recheck_dual(gen, cert):
 
 
 def test_dual_min_distance_q3():
-    gen = generator_hermitian(2, 3)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
     cert = an.dual_min_distance(gen)
     assert cert.d_dual == 3
     assert cert.columns == (0, 1, 2)
@@ -267,7 +275,7 @@ def test_dual_min_distance_q3():
 
 
 def test_dual_min_distance_q2():
-    gen = generator_hermitian(2, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 2)
     cert = an.dual_min_distance(gen)
     assert cert.d_dual == 4
     assert cert.columns == (0, 1, 4, 5)
@@ -281,11 +289,11 @@ def test_dual_min_distance_q2():
 
 def test_dual_min_distance_more():
     for q in (4, 5):
-        gen = generator_hermitian(2, q)
+        gen = build_generator(FAMILY_HERMITIAN, 2, q)
         cert = an.dual_min_distance(gen)
         assert cert.d_dual == 3
         _recheck_dual(gen, cert)
-    gen = generator_hermitian(3, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 3, 2)
     cert = an.dual_min_distance(gen)
     assert cert.d_dual == 4
     assert cert.exhausted_below == 4
@@ -295,23 +303,23 @@ def test_dual_min_distance_more():
 def test_dual_min_distance_affine():
     # the affine family shows the same 4 (q=2) / 3 (q>2) split, with F_q
     # dependency coefficients
-    cert = an.dual_min_distance(generator_affine_grassmann(2, 2))
+    cert = an.dual_min_distance(build_generator(FAMILY_AFFINE, 2, 2))
     assert cert.d_dual == 4
-    cert = an.dual_min_distance(generator_affine_grassmann(2, 3))
+    cert = an.dual_min_distance(build_generator(FAMILY_AFFINE, 2, 3))
     assert cert.d_dual == 3
     t = tower_for_q(3)
     assert all(t.in_base_subfield(c) for c in cert.coefficients)
-    _recheck_dual(generator_affine_grassmann(2, 3), cert)
+    _recheck_dual(build_generator(FAMILY_AFFINE, 2, 3), cert)
 
 
 def test_dual_none_found_within_bound():
-    gen = generator_hermitian(2, 3)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
     with pytest.raises(NoneFoundWithinBound):
         an.dual_min_distance(gen, max_t=2)
 
 
 def test_dual_budget(monkeypatch):
-    gen = generator_hermitian(3, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 3, 2)
     monkeypatch.setenv("HERMGRASS_BUDGET_SUBSETS", "1000")
     with pytest.raises(BudgetExceeded):
         an.dual_min_distance(gen)
@@ -321,7 +329,7 @@ def test_dual_budget(monkeypatch):
 
 
 def test_dual_word_weight3():
-    gen = generator_hermitian(2, 3)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
     positions, coeffs = an.dual_word_weight3(gen, alpha=2, c0=1)
     # -2/(2-1) = 1 and 1/(2-1) = 1 in F_3
     assert positions == (0, 1, 2)
@@ -331,18 +339,18 @@ def test_dual_word_weight3():
     with pytest.raises(ValueError):
         an.dual_word_weight3(gen, alpha=0)
     with pytest.raises(ValueError):
-        an.dual_word_weight3(generator_hermitian(2, 2), alpha=1)
+        an.dual_word_weight3(build_generator(FAMILY_HERMITIAN, 2, 2), alpha=1)
 
 
 def test_dual_word_weight4():
-    gen = generator_hermitian(2, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 2)
     positions, coeffs = an.dual_word_weight4(gen)
     assert positions == (0, 1, 4, 5)
     assert coeffs == (1, 1, 1, 1)
     with pytest.raises(ValueError):
         an.dual_word_weight4(gen, a1=(1, 0), a2=(2, 0))  # dependent
     with pytest.raises(ValueError):
-        an.dual_word_weight4(generator_hermitian(2, 3))
+        an.dual_word_weight4(build_generator(FAMILY_HERMITIAN, 2, 3))
 
 
 def test_dual_support_families_randomized():
@@ -452,43 +460,58 @@ def test_verify_l3_bounds():
     assert r["weight_det_matches_product_form"]
     assert not r["weight_det_matches_alt_expansion"]
     assert r["weight_det_plus_const"] == [232]
-    with pytest.raises(ValueError):
-        an.verify_l3_bounds(3)
+
+
+def test_verify_l3_bounds_q3():
+    """At q = 3 the reduced family's least weight is its bound: the H3q3
+    stratum value the certificate by strata aims for."""
+    r = an.verify_l3_bounds(3)
+    assert r["min_weight"] == r["bound"] == 12582
+    assert r["family_size"] == 81
+    assert r["weight_det"] == 14040 == count_invertible(3, 3)
+    assert r["weight_det_plus_const"] == [12663]
 
 
 def test_min_weight_by_max_minor():
     r = an.min_weight_by_max_minor(2, 2, 2)
     assert r["min_weight"] == 6
     assert r["bound"] == 6
-    assert r["method"] == "exhaustive"
     r = an.min_weight_by_max_minor(2, 1, 2)
     assert r["min_weight"] == 8  # q^4 - q^3
     r = an.min_weight_by_max_minor(2, 0, 2)
     assert r["min_weight"] == 16
     r = an.min_weight_by_max_minor(2, 2, 3)
     assert r["min_weight"] == 51
-    r = an.min_weight_by_max_minor(3, 3, 2, samples=20)
-    assert r["method"] == "sampled"
-    assert r["min_weight"] >= r["bound"] == 199
     r_sc = an.min_weight_by_max_minor(2, 2, 2, self_conjugate_only=True)
     assert r_sc["min_weight"] == 6
     assert r_sc["functions_examined"] == 2**3 * 4  # f0, f11, f22 in F_2; f12 in F_4
 
 
-def test_min_weight_by_max_minor_rejects_no_samples(monkeypatch):
-    """samples < 1 is refused before any build, at k = ell (which compared
-    None with the bound) and at k < ell (which reported min_weight None)."""
+def test_min_weight_by_max_minor_l3_q2():
+    """The det stratum at (3, 2), walked over the self-conjugate messages
+    whose det digit is 1: 2^19 of them, least weight 216 >= 199."""
+    r = an.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)
+    assert (r["min_weight"], r["functions_examined"], r["bound"]) == (216, 2**19, 199)
+    assert r["meets_bound"]
+
+
+def test_min_weight_by_max_minor_refuses_before_the_build(monkeypatch):
+    """A walk over the message budget raises BudgetExceeded, and a stratum
+    that cannot be read off the digits raises ValueError, before any build."""
     def no_build(*args):
         raise AssertionError("built a generator")
 
     monkeypatch.setattr(an, "build_generator", no_build)
-    for k, samples in [(3, 0), (2, 0), (3, -1)]:
-        with pytest.raises(ValueError, match=f"^need samples >= 1, got {samples}$"):
-            an.min_weight_by_max_minor(3, k, 2, samples=samples)
+    with pytest.raises(BudgetExceeded, match=r"message space 4\^20 = "):
+        an.min_weight_by_max_minor(3, 3, 2)
+    with pytest.raises(BudgetExceeded, match=r"message space 3\^20 = "):
+        an.min_weight_by_max_minor(3, 3, 3, self_conjugate_only=True)
+    with pytest.raises(ValueError, match="not read off the digits"):
+        an.min_weight_by_max_minor(3, 2, 2)
 
 
 def test_translation_clearing():
-    g22 = generator_hermitian(2, 2)
+    g22 = build_generator(FAMILY_HERMITIAN, 2, 2)
     assert an.verify_translation_clearing(g22, {((1, 2), (1, 2)): 1}, (1, 2))
     f = {((1, 2), (1, 2)): 1, ((1,), (1,)): 1, ((2,), (2,)): 1}
     assert an.verify_translation_clearing(g22, f, (1, 2))
@@ -499,7 +522,7 @@ def test_translation_clearing():
         an.verify_translation_clearing(
             g22, {((1, 2), (1, 2)): 1, ((1,), (1,)): 1}, (1,)
         )
-    g32 = generator_hermitian(3, 2)
+    g32 = build_generator(FAMILY_HERMITIAN, 3, 2)
     rng = random.Random(23)
     full = ((1, 2, 3), (1, 2, 3))
     for _ in range(50):
@@ -510,7 +533,7 @@ def test_translation_clearing():
 
 
 def test_spread_reduction_worked_example():
-    g32 = generator_hermitian(3, 2)
+    g32 = build_generator(FAMILY_HERMITIAN, 3, 2)
     f = {((1, 2), (2, 3)): 1}
     f2, info = an.spread_reduction_step(g32, f)
     assert (info["size"], info["spread"]) == (2, 3)
@@ -520,7 +543,7 @@ def test_spread_reduction_worked_example():
 
 
 def test_spread_reduction_guard():
-    g32 = generator_hermitian(3, 2)
+    g32 = build_generator(FAMILY_HERMITIAN, 3, 2)
     with pytest.raises(ValueError):
         an.spread_reduction_step(g32, {((1, 2), (1, 2)): 1})
     with pytest.raises(ValueError):
@@ -536,7 +559,7 @@ def test_induction_bound_values():
 def test_certificate_serialization():
     from hermgrass import reports
 
-    cert = an.min_distance_subfield(generator_hermitian(2, 2))
+    cert = an.min_distance_subfield(build_generator(FAMILY_HERMITIAN, 2, 2))
     d = cert.as_dict()
     assert d["d"] == 6
     assert "witness" in d and "generator" in d

@@ -27,7 +27,6 @@ def test_min_weight_by_max_minor_pinned(q, sc):
     got = []
     for k in (0, 1, 2):
         r = an.min_weight_by_max_minor(2, k, q, self_conjugate_only=sc)
-        assert r["method"] == "exhaustive"
         got.append((r["functions_examined"], r["min_weight"]))
     assert got == STRATA[(q, sc)]
 
@@ -80,6 +79,13 @@ def test_min_weight_by_max_minor_equals_brute_force(sc, table_bytes):
         for k in (0, 1, 2):
             r = an.min_weight_by_max_minor(2, k, 2, self_conjugate_only=sc)
             assert (r["functions_examined"], r["min_weight"]) == expected[k]
+
+
+def test_classify_weights_l2_q5_pinned():
+    r = an.classify_weights_l2(5)
+    assert r["weights"] == r["expected_weights"] == [495, 520]
+    assert r["family_size"] == 3125
+    assert r["resolved_predicate"] == "plus_f0"
 
 
 def test_classify_weights_l2_q4_pinned():

@@ -15,7 +15,7 @@ from hermgrass.codebuild import (
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
     CodeSpec,
-    generator_hermitian,
+    build_generator,
     read_generator,
     write_generator,
 )
@@ -75,7 +75,7 @@ def test_gen_round_trip(tmp_path, capsys):
     assert code == 0
     assert "rank = 6" in out
     back = read_generator(path)
-    assert np.array_equal(back.rows, generator_hermitian(2, 2).rows)
+    assert np.array_equal(back.rows, build_generator(FAMILY_HERMITIAN, 2, 2).rows)
 
     code, out, _ = run(capsys, "gen", "--q", "2", "--ell", "3", "--out",
                        str(tmp_path / "g32.txt"))
@@ -361,8 +361,9 @@ def test_verify_tree_format(capsys):
     assert all(r["ok"] for r in data["results"])
 
 
-def test_table(capsys):
-    code, out, _ = run(capsys, "table", "--ell", "2", "--certify", "none")
+def test_table(capsys, monkeypatch):
+    monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "0")  # no cell may walk
+    code, out, _ = run(capsys, "table", "--ell", "2")
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[1] == "q,n,k,d(C^A),d(C^H),certified"

@@ -1,7 +1,6 @@
 import random
 import re
 import tempfile
-from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -16,21 +15,16 @@ from hermgrass.codebuild import (
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
     CodeSpec,
-    _header,
     build_generator,
     congruence_permutation,
     conjugate_codeword,
     fq_basis,
-    generator_affine_grassmann,
-    generator_hermitian,
     q_invariance_check,
-    read_codewords,
     read_generator,
     subfield_generator_element,
     subfield_rows,
     translate_permutation,
     transpose_permutation,
-    write_codewords,
     write_generator,
 )
 from hermgrass.errors import BudgetExceeded
@@ -43,7 +37,7 @@ from test_minors import eval_minor
 def test_generator_shapes_and_ranks():
     cases = [(2, 2, 6, 16), (3, 2, 20, 512), (1, 2, 2, 2), (2, 3, 6, 81)]
     for ell, q, k, n in cases:
-        gen = generator_hermitian(ell, q)
+        gen = build_generator(FAMILY_HERMITIAN, ell, q)
         assert gen.rows.shape == (k, n)
         assert gen.rank == k
         assert gen.spec == CodeSpec(FAMILY_HERMITIAN, q, ell)
@@ -52,7 +46,7 @@ def test_generator_shapes_and_ranks():
 def test_generator_columns_match_scalar_evaluation():
     # vectorized build agrees with per-matrix evaluation
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
-        gen = generator_hermitian(ell, q)
+        gen = build_generator(FAMILY_HERMITIAN, ell, q)
         t = gen.tower
         rng = random.Random(1)
         positions = [rng.randrange(gen.spec.n) for _ in range(25)]
@@ -67,13 +61,13 @@ def test_generator_too_large():
 
 
 def test_affine_generator():
-    gen = generator_affine_grassmann(2, 2)
+    gen = build_generator(FAMILY_AFFINE, 2, 2)
     assert gen.rows.shape == (6, 16)
     assert gen.rank == 6
     t = gen.tower
     assert all(t.in_base_subfield(int(v)) for v in np.unique(gen.rows))
     # ell = 1, q = 2: the code is the full space of length 2
-    g1 = generator_affine_grassmann(1, 2)
+    g1 = build_generator(FAMILY_AFFINE, 1, 2)
     assert g1.rows.shape == (2, 2)
     assert g1.rank == 2
     words = {tuple(linalg.combine(g1.tower, g1.rows, m)) for m in
@@ -82,7 +76,7 @@ def test_affine_generator():
 
 
 def test_affine_positions_row_major():
-    gen = generator_affine_grassmann(2, 3)
+    gen = build_generator(FAMILY_AFFINE, 2, 3)
     t = gen.tower
     # position t decodes entries (1,1),(1,2),(2,1),(2,2) least significant
     # first through the sorted subfield; check via the 1x1 minor rows
@@ -140,14 +134,14 @@ def test_subfield_rows_fails_closed():
 
 def test_conjugated_rows_are_codewords():
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
-        gen = generator_hermitian(ell, q)
+        gen = build_generator(FAMILY_HERMITIAN, ell, q)
         assert q_invariance_check(gen)
         for row in gen.rows:
             assert gen.membership(conjugate_codeword(gen.tower, row))
 
 
 def test_membership():
-    gen = generator_hermitian(2, 3)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
     rng = random.Random(8)
     for row in gen.rows:
         assert gen.membership(row)
@@ -162,7 +156,7 @@ def test_membership():
 
 
 def test_affine_membership_stays_in_subfield():
-    gen = generator_affine_grassmann(2, 3)
+    gen = build_generator(FAMILY_AFFINE, 2, 3)
     t = gen.tower
     # an F_9-multiple of a row is in the F_9 span but not the F_3 code
     scaled = t.mul_np[3][gen.rows[1]]
@@ -172,7 +166,7 @@ def test_affine_membership_stays_in_subfield():
 
 def test_message_alphabet():
     for q in (2, 3, 4):
-        gen_h, gen_a = generator_hermitian(2, q), generator_affine_grassmann(2, q)
+        gen_h, gen_a = build_generator(FAMILY_HERMITIAN, 2, q), build_generator(FAMILY_AFFINE, 2, q)
         t = gen_h.tower
         assert gen_h.scalars == tuple(range(t.qq))
         assert gen_a.scalars == t.subfield == tuple(sorted(t.subfield))
@@ -187,7 +181,7 @@ def test_message_alphabet():
 
 
 def test_automorphism_permutations():
-    gen = generator_hermitian(2, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 2)
     t = gen.tower
     n = gen.spec.n
     ident = congruence_permutation(t, 2, identity_matrix(2))
@@ -213,7 +207,7 @@ def test_automorphism_permutations():
 def test_automorphisms_preserve_membership_randomized():
     rng = random.Random(13)
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
-        gen = generator_hermitian(ell, q)
+        gen = build_generator(FAMILY_HERMITIAN, ell, q)
         t = gen.tower
         while True:
             A = tuple(tuple(rng.randrange(t.qq) for _ in range(ell)) for _ in range(ell))
@@ -248,7 +242,7 @@ def test_generator_file_round_trip(tmp_path):
 
 
 def test_generator_file_validation(tmp_path):
-    gen = generator_hermitian(2, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 2)
     path = tmp_path / "gen.txt"
     write_generator(gen, path)
     text = path.read_text().splitlines()
@@ -264,23 +258,8 @@ def test_generator_file_validation(tmp_path):
         read_generator(bad)
 
 
-def test_codeword_file_round_trip(tmp_path):
-    gen = generator_hermitian(2, 2)
-    rng = random.Random(21)
-    words = [gen.encode(mn.random_combination(gen.tower, 2, rng)) for _ in range(3)]
-    path = tmp_path / "words.txt"
-    write_codewords(gen, words, path)
-    header = path.read_text().splitlines()[0]
-    assert "words=3" in header and "k=" not in header
-    (family, q, ell), back = read_codewords(path)
-    assert (family, q, ell) == (FAMILY_HERMITIAN, 2, 2)
-    assert len(back) == 3
-    for w, b in zip(words, back):
-        assert np.array_equal(w, b)
-
-
 def test_read_generator_rejects_empty_and_header_only(tmp_path):
-    gen = generator_hermitian(2, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 2)
     path = tmp_path / "gen.txt"
     path.write_text("")
     with pytest.raises(ValueError, match=re.escape(str(path))):
@@ -293,57 +272,27 @@ def test_read_generator_rejects_empty_and_header_only(tmp_path):
         read_generator(path)
 
 
-def test_read_codewords_rejects_empty_and_header_only(tmp_path):
-    gen = generator_hermitian(2, 2)
-    path = tmp_path / "words.txt"
-    path.write_text("")
-    with pytest.raises(ValueError, match=re.escape(str(path))):
-        read_codewords(path)
-    write_codewords(gen, [gen.rows[0], gen.rows[1]], path)
-    path.write_text(path.read_text().splitlines()[0] + "\n")
-    with pytest.raises(ValueError, match=re.escape(str(path))):
-        read_codewords(path)
-    # a header announcing no words is a complete, empty file
-    write_codewords(gen, [], path)
-    assert read_codewords(path) == ((FAMILY_HERMITIAN, 2, 2), [])
-
-
-def test_read_codewords_rejects_inconsistent_header(tmp_path):
-    gen = generator_hermitian(2, 2)
-    path = tmp_path / "words.txt"
-    write_codewords(gen, [gen.rows[0]], path)
-    text = path.read_text()
-    for old, new in [("ell=2", "ell=3"), ("ell=2 words=1 n=16", "ell=9 words=1 n=4"),
-                     ("n=16", "n=17"), ("family=H", "family=Q")]:
-        path.write_text(text.replace(old, new))
-        with pytest.raises(ValueError):
-            read_codewords(path)
-
-
 def test_readers_reject_entries_beyond_int64(tmp_path):
-    gen = generator_hermitian(2, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 2)
     path = tmp_path / "m.txt"
-    for write in (write_generator, lambda g, p: write_codewords(g, [g.rows[1]], p)):
-        write(gen, path)
-        header, first, rest = path.read_text().split("\n", 2)
-        path.write_text("\n".join([header, "99999999999999999999999" + first[1:], rest]))
-        with pytest.raises(ValueError, match="out of range"):
-            (read_generator if write is write_generator else read_codewords)(path)
+    write_generator(gen, path)
+    header, first, rest = path.read_text().split("\n", 2)
+    path.write_text("\n".join([header, "99999999999999999999999" + first[1:], rest]))
+    with pytest.raises(ValueError, match="out of range"):
+        read_generator(path)
 
 
 def test_readers_reject_repeated_header_fields(tmp_path):
-    gen = generator_hermitian(2, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 2)
     path = tmp_path / "m.txt"
-    for write, read in ((write_generator, read_generator),
-                        (lambda g, p: write_codewords(g, [], p), read_codewords)):
-        write(gen, path)
-        path.write_text(path.read_text().replace("modulus=111", "modulus=111 modulus=111", 1))
-        with pytest.raises(ValueError, match=re.escape("repeated header fields ['modulus']")):
-            read(path)
+    write_generator(gen, path)
+    path.write_text(path.read_text().replace("modulus=111", "modulus=111 modulus=111", 1))
+    with pytest.raises(ValueError, match=re.escape("repeated header fields ['modulus']")):
+        read_generator(path)
 
 
 def test_read_generator_rejects_rank_deficient_body(tmp_path):
-    gen = generator_hermitian(2, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 2)
     path = tmp_path / "gen.txt"
     write_generator(gen, path)
     lines = path.read_text().splitlines()
@@ -354,7 +303,7 @@ def test_read_generator_rejects_rank_deficient_body(tmp_path):
 
 def test_read_generator_rejects_swapped_rows(tmp_path):
     # a full-rank body that is not the family's generator
-    gen = generator_hermitian(2, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 2)
     path = tmp_path / "gen.txt"
     write_generator(gen, path)
     lines = path.read_text().splitlines()
@@ -374,18 +323,12 @@ FIELD_VALUES = st.one_of(st.integers(-2, 17).map(str),
 
 @st.composite
 def reader_inputs(draw):
-    """(kind, header, body lines) of a generator or codeword file with up to
-    two edits: a header field set, repeated, dropped or garbled, or a body
-    entry or row changed."""
-    kind = draw(st.sampled_from(["generator", "codewords"]))
+    """(header, body lines) of a generator file with up to two edits: a
+    header field set, repeated, dropped or garbled, or a body entry or row
+    changed."""
     gen = build_generator(*draw(st.sampled_from(READER_CELLS)))
-    if kind == "generator":
-        header, rows = gen.header(), gen.rows
-    else:
-        rows = gen.rows[:draw(st.integers(0, 3))]
-        header = _header(gen, "words", len(rows))
-    tokens = header.split()
-    body = [[str(int(v)) for v in row] for row in rows]
+    tokens = gen.header().split()
+    body = [[str(int(v)) for v in row] for row in gen.rows]
     for _ in range(draw(st.integers(0, 2))):
         edit = draw(st.sampled_from(["set", "repeat", "drop", "garble", "entry", "row"]))
         fields = range(2, len(tokens))
@@ -403,15 +346,15 @@ def reader_inputs(draw):
             row[draw(st.integers(0, len(row) - 1))] = draw(FIELD_VALUES)
         elif edit == "row" and body:
             del body[draw(st.integers(0, len(body) - 1))]
-    return kind, " ".join(tokens), [" ".join(row) for row in body]
+    return " ".join(tokens), [" ".join(row) for row in body]
 
 
-def header_spec(header, count_key):
-    """(spec, count) of a header that names each field once, with values that
+def header_spec(header):
+    """(spec, k) of a header that names each field once, with values that
     describe a supported code of the stated length; None otherwise."""
     pairs = [token.split("=", 1) for token in header.split()[2:]]
     fields = dict(pair for pair in pairs if len(pair) == 2)
-    if len(fields) != len(pairs) or set(fields) != {"family", "p", "e", "ell", count_key, "n",
+    if len(fields) != len(pairs) or set(fields) != {"family", "p", "e", "ell", "k", "n",
                                                     "modulus"}:
         return None
     try:
@@ -425,31 +368,26 @@ def header_spec(header, count_key):
         return None
     if int(fields["n"]) != spec.n or fields["modulus"] != "".join(map(str, tower.modulus)):
         return None
-    return spec, int(fields[count_key])
+    return spec, int(fields["k"])
 
 
 @settings(derandomize=True, database=None, max_examples=400, deadline=None)
 @given(reader_inputs())
 def test_readers_accept_only_consistent_files(case):
-    """Each reader returns what a well-formed header describes, or raises
-    ValueError; no other exception type escapes."""
-    kind, header, body = case
+    """The reader returns the generator a well-formed header describes, or
+    raises ValueError; no other exception type escapes."""
+    header, body = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.txt"
         path.write_text("\n".join([header] + body) + "\n")
         try:
-            result = read_generator(path) if kind == "generator" else read_codewords(path)
+            result = read_generator(path)
         except ValueError:
             return
-    described = header_spec(header, "k" if kind == "generator" else "words")
+    described = header_spec(header)
     assert described is not None, header
     spec, count = described
     entries = [[int(v) for v in line.split()] for line in body]
-    if kind == "generator":
-        assert result.spec == spec and count == spec.k
-        assert result.rows.tolist() == entries
-    else:
-        (family, q, ell), words = result
-        assert CodeSpec(family, q, ell) == spec
-        assert [w.tolist() for w in words] == entries and len(words) == count
+    assert result.spec == spec and count == spec.k
+    assert result.rows.tolist() == entries
     assert all(len(row) == spec.n for row in entries)

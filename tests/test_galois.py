@@ -110,16 +110,6 @@ def test_char2_doubling():
             assert t.add(x, x) == 0
 
 
-def test_pow():
-    for t in ALL_TOWERS:
-        for x in range(t.qq):
-            acc = 1
-            for n in range(5):
-                assert t.pow(x, n) == acc
-                acc = t.mul(acc, x)
-        assert t.pow(0, 0) == 1
-
-
 def test_conjugate_is_involution_fixing_subfield():
     for t in ALL_TOWERS:
         for x in range(t.qq):

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from hermgrass import minors as mn
-from hermgrass.codebuild import congruence_permutation, eval_minor_vector, generator_hermitian
+from hermgrass.codebuild import (
+    FAMILY_HERMITIAN,
+    build_generator,
+    congruence_permutation,
+    eval_minor_vector,
+)
 from hermgrass.errors import NotInCode
 from hermgrass.galois import tower_for_q
 from hermgrass.hermitian import elementary_row_add
@@ -132,7 +137,7 @@ def test_eval_combination_counts():
 
 def test_conjugate_combination():
     t = tower_for_q(3)
-    gen = generator_hermitian(2, 3)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
     rng = random.Random(9)
     for _ in range(20):
         f = mn.random_combination(t, 2, rng)
@@ -178,14 +183,14 @@ def test_maximal_minors_antichain():
 def test_interpolate_round_trip():
     rng = random.Random(6)
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
-        gen = generator_hermitian(ell, q)
+        gen = build_generator(FAMILY_HERMITIAN, ell, q)
         for _ in range(200):
             f = mn.random_combination(gen.tower, ell, rng)
             assert gen.interpolate(gen.encode(f)) == f
 
 
 def test_interpolate_special_cases():
-    gen = generator_hermitian(2, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 2)
     ones = [1] * gen.spec.n
     assert gen.interpolate(ones) == {((), ()): 1}
     for i, minor in enumerate(gen.basis):
@@ -199,7 +204,7 @@ def test_interpolate_special_cases():
 def test_elementary_congruence_expansion():
     # det_{I,J} evaluated at (I + lam E_{1,3})* X (I + lam E_{1,3}) expands to
     # det_{I,J}(X) - lam det_{I, J u {1} - {3}}(X) for I = {1,2}, J = {2,3}
-    gen = generator_hermitian(3, 2)
+    gen = build_generator(FAMILY_HERMITIAN, 3, 2)
     t = gen.tower
     f = {((1, 2), (2, 3)): 1}
     c = gen.encode(f)

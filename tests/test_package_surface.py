@@ -7,8 +7,7 @@ from collections import defaultdict
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hermgrass"
-PUBLIC_API = {"analysis.distance", "galois.FieldTower.pow",
-              "codebuild.read_codewords", "codebuild.write_codewords"}
+PUBLIC_API = set()
 
 
 def definitions(tree):
