@@ -5,9 +5,7 @@ counting and classification facts behind them."""
 from .analysis import (
     DistanceCertificate,
     DualDistanceCertificate,
-    distance_affine_formula,
     distance_formula,
-    distance_hermitian_formula,
     dual_min_distance,
     min_distance,
     min_distance_exhaustive,

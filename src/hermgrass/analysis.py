@@ -44,6 +44,7 @@ import concurrent.futures
 import itertools
 import os
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -139,32 +140,22 @@ def weight(codeword) -> int:
 # closed forms -----------------------------------------------------------------
 
 
-def distance_hermitian_formula(ell: int, q: int):
-    """q^(ell^2) - q^(ell^2 - 1) - q^(ell^2 - 3), valid for ell >= 2."""
-    if ell < 2:
-        return None
-    m = ell * ell
-    return q**m - q ** (m - 1) - q ** (m - 3)
-
-
-def distance_affine_formula(ell: int, q: int) -> int:
-    """prod_{i=0..ell-1} (q^ell - q^i) = #GL_ell(F_q)."""
-    out = 1
-    for i in range(ell):
-        out *= q**ell - q**i
-    return out
-
-
 def distance_formula(family: str, ell: int, q: int):
-    """(d, witness) of the family's closed form, the witness attaining d: the
-    2x2 principal minor plus one for the Hermitian family ((None, None) at
-    ell < 2, where it has none), the full determinant for the affine one."""
+    """(d, witness) of the family's closed form, the witness attaining d.
+    Hermitian: q^(ell^2) - q^(ell^2 - 1) - q^(ell^2 - 3), attained by the
+    2x2 principal minor plus one ((None, None) at ell < 2, where it has
+    none).  Affine: prod_{i=0..ell-1} (q^ell - q^i) = #GL_ell(F_q), attained
+    by the full determinant."""
     if family == FAMILY_HERMITIAN:
         if ell < 2:
             return None, None
-        return distance_hermitian_formula(ell, q), {((1, 2), (1, 2)): 1, ((), ()): 1}
+        m = ell * ell
+        return q**m - q ** (m - 1) - q ** (m - 3), {((1, 2), (1, 2)): 1, ((), ()): 1}
+    d = 1
+    for i in range(ell):
+        d *= q**ell - q**i
     full = tuple(range(1, ell + 1))
-    return distance_affine_formula(ell, q), {(full, full): 1}
+    return d, {(full, full): 1}
 
 
 def dual_distance_formula(ell: int, q: int) -> int:
@@ -385,7 +376,6 @@ class DistanceCertificate:
     method: str  # Formula | WitnessOnly | ExhaustiveFull | ExhaustiveSubfield
     witness: dict | None
     messages_searched: int
-    generator_header: str | None
 
     def as_dict(self) -> dict:
         out = {
@@ -400,8 +390,8 @@ class DistanceCertificate:
         }
         if self.witness is not None:
             out["witness"] = mn.format_combination(self.witness)
-        if self.generator_header:
-            out["generator"] = self.generator_header
+        if self.messages_searched:  # an enumeration names the generator it walked
+            out["generator"] = self.spec.header
         return out
 
 
@@ -412,7 +402,6 @@ class DualDistanceCertificate:
     columns: tuple
     coefficients: tuple
     exhausted_below: int  # every size < this was exhaustively ruled out
-    generator_header: str | None
 
     def as_dict(self) -> dict:
         return {
@@ -425,7 +414,7 @@ class DualDistanceCertificate:
             "columns": list(self.columns),
             "coefficients": list(self.coefficients),
             "exhausted_below": self.exhausted_below,
-            "generator": self.generator_header,
+            "generator": self.spec.header,
         }
 
 
@@ -439,7 +428,7 @@ def _walk_certificate(gen: GeneratorMatrix, method, rows, combos, scalars,
     message = linalg.combine(tower, [gen.message(f) for f in combos], [scalars[d] for d in digits])
     witness = gen.combination(message)
     require(weight(gen.encode(witness)) == w, f"witness does not attain the searched weight {w}")
-    return DistanceCertificate(gen.spec, w, method, witness, searched, gen.header())
+    return DistanceCertificate(gen.spec, w, method, witness, searched)
 
 
 def min_distance_exhaustive(gen: GeneratorMatrix, *, threads: int = 1) -> DistanceCertificate:
@@ -487,8 +476,8 @@ def min_distance_formula(family: str, ell: int, q: int) -> DistanceCertificate:
     if spec.n <= BUILD_LIMIT:
         w = weight_of_function(wit, ell, q, family)
         require(w == d, f"witness weight {w} contradicts formula value {d}")
-        return DistanceCertificate(spec, d, "WitnessOnly", wit, 0, None)
-    return DistanceCertificate(spec, d, "Formula", None, 0, None)
+        return DistanceCertificate(spec, d, "WitnessOnly", wit, 0)
+    return DistanceCertificate(spec, d, "Formula", None, 0)
 
 
 # dual distance ----------------------------------------------------------------
@@ -539,7 +528,7 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
     def finish(t, positions, coeffs):
         scale = inv(coeffs[positions.index(min(positions))])
         positions, coeffs = _dual_word(gen, positions, [mul(scale, c) for c in coeffs])
-        return DualDistanceCertificate(spec, t, positions, coeffs, t, gen.header())
+        return DualDistanceCertificate(spec, t, positions, coeffs, t)
 
     # t = 1: a zero column
     zero = np.flatnonzero(~cols.any(axis=1))
@@ -843,7 +832,8 @@ def verify_l3_bounds(q: int = 2) -> dict:
 
 def induction_bound(k: int, q: int) -> int:
     """Lower bound for the minimum weight when the largest support minor is a
-    principal k x k minor: q^(k^2) - q^(k^2-1) - q^(k^2-3) + q^(k^2-2k) - 1."""
+    principal k x k minor: q^(k^2) - q^(k^2-1) - q^(k^2-3) + q^(k^2-2k) - 1.
+    The paper's bound, for k >= 2."""
     m = k * k
     return q**m - q ** (m - 1) - q ** (m - 3) + q ** (m - 2 * k) - 1
 
@@ -857,20 +847,25 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
     The stratum must be read off the message digits: at ell = 2 the support
     classes nest, so the class is the largest minor size among the nonzero
     digits, and at k = ell it is "the det digit is nonzero"; any other
-    (ell, k) raises ValueError.  `require_budget` sizes the code's whole
-    walk before the build; the walk of a stratum k < ell is smaller.
+    (ell, k) raises ValueError, as does ell < 2, where the induction bound
+    does not hold.  The stratum's own walk, r^(sum_{j <= k} C(ell, j)^2)
+    messages (r = q when `self_conjugate_only`, the alphabet otherwise), is
+    sized before the build.
 
     At k = ell the self-conjugate minimum is also the minimum over every
     combination.  Take a word c whose det coefficient a is nonzero and a
     beta with Tr(beta a) != 0: beta c + (beta c)^q is self-conjugate, its
     det coefficient is Tr(beta a), and its support lies inside c's.
     """
+    if ell < 2:
+        raise ValueError(f"the induction bound needs ell >= 2, got {ell}")
     if not 0 <= k <= ell:
         raise ValueError("need 0 <= k <= ell")
     if ell != 2 and k != ell:
         raise ValueError(f"the stratum k = {k} at ell = {ell} is not read off the digits")
     spec = CodeSpec(FAMILY_HERMITIAN, q, ell)
-    require_budget(spec, "subfield" if self_conjugate_only else "exhaustive")
+    _require_messages(q if self_conjugate_only else spec.alphabet,
+                      sum(comb(ell, j) ** 2 for j in range(k + 1)))
     gen = build_generator(FAMILY_HERMITIAN, ell, q)
     if self_conjugate_only:
         combos, scalars = fq_basis(ell, q), gen.tower.subfield

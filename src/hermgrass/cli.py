@@ -100,7 +100,7 @@ def _emit(text: str, out):
 
 def cmd_params(args) -> int:
     spec = CodeSpec(FAMILY_HERMITIAN, args.q, args.ell)
-    d_h = an.distance_hermitian_formula(args.ell, args.q)
+    d_h = an.distance_formula(FAMILY_HERMITIAN, args.ell, args.q)[0]
     report = {
         "command": "params",
         "q": args.q,
@@ -108,7 +108,7 @@ def cmd_params(args) -> int:
         "n": spec.n,
         "k": spec.k,
         "d_hermitian": d_h if d_h is not None else "n/a",
-        "d_affine": an.distance_affine_formula(args.ell, args.q),
+        "d_affine": an.distance_formula(FAMILY_AFFINE, args.ell, args.q)[0],
     }
     _emit(reports.render(report, args.format), args.out)
     return EXIT_OK
@@ -122,7 +122,7 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"error: read-back mismatch: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
-    print(gen.header())
+    print(gen.spec.header)
     print(f"rank = {back.rank} (verified on read-back)")
     return EXIT_OK
 
@@ -207,8 +207,8 @@ def _table_rows(ell: int):
     mismatch = False
     for q in sorted(SUPPORTED_Q):
         spec = CodeSpec(FAMILY_HERMITIAN, q, ell)
-        d_a = an.distance_affine_formula(ell, q)
-        d_h = an.distance_hermitian_formula(ell, q)
+        d_a = an.distance_formula(FAMILY_AFFINE, ell, q)[0]
+        d_h = an.distance_formula(FAMILY_HERMITIAN, ell, q)[0]
         certified = "no"
         if all(_within_budget(CodeSpec(family, q, ell))
                for family in (FAMILY_HERMITIAN, FAMILY_AFFINE)):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BudgetExceeded, NotInCode, require
-from .galois import MODULI, SUPPORTED_Q, FieldTower, make_field, tower_for_q
+from .galois import MODULI, SUPPORTED_Q, FieldTower, tower_for_q
 from .hermitian import (
     BUILD_LIMIT,
     FAMILY_AFFINE,
@@ -39,7 +39,6 @@ from .hermitian import (
 from .minors import basis
 
 _FAMILY_LETTER = {FAMILY_HERMITIAN: "H", FAMILY_AFFINE: "A"}
-_LETTER_FAMILY = {v: k for k, v in _FAMILY_LETTER.items()}
 
 FORMAT_MAGIC = "hermgrass-gen v1"
 
@@ -71,6 +70,16 @@ class CodeSpec:
         """Size of the message alphabet: q^2 for the Hermitian family, whose
         code is F_{q^2}-linear, q for the affine family."""
         return self.q**2 if self.family == FAMILY_HERMITIAN else self.q
+
+    @property
+    def header(self) -> str:
+        """Line 1 of the code's generator file, from the spec alone."""
+        p, e = SUPPORTED_Q[self.q]
+        modulus = "".join(map(str, MODULI[(p, e)]))
+        return (
+            f"{FORMAT_MAGIC} family={_FAMILY_LETTER[self.family]} p={p} e={e} "
+            f"ell={self.ell} k={self.k} n={self.n} modulus={modulus}"
+        )
 
 
 def position_entries(tower: FieldTower, ell: int, family: str):
@@ -119,14 +128,6 @@ class GeneratorMatrix:
             raise AssertionError(
                 f"generator rank {self.rank} != expected dimension {spec.k}"
             )
-
-    def header(self) -> str:
-        t, s = self.tower, self.spec
-        modulus = "".join(str(d) for d in t.modulus)
-        return (
-            f"{FORMAT_MAGIC} family={_FAMILY_LETTER[s.family]} p={t.p} e={t.e} "
-            f"ell={s.ell} k={s.k} n={s.n} modulus={modulus}"
-        )
 
     def encode_message(self, message) -> np.ndarray:
         """Codeword of a length-k coefficient vector over the alphabet."""
@@ -303,72 +304,37 @@ def transpose_permutation(tower: FieldTower, ell: int) -> np.ndarray:
 # generator file --------------------------------------------------------------
 
 
-def _parse_header(line: str):
-    """(spec, tower, k) of a generator file header, validated like a built code."""
-    parts = line.split()
-    if parts[:2] != FORMAT_MAGIC.split():
-        raise ValueError(f"bad magic in header: {line!r}")
-    pairs = [part.split("=", 1) for part in parts[2:]]
-    if any(len(pair) != 2 for pair in pairs):
-        raise ValueError(f"header field without '=' in {line!r}")
-    fields = dict(pairs)
-    if len(fields) != len(pairs):
-        keys = [key for key, _ in pairs]
-        raise ValueError(f"repeated header fields {sorted({k for k in keys if keys.count(k) > 1})}")
-    required = {"family", "p", "e", "ell", "k", "n", "modulus"}
-    if set(fields) != required:
-        raise ValueError(f"header fields {sorted(fields)} != expected {sorted(required)}")
-    family = _LETTER_FAMILY.get(fields["family"])
-    if family is None:
-        raise ValueError(f"unknown family letter {fields['family']!r}")
-    p, e = int(fields["p"]), int(fields["e"])
-    if (p, e) not in MODULI:
-        raise ValueError(f"no modulus available for (p, e) = ({p}, {e})")
-    shipped = "".join(str(d) for d in MODULI[(p, e)])
-    if fields["modulus"] != shipped:
-        raise ValueError(
-            f"modulus {fields['modulus']} does not match shipped modulus {shipped}"
-        )
-    tower = make_field(p, e)
-    spec = CodeSpec(family, tower.q, int(fields["ell"]))
-    if int(fields["n"]) != spec.n:
-        raise ValueError(f"header n={fields['n']} inconsistent with family/ell/q (n = {spec.n})")
-    return spec, tower, int(fields["k"])
-
-
-def _parse_body(lines, width: int, tower):
-    """Rows of field-element indices, each of the given width."""
-    try:
-        rows = np.array([[int(v) for v in line.split()] for line in lines], dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError(f"matrix body entry out of range: {exc}") from exc
-    if rows.shape != (len(lines), width) or rows.min() < 0 or rows.max() >= tower.qq:
-        raise ValueError("matrix body malformed")
-    return rows.astype(np.uint8)
+def _file_lines(gen: GeneratorMatrix):
+    """The lines of the code's generator file, newline included: the header,
+    then each row as its single-space-separated indices."""
+    yield gen.spec.header + "\n"
+    for row in gen.rows.tolist():
+        yield " ".join(map(str, row)) + "\n"
 
 
 def write_generator(gen: GeneratorMatrix, path):
-    with open(path, "w") as fh:
-        fh.write(gen.header() + "\n")
-        for row in gen.rows:
-            fh.write(" ".join(map(str, row.tolist())) + "\n")
+    with open(path, "w", newline="") as fh:
+        fh.writelines(_file_lines(gen))
 
 
 def read_generator(path) -> GeneratorMatrix:
-    """The generator the header names, once the body is checked to be its rows."""
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    """The generator whose file this is: exactly the text `write_generator`
+    writes for the supported code its header names; line endings are not
+    translated, so they must be its newlines too."""
+    with open(path, newline="") as fh:
+        lines = fh.readlines()
     if not lines:
         raise ValueError(f"{path}: empty generator file, no header")
-    spec, tower, k = _parse_header(lines[0])
-    if k != spec.k:
-        raise ValueError(f"header k={k} inconsistent with family/ell/q (k = {spec.k})")
-    if len(lines) != k + 1:
-        raise ValueError(f"{path}: expected {k} rows, found {len(lines) - 1}")
-    rows = _parse_body(lines[1:], spec.n, tower)
+    header = lines[0].removesuffix("\n")
+    specs = [CodeSpec(family, q, ell) for family in _FAMILY_LETTER
+             for q in SUPPORTED_Q for ell in range(1, 5)]
+    spec = next((spec for spec in specs if spec.header == header), None)
+    if spec is None:
+        raise ValueError(f"{path}: {header!r} is not the header of a supported code")
+    if len(lines) != spec.k + 1:
+        raise ValueError(f"{path}: expected {spec.k} rows, found {len(lines) - 1}")
     gen = build_generator(spec.family, spec.ell, spec.q)
-    differs = np.flatnonzero((rows != gen.rows).any(axis=1))
-    if differs.size:
-        raise ValueError(f"{path}: body row {differs[0] + 1} differs from the generator")
+    for i, (line, canonical) in enumerate(zip(lines, _file_lines(gen))):
+        if line != canonical:
+            raise ValueError(f"{path}: body row {i} differs from the generator")
     return gen
-

@@ -31,21 +31,8 @@ MODULI = {
     (3, 2): (2, 0, 0, 2, 1),          # x^4 + 2x^3 + 2       -> F_81
 }
 
-# q -> (p, e) for every q appearing in the parameter tables.
-SUPPORTED_Q = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}
-
-MAX_FIELD_SIZE = 6561  # p^(2e) cap
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+# q -> (p, e) for every supported q: exactly the middle fields of MODULI.
+SUPPORTED_Q = {p**e: (p, e) for p, e in MODULI}
 
 
 class FieldTower:
@@ -56,12 +43,6 @@ class FieldTower:
     """
 
     def __init__(self, p: int, e: int):
-        if not _is_prime(p):
-            raise ValueError(f"p must be prime, got {p}")
-        if e < 1:
-            raise ValueError(f"e must be a positive integer, got {e}")
-        if p ** (2 * e) > MAX_FIELD_SIZE:
-            raise ValueError(f"field too large: p^(2e) = {p ** (2 * e)} > {MAX_FIELD_SIZE}")
         if (p, e) not in MODULI:
             raise ValueError(f"no modulus available for (p, e) = ({p}, {e})")
         self.p = p

@@ -295,7 +295,7 @@ def check_distance_certifications(seed):
             details.append(f"{letter}({ell},{q})={cert.d}")
     for ell, q in ((2, 2), (2, 3)):
         cert = an.min_distance(build_generator(FAMILY_HERMITIAN, ell, q), "exhaustive")
-        require(cert.d == an.distance_hermitian_formula(ell, q))
+        require(cert.d == an.distance_formula(FAMILY_HERMITIAN, ell, q)[0])
     w = an.weight_of_function(an.distance_formula(FAMILY_HERMITIAN, 3, 2)[1], 3, 2)
     require(w == 192)
     return "; ".join(details) + f"; witness weight at (3,2) = {w}"
@@ -318,13 +318,14 @@ def check_file_round_trip(seed):
             with open(path) as fh:
                 header, *body = fh.read().splitlines()
             rows = np.array([line.split() for line in body], dtype=np.int64)
-            require(header == gen.header() and np.array_equal(rows, gen.rows),
+            require(header == gen.spec.header and np.array_equal(rows, gen.rows),
                     f"(ell={ell}, q={q}): the written file differs from the generator")
             require(linalg.rank(gen.tower, rows) == gen.spec.k, f"(ell={ell}, q={q}): file rank")
             require(read_generator(path) is gen, f"(ell={ell}, q={q}): read-back is not the code")
             rows[0, 0] = (rows[0, 0] + 1) % gen.tower.qq  # a valid entry; only the row check fails
             with open(path, "w") as fh:
-                fh.write("\n".join([header] + [" ".join(map(str, row)) for row in rows.tolist()]))
+                fh.write("\n".join([header] + [" ".join(map(str, row)) for row in rows.tolist()])
+                         + "\n")
             try:
                 read_generator(path)
             except ValueError:

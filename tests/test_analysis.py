@@ -249,7 +249,6 @@ def test_min_distance_formula():
     cert = an.min_distance_formula(FAMILY_AFFINE, 3, 2)
     assert cert.d == 168
     assert cert.method == "WitnessOnly"
-    assert an.distance_hermitian_formula(1, 2) is None
 
 
 def _recheck_dual(gen, cert):
@@ -508,6 +507,34 @@ def test_min_weight_by_max_minor_refuses_before_the_build(monkeypatch):
         an.min_weight_by_max_minor(3, 3, 3, self_conjugate_only=True)
     with pytest.raises(ValueError, match="not read off the digits"):
         an.min_weight_by_max_minor(3, 2, 2)
+
+
+def test_min_weight_by_max_minor_sizes_its_stratum(monkeypatch):
+    """The walk is sized by the stratum's own rows, r^(sum_{j <= k} C(ell, j)^2)
+    messages: the constant stratum at q = 5 and 9 walks 24 and 80 messages,
+    while the whole-code strata keep their refusals, before any build."""
+    for q, n, messages in ((5, 625, 24), (9, 6561, 80)):
+        r = an.min_weight_by_max_minor(2, 0, q)
+        assert (r["min_weight"], r["functions_examined"]) == (n, messages)
+
+    def no_build(*args):
+        raise AssertionError("built a generator")
+
+    monkeypatch.setattr(an, "build_generator", no_build)
+    with pytest.raises(BudgetExceeded, match=r"message space 25\^6 = 244140625 "):
+        an.min_weight_by_max_minor(2, 2, 5)
+
+
+@pytest.mark.parametrize("ell, k, q", [(1, 1, 3), (1, 0, 2)])
+def test_min_weight_by_max_minor_refuses_ell_below_2(monkeypatch, ell, k, q):
+    """The induction bound is the paper's for k >= 2, so ell < 2 is refused
+    before any build."""
+    def no_build(*args):
+        raise AssertionError("built a generator")
+
+    monkeypatch.setattr(an, "build_generator", no_build)
+    with pytest.raises(ValueError, match="ell >= 2"):
+        an.min_weight_by_max_minor(ell, k, q)
 
 
 def test_translation_clearing():

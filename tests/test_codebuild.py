@@ -236,7 +236,7 @@ def test_generator_file_round_trip(tmp_path):
         path = tmp_path / f"gen_{family}_{ell}_{q}.txt"
         write_generator(gen, path)
         back = read_generator(path)
-        assert back.header() == gen.header()
+        assert back.spec.header == gen.spec.header
         assert np.array_equal(back.rows, gen.rows)
         assert back.rank == gen.spec.k
 
@@ -267,7 +267,7 @@ def test_read_generator_rejects_empty_and_header_only(tmp_path):
     path.write_text("\n  \n")
     with pytest.raises(ValueError, match=re.escape(str(path))):
         read_generator(path)
-    path.write_text(gen.header() + "\n")
+    path.write_text(gen.spec.header + "\n")
     with pytest.raises(ValueError, match=re.escape(str(path))):
         read_generator(path)
 
@@ -278,7 +278,7 @@ def test_readers_reject_entries_beyond_int64(tmp_path):
     write_generator(gen, path)
     header, first, rest = path.read_text().split("\n", 2)
     path.write_text("\n".join([header, "99999999999999999999999" + first[1:], rest]))
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError, match="body row 1 differs"):
         read_generator(path)
 
 
@@ -287,7 +287,7 @@ def test_readers_reject_repeated_header_fields(tmp_path):
     path = tmp_path / "m.txt"
     write_generator(gen, path)
     path.write_text(path.read_text().replace("modulus=111", "modulus=111 modulus=111", 1))
-    with pytest.raises(ValueError, match=re.escape("repeated header fields ['modulus']")):
+    with pytest.raises(ValueError, match="not the header of a supported code"):
         read_generator(path)
 
 
@@ -312,6 +312,69 @@ def test_read_generator_rejects_swapped_rows(tmp_path):
         read_generator(path)
 
 
+# (edit of the H2q2 file's lines, the reader's error)
+NON_CANONICAL = {
+    "reordered header fields": (
+        lambda lines: [lines[0].replace("p=2 e=1", "e=1 p=2")] + lines[1:],
+        "is not the header of a supported code"),
+    "blank line between rows": (lambda lines: lines[:2] + [""] + lines[2:],
+                                "expected 6 rows, found 7"),
+    "trailing spaces": (lambda lines: lines[:1] + [lines[1] + "  "] + lines[2:],
+                        "body row 1 differs"),
+    "doubled space": (lambda lines: lines[:1] + [lines[1].replace(" ", "  ", 1)] + lines[2:],
+                      "body row 1 differs"),
+    "leading-zero entry": (lambda lines: lines[:1] + ["0" + lines[1]] + lines[2:],
+                           "body row 1 differs"),
+    "CRLF line endings": (lambda lines: [line + "\r" for line in lines],
+                          "is not the header of a supported code"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(NON_CANONICAL))
+def test_read_generator_rejects_non_canonical_text(tmp_path, edit):
+    """The reader accepts only the text write_generator writes: each edit
+    keeps the header's fields and the body's values, and is rejected."""
+    gen = build_generator(FAMILY_HERMITIAN, 2, 2)
+    path = tmp_path / "gen.txt"
+    write_generator(gen, path)
+    change, error = NON_CANONICAL[edit]
+    lines = change(path.read_text().splitlines())
+    assert lines != path.read_text().splitlines()
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + error):
+        read_generator(path)
+
+
+def test_spec_header_is_the_written_header(tmp_path, monkeypatch):
+    """CodeSpec.header is the header formula over the tower's p, e and
+    modulus for every supported spec, computed without a generator, and it
+    is line 1 of the written file."""
+    from hermgrass import codebuild
+
+    def formula(spec):
+        t = tower_for_q(spec.q)
+        letter = {FAMILY_HERMITIAN: "H", FAMILY_AFFINE: "A"}[spec.family]
+        return (f"hermgrass-gen v1 family={letter} p={t.p} e={t.e} ell={spec.ell} "
+                f"k={spec.k} n={spec.n} modulus={''.join(str(d) for d in t.modulus)}")
+
+    specs = [CodeSpec(family, q, ell) for family in (FAMILY_HERMITIAN, FAMILY_AFFINE)
+             for q in SUPPORTED_Q for ell in (1, 2, 3, 4)]
+    expected = [formula(spec) for spec in specs]
+
+    def refuse(*args):
+        raise AssertionError("built a tower or a generator")
+
+    with monkeypatch.context() as m:
+        for name in ("tower_for_q", "build_generator", "GeneratorMatrix"):
+            m.setattr(codebuild, name, refuse)
+        assert [spec.header for spec in specs] == expected
+    assert len(set(expected)) == 56
+    for family, ell, q in ((FAMILY_HERMITIAN, 2, 2), (FAMILY_AFFINE, 2, 3), (FAMILY_HERMITIAN, 3, 2)):
+        gen = build_generator(family, ell, q)
+        write_generator(gen, tmp_path / "gen.txt")
+        assert (tmp_path / "gen.txt").read_text().split("\n", 1)[0] == CodeSpec(family, q, ell).header
+
+
 # header fuzz: a file written from a small code, then up to two edits ---------
 
 READER_CELLS = [(family, ell, q) for family in (FAMILY_HERMITIAN, FAMILY_AFFINE)
@@ -327,7 +390,7 @@ def reader_inputs(draw):
     header field set, repeated, dropped or garbled, or a body entry or row
     changed."""
     gen = build_generator(*draw(st.sampled_from(READER_CELLS)))
-    tokens = gen.header().split()
+    tokens = gen.spec.header.split()
     body = [[str(int(v)) for v in row] for row in gen.rows]
     for _ in range(draw(st.integers(0, 2))):
         edit = draw(st.sampled_from(["set", "repeat", "drop", "garble", "entry", "row"]))

@@ -38,7 +38,7 @@ def oracle_dual_min_distance(gen, max_t=4):
         coeffs = tuple(coeffs[i] for i in order)
         scale = inv(coeffs[0])
         coeffs = tuple(mul(scale, c) for c in coeffs)
-        return an.DualDistanceCertificate(spec, t, positions, coeffs, t, gen.header())
+        return an.DualDistanceCertificate(spec, t, positions, coeffs, t)
 
     for i, col in enumerate(cols):
         if not any(col):
