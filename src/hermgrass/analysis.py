@@ -15,11 +15,15 @@ Enumeration is projective, one message per scalar class (first nonzero
 digit 1): a mixed-radix Gray walk over the leading digits adds one scaled
 row per step and weighs a table of every combination of the trailing rows
 against it in one vectorized operation, on bit planes under XOR in
-characteristic 2.  That walk (`_walk`), laid out by one plan (`_plan`:
-the table digits, the projective heads, the `--threads` split), is the
-only enumeration of combination weights: the minimum distance, the minimum
-weights stratified by maximal-minor size, the two-weight classification at
-ell = 2 and the ell = 3 reduced family are reductions of it.
+characteristic 2.  Each scaled row is packed once per walk, the
+characteristic-2 table is stored word-major, and in odd characteristic the
+walked state is kept negated, so a weigh compares it with the table and
+does no field arithmetic.  That walk (`_walk`), laid out by one plan
+(`_plan`: the table digits, the projective heads, the `--threads` split),
+is the only enumeration of combination weights: the minimum distance, the
+minimum weights stratified by maximal-minor size, the two-weight
+classification at ell = 2 and the ell = 3 reduced family are reductions of
+it.
 
 One gate, `require_budget`, decides from a code's spec alone whether an
 enumeration may start: it refuses a method it does not know or that does
@@ -41,6 +45,7 @@ searched or constructed, is sorted and checked by one helper (`_dual_word`).
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -180,8 +185,8 @@ def weight_of_function(f: dict, ell: int, q: int, family: str = FAMILY_HERMITIAN
 
 # projective weight engine -----------------------------------------------------
 
-# Bound on the bytes of the table of trailing-row combinations that each
-# walk step weighs in one vectorized operation.
+# Scale of the bound on the bytes of the table of trailing-row combinations
+# that each walk step weighs in one vectorized operation (see `_plan`).
 TABLE_BYTES = 1 << 17
 
 
@@ -210,15 +215,23 @@ def gray_steps(radix: int, k: int):
 
 
 def _additive_form(tower, rows, scalars):
-    """(pack, add, weigh) for the words the engine adds and weighs.
+    """(pack, add, weigh, axis) for the words the engine adds and weighs.
+
+    pack makes a word a table of one combination, and a walk's table grows
+    along `axis`; weigh(table, state) gives the weight of every table
+    combination plus the message the state stands for.  The state is kept
+    negated: it holds -s for the message s of the walked digits.
 
     Characteristic 2: field indices add by XOR (they are base-2 digit
-    vectors).  The values of every combination span a subspace of F_2^(2e);
-    projecting onto the pivot bits of its row-reduced basis is linear and
-    injective on it, so a word is packed into those bit planes, and a
-    position is nonzero when any plane is.  Odd p: a word stays a vector of
-    indices, and T + s is zero exactly where T = -s, so weighing a table
-    against a state does no field addition.
+    vectors), and -s = s.  The values of every combination span a subspace
+    of F_2^(2e); projecting onto the pivot bits of its row-reduced basis is
+    linear and injective on it, so a word is packed into those bit planes,
+    and a position is nonzero when any plane is.  The table is word-major,
+    (planes, words, combinations), so both reductions of the weigh run
+    along its leading axis over contiguous rows.  Odd p: a word stays a
+    vector of indices, the table is (combinations, positions), and T + s
+    is zero exactly where T equals the negated state, so weighing does no
+    field addition.
     """
     if tower.p == 2:
         values = np.unique(tower.mul_np[np.ix_(scalars, np.unique(rows))])
@@ -226,17 +239,18 @@ def _additive_form(tower, rows, scalars):
 
         def pack(v):
             planes = np.packbits([(v >> b) & 1 for b in bits], axis=1, bitorder="little")
-            return np.pad(planes, ((0, 0), (0, -planes.shape[1] % 8))).view(np.uint64)
+            return np.pad(planes, ((0, 0), (0, -planes.shape[1] % 8))).view(np.uint64)[..., None]
 
         def weigh(table, state):
-            return np.bitwise_count(np.bitwise_or.reduce(table ^ state, axis=1)).sum(axis=1)
+            return np.add.reduce(np.bitwise_count(np.bitwise_or.reduce(table ^ state, axis=0)),
+                                 axis=0, dtype=np.int32)
 
-        return pack, np.bitwise_xor, weigh
+        return pack, np.bitwise_xor, weigh, -1
 
     def weigh(table, state):
-        return rows.shape[1] - np.count_nonzero(table == tower.neg_np[state], axis=1)
+        return rows.shape[1] - np.add.reduce(table == state, axis=1, dtype=np.int32)
 
-    return np.asarray, lambda a, b: tower.add_np[a, b], weigh
+    return lambda v: v[None], lambda a, b: tower.add_np[a, b], weigh, 0
 
 
 def _plan(tower, rows, scalars, lead, threads=1):
@@ -244,18 +258,21 @@ def _plan(tower, rows, scalars, lead, threads=1):
     digits are not all zero, one per scalar class.
 
     form is the `_additive_form` of the walk; the table takes the last kt
-    digits, the most that fit in TABLE_BYTES, and never a lead digit unless
-    lead = k, where the one all-zero head puts the zero message into the
-    table for the reducer to mask.  The projective heads (0,)*i + (1,) over
-    the lead digits, refined by ceil(log_r threads) more digits for
-    threads > 1, are dealt round-robin into at most `threads` jobs, longest
-    walks first.
+    digits, the most that fit in TABLE_BYTES, or in TABLE_BYTES / 1024
+    packed rows (128 at the default) when that is more, up to 32 *
+    TABLE_BYTES, so the table grows with the row it weighs.  It never takes
+    a lead digit unless lead = k, where the one all-zero head puts the zero
+    message into the table for the reducer to mask.  The projective heads
+    (0,)*i + (1,) over the lead digits, refined by ceil(log_r threads) more
+    digits for threads > 1, are dealt round-robin into at most `threads`
+    jobs, longest walks first.
     """
     form = _additive_form(tower, rows, scalars)
     k, r = len(rows), len(scalars)
     row_bytes = form[0](rows[0]).nbytes
+    bound = min(32 * TABLE_BYTES, max(TABLE_BYTES, TABLE_BYTES // 1024 * row_bytes))
     most = k if lead == k else k - lead
-    kt = next((t for t in range(most, 0, -1) if r**t * row_bytes <= TABLE_BYTES), 0)
+    kt = next((t for t in range(most, 0, -1) if r**t * row_bytes <= bound), 0)
     h = min(lead, k - kt)
     heads = [(0,) * i + (1,) for i in range(h)]
     if threads > 1:
@@ -275,27 +292,26 @@ def _walk(tower, rows, scalars, form, kt, heads):
     `heads`; the digits after the head and before the last kt are
     Gray-walked (`walked`, a live list), and weights[i] is the weight of
     the message completed by the i-th combination, in lexicographic digit
-    order, of the last kt rows.
+    order, of the last kt rows.  The word a head digit or a Gray step adds
+    to the (negated) state, -c * rows[i], is packed once per walk for each
+    (i, c), so a walk packs the zero word and at most k (r - 1) scaled
+    words, not one per step.
     """
-    pack, add, weigh = form
+    pack, add, weigh, axis = form
     kw = len(rows) - kt
-    r = len(scalars)
+    word = functools.cache(lambda i, c: pack(tower.mul_np[tower.neg(c)][rows[i]]))
     # lexicographic digit order: prepend one digit (the most significant) per level
-    table = pack(np.zeros(rows.shape[1], dtype=np.uint8))[None]
+    table = zero = pack(np.zeros(rows.shape[1], dtype=np.uint8))
     for row in rows[kw:][::-1]:
         table = np.concatenate([table] + [add(table, pack(tower.mul_np[c][row]))
-                                          for c in scalars[1:]])
+                                          for c in scalars[1:]], axis=axis)
     for head in heads:
         h = len(head)
-        state = table[0]  # the zero word
-        for d, row in zip(head, rows):
-            if d:
-                state = add(state, pack(tower.mul_np[scalars[d]][row]))
+        state = functools.reduce(add, [word(i, scalars[d]) for i, d in enumerate(head) if d], zero)
         walked = [0] * (kw - h)
         yield head, walked, weigh(table, state)
-        for j, old, new, walked in gray_steps(r, kw - h):
-            c = tower.sub(scalars[new], scalars[old])
-            state = add(state, pack(tower.mul_np[c][rows[h + j]]))
+        for j, old, new, walked in gray_steps(len(scalars), kw - h):
+            state = add(state, word(h + j, tower.sub(scalars[new], scalars[old])))
             yield head, walked, weigh(table, state)
 
 

@@ -320,7 +320,8 @@ def write_generator(gen: GeneratorMatrix, path):
 def read_generator(path) -> GeneratorMatrix:
     """The generator whose file this is: exactly the text `write_generator`
     writes for the supported code its header names; line endings are not
-    translated, so they must be its newlines too."""
+    translated, so they must be its newlines too.  A code longer than
+    BUILD_LIMIT has no file, so its header is not a supported one."""
     with open(path, newline="") as fh:
         lines = fh.readlines()
     if not lines:
@@ -328,7 +329,7 @@ def read_generator(path) -> GeneratorMatrix:
     header = lines[0].removesuffix("\n")
     specs = [CodeSpec(family, q, ell) for family in _FAMILY_LETTER
              for q in SUPPORTED_Q for ell in range(1, 5)]
-    spec = next((spec for spec in specs if spec.header == header), None)
+    spec = next((spec for spec in specs if spec.n <= BUILD_LIMIT and spec.header == header), None)
     if spec is None:
         raise ValueError(f"{path}: {header!r} is not the header of a supported code")
     if len(lines) != spec.k + 1:

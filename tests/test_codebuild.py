@@ -375,6 +375,23 @@ def test_spec_header_is_the_written_header(tmp_path, monkeypatch):
         assert (tmp_path / "gen.txt").read_text().split("\n", 1)[0] == CodeSpec(family, q, ell).header
 
 
+def test_read_generator_refuses_a_code_past_the_build_limit(tmp_path, monkeypatch):
+    """The header of H4q3 (n = 3^16 > BUILD_LIMIT) with its 70 rows is not the
+    header of a supported code: a ValueError, raised before any build."""
+    from hermgrass import codebuild
+
+    def refuse(*args):
+        raise AssertionError("built a generator")
+
+    monkeypatch.setattr(codebuild, "build_generator", refuse)
+    spec = CodeSpec(FAMILY_HERMITIAN, 3, 4)
+    assert (spec.k, spec.n > codebuild.BUILD_LIMIT) == (70, True)
+    path = tmp_path / "gen.txt"
+    path.write_text(spec.header + "\n" + "0\n" * 70)
+    with pytest.raises(ValueError, match="is not the header of a supported code"):
+        read_generator(path)
+
+
 # header fuzz: a file written from a small code, then up to two edits ---------
 
 READER_CELLS = [(family, ell, q) for family in (FAMILY_HERMITIAN, FAMILY_AFFINE)
