@@ -35,11 +35,15 @@ keeps its own message check for arbitrary rows.  Positions are bounded by
 `hermitian.BUILD_LIMIT`.  These two limits, and nothing else, bound the
 classifiers, which enumerate every message they report on.
 
-Dual distance works on the generator's columns as one array: a column or
-pair sum is keyed by its projective normal form (`_projective_keys`), t = 1
-and t = 2 are read off the column keys, and one scan of the pair sums
-col_i + a col_j rules out t = 3 and finds the t = 4 word.  Every dual word,
-searched or constructed, is sorted and checked by one helper (`_dual_word`).
+Dual distance works on the generator's columns as arrays of packed keys
+(`_packer`), exact at any width: t = 1 and t = 2 are read off the keys of
+the columns' projective normal forms.  The pair sums col_i + a col_j are
+then scanned in blocks of rows (`_pair_blocks`).  A sum rules in t = 3
+when its raw key is among the sorted keys of the multiples lam col_m, so
+t = 3 is tested without normalizing; in characteristic 2 a sum's key is
+the XOR of two precomputed keys.  Sums are brought to normal forms only
+until the first repeated form, the t = 4 word.  Every dual word, searched
+or constructed, is sorted and checked by one helper (`_dual_word`).
 """
 
 from __future__ import annotations
@@ -185,8 +189,9 @@ def weight_of_function(f: dict, ell: int, q: int, family: str = FAMILY_HERMITIAN
 
 # projective weight engine -----------------------------------------------------
 
-# Scale of the bound on the bytes of the table of trailing-row combinations
-# that each walk step weighs in one vectorized operation (see `_plan`).
+# Scale of the bounds on what one vectorized operation holds: the bytes of
+# the table of trailing-row combinations a walk step weighs (see `_plan`),
+# and the pair sums of one block of the dual scan (see `_pair_blocks`).
 TABLE_BYTES = 1 << 17
 
 
@@ -514,12 +519,87 @@ def _dual_word(gen: GeneratorMatrix, positions, coeffs):
     return positions, coeffs
 
 
-def _projective_keys(tower, vecs):
-    """(keys, leads) of the nonzero rows of vecs: each row scaled by the
-    inverse of its first nonzero entry, as bytes, and that entry."""
-    leads = vecs[np.arange(len(vecs)), (vecs != 0).argmax(axis=1)]
-    normed = tower.mul_np[tower.inv_np[leads][:, None], vecs]
-    return [row.tobytes() for row in normed], leads.tolist()
+def _packer(tower, k):
+    """(pack, key) for vectors of k field indices along the last axis.
+
+    pack stores each vector's indices in fields of b = bit_length(q^2 - 1)
+    bits, 64 // b fields to a uint64 word, in as many words as k takes, so
+    two vectors are equal exactly when their words are.  In characteristic
+    2 an index is a base-2 digit vector and the index of a sum is the XOR
+    of the indices, so the words of a sum are the XOR of the words.  key
+    views each vector's words as one value, a uint64 for one word and a raw
+    byte string for more, so keys sort, search and compare exactly at any
+    width.
+    """
+    b = (tower.qq - 1).bit_length()
+    per = 64 // b
+    words = -(-k // per)
+    dtype = np.dtype(np.uint64) if words == 1 else np.dtype((np.void, 8 * words))
+
+    def pack(vecs):
+        out = np.zeros(vecs.shape[:-1] + (words,), dtype=np.uint64)
+        for c in range(k):
+            out[..., c // per] |= vecs[..., c].astype(np.uint64) << np.uint64(c % per * b)
+        return out
+
+    return pack, lambda w: np.ascontiguousarray(w).view(dtype).reshape(w.shape[:-1])
+
+
+def _normal_forms(tower, vecs):
+    """(forms, leads): each nonzero vector along the last axis scaled by the
+    inverse of its first nonzero entry, and that entry."""
+    leads = np.take_along_axis(vecs, (vecs != 0).argmax(axis=-1)[..., None], axis=-1)
+    return tower.mul_np[tower.inv_np[leads], vecs], leads[..., 0]
+
+
+def _first_repeat(keys, at, seen, seen_at):
+    """The first of `keys` that occurred before, scanning them, at the
+    increasing positions `at`, after the sorted keys `seen`, each at its
+    first position `seen_at`.
+
+    Returns ((position, first position), None) for that key, or, when no
+    key repeats, (None, merge), merge() giving seen and seen_at with the
+    keys merged in.
+    """
+    uniq, first = np.unique(keys, return_index=True)
+    where = np.searchsorted(seen, keys)
+    earlier = np.zeros(len(keys), dtype=bool)
+    if len(seen):
+        earlier = seen[where.clip(max=len(seen) - 1)] == keys
+    repeat = np.ones(len(keys), dtype=bool)
+    repeat[first] = earlier[first]
+    if repeat.any():
+        s = int(repeat.argmax())
+        partner = seen_at[where[s]] if earlier[s] else at[first[np.searchsorted(uniq, keys[s])]]
+        return (int(at[s]), int(partner)), None
+    where = np.searchsorted(seen, uniq)
+    return None, lambda: (np.insert(seen, where, uniq), np.insert(seen_at, where, at[first]))
+
+
+def _first_member(keys, members):
+    """(s, i) for the first of `keys` that is in the sorted array
+    `members`, members[i] being that key, or None.  Whether any key is a
+    member is asked of the sorted keys, and the unsorted ones are searched
+    only when one is."""
+    found = np.sort(keys)
+    if not (found[np.searchsorted(found, members).clip(max=len(found) - 1)] == members).any():
+        return None
+    where = np.searchsorted(members, keys).clip(max=len(members) - 1)
+    s = int((members[where] == keys).argmax())
+    return s, int(where[s])
+
+
+def _pair_blocks(n, r):
+    """(i0, i1) for each block of rows i0 <= i < i1 of the pair scan over n
+    columns and r scalars: the first block is one row and each next one
+    twice as many, up to TABLE_BYTES // (n r) rows, or one row when that
+    is none, so a block holds at most TABLE_BYTES pair sums or one row's."""
+    most = max(1, TABLE_BYTES // (n * r))
+    i0, rows = 0, 1
+    while i0 < n - 1:
+        i1 = min(n - 1, i0 + rows)
+        yield i0, i1
+        i0, rows = i1, min(2 * rows, most)
 
 
 def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCertificate:
@@ -527,9 +607,16 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
     dependent, with the dependency coefficients (a weight-t dual codeword).
 
     Sizes are searched in increasing order; every size below the returned
-    one is exhaustively ruled out.  Scalars range over the code's alphabet.
-    One scan of col_i + a col_j in (i, j, a) order finds t = 3 (a sum
-    proportional to a column) and t = 4 (the first two proportional sums).
+    one is exhaustively ruled out.  Scalars a range over the code's
+    alphabet.  Vectors are compared by their packed keys (`_packer`): t = 1
+    is a zero column and t = 2 the first column whose projective normal
+    form an earlier column has.  The pair sums col_i + a col_j are scanned
+    in (i, j, a) order, in blocks of rows i (`_pair_blocks`).  t = 3 is the
+    first sum whose raw key is the key of a multiple lam col_m (its
+    coefficient is -lam); t = 4 is the first sum whose normal form an
+    earlier sum has, with the first such earlier sum.  Sums are brought to
+    normal forms only until that repeat; after it a block is only tested
+    for t = 3.
     """
     if not 1 <= max_t <= 4:
         raise ValueError("max_t must be in 1..4")
@@ -537,9 +624,10 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
     spec = gen.spec
     require_budget(spec, "dual", max_t)
     n = spec.n
-    nonzero = gen.scalars[1:]
+    nonzero = np.array(gen.scalars[1:])
     mul, neg, inv = tower.mul, tower.neg, tower.inv
     cols = gen.rows.T
+    pack, key = _packer(tower, spec.k)
 
     def finish(t, positions, coeffs):
         scale = inv(coeffs[positions.index(min(positions))])
@@ -554,38 +642,69 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
         raise NoneFoundWithinBound(1)
 
     # t = 2: two proportional columns
-    seen = {}
-    for i, (key, lead) in enumerate(zip(*_projective_keys(tower, cols))):
-        if key in seen:
-            j, lead_j = seen[key]
-            return finish(2, (j, i), (inv(lead_j), neg(inv(lead))))
-        seen[key] = (i, lead)
+    forms, leads = _normal_forms(tower, cols)
+    keys = key(pack(forms))
+    repeat, _ = _first_repeat(keys, np.arange(n), keys[:0], np.arange(0))
+    if repeat:
+        i, j = repeat
+        return finish(2, (j, i), (inv(int(leads[j])), neg(inv(int(leads[i])))))
     if max_t == 2:
         raise NoneFoundWithinBound(2)
 
-    # t = 3 and t = 4: col_i + a col_j, never zero since t = 2 is ruled out
+    # t = 3 and t = 4: col_i + a col_j, never zero since t = 2 is ruled out.
+    # A sum is named by its rank (i n + j) r + (index of a) in the scan.
     r = len(nonzero)
-    scaled = tower.mul_np[np.array(nonzero)[:, None], cols[:, None, :]]
-    pair_seen = {}
-    t4 = None
-    for i in range(n - 1):
-        sums = tower.add_np[cols[i], scaled[i + 1:]].reshape(-1, spec.k)
-        for s, (key, lead) in enumerate(zip(*_projective_keys(tower, sums))):
-            j, a = i + 1 + s // r, nonzero[s % r]
-            hit = seen.get(key)
+    scaled = tower.mul_np[:, cols]  # scaled[lam, m] = lam col_m
+    words = pack(scaled)
+    members = key(words[1:]).reshape(-1)
+    order = np.argsort(members)
+    members = members[order]
+    t4, seen, seen_at = None, keys[:0], np.arange(0)
+
+    def ranks(I, J):
+        return ((I * n + J)[..., None] * r + np.arange(r)).reshape(-1)
+
+    def pair_sum(rank):
+        (i, j), a = divmod(rank // r, n), int(nonzero[rank % r])
+        return int(i), int(j), a, tower.add_np[cols[i], scaled[a, j]]
+
+    # the multiples a col_j the scan adds, contiguous along j
+    scan_scaled = scaled[nonzero].swapaxes(0, 1).copy()
+    scan_words = words[nonzero].swapaxes(0, 1).copy()
+    for i0, i1 in _pair_blocks(n, r):
+        # the block's pairs with j < i1 (none in a block of one row), then
+        # those with j >= i1: each part is in scan order, and the two
+        # interleave row by row
+        parts = [(np.arange(i0, i1)[:, None], np.arange(i1, n))]
+        if i1 - i0 > 1:
+            within = np.triu_indices(i1 - i0, 1)
+            parts.insert(0, (within[0] + i0, within[1] + i0))
+        normalize = max_t == 4 and t4 is None
+        hits, normal = [], []
+        for I, J in parts:
+            if normalize or tower.p != 2:
+                sums = tower.add_np[cols[I][..., None, :], scan_scaled[J]]
+            raw = words[1, I][..., None, :] ^ scan_words[J] if tower.p == 2 else pack(sums)
+            hit = _first_member(key(raw).reshape(-1), members)
             if hit is not None:
-                m, lead_m = hit
-                # col_i + a col_j = lead * u and col_m = lead_m * u
-                return finish(3, (i, j, m), (1, a, neg(mul(lead, inv(lead_m)))))
-            if max_t == 4 and t4 is None:
-                i2, j2, a2, lead2 = pair_seen.setdefault(key, (i, j, a, lead))
-                if (i2, j2, a2) != (i, j, a):
-                    # returned only once t <= 3 is ruled out, so the pairs are disjoint
-                    inv1, inv2 = inv(lead), inv(lead2)
-                    t4 = ((i2, j2, i, j), (inv2, mul(inv2, a2), neg(inv1), neg(mul(inv1, a))))
+                hits.append((int(ranks(I, J)[hit[0]]), int(order[hit[1]])))
+            elif normalize and not hits:
+                normal.append((key(pack(_normal_forms(tower, sums)[0])).reshape(-1), ranks(I, J)))
+        if hits:
+            rank, multiple = min(hits)
+            (lam, m), (i, j, a, _) = divmod(multiple, n), pair_sum(rank)
+            return finish(3, (i, j, m), (1, a, neg(lam + 1)))
+        if normalize:
+            normal, at = map(np.concatenate, zip(*normal))
+            by_rank = np.argsort(at)
+            t4, merge = _first_repeat(normal[by_rank], at[by_rank], seen, seen_at)
+            if merge:
+                seen, seen_at = merge()
     if t4 is None:
         raise NoneFoundWithinBound(max_t)
-    return finish(4, *t4)
+    (i, j, a, s), (i2, j2, a2, s2) = map(pair_sum, t4)
+    inv1, inv2 = (inv(int(_normal_forms(tower, v)[1])) for v in (s, s2))
+    return finish(4, (i2, j2, i, j), (inv2, mul(inv2, a2), neg(inv1), neg(mul(inv1, a))))
 
 # dual minimum-weight support families ----------------------------------------
 

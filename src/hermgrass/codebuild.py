@@ -306,10 +306,12 @@ def transpose_permutation(tower: FieldTower, ell: int) -> np.ndarray:
 
 def _file_lines(gen: GeneratorMatrix):
     """The lines of the code's generator file, newline included: the header,
-    then each row as its single-space-separated indices."""
+    then each row as its single-space-separated indices, formatted through
+    one string per field element."""
     yield gen.spec.header + "\n"
-    for row in gen.rows.tolist():
-        yield " ".join(map(str, row)) + "\n"
+    text = np.array([str(v) for v in range(gen.tower.qq)], dtype=object)
+    for row in gen.rows:
+        yield " ".join(text[row].tolist()) + "\n"
 
 
 def write_generator(gen: GeneratorMatrix, path):
