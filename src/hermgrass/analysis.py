@@ -22,8 +22,8 @@ does no field arithmetic.  That walk (`_walk`), laid out by one plan
 (`_plan`: the table digits, the projective heads, the `--threads` split),
 is the only enumeration of combination weights: the minimum distance, the
 minimum weights stratified by maximal-minor size, the two-weight
-classification at ell = 2 and the ell = 3 reduced family are reductions of
-it.
+classification at ell = 2 and the ell = 3 det stratum are reductions of it,
+the classifiers' rows all taken from one stratum rule (`_stratum`).
 
 One gate, `require_budget`, decides from a code's spec alone whether an
 enumeration may start: it refuses a method it does not know or that does
@@ -458,17 +458,16 @@ def min_distance_exhaustive(gen: GeneratorMatrix, *, threads: int = 1) -> Distan
                              gen.scalars, threads)
 
 
-def min_distance_subfield(gen: GeneratorMatrix, basis: list | None = None, *,
-                          threads: int = 1) -> DistanceCertificate:
+def min_distance_subfield(gen: GeneratorMatrix, *, threads: int = 1) -> DistanceCertificate:
     """Minimum weight over all nonzero F_q-combinations of the F_q row basis
-    (fq_basis output; computed here when not supplied).
+    (`fq_basis`).
 
     Equals the true minimum distance of the Hermitian code because its
     minimum-weight words are scalar multiples of subfield-valued words;
     `require_budget` refuses it on the affine family.
     """
     require_budget(gen.spec, "subfield")
-    combos = basis if basis is not None else fq_basis(gen.spec.ell, gen.spec.q)
+    combos = fq_basis(gen.spec.ell, gen.spec.q)
     return _walk_certificate(gen, "ExhaustiveSubfield", subfield_rows(gen, combos), combos,
                              list(gen.tower.subfield), threads)
 
@@ -854,9 +853,44 @@ def random_system(tower: FieldTower, n: int, rng, consistent: bool = True):
 # weight classifiers ------------------------------------------------------------
 
 
+def _stratum(gen: GeneratorMatrix, k: int, self_conjugate: bool):
+    """(rows, combos, scalars, lead) of the walk, over the messages whose
+    first `lead` digits are not all zero, whose least weight is that of the
+    words whose maximal minors have size k.  The size-k rows lead, and the
+    rows of size < min(k, 2) follow; combos[i] is the function of rows[i],
+    from the F_q basis with scalars F_q when `self_conjugate`, from the
+    minor basis with the code's alphabet otherwise.
+
+    At ell = 2 these are all the rows of size <= k.  At k = ell = 3 the
+    2-minor rows are left out, by translation clearing: its translation
+    takes a self-conjugate word det + C + L (C of size 2, L of degree
+    <= 1) to det plus a degree <= 1 part, at equal weight, since a
+    translation permutes positions.  The clearing matrix and the 2-minor
+    part of det∘translate(H) are F_q-linear in C, so clearing the nine F_q
+    basis rows of size 2, checked here before any walk, clears every C.
+    """
+    ell, q = gen.spec.ell, gen.spec.q
+    fq = fq_basis(ell, q)
+    if k > 2:
+        full = tuple(range(1, k + 1))
+        for g in fq:
+            if len(next(iter(g))[0]) == 2:
+                require(verify_translation_clearing(gen, {(full, full): 1, **g}, full),
+                        f"the clearing translation leaves a 2-minor of det + {g}")
+    if self_conjugate:
+        combos, scalars, rows = fq, gen.tower.subfield, subfield_rows(gen, fq)
+    else:
+        combos, scalars, rows = [{m: 1} for m in gen.basis], gen.scalars, gen.rows
+    size = [len(next(iter(f))[0]) for f in combos]
+    order = ([i for i, z in enumerate(size) if z == k]
+             + [i for i, z in enumerate(size) if z < min(k, 2)])
+    return rows[order], [combos[i] for i in order], scalars, size.count(k)
+
+
 def classify_weights_l2(q: int) -> dict:
     """Exhaustive weights of the self-conjugate functions with the full 2x2
-    minor normalized to 1.
+    minor normalized to 1: the ell = 2 det stratum over F_q (`_stratum`)
+    with its det digit 1.
 
     Exactly two weights occur: q^4 - q^3 + q^2 - q and q^4 - q^3 - q.  Two
     sign conventions circulate for the predicate picking out the larger
@@ -865,34 +899,24 @@ def classify_weights_l2(q: int) -> dict:
       plus_f0 form:   f0 + f12^(q+1) - f11 f22 = 0
       minus_f0 form:  f12^(q+1) - f0 + f11 f22 = 0
     """
-    tower = tower_for_q(q)
     gen = build_generator(FAMILY_HERMITIAN, 2, q)
-    # det + span over F_q of the other F_q basis rows: the constant, x11,
-    # the two x12 pair rows and x22
-    const, x11, pair_a, pair_b, x22, det = fq_basis(2, q)
-    rows = subfield_rows(gen, (det, const, x11, pair_a, pair_b, x22))
-    alpha = pair_a[((1,), (2,))]
-    alpha_q = tower.conjugate(alpha)
-    sub = tower.subfield
+    tower = gen.tower
+    rows, combos, sub, _ = _stratum(gen, 2, True)
+    digits, weights = map(np.array, zip(*_weights_by_digits(tower, rows, sub)))
+    # coefficient of each minor in every message: its column of the combos'
+    # messages, combined with the digits' scalars
+    coeffs = np.array(sub, dtype=np.uint8)[digits].T
+    messages = np.array([gen.message(f) for f in combos], dtype=np.uint8)
+    f0, f11, f12, f22 = (linalg.combine(tower, coeffs, messages[:, gen.basis.index(m)])
+                         for m in (((), ()), ((1,), (1,)), ((1,), (2,)), ((2,), (2,))))
     w_high = q**4 - q**3 + q**2 - q
     w_low = q**4 - q**3 - q
-    weights_seen = set()
-    count_high = 0
-    plus_ok = True
-    minus_ok = True
-    for digits, w in _weights_by_digits(tower, rows, sub):
-        f0, f11, s_a, s_b, f22 = (sub[d] for d in digits[1:])
-        f12 = tower.add(tower.mul(s_a, alpha), tower.mul(s_b, alpha_q))
-        weights_seen.add(w)
-        prod = tower.mul(f11, f22)
-        nrm = tower.norm(f12)
-        plus_form = tower.sub(tower.add(f0, nrm), prod) == 0
-        minus_form = tower.add(tower.sub(nrm, f0), prod) == 0
-        is_high = w == w_high
-        if is_high:
-            count_high += 1
-        plus_ok = plus_ok and (plus_form == is_high)
-        minus_ok = minus_ok and (minus_form == is_high)
+    weights_seen = set(np.unique(weights).tolist())
+    is_high = weights == w_high
+    count_high = int(is_high.sum())
+    prod, nrm = tower.mul_np[f11, f22], tower.norm_np[f12]
+    plus_ok = bool(np.array_equal(tower.add_np[f0, nrm] == prod, is_high))
+    minus_ok = bool(np.array_equal(tower.add_np[nrm, prod] == f0, is_high))
     expected = {w_high, w_low}
     require(weights_seen == expected,
             f"observed weights {sorted(weights_seen)} != expected {sorted(expected)}")
@@ -919,8 +943,9 @@ def classify_weights_l2(q: int) -> dict:
 
 
 def verify_l3_bounds(q: int = 2) -> dict:
-    """Exhaustive weights of the 3x3 reduced family det + a1 x11 + a2 x22 +
-    a3 x33 + a4 over F_q^4, against the structural lower bound
+    """The least weight of the self-conjugate ell = 3 det stratum
+    (`min_weight_by_max_minor`, which walks det plus the degree <= 1 part,
+    the stratum cleared by translation), against the structural lower bound
     q^9 - q^8 - q^6 + q^5 - q^4 + q^3.
 
     Also pins the two special weights: weight(det) must equal the invertible
@@ -929,25 +954,21 @@ def verify_l3_bounds(q: int = 2) -> dict:
     for comparison), and weight(det + c) for c != 0 must equal
     q^9 - q^8 - q^6 + q^5 + q^3.
     """
+    stratum = min_weight_by_max_minor(3, 3, q, self_conjugate_only=True)
     gen = build_generator(FAMILY_HERMITIAN, 3, q)
-    tower = gen.tower
-    # det + span over F_q of x11, x22, x33 and the constant
-    family = [((1, 2, 3), (1, 2, 3)), ((1,), (1,)), ((2,), (2,)), ((3,), (3,)), ((), ())]
-    rows = [gen.encode({m: 1}) for m in family]
+    det = ((1, 2, 3), (1, 2, 3))
     bound = q**9 - q**8 - q**6 + q**5 - q**4 + q**3
     det_product_form = count_invertible(3, q)
     det_alt_expansion = q**9 - q**8 + q**7 - 2 * q**6 - q**4 + q**3
     det_plus_expected = q**9 - q**8 - q**6 + q**5 + q**3
-    weights = {tuple(tower.subfield[d] for d in digits[1:]): w
-               for digits, w in _weights_by_digits(tower, rows, tower.subfield)}
-    weight_det = weights[(0, 0, 0, 0)]
-    det_plus_weights = {weights[(0, 0, 0, c)] for c in tower.subfield if c}
+    weight_det = weight(gen.encode({det: 1}))
+    det_plus_weights = {weight(gen.encode({det: 1, ((), ()): c})) for c in gen.tower.subfield if c}
     report = {
         "q": q,
-        "family_size": len(weights),
-        "min_weight": min(weights.values()),
+        "family_size": stratum["functions_examined"],
+        "min_weight": stratum["min_weight"],
         "bound": bound,
-        "all_above_bound": all(w >= bound for w in weights.values()),
+        "all_above_bound": stratum["min_weight"] >= bound,
         "weight_det": weight_det,
         "weight_det_product_form": det_product_form,
         "weight_det_matches_product_form": weight_det == det_product_form,
@@ -983,14 +1004,19 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
     classes nest, so the class is the largest minor size among the nonzero
     digits, and at k = ell it is "the det digit is nonzero"; any other
     (ell, k) raises ValueError, as does ell < 2, where the induction bound
-    does not hold.  The stratum's own walk, r^(sum_{j <= k} C(ell, j)^2)
-    messages (r = q when `self_conjugate_only`, the alphabet otherwise), is
-    sized before the build.
+    does not hold, and ell > 3, where one translation does not clear the
+    det stratum to degree <= 1.  The walk is the stratum's rows (`_stratum`):
+    at ell = 3 det leads the degree <= 1 rows, the clearing checked first.
+    Its r^(C(ell, k)^2 + sum_{j < min(k, 2)} C(ell, j)^2) messages (r = q
+    when `self_conjugate_only`, the alphabet otherwise) are sized before the
+    build.
 
     At k = ell the self-conjugate minimum is also the minimum over every
     combination.  Take a word c whose det coefficient a is nonzero and a
     beta with Tr(beta a) != 0: beta c + (beta c)^q is self-conjugate, its
-    det coefficient is Tr(beta a), and its support lies inside c's.
+    det coefficient is Tr(beta a), and its support lies inside c's.  So the
+    cleared walk over the alphabet, which holds the cleared self-conjugate
+    words, finds the same minimum.
     """
     if ell < 2:
         raise ValueError(f"the induction bound needs ell >= 2, got {ell}")
@@ -998,19 +1024,15 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
         raise ValueError("need 0 <= k <= ell")
     if ell != 2 and k != ell:
         raise ValueError(f"the stratum k = {k} at ell = {ell} is not read off the digits")
+    if ell > 3:
+        raise ValueError(f"one translation clears the det stratum to degree <= 1 only "
+                         f"up to ell = 3, got {ell}")
     spec = CodeSpec(FAMILY_HERMITIAN, q, ell)
     _require_messages(q if self_conjugate_only else spec.alphabet,
-                      sum(comb(ell, j) ** 2 for j in range(k + 1)))
+                      comb(ell, k) ** 2 + sum(comb(ell, j) ** 2 for j in range(min(k, 2))))
     gen = build_generator(FAMILY_HERMITIAN, ell, q)
-    if self_conjugate_only:
-        combos, scalars = fq_basis(ell, q), gen.tower.subfield
-    else:
-        combos, scalars = [{m: 1} for m in gen.basis], gen.scalars
-    # the size-k rows lead, and the smaller rows follow
-    size = [len(next(iter(f))[0]) for f in combos]
-    rows = np.stack([gen.encode(f) for f, z in zip(combos, size) if z == k]
-                    + [gen.encode(f) for f, z in zip(combos, size) if z < k])
-    best, _, count = min_weight_over_combinations(gen.tower, rows, scalars, lead=size.count(k))
+    rows, _, scalars, lead = _stratum(gen, k, self_conjugate_only)
+    best, _, count = min_weight_over_combinations(gen.tower, rows, scalars, lead=lead)
     report = {
         "ell": ell,
         "k": k,
@@ -1047,8 +1069,9 @@ def translation_clearing_matrix(tower: FieldTower, ell: int, f: dict, I: tuple):
 
 def verify_translation_clearing(gen: GeneratorMatrix, f: dict, I: tuple) -> bool:
     """Translate f, scaled to det coefficient 1, by the clearing matrix and
-    check (on its message, under the translation's action) that no
-    (|I|-1)-minor with rows and columns inside I survives in the support."""
+    check (on its word, permuted by the translation and interpolated) that
+    no (|I|-1)-minor with rows and columns inside I survives in the
+    support."""
     tower = gen.tower
     ell = gen.spec.ell
     I = tuple(sorted(I))
@@ -1059,8 +1082,8 @@ def verify_translation_clearing(gen: GeneratorMatrix, f: dict, I: tuple) -> bool
     message = tower.mul_np[tower.inv(f[(I, I)])][gen.message(f)]
     H = translation_clearing_matrix(tower, ell, gen.combination(message), I)
     require(is_hermitian(tower, H), "clearing matrix is not Hermitian")
-    action = gen.action(translate_permutation(tower, ell, H))
-    translated = gen.combination(linalg.combine(tower, action, message))
+    word = gen.encode_message(message)
+    translated = gen.interpolate(word[translate_permutation(tower, ell, H)])
     si = set(I)
     target = len(I) - 1
     for (Ip, Jp) in mn.support(translated):
@@ -1075,7 +1098,8 @@ def verify_translation_clearing(gen: GeneratorMatrix, f: dict, I: tuple) -> bool
 def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     """One spread-reduction move: relabel rows/columns so the chosen maximal
     minor of minimal spread sits at I = [k], J = {s-k+1..s}, then apply the
-    congruence by I + lambda E_{1,s}, both as actions on the message of f.
+    congruence by I + lambda E_{1,s}, both as permutations of the word of f,
+    each interpolated back to a combination.
 
     Returns (f_new, info); f_new has identical weight (both transforms are
     position permutations) and its support contains a size-k minor of
@@ -1106,8 +1130,8 @@ def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     P = tuple(
         tuple(1 if pi[i + 1] == j + 1 else 0 for j in range(ell)) for i in range(ell)
     )
-    m1 = linalg.combine(tower, gen.action(congruence_permutation(tower, ell, P)), gen.message(f))
-    f1 = gen.combination(m1)
+    w1 = gen.encode(f)[congruence_permutation(tower, ell, P)]
+    f1 = gen.interpolate(w1)
     I1 = tuple(range(1, k + 1))
     J1 = tuple(range(s - k + 1, s + 1))
     a = f1.get((I1, J1), 0)
@@ -1122,8 +1146,7 @@ def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     if lam is None:
         raise NoValidLambda("no scalar keeps the reduced minor alive")
     A = elementary_row_add(ell, 0, s - 1, lam)
-    m2 = linalg.combine(tower, gen.action(congruence_permutation(tower, ell, A)), m1)
-    f2 = gen.combination(m2)
+    f2 = gen.interpolate(w1[congruence_permutation(tower, ell, A)])
     reduced = (I1, tuple(sorted(set(J1) - {s} | {1})))
     require(f2.get(reduced, 0), "spread reduction did not produce the expected minor")
     info = {

@@ -31,14 +31,14 @@ def rref(tower, rows):
     k, n = R.shape
     T = np.eye(k, dtype=np.uint8)
     pivots = []
-    r = 0
-    for c in range(n):
-        if r >= k:
-            break
-        nz = np.flatnonzero(R[r:, c])
+    r = c = 0
+    while r < k:
+        # the next pivot column: the first from c with a nonzero entry in rows r:
+        nz = np.flatnonzero(R[r:, c:].any(axis=0))
         if nz.size == 0:
-            continue
-        pr = r + int(nz[0])
+            break
+        c += int(nz[0])
+        pr = r + int(np.flatnonzero(R[r:, c])[0])
         if pr != r:
             R[[r, pr]] = R[[pr, r]]
             T[[r, pr]] = T[[pr, r]]
@@ -55,6 +55,7 @@ def rref(tower, rows):
                 T[i] = add[T[i], lut[T[r]]]
         pivots.append(c)
         r += 1
+        c += 1
     return R[:r], pivots, T[:r]
 
 

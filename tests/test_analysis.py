@@ -106,12 +106,6 @@ def test_min_distance_subfield():
         assert an.weight(gen.encode(cert.witness)) == d
 
 
-def test_min_distance_subfield_explicit_basis():
-    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
-    cert = an.min_distance_subfield(gen, basis=fq_basis(2, 3))
-    assert cert.d == 51
-
-
 def test_min_distance_subfield_l3():
     gen = build_generator(FAMILY_HERMITIAN, 3, 2)
     cert = an.min_distance_subfield(gen)
@@ -462,11 +456,12 @@ def test_verify_l3_bounds():
 
 
 def test_verify_l3_bounds_q3():
-    """At q = 3 the reduced family's least weight is its bound: the H3q3
-    stratum value the certificate by strata aims for."""
+    """At q = 3 the least weight of the det stratum, walked as det plus the
+    degree <= 1 part over its (3 - 1) 3^10 messages, is the structural
+    bound."""
     r = an.verify_l3_bounds(3)
     assert r["min_weight"] == r["bound"] == 12582
-    assert r["family_size"] == 81
+    assert r["family_size"] == 118098
     assert r["weight_det"] == 14040 == count_invertible(3, 3)
     assert r["weight_det_plus_const"] == [12663]
 
@@ -487,26 +482,31 @@ def test_min_weight_by_max_minor():
 
 
 def test_min_weight_by_max_minor_l3_q2():
-    """The det stratum at (3, 2), walked over the self-conjugate messages
-    whose det digit is 1: 2^19 of them, least weight 216 >= 199."""
+    """The det stratum at (3, 2), cleared of its 2-minors by translation:
+    det plus the ten degree <= 1 F_q rows, 2^10 messages, least weight
+    216 >= 199."""
     r = an.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)
-    assert (r["min_weight"], r["functions_examined"], r["bound"]) == (216, 2**19, 199)
+    assert (r["min_weight"], r["functions_examined"], r["bound"]) == (216, 2**10, 199)
     assert r["meets_bound"]
 
 
 def test_min_weight_by_max_minor_refuses_before_the_build(monkeypatch):
     """A walk over the message budget raises BudgetExceeded, and a stratum
-    that cannot be read off the digits raises ValueError, before any build."""
+    that cannot be read off the digits, or whose det stratum one
+    translation does not clear (ell = 4), raises ValueError, before any
+    build."""
     def no_build(*args):
         raise AssertionError("built a generator")
 
     monkeypatch.setattr(an, "build_generator", no_build)
-    with pytest.raises(BudgetExceeded, match=r"message space 4\^20 = "):
-        an.min_weight_by_max_minor(3, 3, 2)
-    with pytest.raises(BudgetExceeded, match=r"message space 3\^20 = "):
-        an.min_weight_by_max_minor(3, 3, 3, self_conjugate_only=True)
+    with pytest.raises(BudgetExceeded, match=r"message space 9\^11 = "):
+        an.min_weight_by_max_minor(3, 3, 3)
+    with pytest.raises(BudgetExceeded, match=r"message space 5\^11 = "):
+        an.min_weight_by_max_minor(3, 3, 5, self_conjugate_only=True)
     with pytest.raises(ValueError, match="not read off the digits"):
         an.min_weight_by_max_minor(3, 2, 2)
+    with pytest.raises(ValueError, match="up to ell = 3"):
+        an.min_weight_by_max_minor(4, 4, 2, self_conjugate_only=True)
 
 
 def test_min_weight_by_max_minor_sizes_its_stratum(monkeypatch):

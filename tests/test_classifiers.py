@@ -1,6 +1,7 @@
 """The classifier reductions of the weight engine: the maximal-minor strata,
 the two-weight classification and the table walk they share, against
-pinned reports and brute force."""
+pinned reports and brute force; and the translation clearing that lets
+the ell = 3 det stratum walk det plus its degree <= 1 part."""
 
 import itertools
 from unittest import mock
@@ -10,7 +11,7 @@ import pytest
 
 from hermgrass import analysis as an
 from hermgrass import minors as mn
-from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator
+from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator, fq_basis, subfield_rows
 
 # (functions_examined, min_weight) for k = 0, 1, 2, recorded from the
 # hand-written Gray walk the engine replaced
@@ -117,3 +118,76 @@ def test_weights_by_digits_equals_brute_force(q, table_bytes):
         expected.append((digits, an.weight(word)))
     assert got == expected
 
+
+# the ell = 3 det stratum, cleared by translation ---------------------------------
+
+
+def test_cleared_det_stratum_equals_the_full_walk():
+    """At H3q2 the det stratum walked over all 20 F_q rows, det leading,
+    2^19 messages, has the least weight of the cleared walk over det and
+    the ten degree <= 1 rows."""
+    gen = build_generator(FAMILY_HERMITIAN, 3, 2)
+    combos = fq_basis(3, 2)
+    rows = subfield_rows(gen, combos)
+    det = combos.index({((1, 2, 3), (1, 2, 3)): 1})
+    order = [det] + [i for i in range(len(combos)) if i != det]
+    full = an.min_weight_over_combinations(gen.tower, rows[order], gen.tower.subfield, lead=1)
+    assert (full[0], full[2]) == (216, 2**19)
+    assert an.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)["min_weight"] == 216
+
+
+@pytest.mark.parametrize("q, sc, expected", [
+    (3, True, (12582, 118098, 12419)),  # (3 - 1) 3^10 messages; 3^20 before the clearing
+    (2, False, (216, 3145728, 199)),  # over F_4: (4 - 1) 4^10; 4^20 before the clearing
+])
+def test_cleared_det_stratum_pinned(q, sc, expected):
+    r = an.min_weight_by_max_minor(3, 3, q, self_conjugate_only=sc)
+    assert (r["min_weight"], r["functions_examined"], r["bound"]) == expected
+
+
+def test_clearing_is_checked_on_the_nine_size_2_rows_at_ell_3_only(monkeypatch):
+    """det + g for each F_q basis row g of size 2, once per det stratum at
+    ell = 3, in both alphabets; never at ell = 2, where no row is left out."""
+    calls = []
+    clear = an.verify_translation_clearing
+
+    def counted(gen, f, I):
+        calls.append((gen.spec.ell, f, I))
+        return clear(gen, f, I)
+
+    monkeypatch.setattr(an, "verify_translation_clearing", counted)
+    for k in (0, 1, 2):
+        an.min_weight_by_max_minor(2, k, 2)
+        an.min_weight_by_max_minor(2, k, 3, self_conjugate_only=True)
+    an.classify_weights_l2(2)
+    assert calls == []
+    full = (1, 2, 3)
+    expected = [(3, {(full, full): 1, **g}, full)
+                for g in fq_basis(3, 2) if len(next(iter(g))[0]) == 2]
+    assert len(expected) == 9
+    for sc in (True, False):
+        an.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=sc)
+        assert calls == expected
+        calls.clear()
+
+
+def zeroed_corner(clearing_matrix):
+    """A clearing matrix with its (1, 1) entry zeroed: still Hermitian, and
+    it fails to clear only det + the principal minor on {2, 3}, the last of
+    the nine size-2 F_q rows."""
+    def mutant(tower, ell, f, I):
+        H = [list(row) for row in clearing_matrix(tower, ell, f, I)]
+        H[0][0] = 0
+        return tuple(map(tuple, H))
+    return mutant
+
+
+def test_a_broken_clearing_fails_before_any_walk(monkeypatch):
+    def no_walk(*args):
+        raise RuntimeError("walked")
+
+    monkeypatch.setattr(an, "translation_clearing_matrix",
+                        zeroed_corner(an.translation_clearing_matrix))
+    monkeypatch.setattr(an, "_walk", no_walk)
+    with pytest.raises(AssertionError, match=r"leaves a 2-minor of det \+ \{\(\(2, 3\), \(2, 3\)\): 1\}"):
+        an.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)

@@ -77,6 +77,29 @@ def test_subfield_rows_fails_closed_under_optimize(run_optimized):
                                         "F_q basis row takes values outside the subfield"]
 
 
+def test_translation_clearing_fails_closed_under_optimize(run_optimized):
+    """A clearing matrix with its (1, 1) entry zeroed must make the ell = 3
+    det stratum raise before its walk even under python -O."""
+    script = (
+        "assert False, 'asserts are live'\n"
+        "from hermgrass import analysis as an\n"
+        "clear = an.translation_clearing_matrix\n"
+        "def mutant(tower, ell, f, I):\n"
+        "    H = [list(row) for row in clear(tower, ell, f, I)]\n"
+        "    H[0][0] = 0\n"
+        "    return tuple(map(tuple, H))\n"
+        "def no_walk(*args):\n"
+        "    raise RuntimeError('walked')\n"
+        "an.translation_clearing_matrix = mutant\n"
+        "an._walk = no_walk\n"
+        "an.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert ("AssertionError: the clearing translation leaves a 2-minor of det + "
+            "{((2, 3), (2, 3)): 1}") in proc.stderr
+
+
 def test_verify_dual_word():
     gen = build_generator(FAMILY_HERMITIAN, 2, 3)
     cert = an.dual_min_distance(gen)
