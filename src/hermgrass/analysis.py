@@ -59,6 +59,7 @@ import numpy as np
 
 from . import linalg
 from . import minors as mn
+from .linalg import TABLE_BYTES
 from .codebuild import (
     FAMILY_HERMITIAN,
     CodeSpec,
@@ -188,11 +189,6 @@ def weight_of_function(f: dict, ell: int, q: int, family: str = FAMILY_HERMITIAN
 
 
 # projective weight engine -----------------------------------------------------
-
-# Scale of the bounds on what one vectorized operation holds: the bytes of
-# the table of trailing-row combinations a walk step weighs (see `_plan`),
-# and the pair sums of one block of the dual scan (see `_pair_blocks`).
-TABLE_BYTES = 1 << 17
 
 
 def gray_steps(radix: int, k: int):
@@ -1104,6 +1100,15 @@ def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     Returns (f_new, info); f_new has identical weight (both transforms are
     position permutations) and its support contains a size-k minor of
     spread <= s-1.
+
+    The congruence adds lambda times column 1 to column s and lambda^q
+    times row 1 to row s, so the reduced minor (I, J - s + 1) of f_new has
+    coefficient r + (-1)^(k-1) (lambda a + lambda^q b) + lambda^(q+1) c in
+    the relabeled combination's coefficients: r of the reduced minor, a of
+    the target, b of its partner (I - 1 + s, J - s + 1) and c of (I - 1 + s,
+    J).  r and c belong to size-k minors of spread < s, which f may hold
+    below a larger maximal minor; lambda is the first scalar that keeps the
+    whole sum nonzero.
     """
     tower = gen.tower
     ell = gen.spec.ell
@@ -1136,18 +1141,21 @@ def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     J1 = tuple(range(s - k + 1, s + 1))
     a = f1.get((I1, J1), 0)
     require(a, "relabeled combination lost its target minor")
-    partner = (tuple(sorted(set(I1) - {1} | {s})), tuple(sorted(set(J1) - {s} | {1})))
-    b = f1.get(partner, 0)
+    I_s, J_1 = tuple(sorted(set(I1) - {1} | {s})), tuple(sorted(set(J1) - {s} | {1}))
+    reduced = (I1, J_1)
+    b, r, c = f1.get((I_s, J_1), 0), f1.get(reduced, 0), f1.get((I_s, J1), 0)
+    sign = 1 if k % 2 else tower.neg(1)
     lam = None
     for cand in range(1, tower.qq):
-        if tower.add(tower.mul(cand, a), tower.mul(tower.conjugate(cand), b)):
+        conj = tower.conjugate(cand)
+        linear = tower.mul(sign, tower.add(tower.mul(cand, a), tower.mul(conj, b)))
+        if tower.add(tower.add(r, linear), tower.mul(tower.mul(cand, conj), c)):
             lam = cand
             break
     if lam is None:
         raise NoValidLambda("no scalar keeps the reduced minor alive")
     A = elementary_row_add(ell, 0, s - 1, lam)
     f2 = gen.interpolate(w1[congruence_permutation(tower, ell, A)])
-    reduced = (I1, tuple(sorted(set(J1) - {s} | {1})))
     require(f2.get(reduced, 0), "spread reduction did not produce the expected minor")
     info = {
         "minor": M,

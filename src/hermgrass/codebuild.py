@@ -110,6 +110,10 @@ class GeneratorMatrix:
     pivot entries, and it lies in the code when that message re-encodes to
     it.  Span questions about known combinations are then asked of their
     k-entry messages (`subfield_rows`).
+
+    `encode_message`, `coefficients_of` and `membership` also take a stack
+    of messages or words along a leading axis, which `linalg.combine`
+    evaluates as one matrix product.
     """
 
     def __init__(self, spec: CodeSpec, tower: FieldTower, rows: np.ndarray):
@@ -130,8 +134,10 @@ class GeneratorMatrix:
             )
 
     def encode_message(self, message) -> np.ndarray:
-        """Codeword of a length-k coefficient vector over the alphabet."""
-        if len(message) != self.spec.k:
+        """Codeword of a length-k coefficient vector over the alphabet, or the
+        (m, n) codewords of an (m, k) array of them."""
+        stacked = getattr(message, "ndim", 1) == 2
+        if (message.shape[1] if stacked else len(message)) != self.spec.k:
             raise ValueError("message length mismatch")
         return linalg.combine(self.tower, self.rows, message)
 
@@ -148,24 +154,34 @@ class GeneratorMatrix:
         """Codeword of a minor combination."""
         return self.encode_message(self.message(f))
 
-    def coefficients_of(self, codeword) -> np.ndarray:
-        """Length-k message recovering the codeword, or NotInCode."""
+    def _decode(self, codeword):
+        """(message, in span, in alphabet) of a word, or of each word of an
+        (m, n) stack: T applied to the pivot entries, whether it re-encodes
+        to the word, and whether its entries are scalars of the code."""
         codeword = np.asarray(codeword, dtype=np.uint8)
-        if codeword.shape != (self.spec.n,):
+        if codeword.shape[-1:] != (self.spec.n,) or codeword.ndim > 2:
             raise ValueError("codeword length mismatch")
-        message = linalg.combine(self.tower, self.transform, codeword[self.pivots])
-        if not np.array_equal(self.encode_message(message), codeword):
+        message = linalg.combine(self.tower, self.transform, codeword[..., self.pivots])
+        in_span = (self.encode_message(message) == codeword).all(axis=-1)
+        return message, in_span, self._in_alphabet[message].all(axis=-1)
+
+    def coefficients_of(self, codeword) -> np.ndarray:
+        """Length-k message recovering the codeword, or NotInCode; on an
+        (m, n) stack, the (m, k) messages, or NotInCode if any word is not
+        in the code."""
+        message, in_span, in_alphabet = self._decode(codeword)
+        if not in_span.all():
             raise NotInCode("vector is not in the row space")
-        if not self._in_alphabet[message].all():
+        if not in_alphabet.all():
             raise NotInCode("vector is in the F_{q^2} span but not the F_q code")
         return message
 
-    def membership(self, codeword) -> bool:
-        try:
-            self.coefficients_of(codeword)
-            return True
-        except NotInCode:
-            return False
+    def membership(self, codeword):
+        """Whether the word is in the code; on an (m, n) stack, a bool array
+        with one entry per word."""
+        _, in_span, in_alphabet = self._decode(codeword)
+        member = in_span & in_alphabet
+        return member if member.ndim else bool(member)
 
     def combination(self, message) -> dict:
         """The minor combination of a length-k message; the inverse of `message`."""
@@ -183,7 +199,7 @@ class GeneratorMatrix:
         perm = np.asarray(perm)
         if not np.array_equal(np.sort(perm), np.arange(self.spec.n)):
             raise ValueError("perm is not a permutation of the n positions")
-        return np.stack([self.coefficients_of(row[perm]) for row in self.rows])
+        return self.coefficients_of(self.rows[:, perm])
 
 
 _GEN_CACHE: dict = {}
@@ -249,8 +265,8 @@ def subfield_rows(gen: GeneratorMatrix, combos) -> np.ndarray:
     span the code exactly when their k-entry messages have rank k; the rank
     is taken on those messages, not on the length-n rows.
     """
-    messages = [gen.message(f) for f in combos]
-    rows = np.stack([gen.encode_message(m) for m in messages])
+    messages = np.array([gen.message(f) for f in combos], dtype=np.uint8).reshape(-1, gen.spec.k)
+    rows = gen.encode_message(messages)
     require((gen.tower.subfield_digit_np[rows] >= 0).all(),
             "F_q basis row takes values outside the subfield")
     require(linalg.rank(gen.tower, messages) == gen.spec.k,
@@ -268,7 +284,7 @@ def conjugate_codeword(tower: FieldTower, codeword) -> np.ndarray:
 
 def q_invariance_check(gen: GeneratorMatrix) -> bool:
     """Whether the conjugate of every generator row is itself a codeword."""
-    return all(gen.membership(conjugate_codeword(gen.tower, row)) for row in gen.rows)
+    return bool(gen.membership(conjugate_codeword(gen.tower, gen.rows)).all())
 
 
 def _position_permutation(tower: FieldTower, ell: int, act) -> np.ndarray:

@@ -11,13 +11,29 @@ product s * a, its 2e digits in 2e lanes of w bits of one uint16, uint32
 or uint64 word, so the products of many rows are added as plain
 integers, w being wide enough that no lane carries into the next.  Each
 lane is reduced mod p once, after the last row.
+
+A stack of coefficient vectors combines the same rows as one float matrix
+product.  Multiplying by s is F_p-linear on digit vectors, so the lane word
+of s * a is the sum over the digits a_j of a_j times the lane word of
+s * p^j; the packed sums of a whole stack are then (lane words of the
+coefficients) @ (digit planes of the rows), exact while every lane sum
+fits the float's mantissa, and reduced by the same residue tail.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
+
+# Scale of the bounds on what one vectorized operation holds: the float
+# digit planes of one position chunk of a stacked `combine` (here), the
+# bytes of the table of trailing-row combinations a walk step weighs
+# (`analysis._plan`), and the pair sums of one block of the dual scan
+# (`analysis._pair_blocks`).  analysis imports it under the same name, so
+# patching analysis.TABLE_BYTES bounds only analysis's tables and blocks.
+TABLE_BYTES = 1 << 17
 
 
 def rref(tower, rows):
@@ -82,7 +98,15 @@ def combine(tower, rows, coeffs):
     choice reads the ndim attribute of the first row, where np.ndim would
     cost more than a one-element sum; a row without one (an int, or a
     list, which the table sum also takes) counts as 0-d.
+
+    Coefficients given as an (m, c) array are a stack of m coefficient
+    vectors, each combining the rows as above; the result has shape (m,
+    *row shape).  The stack is one float matrix product over the rows'
+    digit planes (`_combine_stack`).  The choice reads the ndim attribute
+    of the coefficients, so lists and 1-D arrays keep the paths above.
     """
+    if getattr(coeffs, "ndim", 1) == 2:
+        return _combine_stack(tower, rows, coeffs)
     if not len(rows) or not getattr(rows[0], "ndim", 0):
         acc = None
         for s, a in zip(coeffs, rows):
@@ -106,9 +130,58 @@ def combine(tower, rows, coeffs):
                 acc += term
     if acc is None:
         return np.zeros(np.shape(rows[0]), dtype=np.uint8)
+    return _residues(tower, width, residue, acc)
+
+
+def _combine_stack(tower, rows, coeffs):
+    """combine(tower, rows, c) for every row c of the (m, c) coefficient
+    array, as one (m, c * 2e) @ (c * 2e, positions) float product.
+
+    Column (i, j) of the left factor is lanes[coeffs[:, i], p^j], the lane
+    word of coeffs[:, i] * p^j; row (i, j) of the right factor is digit j
+    of rows[i] at every position.  A lane then sums c * 2e products of two
+    digits, so its width is w = bit_length(len(rows) * 2e * (p - 1)^2), and
+    the product is exact when all 2e lanes fit the mantissa: float32 up to
+    24 bits, float64 up to 53; past that the stack raises ValueError (the
+    1-D path, with narrower lanes, still takes such rows).  The positions
+    go through the product in chunks whose float digit planes take at most
+    TABLE_BYTES.
+    """
+    rows = np.asarray(rows, dtype=np.uint8)
+    m, c = coeffs.shape
+    c = min(c, len(rows))
+    p, deg = tower.p, 2 * tower.e
+    width = (len(rows) * deg * (p - 1) ** 2).bit_length()
+    if deg * width > 53:
+        raise ValueError(f"stacked combine of {len(rows)} rows over F_{p} needs {deg} lanes "
+                         f"of {width} bits, more than float64's 53-bit mantissa")
+    ftype = np.dtype(np.float32 if deg * width <= 24 else np.float64)
+    lanes, residue = _lanes(tower, width)
+    left = lanes[coeffs[:, :c, None], p ** np.arange(deg)].reshape(m, c * deg).astype(ftype)
+    size = math.prod(rows.shape[1:])
+    flat = rows[:c].reshape(c, size)
+    out = np.empty((m, size), dtype=np.uint8)
+    step = max(1, TABLE_BYTES // max(1, c * deg * ftype.itemsize))
+    for start in range(0, size, step):
+        rest = flat[:, start:start + step]
+        digits = np.empty((c, deg, rest.shape[1]), dtype=ftype)
+        for j in range(deg - 1):
+            high = rest // p
+            digits[:, j] = rest - high * p
+            rest = high
+        digits[:, -1] = rest  # an index is below p^2e
+        acc = (left @ digits.reshape(c * deg, rest.shape[1])).astype(lanes.dtype)
+        out[:, start:start + step] = _residues(tower, width, residue, acc)
+    return out.reshape((m,) + rows.shape[1:])
+
+
+def _residues(tower, width, residue, acc):
+    """Field indices of the packed lane sums acc: each lane reduced mod p
+    through the residue lookup and placed as digit i of the index."""
+    p = tower.p
     mask = (1 << width) - 1
     out = residue.take(acc & mask)
-    for i in range(1, deg):
+    for i in range(1, 2 * tower.e):
         out += residue.take(acc >> i * width & mask) * p**i
     return out
 

@@ -274,14 +274,23 @@ def check_conjugate_minor_identity(seed):
 
 
 def check_interpolation_round_trip(seed):
+    """200 random combinations per desk cell, each encoded and interpolated
+    back.  They go through in blocks, a block's messages as one stack: at
+    most TABLE_BYTES of words, or k words when that is more, so each block
+    holds its words, their re-encodes and their comparison at that size,
+    and its matrix products have at least as many messages as the
+    generator has rows."""
     rng = random.Random(seed)
     total = 0
     for ell, q in HERMITIAN_DESK:
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
-        for _ in range(200):
-            f = mn.random_combination(gen.tower, ell, rng)
-            require(gen.interpolate(gen.encode(f)) == f)
-            total += 1
+        block = max(gen.spec.k, linalg.TABLE_BYTES // gen.spec.n)
+        for start in range(0, 200, block):
+            fs = [mn.random_combination(gen.tower, ell, rng) for _ in range(min(block, 200 - start))]
+            messages = np.array([gen.message(f) for f in fs], dtype=np.uint8)
+            recovered = gen.coefficients_of(gen.encode_message(messages))
+            require(np.array_equal(recovered, messages))
+            total += len(fs)
     return f"{total} random combinations recovered exactly"
 
 

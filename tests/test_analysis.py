@@ -577,6 +577,42 @@ def test_spread_reduction_guard():
         an.spread_reduction_step(g32, {})
 
 
+def test_spread_reduction_counts_the_minors_below_a_larger_maximal_one():
+    """At H3q3 the minimal-spread maximal minor of this f is I:{1} J:{3}
+    (spread 2), and I:{3} J:{3}, under the maximal I:{2,3} J:{1,3}, adds
+    lambda^(q+1) * 3 to the reduced minor's coefficient.  A lambda that
+    ignored it cancelled the reduced minor; the step now keeps it, at equal
+    weight."""
+    g33 = build_generator(FAMILY_HERMITIAN, 3, 3)
+    f = {((2, 3), (1, 3)): 4, ((3,), (3,)): 3, ((1,), (3,)): 6}
+    f2, info = an.spread_reduction_step(g33, f)
+    assert (info["minor"], info["size"], info["spread"]) == (((1,), (3,)), 1, 2)
+    assert f2.get(info["new_minor"], 0)
+    assert an.weight(g33.encode(f)) == an.weight(g33.encode(f2))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_spread_reduction_on_random_combinations(q):
+    """Random combinations at ell = 3 with no full determinant, half of them
+    self-conjugate and some holding smaller minors under larger ones: each
+    either has nothing to reduce or is reduced at equal weight."""
+    gen = build_generator(FAMILY_HERMITIAN, 3, q)
+    rng = random.Random(q)
+    reduced = 0
+    for _ in range(60):
+        f = mn.random_combination(gen.tower, 3, rng, self_conjugate=rng.random() < 0.5)
+        f = {m: c for m, c in f.items() if len(m[0]) < 2 or (len(m[0]) == 2 and rng.random() < 0.5)}
+        try:
+            f2, info = an.spread_reduction_step(gen, f)
+        except ValueError as exc:
+            assert "nothing to reduce" in str(exc)
+            continue
+        assert f2.get(info["new_minor"], 0)
+        assert an.weight(gen.encode(f)) == an.weight(gen.encode(f2))
+        reduced += 1
+    assert reduced >= 15
+
+
 def test_induction_bound_values():
     assert an.induction_bound(2, 2) == 16 - 8 - 2 + 1 - 1 == 6
     assert an.induction_bound(2, 3) == 81 - 27 - 3 + 1 - 1 == 51
