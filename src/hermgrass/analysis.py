@@ -53,7 +53,6 @@ import functools
 import itertools
 import os
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -185,7 +184,8 @@ def weight_of_function(f: dict, ell: int, q: int, family: str = FAMILY_HERMITIAN
         raise BudgetExceeded(f"q^(ell^2) = {n} exceeds build limit {BUILD_LIMIT}")
     tower = tower_for_q(q)
     E = position_entries(tower, ell, family)
-    return weight(linalg.combine(tower, [eval_minor_vector(tower, E, m) for m in f], f.values()))
+    return weight(linalg.combine(tower, [eval_minor_vector(tower, E, m) for m in f],
+                                 list(f.values())))
 
 
 # projective weight engine -----------------------------------------------------
@@ -878,9 +878,15 @@ def _stratum(gen: GeneratorMatrix, k: int, self_conjugate: bool):
     else:
         combos, scalars, rows = [{m: 1} for m in gen.basis], gen.scalars, gen.rows
     size = [len(next(iter(f))[0]) for f in combos]
-    order = ([i for i, z in enumerate(size) if z == k]
-             + [i for i, z in enumerate(size) if z < min(k, 2)])
+    order = _stratum_order(size, k)
     return rows[order], [combos[i] for i in order], scalars, size.count(k)
+
+
+def _stratum_order(size, k):
+    """Indices of the stratum's rows among functions whose minors have the
+    sizes `size`: the size-k ones, then those of size < min(k, 2)."""
+    return ([i for i, z in enumerate(size) if z == k]
+            + [i for i, z in enumerate(size) if z < min(k, 2)])
 
 
 def classify_weights_l2(q: int) -> dict:
@@ -1003,9 +1009,9 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
     does not hold, and ell > 3, where one translation does not clear the
     det stratum to degree <= 1.  The walk is the stratum's rows (`_stratum`):
     at ell = 3 det leads the degree <= 1 rows, the clearing checked first.
-    Its r^(C(ell, k)^2 + sum_{j < min(k, 2)} C(ell, j)^2) messages (r = q
-    when `self_conjugate_only`, the alphabet otherwise) are sized before the
-    build.
+    Its r^rows messages (r = q when `self_conjugate_only`, the alphabet
+    otherwise) are sized before the build, the rows chosen from the minor
+    basis by the stratum's own rule (`_stratum_order`).
 
     At k = ell the self-conjugate minimum is also the minimum over every
     combination.  Take a word c whose det coefficient a is nonzero and a
@@ -1024,8 +1030,8 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
         raise ValueError(f"one translation clears the det stratum to degree <= 1 only "
                          f"up to ell = 3, got {ell}")
     spec = CodeSpec(FAMILY_HERMITIAN, q, ell)
-    _require_messages(q if self_conjugate_only else spec.alphabet,
-                      comb(ell, k) ** 2 + sum(comb(ell, j) ** 2 for j in range(min(k, 2))))
+    sizes = [len(I) for I, _ in mn.basis(ell)]
+    _require_messages(q if self_conjugate_only else spec.alphabet, len(_stratum_order(sizes, k)))
     gen = build_generator(FAMILY_HERMITIAN, ell, q)
     rows, _, scalars, lead = _stratum(gen, k, self_conjugate_only)
     best, _, count = min_weight_over_combinations(gen.tower, rows, scalars, lead=lead)

@@ -77,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-t", type=int, default=4, choices=(1, 2, 3, 4))
 
     sp = sub.add_parser("verify", help="run an invariant suite")
-    sp.add_argument("--suite", choices=("fields", "counts", "classifiers", "duals", "all"),
-                    default="all")
+    sp.add_argument("--suite", choices=(*verify_mod.SUITES, "all"), default="all")
     sp.add_argument("--seed", type=int, default=an.DEFAULT_SEED)
     sp.add_argument("--format", choices=("text", "tree"), default="text")
     sp.add_argument("--out", default=None)

@@ -36,7 +36,7 @@ from .hermitian import (
     translate,
     transpose,
 )
-from .minors import basis
+from .minors import MAX_ELL, basis
 
 _FAMILY_LETTER = {FAMILY_HERMITIAN: "H", FAMILY_AFFINE: "A"}
 
@@ -54,8 +54,8 @@ class CodeSpec:
             raise ValueError(f"unknown family {self.family!r}")
         if self.q not in SUPPORTED_Q:
             raise ValueError(f"unsupported q = {self.q}")
-        if not 1 <= self.ell <= 4:
-            raise ValueError(f"ell must be in 1..4, got {self.ell}")
+        if not 1 <= self.ell <= MAX_ELL:
+            raise ValueError(f"ell must be in 1..{MAX_ELL}, got {self.ell}")
 
     @property
     def n(self) -> int:
@@ -113,7 +113,7 @@ class GeneratorMatrix:
 
     `encode_message`, `coefficients_of` and `membership` also take a stack
     of messages or words along a leading axis, which `linalg.combine`
-    evaluates as one matrix product.
+    evaluates in one call.
     """
 
     def __init__(self, spec: CodeSpec, tower: FieldTower, rows: np.ndarray):
@@ -135,9 +135,8 @@ class GeneratorMatrix:
 
     def encode_message(self, message) -> np.ndarray:
         """Codeword of a length-k coefficient vector over the alphabet, or the
-        (m, n) codewords of an (m, k) array of them."""
-        stacked = getattr(message, "ndim", 1) == 2
-        if (message.shape[1] if stacked else len(message)) != self.spec.k:
+        (m, n) codewords of an (m, k) stack of them, as any array-like."""
+        if np.shape(message)[-1:] != (self.spec.k,):
             raise ValueError("message length mismatch")
         return linalg.combine(self.tower, self.rows, message)
 
@@ -346,7 +345,7 @@ def read_generator(path) -> GeneratorMatrix:
         raise ValueError(f"{path}: empty generator file, no header")
     header = lines[0].removesuffix("\n")
     specs = [CodeSpec(family, q, ell) for family in _FAMILY_LETTER
-             for q in SUPPORTED_Q for ell in range(1, 5)]
+             for q in SUPPORTED_Q for ell in range(1, MAX_ELL + 1)]
     spec = next((spec for spec in specs if spec.n <= BUILD_LIMIT and spec.header == header), None)
     if spec is None:
         raise ValueError(f"{path}: {header!r} is not the header of a supported code")

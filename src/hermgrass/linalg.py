@@ -12,12 +12,14 @@ or uint64 word, so the products of many rows are added as plain
 integers, w being wide enough that no lane carries into the next.  Each
 lane is reduced mod p once, after the last row.
 
-A stack of coefficient vectors combines the same rows as one float matrix
-product.  Multiplying by s is F_p-linear on digit vectors, so the lane word
-of s * a is the sum over the digits a_j of a_j times the lane word of
-s * p^j; the packed sums of a whole stack are then (lane words of the
-coefficients) @ (digit planes of the rows), exact while every lane sum
-fits the float's mantissa, and reduced by the same residue tail.
+A stack of two or more coefficient vectors combines the same rows as one
+float matrix product.  Multiplying by s is F_p-linear on digit vectors, so
+the lane word of s * a is the sum over the digits a_j of a_j times the lane
+word of s * p^j; the packed sums of a whole stack are then (lane words of
+the coefficients) @ (digit planes of the rows), exact while every lane sum
+fits the float's mantissa, and reduced by the same residue tail.  The
+array shapes of the rows and coefficients, whatever their Python types,
+decide both the shape of the sum and which of the two kernels runs.
 """
 
 from __future__ import annotations
@@ -80,99 +82,77 @@ def rank(tower, rows) -> int:
 
 
 def combine(tower, rows, coeffs):
-    """Sum of coeffs[i] * rows[i] over the field, where the rows are field
-    elements or equal-shape arrays of them; the sum has their shape and
-    np.uint8 values, and the sum of no rows is the element 0.  Rows past the
-    end of the coefficients count as zero.
+    """Sum of coeffs[..., i] * rows[i] over the field.
 
-    Lane layout: lanes[s, a] holds digit i of s * a in bits [i * w,
-    (i + 1) * w) of one word, where w = bit_length(len(rows) * (p - 1))
-    holds the largest digit sum of a lane, so no lane carries into the next.
-    Each row costs one 1-D lookup into lanes[s] and one integer add; after
-    the last row each lane is reduced mod p once, through the residue
-    lookup (a gather costs less than numpy's integer remainder).  Lanes of
-    more than 64 bits in all raise ValueError.
+    The rows are c field elements or c equal-shape arrays of them; coeffs
+    is a vector of c coefficients or an (m, c) stack of such vectors, as
+    any array-like, and a last axis of another length raises ValueError.
+    The result has shape coeffs.shape[:-1] + the row shape and np.uint8
+    values (a 0-d result is an np.uint8 scalar, which hashes like an int),
+    so the sum of no rows is zeros of that shape.
 
-    Rows that are single elements take the table sum instead: at a few
-    elements, packing and unpacking cost more than the adds they save.  The
-    choice reads the ndim attribute of the first row, where np.ndim would
-    cost more than a one-element sum; a row without one (an int, or a
-    list, which the table sum also takes) counts as 0-d.
+    One vector (m = 1) takes the lane sum: per row one lookup
+    lanes[s].take(row) and one integer add, in lanes of w = bit_length(c *
+    (p - 1)) bits, so no lane carries into the next; then each lane is
+    reduced mod p once, through the residue lookup (a gather costs less
+    than numpy's integer remainder).  More than 64 bits of lanes in all
+    raise ValueError.
 
-    Coefficients given as an (m, c) array are a stack of m coefficient
-    vectors, each combining the rows as above; the result has shape (m,
-    *row shape).  The stack is one float matrix product over the rows'
-    digit planes (`_combine_stack`).  The choice reads the ndim attribute
-    of the coefficients, so lists and 1-D arrays keep the paths above.
+    A stack of m > 1 vectors takes one (m, c * 2e) @ (c * 2e, positions)
+    float product: column (i, j) of the left factor is the lane word of
+    coeffs[:, i] * p^j, row (i, j) of the right factor digit j of rows[i].
+    A lane sums c * 2e digit products, so w = bit_length(c * 2e * (p -
+    1)^2); the product is exact in float32 up to 24 bits of lanes and in
+    float64 up to 53, and past that raises ValueError.  The positions go
+    through it in chunks whose float digit planes take at most TABLE_BYTES.
     """
-    if getattr(coeffs, "ndim", 1) == 2:
-        return _combine_stack(tower, rows, coeffs)
-    if not len(rows) or not getattr(rows[0], "ndim", 0):
+    coeffs = np.asarray(coeffs)
+    c = len(rows)
+    if coeffs.shape[-1:] != (c,):
+        raise ValueError(f"combine of {c} rows by coefficients of shape {coeffs.shape}")
+    shape = np.shape(rows[0]) if c else np.shape(rows)[1:]
+    m, p, deg = math.prod(coeffs.shape[:-1]), tower.p, 2 * tower.e
+    stack = coeffs.reshape(m, c)
+    if not stack.size:
+        out = np.zeros((m,) + shape, np.uint8)
+    elif m == 1:
+        width = (c * (p - 1)).bit_length()
+        if deg * width > 64:
+            raise ValueError(f"combine of {c} rows over F_{p} needs {deg} lanes of "
+                             f"{width} bits, more than the 64-bit limit")
+        lanes, residue = _lanes(tower, width)
         acc = None
-        for s, a in zip(coeffs, rows):
+        for s, row in zip(stack[0].tolist(), rows):
             if s:
-                term = tower.mul_np[s, a]
-                acc = term if acc is None else tower.add_np[acc, term]
-        return np.uint8(0) if acc is None else acc
-    p, deg = tower.p, 2 * tower.e
-    width = (len(rows) * (p - 1)).bit_length()
-    if deg * width > 64:
-        raise ValueError(f"combine of {len(rows)} rows over F_{p} needs {deg} lanes of "
-                         f"{width} bits, more than the 64-bit limit")
-    lanes, residue = _lanes(tower, width)
-    acc = None
-    for s, row in zip(coeffs, rows):
-        if s:
-            term = lanes[s].take(row)
-            if acc is None:
-                acc = term
-            else:
-                acc += term
-    if acc is None:
-        return np.zeros(np.shape(rows[0]), dtype=np.uint8)
-    return _residues(tower, width, residue, acc)
-
-
-def _combine_stack(tower, rows, coeffs):
-    """combine(tower, rows, c) for every row c of the (m, c) coefficient
-    array, as one (m, c * 2e) @ (c * 2e, positions) float product.
-
-    Column (i, j) of the left factor is lanes[coeffs[:, i], p^j], the lane
-    word of coeffs[:, i] * p^j; row (i, j) of the right factor is digit j
-    of rows[i] at every position.  A lane then sums c * 2e products of two
-    digits, so its width is w = bit_length(len(rows) * 2e * (p - 1)^2), and
-    the product is exact when all 2e lanes fit the mantissa: float32 up to
-    24 bits, float64 up to 53; past that the stack raises ValueError (the
-    1-D path, with narrower lanes, still takes such rows).  The positions
-    go through the product in chunks whose float digit planes take at most
-    TABLE_BYTES.
-    """
-    rows = np.asarray(rows, dtype=np.uint8)
-    m, c = coeffs.shape
-    c = min(c, len(rows))
-    p, deg = tower.p, 2 * tower.e
-    width = (len(rows) * deg * (p - 1) ** 2).bit_length()
-    if deg * width > 53:
-        raise ValueError(f"stacked combine of {len(rows)} rows over F_{p} needs {deg} lanes "
-                         f"of {width} bits, more than float64's 53-bit mantissa")
-    ftype = np.dtype(np.float32 if deg * width <= 24 else np.float64)
-    lanes, residue = _lanes(tower, width)
-    left = lanes[coeffs[:, :c, None], p ** np.arange(deg)].reshape(m, c * deg).astype(ftype)
-    size = math.prod(rows.shape[1:])
-    flat = rows[:c].reshape(c, size)
-    out = np.empty((m, size), dtype=np.uint8)
-    step = max(1, TABLE_BYTES // max(1, c * deg * ftype.itemsize))
-    for start in range(0, size, step):
-        rest = flat[:, start:start + step]
-        digits = np.empty((c, deg, rest.shape[1]), dtype=ftype)
-        for j in range(deg - 1):
-            high = rest // p
-            digits[:, j] = rest - high * p
-            rest = high
-        digits[:, -1] = rest  # an index is below p^2e
-        acc = (left @ digits.reshape(c * deg, rest.shape[1])).astype(lanes.dtype)
-        out[:, start:start + step] = _residues(tower, width, residue, acc)
-    return out.reshape((m,) + rows.shape[1:])
+                term = lanes[s].take(row)
+                if acc is None:
+                    acc = term
+                else:
+                    acc += term
+        out = np.zeros(shape, np.uint8) if acc is None else _residues(tower, width, residue, acc)
+    else:
+        width = (c * deg * (p - 1) ** 2).bit_length()
+        if deg * width > 53:
+            raise ValueError(f"stacked combine of {c} rows over F_{p} needs {deg} lanes "
+                             f"of {width} bits, more than float64's 53-bit mantissa")
+        ftype = np.dtype(np.float32 if deg * width <= 24 else np.float64)
+        lanes, residue = _lanes(tower, width)
+        left = lanes[stack[:, :, None], p ** np.arange(deg)].reshape(m, c * deg).astype(ftype)
+        size = math.prod(shape)
+        flat = np.asarray(rows, dtype=np.uint8).reshape(c, size)
+        out = np.empty((m, size), dtype=np.uint8)
+        step = max(1, TABLE_BYTES // (c * deg * ftype.itemsize))
+        for start in range(0, size, step):
+            rest = flat[:, start:start + step]
+            digits = np.empty((c, deg, rest.shape[1]), dtype=ftype)
+            for j in range(deg - 1):
+                high = rest // p
+                digits[:, j] = rest - high * p
+                rest = high
+            digits[:, -1] = rest  # an index is below p^2e
+            acc = (left @ digits.reshape(c * deg, rest.shape[1])).astype(lanes.dtype)
+            out[:, start:start + step] = _residues(tower, width, residue, acc)
+    return out.reshape(coeffs.shape[:-1] + shape)[()]
 
 
 def _residues(tower, width, residue, acc):

@@ -382,11 +382,7 @@ CODE_CHECKS = [
 
 def checks_for(suite: str):
     if suite == "all":
-        out = []
-        for name in ("fields", "counts", "classifiers", "duals"):
-            out.extend(SUITES[name])
-        out.extend(CODE_CHECKS)
-        return out
+        return [check for checks in SUITES.values() for check in checks] + CODE_CHECKS
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     return SUITES[suite]

@@ -171,6 +171,28 @@ def test_clearing_is_checked_on_the_nine_size_2_rows_at_ell_3_only(monkeypatch):
         calls.clear()
 
 
+class Sized(Exception):
+    """Raised by the stub budget check, so no generator is built or walked."""
+
+
+@pytest.mark.parametrize("sc", [False, True])
+@pytest.mark.parametrize("ell, k", [(2, 0), (2, 1), (2, 2), (3, 3)])
+def test_the_pre_build_size_is_the_stratum(monkeypatch, ell, k, sc):
+    """The row count sized before the build is the number of rows the walk
+    then takes from `_stratum`, at every (ell, k) the classifier accepts."""
+    sized = []
+
+    def stub(r, count):
+        sized.append((r, count))
+        raise Sized
+
+    monkeypatch.setattr(an, "_require_messages", stub)
+    with pytest.raises(Sized):
+        an.min_weight_by_max_minor(ell, k, 2, self_conjugate_only=sc)
+    rows, _, scalars, _ = an._stratum(build_generator(FAMILY_HERMITIAN, ell, 2), k, sc)
+    assert sized == [(len(scalars), len(rows))]
+
+
 def zeroed_corner(clearing_matrix):
     """A clearing matrix with its (1, 1) entry zeroed: still Hermitian, and
     it fails to clear only det + the principal minor on {2, 3}, the last of

@@ -1,7 +1,8 @@
 """`linalg.combine`, the one field linear combination: on field elements, on
-equal-shape arrays, and on no rows at all, checked against the table sum it
-replaced, with the row counts at every lane-width boundary of its packed
-digit sums."""
+equal-shape arrays, and on no rows at all, by a coefficient vector or a
+stack of them given as lists, tuples or arrays, checked against the table
+sum it replaced, with the row counts at every lane-width boundary of its
+packed digit sums."""
 
 import itertools
 import random
@@ -25,16 +26,29 @@ def scalar_sum(tower, rows, coeffs):
 
 
 def table_sum(tower, rows, coeffs):
-    """The former `linalg.combine`: each row scaled by a `mul_np` row and
-    added into the sum by an `add_np[acc, term]` gather."""
+    """The former `linalg.combine` of one coefficient vector: each row scaled
+    by a `mul_np` row and added into the sum by an `add_np[acc, term]`
+    gather; no rows sum to zeros of the row shape."""
     acc = None
     for s, row in zip(coeffs, rows):
         if s:
             term = tower.mul_np[s][row]
             acc = term if acc is None else tower.add_np[acc, term]
     if acc is None:
-        return tower.mul_np[0][rows[0]] if len(rows) else np.uint8(0)
+        return tower.mul_np[0][rows[0]] if len(rows) else np.zeros(np.shape(rows)[1:], np.uint8)
     return acc
+
+
+def lane_bits(t, count):
+    """All 2e lanes of the stacked product of `count` rows: a lane sums
+    count * 2e products of two base-p digits."""
+    deg = 2 * t.e
+    return deg * (count * deg * (t.p - 1) ** 2).bit_length()
+
+
+def as_tuples(a):
+    """An array of coefficients as a tuple, or a tuple of tuples."""
+    return tuple(as_tuples(x) for x in a) if np.ndim(a) > 1 else tuple(a.tolist())
 
 
 def lane_boundaries(p, top=8):
@@ -80,11 +94,45 @@ def test_combine_of_entry_arrays_is_the_positionwise_sum():
 
 
 def test_combine_of_no_rows_is_zero():
+    """No rows sum to zeros of the row shape, by a vector or a stack; a
+    number of coefficients other than the number of rows raises."""
     t = tower_for_q(3)
     assert linalg.combine(t, [], []) == 0
-    # rows past the end of the coefficients count as zero
-    assert np.array_equal(linalg.combine(t, np.ones((2, 4), dtype=np.uint8), []),
-                          np.zeros(4, dtype=np.uint8))
+    assert type(linalg.combine(t, [], [])) is np.uint8
+    empty = np.ones((0, 4), dtype=np.uint8)
+    for coeffs, shape in (([], (4,)), (np.zeros((3, 0), np.uint8), (3, 4)), ([[]], (1, 4))):
+        got = linalg.combine(t, empty, coeffs)
+        assert got.dtype == np.uint8 and got.shape == shape and not got.any()
+    with pytest.raises(ValueError, match="2 rows"):
+        linalg.combine(t, np.ones((2, 4), dtype=np.uint8), [])
+
+
+def test_unequal_lengths_raise():
+    """A last coefficient axis longer or shorter than the rows raises; no
+    missing coefficient counts as zero."""
+    t = tower_for_q(4)
+    rows = np.ones((3, 5), dtype=np.uint8)
+    for coeffs in ([1, 2], [1, 2, 3, 1], [[1, 2]] * 4, np.ones((1, 2), np.uint8), 1, []):
+        with pytest.raises(ValueError, match="combine of 3 rows"):
+            linalg.combine(t, rows, coeffs)
+    with pytest.raises(ValueError, match="combine of 2 rows"):
+        linalg.combine(t, [1, 2], [1, 2, 3])
+
+
+def test_a_stack_of_one_is_the_vector():
+    """A (1, c) stack gives the vector's sum with a leading axis of one, for
+    element rows and array rows, as list, tuple or array."""
+    for q in QS:
+        t = tower_for_q(q)
+        rng = np.random.default_rng(q)
+        for shape in ((), (5,), (2, 3)):
+            rows = rng.integers(0, t.qq, size=(6,) + shape, dtype=np.uint8)
+            vector = rng.integers(0, t.qq, size=6)
+            want = linalg.combine(t, rows, vector)
+            for stack in (vector[None], [vector.tolist()], (tuple(vector.tolist()),)):
+                got = linalg.combine(t, rows, stack)
+                assert got.shape == (1,) + shape
+                assert np.array_equal(got[0], want)
 
 
 def test_lane_boundaries_straddle_each_width():
@@ -124,7 +172,8 @@ def test_combine_rejects_lanes_beyond_64_bits():
 @st.composite
 def combinations(draw):
     """A tower, rows of one shape as elements (ints or np.uint8), 0-d, 1-D
-    or 2-D arrays, stacked or listed, and coefficients that are often 0."""
+    or 2-D arrays, stacked or listed, and coefficients that are often 0: a
+    vector or an (m, c) stack, as nested lists, tuples or an array."""
     t = tower_for_q(draw(st.sampled_from(QS)))
     count = draw(st.sampled_from(lane_boundaries(t.p) + [70]) | st.integers(0, 12))
     pool = draw(st.lists(st.integers(0, t.qq - 1), min_size=1, max_size=4))
@@ -141,16 +190,32 @@ def combinations(draw):
     else:
         rows = list(values)
     scalars = draw(st.lists(st.integers(0, t.qq - 1), min_size=1, max_size=3))
-    coeffs = rng.choice([0] + scalars, size=draw(st.sampled_from([count, max(count - 1, 0)])))
-    return t, rows, coeffs.tolist()
+    m = draw(st.sampled_from([None, 1, 3]))
+    coeffs = rng.choice([0] + scalars, size=(count,) if m is None else (m, count))
+    form = draw(st.sampled_from([np.asarray, np.ndarray.tolist, as_tuples]))
+    return t, rows, form(coeffs)
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(combinations())
 def test_combine_equals_table_sum(case):
+    """A vector gives the table sum and a stack the table sum of each of its
+    vectors, or ValueError past the stacked product's 53-bit rule; a list,
+    a tuple and an array of the same coefficients give the same result."""
     t, rows, coeffs = case
+    array = np.asarray(coeffs)
+    if array.ndim == 2 and len(array) > 1 and lane_bits(t, len(rows)) > 53:
+        with pytest.raises(ValueError, match="53-bit"):
+            linalg.combine(t, rows, coeffs)
+        return
     got = linalg.combine(t, rows, coeffs)
-    want = table_sum(t, rows, coeffs)
+    if array.ndim == 1:
+        want = table_sum(t, rows, coeffs)
+    else:
+        want = np.stack([table_sum(t, rows, c) for c in array])
+    for form in (array, array.tolist(), as_tuples(array)):
+        same = linalg.combine(t, rows, form)
+        assert np.shape(same) == np.shape(got) and np.array_equal(same, got)
     assert np.shape(got) == np.shape(want)
     assert got.dtype == np.uint8
     if not np.ndim(want):

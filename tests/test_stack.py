@@ -1,6 +1,6 @@
-"""Stacked messages: `linalg.combine` with an (m, c) coefficient array, one
-float matrix product over the rows' digit planes, checked against the
-row-by-row 1-D combine; and `GeneratorMatrix.encode_message`,
+"""Stacked messages: `linalg.combine` with an (m, c) coefficient array, for
+m > 1 one float matrix product over the rows' digit planes, checked against
+the row-by-row 1-D combine; and `GeneratorMatrix.encode_message`,
 `coefficients_of` and `membership` on stacks, checked against their
 per-word results."""
 
@@ -14,16 +14,9 @@ from hermgrass.codebuild import FAMILY_AFFINE, FAMILY_HERMITIAN, CodeSpec, build
 from hermgrass.errors import NotInCode
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
 from hermgrass.hermitian import BUILD_LIMIT
-from test_linalg import table_sum
+from test_linalg import lane_bits, table_sum
 
 QS = sorted(SUPPORTED_Q)
-
-
-def lane_bits(t, count):
-    """All 2e lanes of the stacked product of `count` rows: a lane sums
-    count * 2e products of two base-p digits."""
-    deg = 2 * t.e
-    return deg * (count * deg * (t.p - 1) ** 2).bit_length()
 
 
 def float_switch(t):
@@ -34,23 +27,22 @@ def float_switch(t):
 
 
 def row_by_row(t, rows, coeffs, shape):
-    """The 1-D combine of each coefficient row; with no rows (where the 1-D
-    path gives the element 0) or no coefficient rows, zeros of the shape."""
-    if not len(coeffs) or not len(rows):
-        return np.zeros((len(coeffs),) + shape, dtype=np.uint8)
-    return np.stack([np.asarray(linalg.combine(t, rows, list(c))) for c in coeffs])
+    """The 1-D combine of each coefficient row; with no coefficient rows,
+    zeros of the shape."""
+    if not len(coeffs):
+        return np.zeros((0,) + shape, dtype=np.uint8)
+    return np.stack([linalg.combine(t, rows, list(c)) for c in coeffs])
 
 
 @st.composite
 def stacks(draw):
     """A tower, rows of one shape (stacked or listed), and an (m, c)
-    coefficient array with m in {0, 1, several} and c at most the row count;
-    rows and coefficients are often all qq - 1, every digit p - 1."""
+    coefficient array with m in {0, 1, several} and c the row count; rows
+    and coefficients are often all qq - 1, every digit p - 1."""
     t = tower_for_q(draw(st.sampled_from(QS)))
     count = draw(st.sampled_from(float_switch(t)) | st.integers(0, 12))
     shape = draw(st.sampled_from([(), (3,), (2, 3)]))
     m = draw(st.sampled_from([0, 1, 5]))
-    c = draw(st.sampled_from([count, max(count - 1, 0), count // 2]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     top = t.qq - 1
     if draw(st.booleans()):
@@ -58,10 +50,10 @@ def stacks(draw):
     else:
         rows = rng.integers(0, t.qq, size=(count,) + shape, dtype=np.uint8)
     if draw(st.booleans()):
-        coeffs = np.full((m, c), draw(st.sampled_from([1, top])), dtype=np.uint8)
+        coeffs = np.full((m, count), draw(st.sampled_from([1, top])), dtype=np.uint8)
     else:
-        coeffs = rng.integers(0, t.qq, size=(m, c), dtype=np.uint8)
-        coeffs[rng.random((m, c)) < 0.3] = 0
+        coeffs = rng.integers(0, t.qq, size=(m, count), dtype=np.uint8)
+        coeffs[rng.random((m, count)) < 0.3] = 0
     if count and shape and draw(st.booleans()):  # no listed rows, no shape
         rows = list(rows)
     return t, rows, coeffs, shape
@@ -93,16 +85,19 @@ def test_stacked_combine_at_the_float_switch_and_the_largest_lane_sum(q):
 
 def test_stacked_combine_fails_closed_past_float64():
     """F_64 has 6 lanes: 42 rows need 8 bits each (48 in all) and 43 need 9
-    (54), past float64's 53-bit mantissa, as do 70.  The 1-D path, whose
-    lanes are narrower, still gives the table sum at 70 rows."""
+    (54), past float64's 53-bit mantissa, as do 70, so a stack of two
+    raises.  The 1-D path, whose lanes are narrower, still gives the table
+    sum at 70 rows, and so does a stack of one, which takes it."""
     t = tower_for_q(8)
     rows = np.full((70, 3), t.qq - 1, dtype=np.uint8)
-    ones = np.ones((1, 70), dtype=np.uint8)
-    assert np.array_equal(linalg.combine(t, rows[:42], ones[:, :42])[0],
+    ones = np.ones((2, 70), dtype=np.uint8)
+    assert np.array_equal(linalg.combine(t, rows[:42], ones[:, :42])[1],
                           table_sum(t, rows[:42], [1] * 42))
     for count in (43, 70):
         with pytest.raises(ValueError, match="53-bit"):
             linalg.combine(t, rows[:count], ones[:, :count])
+    assert np.array_equal(linalg.combine(t, rows[:43], ones[:1, :43])[0],
+                          table_sum(t, rows[:43], [1] * 43))
     assert np.array_equal(linalg.combine(t, rows, [1] * 70), table_sum(t, rows, [1] * 70))
 
 
@@ -116,7 +111,7 @@ def test_every_buildable_generator_fits_the_stacked_product():
                 if spec.n <= BUILD_LIMIT:
                     t = tower_for_q(q)
                     rows = np.ones((spec.k, 1), dtype=np.uint8)
-                    linalg.combine(t, rows, np.ones((1, spec.k), dtype=np.uint8))
+                    linalg.combine(t, rows, np.ones((2, spec.k), dtype=np.uint8))
     assert lane_bits(tower_for_q(2), 70) == 16
     assert lane_bits(tower_for_q(9), 20) == 36
 
@@ -155,6 +150,19 @@ def test_generator_stacks_equal_their_rows(family, ell, q):
     assert member.tolist() == [gen.membership(word) for word in bad]
     assert not member[1]
     assert member[4] == (family == FAMILY_HERMITIAN)
+
+
+@pytest.mark.parametrize("family, ell, q", [(FAMILY_HERMITIAN, 2, 2), (FAMILY_AFFINE, 2, 3)])
+def test_listed_messages_encode_as_the_array(family, ell, q):
+    """A k x k stack of messages as nested lists gives the k codewords of the
+    array, not one word: the identity gives the generator rows."""
+    gen = build_generator(family, ell, q)
+    k = gen.spec.k
+    for M in (np.eye(k, dtype=np.uint8), random_messages(gen, np.random.default_rng(q), k)):
+        words = gen.encode_message(M.tolist())
+        assert words.shape == (k, gen.spec.n)
+        assert np.array_equal(words, gen.encode_message(M))
+    assert np.array_equal(gen.encode_message(np.eye(k, dtype=np.uint8).tolist()), gen.rows)
 
 
 @pytest.mark.parametrize("family, ell, q", CELLS)
