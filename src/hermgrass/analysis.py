@@ -14,16 +14,17 @@ record which method produced them.
 Enumeration is projective, one message per scalar class (first nonzero
 digit 1): a mixed-radix Gray walk over the leading digits adds one scaled
 row per step and weighs a table of every combination of the trailing rows
-against it in one vectorized operation, on bit planes under XOR in
-characteristic 2.  Each scaled row is packed once per walk, the
-characteristic-2 table is stored word-major, and in odd characteristic the
-walked state is kept negated, so a weigh compares it with the table and
-does no field arithmetic.  That walk (`_walk`), laid out by one plan
-(`_plan`: the table digits, the projective heads, the `--threads` split),
-is the only enumeration of combination weights: the minimum distance, the
-minimum weights stratified by maximal-minor size, the two-weight
-classification at ell = 2 and the ell = 3 det stratum are reductions of it,
-the classifiers' rows all taken from one stratum rule (`_stratum`).
+against it in one vectorized operation.  Words are packed one way in every
+characteristic, as base-p digits in lanes of w bits (`_additive_form`,
+`_digit_lanes`).  Each scaled row is packed once per walk and the walked
+state is kept negated, so a weigh flags the lanes where it differs from
+the table and does no field arithmetic.  That walk (`_walk`), laid out by
+one plan (`_plan`: the table digits, the projective heads, the `--threads`
+split), is the only enumeration of combination weights: the minimum
+distance, the minimum weights stratified by maximal-minor size, the
+two-weight classification at ell = 2 and the ell = 3 det stratum are
+reductions of it, the classifiers' rows all taken from one stratum rule
+(`_stratum`).
 
 One gate, `require_budget`, decides from a code's spec alone whether an
 enumeration may start: it refuses a method it does not know or that does
@@ -39,11 +40,11 @@ Dual distance works on the generator's columns as arrays of packed keys
 (`_packer`), exact at any width: t = 1 and t = 2 are read off the keys of
 the columns' projective normal forms.  The pair sums col_i + a col_j are
 then scanned in blocks of rows (`_pair_blocks`).  A sum rules in t = 3
-when its raw key is among the sorted keys of the multiples lam col_m, so
-t = 3 is tested without normalizing; in characteristic 2 a sum's key is
-the XOR of two precomputed keys.  Sums are brought to normal forms only
-until the first repeated form, the t = 4 word.  Every dual word, searched
-or constructed, is sorted and checked by one helper (`_dual_word`).
+when its raw key, the lane sum of two precomputed keys, is among the
+sorted keys of the multiples lam col_m, so t = 3 is tested without
+normalizing.  Sums are brought to normal forms only until the first
+repeated form, the t = 4 word.  Every dual word, searched or constructed,
+is sorted and checked by one helper (`_dual_word`).
 """
 
 from __future__ import annotations
@@ -215,43 +216,69 @@ def gray_steps(radix: int, k: int):
         yield j, old, new, a
 
 
+@functools.cache
+def _digit_lanes(p):
+    """(w, add, flag) for base-p digits in lanes of w bits, 64 // w to a
+    uint64 word: add sums two words lane by lane mod p, and flag(x) sets, in
+    place, the top bit of exactly the nonzero lanes of x and clears the rest.
+    At p = 2 a lane is a bit: add is XOR and a bit is its own flag.  At odd
+    p, w = bit_length(2(p - 1)) holds the sum t of two digits, and add
+    subtracts p from the lanes where t >= p, where t + 2^(w-1) - p reaches
+    the top bit; a digit, below 2^(w-1), is nonzero where adding 2^(w-1) - 1
+    reaches it.  No lane carries into the next."""
+    if p == 2:
+        return 1, np.bitwise_xor, lambda x: x
+    w = (2 * (p - 1)).bit_length()
+    ones, half = sum(1 << i for i in range(0, 64 // w * w, w)), 1 << w - 1
+    top, up, nonzero = (np.uint64(ones * c) for c in (half, half - p, half - 1))
+
+    def add(a, b):
+        t = a + b
+        t -= (((t + up) & top) >> np.uint64(w - 1)) * np.uint64(p)
+        return t
+
+    return w, add, lambda x: np.bitwise_and(np.add(x, nonzero, out=x), top, out=x)
+
+
 def _additive_form(tower, rows, scalars):
-    """(pack, add, weigh, axis) for the words the engine adds and weighs.
+    """(pack, add, weigh) for the words the engine adds and weighs.
 
     pack makes a word a table of one combination, and a walk's table grows
-    along `axis`; weigh(table, state) gives the weight of every table
-    combination plus the message the state stands for.  The state is kept
-    negated: it holds -s for the message s of the walked digits.
+    along its last axis; weigh(table, state) gives the weight of every
+    table combination plus the message the state stands for.  The state is
+    kept negated: it holds -s for the message s of the walked digits.
 
-    Characteristic 2: field indices add by XOR (they are base-2 digit
-    vectors), and -s = s.  The values of every combination span a subspace
-    of F_2^(2e); projecting onto the pivot bits of its row-reduced basis is
-    linear and injective on it, so a word is packed into those bit planes,
-    and a position is nonzero when any plane is.  The table is word-major,
-    (planes, words, combinations), so both reductions of the weigh run
-    along its leading axis over contiguous rows.  Odd p: a word stays a
-    vector of indices, the table is (combinations, positions), and T + s
-    is zero exactly where T equals the negated state, so weighing does no
-    field addition.
+    An index is the base-p digit vector of its element.  The values of
+    every combination span a subspace of F_p^(2e), and projecting onto the
+    pivot digits of its row-reduced basis is linear and injective on it,
+    so a word is one plane per pivot digit, each position's digit in a lane
+    of `_digit_lanes`, in a word-major table (planes, words, combinations).
+    T + s is zero exactly where T equals the negated state S in every
+    plane, so weigh ORs T ^ S over the planes and counts its flagged lanes.
     """
-    if tower.p == 2:
-        values = np.unique(tower.mul_np[np.ix_(scalars, np.unique(rows))])
-        bits = linalg.rref(tower_for_q(2), (values[:, None] >> np.arange(2 * tower.e)) & 1)[1] or [0]
+    p, n = tower.p, rows.shape[1]
+    w, add, flag = _digit_lanes(p)
+    per, place, fp = 64 // w, p ** np.arange(2 * tower.e), tower_for_q(p)
+    values = np.unique(tower.mul_np[np.ix_(scalars, np.flatnonzero(np.bincount(rows.ravel())))])
+    digits = values[:, None] // place % p
+    basis = digits[linalg.rref(fp, digits.T)[1]]  # the values at the pivots of the transpose
+    pivots = linalg.rref(fp, basis)[1] or [0]
+    # lanes[j, a]: the w bits of pivot digit j of the element a
+    lanes = (np.arange(tower.qq) // place[pivots, None] % p)[..., None] >> np.arange(w) & 1
+    lanes, shape = lanes.astype(np.uint8), (len(pivots), -(-n // per), per * w)
 
-        def pack(v):
-            planes = np.packbits([(v >> b) & 1 for b in bits], axis=1, bitorder="little")
-            return np.pad(planes, ((0, 0), (0, -planes.shape[1] % 8))).view(np.uint64)[..., None]
-
-        def weigh(table, state):
-            return np.add.reduce(np.bitwise_count(np.bitwise_or.reduce(table ^ state, axis=0)),
-                                 axis=0, dtype=np.int32)
-
-        return pack, np.bitwise_xor, weigh, -1
+    def pack(v):
+        # the per * w <= 64 lane bits of each word fill its 8 bytes, the last zero-padded
+        bits = np.zeros(shape, dtype=np.uint8)
+        bits.reshape(shape[0], -1)[:, :n * w] = lanes.take(v, axis=1).reshape(shape[0], -1)
+        return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
     def weigh(table, state):
-        return rows.shape[1] - np.add.reduce(table == state, axis=1, dtype=np.int32)
+        x = table ^ state
+        x = x[0] if len(x) == 1 else np.bitwise_or.reduce(x, axis=0)
+        return np.add.reduce(np.bitwise_count(flag(x)), axis=0, dtype=np.int32)
 
-    return lambda v: v[None], lambda a, b: tower.add_np[a, b], weigh, 0
+    return pack, add, weigh
 
 
 def _plan(tower, rows, scalars, lead, threads=1):
@@ -298,14 +325,14 @@ def _walk(tower, rows, scalars, form, kt, heads):
     (i, c), so a walk packs the zero word and at most k (r - 1) scaled
     words, not one per step.
     """
-    pack, add, weigh, axis = form
+    pack, add, weigh = form
     kw = len(rows) - kt
     word = functools.cache(lambda i, c: pack(tower.mul_np[tower.neg(c)][rows[i]]))
     # lexicographic digit order: prepend one digit (the most significant) per level
     table = zero = pack(np.zeros(rows.shape[1], dtype=np.uint8))
     for row in rows[kw:][::-1]:
         table = np.concatenate([table] + [add(table, pack(tower.mul_np[c][row]))
-                                          for c in scalars[1:]], axis=axis)
+                                          for c in scalars[1:]], axis=-1)
     for head in heads:
         h = len(head)
         state = functools.reduce(add, [word(i, scalars[d]) for i, d in enumerate(head) if d], zero)
@@ -386,6 +413,11 @@ def min_weight_over_combinations(tower, rows, scalars, *, threads=1, lead=None):
 # distance certificates --------------------------------------------------------
 
 
+def _spec_fields(spec: CodeSpec) -> dict:
+    """The code a certificate is about, its first fields."""
+    return {"family": spec.family, "q": spec.q, "ell": spec.ell, "n": spec.n, "k": spec.k}
+
+
 @dataclass
 class DistanceCertificate:
     spec: CodeSpec
@@ -395,16 +427,8 @@ class DistanceCertificate:
     messages_searched: int
 
     def as_dict(self) -> dict:
-        out = {
-            "family": self.spec.family,
-            "q": self.spec.q,
-            "ell": self.spec.ell,
-            "n": self.spec.n,
-            "k": self.spec.k,
-            "d": self.d,
-            "method": self.method,
-            "messages_searched": self.messages_searched,
-        }
+        out = {**_spec_fields(self.spec), "d": self.d, "method": self.method,
+               "messages_searched": self.messages_searched}
         if self.witness is not None:
             out["witness"] = mn.format_combination(self.witness)
         if self.messages_searched:  # an enumeration names the generator it walked
@@ -421,18 +445,9 @@ class DualDistanceCertificate:
     exhausted_below: int  # every size < this was exhaustively ruled out
 
     def as_dict(self) -> dict:
-        return {
-            "family": self.spec.family,
-            "q": self.spec.q,
-            "ell": self.spec.ell,
-            "n": self.spec.n,
-            "k": self.spec.k,
-            "d_dual": self.d_dual,
-            "columns": list(self.columns),
-            "coefficients": list(self.coefficients),
-            "exhausted_below": self.exhausted_below,
-            "generator": self.spec.header,
-        }
+        return {**_spec_fields(self.spec), "d_dual": self.d_dual, "columns": list(self.columns),
+                "coefficients": list(self.coefficients),
+                "exhausted_below": self.exhausted_below, "generator": self.spec.header}
 
 
 def _walk_certificate(gen: GeneratorMatrix, method, rows, combos, scalars,
@@ -517,24 +532,26 @@ def _dual_word(gen: GeneratorMatrix, positions, coeffs):
 def _packer(tower, k):
     """(pack, key) for vectors of k field indices along the last axis.
 
-    pack stores each vector's indices in fields of b = bit_length(q^2 - 1)
-    bits, 64 // b fields to a uint64 word, in as many words as k takes, so
-    two vectors are equal exactly when their words are.  In characteristic
-    2 an index is a base-2 digit vector and the index of a sum is the XOR
-    of the indices, so the words of a sum are the XOR of the words.  key
-    views each vector's words as one value, a uint64 for one word and a raw
-    byte string for more, so keys sort, search and compare exactly at any
-    width.
+    pack stores each index as its 2e base-p digits in the lanes of
+    `_digit_lanes`, b = 2e w bits to an element (at p = 2 the index itself),
+    64 // b elements to a uint64 word.  Lanes hold reduced digits, so vectors
+    are equal exactly when their words are, and a sum's words are the lane
+    sum of the words.  key views a vector's words as one value, a uint64 or
+    a raw byte string, so keys sort, search and compare at any width.
     """
-    b = (tower.qq - 1).bit_length()
+    w = _digit_lanes(tower.p)[0]
+    b = 2 * tower.e * w
     per = 64 // b
     words = -(-k // per)
     dtype = np.dtype(np.uint64) if words == 1 else np.dtype((np.void, 8 * words))
+    lanes = linalg._lanes(tower, w)[0][1].astype(np.uint64)  # the lane word of 1 * a
 
     def pack(vecs):
         out = np.zeros(vecs.shape[:-1] + (words,), dtype=np.uint64)
         for c in range(k):
-            out[..., c // per] |= vecs[..., c].astype(np.uint64) << np.uint64(c % per * b)
+            # at p = 2 the lanes of an index are its bits: it is its own lane word
+            v = vecs[..., c].astype(np.uint64) if w == 1 else lanes[vecs[..., c]]
+            out[..., c // per] |= v << np.uint64(c % per * b)
         return out
 
     return pack, lambda w: np.ascontiguousarray(w).view(dtype).reshape(w.shape[:-1])
@@ -623,6 +640,7 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
     mul, neg, inv = tower.mul, tower.neg, tower.inv
     cols = gen.rows.T
     pack, key = _packer(tower, spec.k)
+    add = _digit_lanes(tower.p)[1]
 
     def finish(t, positions, coeffs):
         scale = inv(coeffs[positions.index(min(positions))])
@@ -677,13 +695,12 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
         normalize = max_t == 4 and t4 is None
         hits, normal = [], []
         for I, J in parts:
-            if normalize or tower.p != 2:
-                sums = tower.add_np[cols[I][..., None, :], scan_scaled[J]]
-            raw = words[1, I][..., None, :] ^ scan_words[J] if tower.p == 2 else pack(sums)
-            hit = _first_member(key(raw).reshape(-1), members)
+            hit = _first_member(key(add(words[1, I][..., None, :], scan_words[J])).reshape(-1),
+                                members)
             if hit is not None:
                 hits.append((int(ranks(I, J)[hit[0]]), int(order[hit[1]])))
             elif normalize and not hits:
+                sums = tower.add_np[cols[I][..., None, :], scan_scaled[J]]
                 normal.append((key(pack(_normal_forms(tower, sums)[0])).reshape(-1), ranks(I, J)))
         if hits:
             rank, multiple = min(hits)
@@ -727,11 +744,7 @@ def dual_word_weight3(gen: GeneratorMatrix, alpha: int, c0: int = 1,
     alpha_M = outer(tower, b, [tower.mul(alpha, x) for x in b])
     supports = [H, translate(tower, H, M), translate(tower, H, alpha_M)]
     den = tower.inv(tower.sub(alpha, 1))
-    coeffs = [
-        c0,
-        tower.mul(tower.neg(tower.mul(alpha, den)), c0),
-        tower.mul(den, c0),
-    ]
+    coeffs = [c0, tower.mul(tower.neg(tower.mul(alpha, den)), c0), tower.mul(den, c0)]
     entries = np.array(supports).transpose(1, 2, 0)
     return _dual_word(gen, encode(tower, ell, FAMILY_HERMITIAN, entries), coeffs)
 
@@ -821,7 +834,7 @@ def system_solution_count(tower: FieldTower, a, b) -> int:
     for v in a:
         if not tower.in_base_subfield(v):
             raise ValueError("a_i must lie in F_q")
-    X = np.indices((tower.qq,) * n, dtype=np.uint8).reshape(n, -1)  # column = one vector
+    X = np.indices((tower.qq,) * n, dtype=np.intp).reshape(n, -1)  # column = one vector
     ok = np.ones(X.shape[1], dtype=bool)
     for i in range(n):
         ok &= tower.norm_np[X[i]] == a[i]
@@ -922,14 +935,8 @@ def classify_weights_l2(q: int) -> dict:
     expected = {w_high, w_low}
     require(weights_seen == expected,
             f"observed weights {sorted(weights_seen)} != expected {sorted(expected)}")
-    if plus_ok and minus_ok:
-        resolved = "both"
-    elif plus_ok:
-        resolved = "plus_f0"
-    elif minus_ok:
-        resolved = "minus_f0"
-    else:
-        resolved = "neither"
+    resolved = {(True, True): "both", (True, False): "plus_f0",
+                (False, True): "minus_f0", (False, False): "neither"}[plus_ok, minus_ok]
     family_size = q**3 * q**2
     return {
         "q": q,
@@ -1131,13 +1138,8 @@ def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     I, J = set(M[0]), set(M[1])
     # pi maps new labels to old: [1..s-k] <- I\J, [s-k+1..k] <- I&J,
     # [k+1..s] <- J\I, the rest in order
-    pi = {}
     groups = [sorted(I - J), sorted(I & J), sorted(J - I), sorted(set(range(1, ell + 1)) - (I | J))]
-    new_label = 1
-    for group in groups:
-        for old in group:
-            pi[new_label] = old
-            new_label += 1
+    pi = dict(enumerate(itertools.chain(*groups), start=1))
     P = tuple(
         tuple(1 if pi[i + 1] == j + 1 else 0 for j in range(ell)) for i in range(ell)
     )
@@ -1163,12 +1165,5 @@ def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     A = elementary_row_add(ell, 0, s - 1, lam)
     f2 = gen.interpolate(w1[congruence_permutation(tower, ell, A)])
     require(f2.get(reduced, 0), "spread reduction did not produce the expected minor")
-    info = {
-        "minor": M,
-        "size": k,
-        "spread": s,
-        "relabeling": pi,
-        "lambda": lam,
-        "new_minor": reduced,
-    }
-    return f2, info
+    return f2, {"minor": M, "size": k, "spread": s, "relabeling": pi, "lambda": lam,
+                "new_minor": reduced}

@@ -85,13 +85,13 @@ def decode(tower, ell: int, family: str, t):
         raise ValueError(f"position out of range [0, {total})")
     E = [[None] * ell for _ in range(ell)]
     for (i, j), in_subfield in position_digits(ell, family):
+        radix = tower.q if in_subfield else tower.qq
+        high = t // radix
+        d, t = t - high * radix, high  # no divmod; the int64 digit indexes at native width
         if in_subfield:
-            t, d = np.divmod(t, tower.q)
             E[i][j] = tower.subfield_np[d]
         else:
-            t, d = np.divmod(t, tower.qq)
-            E[i][j] = d.astype(np.uint8)
-            E[j][i] = tower.conj_np[E[i][j]]
+            E[i][j], E[j][i] = d.astype(np.uint8), tower.conj_np[d]
     return E
 
 
@@ -108,12 +108,13 @@ def encode(tower, ell: int, family: str, entries):
     t = np.zeros(E.shape[2:], dtype=np.int64)
     weight = 1
     for (i, j), in_subfield in position_digits(ell, family):
+        e = E[i, j].astype(np.intp)  # one entry array at a time, indexing at native width
         if in_subfield:
-            d, radix = tower.subfield_digit_np[E[i, j]], tower.q
+            d, radix = tower.subfield_digit_np[e], tower.q
             if (d < 0).any():
                 raise ValueError(f"entry ({i}, {j}) outside F_{tower.q}")
         else:
-            d, radix = E[i, j].astype(np.int64), tower.qq
+            d, radix = e, tower.qq
             if (E[j, i] != tower.conj_np[d]).any():
                 raise ValueError(f"entry ({j}, {i}) is not the conjugate of entry ({i}, {j})")
         t += d * weight

@@ -11,6 +11,7 @@ indices.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -22,14 +23,17 @@ MAX_ELL = 4
 
 
 def basis(ell: int) -> list:
-    """All binom(2*ell, ell) minors in canonical order, empty minor first."""
+    """All binom(2*ell, ell) minors in canonical order, empty minor first (a fresh list)."""
+    return list(_basis(ell))
+
+
+@cache
+def _basis(ell: int) -> tuple:
     if not 1 <= ell <= MAX_ELL:
         raise ValueError(f"unsupported ell = {ell}; need 1 <= ell <= {MAX_ELL}")
-    out = []
-    for size in range(ell + 1):
-        for I in combinations(range(1, ell + 1), size):
-            for J in combinations(range(1, ell + 1), size):
-                out.append((I, J))
+    labels = range(1, ell + 1)
+    out = tuple((I, J) for size in range(ell + 1) for I in combinations(labels, size)
+                for J in combinations(labels, size))
     require(len(out) == comb(2 * ell, ell))
     return out
 
