@@ -17,14 +17,16 @@ row per step and weighs a table of every combination of the trailing rows
 against it in one vectorized operation.  Words are packed one way in every
 characteristic, as base-p digits in lanes of w bits (`_additive_form`,
 `_digit_lanes`).  Each scaled row is packed once per walk and the walked
-state is kept negated, so a weigh flags the lanes where it differs from
-the table and does no field arithmetic.  That walk (`_walk`), laid out by
-one plan (`_plan`: the table digits, the projective heads, the `--threads`
-split), is the only enumeration of combination weights: the minimum
-distance, the minimum weights stratified by maximal-minor size, the
-two-weight classification at ell = 2 and the ell = 3 det stratum are
-reductions of it, the classifiers' rows all taken from one stratum rule
-(`_stratum`).
+state is kept negated, and the table is kept XORed with it in place, so a
+weigh flags the lanes where the two differ, does no field arithmetic and
+makes no table-sized temporary.  A step costs about as much as weighing
+TABLE_BYTES more, so the table is as large as that cost makes cheapest.
+That walk (`_walk`), laid out by one plan (`_plan`: the table digits, the
+projective heads, the `--threads` split), is the only enumeration of
+combination weights: the minimum distance, the minimum weights stratified
+by maximal-minor size, the two-weight classification at ell = 2 and the
+ell = 3 det stratum are reductions of it, the classifiers' rows all taken
+from one stratum rule (`_stratum`).
 
 One gate, `require_budget`, decides from a code's spec alone whether an
 enumeration may start: it refuses a method it does not know or that does
@@ -219,15 +221,16 @@ def gray_steps(radix: int, k: int):
 @functools.cache
 def _digit_lanes(p):
     """(w, add, flag) for base-p digits in lanes of w bits, 64 // w to a
-    uint64 word: add sums two words lane by lane mod p, and flag(x) sets, in
-    place, the top bit of exactly the nonzero lanes of x and clears the rest.
-    At p = 2 a lane is a bit: add is XOR and a bit is its own flag.  At odd
-    p, w = bit_length(2(p - 1)) holds the sum t of two digits, and add
-    subtracts p from the lanes where t >= p, where t + 2^(w-1) - p reaches
-    the top bit; a digit, below 2^(w-1), is nonzero where adding 2^(w-1) - 1
-    reaches it.  No lane carries into the next."""
+    uint64 word: add sums two words lane by lane mod p, and flag(x, out)
+    sets, in out (a buffer of x's shape, which may be x), the top bit of
+    exactly the nonzero lanes of x and clears the rest.  At p = 2 a lane is
+    a bit: add is XOR and x is its own flag, out unused.  At odd p, w =
+    bit_length(2(p - 1)) holds the sum t of two digits, and add subtracts p
+    from the lanes where t >= p, where t + 2^(w-1) - p reaches the top bit;
+    a digit, below 2^(w-1), is nonzero where adding 2^(w-1) - 1 reaches it.
+    No lane carries into the next."""
     if p == 2:
-        return 1, np.bitwise_xor, lambda x: x
+        return 1, np.bitwise_xor, lambda x, out: x
     w = (2 * (p - 1)).bit_length()
     ones, half = sum(1 << i for i in range(0, 64 // w * w, w)), 1 << w - 1
     top, up, nonzero = (np.uint64(ones * c) for c in (half, half - p, half - 1))
@@ -237,16 +240,18 @@ def _digit_lanes(p):
         t -= (((t + up) & top) >> np.uint64(w - 1)) * np.uint64(p)
         return t
 
-    return w, add, lambda x: np.bitwise_and(np.add(x, nonzero, out=x), top, out=x)
+    return w, add, lambda x, out: np.bitwise_and(np.add(x, nonzero, out=out), top, out=out)
 
 
 def _additive_form(tower, rows, scalars):
     """(pack, add, weigh) for the words the engine adds and weighs.
 
     pack makes a word a table of one combination, and a walk's table grows
-    along its last axis; weigh(table, state) gives the weight of every
-    table combination plus the message the state stands for.  The state is
-    kept negated: it holds -s for the message s of the walked digits.
+    along its last axis.  The walked state is kept negated: it holds -s for
+    the message s of the walked digits.  weigh(x, out) gives the weight of
+    every table combination plus that message from x, the table XORed with
+    the state, which it reads and does not write; out is a buffer of one
+    plane of x that it may overwrite.
 
     An index is the base-p digit vector of its element.  The values of
     every combination span a subspace of F_p^(2e), and projecting onto the
@@ -254,7 +259,8 @@ def _additive_form(tower, rows, scalars):
     so a word is one plane per pivot digit, each position's digit in a lane
     of `_digit_lanes`, in a word-major table (planes, words, combinations).
     T + s is zero exactly where T equals the negated state S in every
-    plane, so weigh ORs T ^ S over the planes and counts its flagged lanes.
+    plane, so weigh ORs x = T ^ S over the planes and counts its flagged
+    lanes.
     """
     p, n = tower.p, rows.shape[1]
     w, add, flag = _digit_lanes(p)
@@ -273,10 +279,9 @@ def _additive_form(tower, rows, scalars):
         bits.reshape(shape[0], -1)[:, :n * w] = lanes.take(v, axis=1).reshape(shape[0], -1)
         return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
-    def weigh(table, state):
-        x = table ^ state
-        x = x[0] if len(x) == 1 else np.bitwise_or.reduce(x, axis=0)
-        return np.add.reduce(np.bitwise_count(flag(x)), axis=0, dtype=np.int32)
+    def weigh(x, out):
+        x = x[0] if len(x) == 1 else np.bitwise_or.reduce(x, axis=0, out=out)
+        return np.add.reduce(np.bitwise_count(flag(x, out)), axis=0, dtype=np.int32)
 
     return pack, add, weigh
 
@@ -286,29 +291,38 @@ def _plan(tower, rows, scalars, lead, threads=1):
     digits are not all zero, one per scalar class.
 
     form is the `_additive_form` of the walk; the table takes the last kt
-    digits, the most that fit in TABLE_BYTES, or in TABLE_BYTES / 1024
-    packed rows (128 at the default) when that is more, up to 32 *
-    TABLE_BYTES, so the table grows with the row it weighs.  It never takes
-    a lead digit unless lead = k, where the one all-zero head puts the zero
-    message into the table for the reducer to mask.  The projective heads
-    (0,)*i + (1,) over the lead digits, refined by ceil(log_r threads) more
-    digits for threads > 1, are dealt round-robin into at most `threads`
-    jobs, longest walks first.
+    digits.  A Gray step weighs r^kt packed rows at a fixed cost about that
+    of weighing TABLE_BYTES more, so kt minimizes (steps + 1) * table +
+    steps * TABLE_BYTES, the smallest kt on ties, among the tables of at
+    most 8 * TABLE_BYTES (or kt = 0), where steps = sum over the heads of
+    r^(k - kt - len(head)) counts the Gray states and the 1 the table's
+    fill.  It never takes a lead digit unless lead = k, where the one
+    all-zero head puts the zero message into the table for the reducer to
+    mask.  The projective heads (0,)*i + (1,) over the lead digits, refined
+    by ceil(log_r threads) more digits for threads > 1 (which moves no
+    step), are dealt round-robin into at most `threads` jobs, longest
+    walks first.
     """
     form = _additive_form(tower, rows, scalars)
     k, r = len(rows), len(scalars)
     row_bytes = form[0](rows[0]).nbytes
-    bound = min(32 * TABLE_BYTES, max(TABLE_BYTES, TABLE_BYTES // 1024 * row_bytes))
+
+    def heads_at(kt):
+        h = min(lead, k - kt)
+        return [(0,) * i + (1,) for i in range(h)] + [(0,) * h] * (h < lead)
+
+    def cost(kt):
+        steps = sum(r ** (k - kt - len(head)) for head in heads_at(kt))
+        return (steps + 1) * r**kt * row_bytes + steps * TABLE_BYTES
+
     most = k if lead == k else k - lead
-    kt = next((t for t in range(most, 0, -1) if r**t * row_bytes <= bound), 0)
-    h = min(lead, k - kt)
-    heads = [(0,) * i + (1,) for i in range(h)]
+    kt = min((t for t in range(most + 1) if t == 0 or r**t * row_bytes <= 8 * TABLE_BYTES),
+             key=cost)
+    heads = heads_at(kt)
     if threads > 1:
         m = next(m for m in itertools.count(1) if r**m >= threads)
         heads = [head + tail for head in heads
                  for tail in itertools.product(range(r), repeat=min(m, k - kt - len(head)))]
-    if h < lead:
-        heads.append((0,) * h)
     heads.sort(key=len)
     return form, kt, [heads[t::threads] for t in range(threads) if heads[t::threads]]
 
@@ -324,23 +338,35 @@ def _walk(tower, rows, scalars, form, kt, heads):
     to the (negated) state, -c * rows[i], is packed once per walk for each
     (i, c), so a walk packs the zero word and at most k (r - 1) scaled
     words, not one per step.
+
+    The table is filled in place, one slice per scaled tabled row, and is
+    kept XORed with the state: a move from S to S' XORs it with S ^ S', a
+    single word, so a weigh makes no table-sized temporary.  No packed word
+    is written to, the zero word and the cached scaled words included.
     """
     pack, add, weigh = form
-    kw = len(rows) - kt
+    kw, r = len(rows) - kt, len(scalars)
     word = functools.cache(lambda i, c: pack(tower.mul_np[tower.neg(c)][rows[i]]))
-    # lexicographic digit order: prepend one digit (the most significant) per level
-    table = zero = pack(np.zeros(rows.shape[1], dtype=np.uint8))
-    for row in rows[kw:][::-1]:
-        table = np.concatenate([table] + [add(table, pack(tower.mul_np[c][row]))
-                                          for c in scalars[1:]], axis=-1)
+    state = zero = pack(np.zeros(rows.shape[1], dtype=np.uint8))
+    table = np.zeros(zero.shape[:-1] + (r**kt,), dtype=zero.dtype)
+    # lexicographic digit order: each tabled row, the last first, is the next
+    # more significant digit, and its multiples fill the next slices
+    for t, row in enumerate(rows[kw:][::-1]):
+        for c in range(1, r):
+            table[..., c * r**t:(c + 1) * r**t] = add(table[..., :r**t],
+                                                      pack(tower.mul_np[scalars[c]][row]))
+    out = np.empty(table.shape[1:], dtype=table.dtype)
     for head in heads:
         h = len(head)
-        state = functools.reduce(add, [word(i, scalars[d]) for i, d in enumerate(head) if d], zero)
-        walked = [0] * (kw - h)
-        yield head, walked, weigh(table, state)
-        for j, old, new, walked in gray_steps(len(scalars), kw - h):
-            state = add(state, word(h + j, tower.sub(scalars[new], scalars[old])))
-            yield head, walked, weigh(table, state)
+        moved = functools.reduce(add, [word(i, scalars[d]) for i, d in enumerate(head) if d], zero)
+        table ^= state ^ moved
+        state, walked = moved, [0] * (kw - h)
+        yield head, walked, weigh(table, out)
+        for j, old, new, walked in gray_steps(r, kw - h):
+            moved = add(state, word(h + j, tower.sub(scalars[new], scalars[old])))
+            table ^= state ^ moved
+            state = moved
+            yield head, walked, weigh(table, out)
 
 
 def _least_weight(tower, rows, scalars, kt, heads, form=None):

@@ -50,8 +50,12 @@ def test_lane_words_add_and_weigh_as_the_field(q, full):
         sums = tower.add_np[words, u]
         assert all(np.array_equal(add(x, pack(u)), pack(s)) for x, s in zip(packed, sums))
         assert np.array_equal(add(table, pack(u)), np.concatenate([pack(s) for s in sums], -1))
-        state = pack(tower.neg_np[u])  # the walk keeps its state negated
-        assert weigh(table, state).tolist() == np.count_nonzero(sums, axis=1).tolist()
+        # the walk keeps its state negated, and its table XORed with the state
+        x = table ^ pack(tower.neg_np[u])
+        before = x.copy()
+        got = weigh(x, np.empty(x.shape[1:], dtype=x.dtype))
+        assert got.tolist() == np.count_nonzero(sums, axis=1).tolist()
+        assert np.array_equal(x, before)
 
 
 @pytest.mark.parametrize("q", sorted(SUPPORTED_Q))
