@@ -3,7 +3,8 @@ verifiers for the counting and classification facts the code families rest
 on.
 
 Minimum-distance strategy ladder: the closed form with its witness
-(`distance_formula`, optionally confirmed by evaluating the witness); the
+(`distance_formula`, optionally confirmed by weighing the witness one
+decoded chunk of positions at a time, `weight_of_function`); the
 family's certifying enumeration (`min_distance`): every F_q-combination of
 the F_q row basis for the Hermitian family (sound because minimum-weight
 words of a q-invariant code are scalar multiples of subfield words), every
@@ -70,7 +71,6 @@ from .codebuild import (
     congruence_permutation,
     eval_minor_vector,
     fq_basis,
-    position_entries,
     subfield_rows,
     translate_permutation,
 )
@@ -80,6 +80,7 @@ from .hermitian import (
     BUILD_LIMIT,
     count_invertible,
     decode,
+    decoded_chunks,
     elementary_row_add,
     encode,
     is_hermitian,
@@ -180,15 +181,16 @@ def dual_distance_formula(ell: int, q: int) -> int:
 
 
 def weight_of_function(f: dict, ell: int, q: int, family: str = FAMILY_HERMITIAN) -> int:
-    """weight(ev(f)) computed positionwise, without building a generator,
-    over at most BUILD_LIMIT positions."""
+    """weight(ev(f)) without building a generator: f is evaluated and
+    weighed on one decoded chunk of positions at a time, so memory stays at
+    one chunk's; over at most BUILD_LIMIT positions."""
     n = q ** (ell * ell)
     if n > BUILD_LIMIT:
         raise BudgetExceeded(f"q^(ell^2) = {n} exceeds build limit {BUILD_LIMIT}")
     tower = tower_for_q(q)
-    E = position_entries(tower, ell, family)
-    return weight(linalg.combine(tower, [eval_minor_vector(tower, E, m) for m in f],
-                                 list(f.values())))
+    return sum(weight(linalg.combine(tower, [eval_minor_vector(tower, E, m) for m in f],
+                                     list(f.values())))
+               for _, E in decoded_chunks(tower, ell, family))
 
 
 # projective weight engine -----------------------------------------------------
@@ -1136,18 +1138,11 @@ def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     congruence by I + lambda E_{1,s}, both as permutations of the word of f,
     each interpolated back to a combination.
 
-    Returns (f_new, info); f_new has identical weight (both transforms are
-    position permutations) and its support contains a size-k minor of
-    spread <= s-1.
-
-    The congruence adds lambda times column 1 to column s and lambda^q
-    times row 1 to row s, so the reduced minor (I, J - s + 1) of f_new has
-    coefficient r + (-1)^(k-1) (lambda a + lambda^q b) + lambda^(q+1) c in
-    the relabeled combination's coefficients: r of the reduced minor, a of
-    the target, b of its partner (I - 1 + s, J - s + 1) and c of (I - 1 + s,
-    J).  r and c belong to size-k minors of spread < s, which f may hold
-    below a larger maximal minor; lambda is the first scalar that keeps the
-    whole sum nonzero.
+    lambda is the first nonzero scalar whose congruence keeps the reduced
+    minor (I, J - s + 1) in the support; NoValidLambda is raised when none
+    does.  Returns (f_new, info); f_new has identical weight (both
+    transforms are position permutations) and its support contains that
+    size-k minor of spread <= s-1.
     """
     tower = gen.tower
     ell = gen.spec.ell
@@ -1170,26 +1165,11 @@ def spread_reduction_step(gen: GeneratorMatrix, f: dict):
         tuple(1 if pi[i + 1] == j + 1 else 0 for j in range(ell)) for i in range(ell)
     )
     w1 = gen.encode(f)[congruence_permutation(tower, ell, P)]
-    f1 = gen.interpolate(w1)
-    I1 = tuple(range(1, k + 1))
-    J1 = tuple(range(s - k + 1, s + 1))
-    a = f1.get((I1, J1), 0)
-    require(a, "relabeled combination lost its target minor")
-    I_s, J_1 = tuple(sorted(set(I1) - {1} | {s})), tuple(sorted(set(J1) - {s} | {1}))
-    reduced = (I1, J_1)
-    b, r, c = f1.get((I_s, J_1), 0), f1.get(reduced, 0), f1.get((I_s, J1), 0)
-    sign = 1 if k % 2 else tower.neg(1)
-    lam = None
-    for cand in range(1, tower.qq):
-        conj = tower.conjugate(cand)
-        linear = tower.mul(sign, tower.add(tower.mul(cand, a), tower.mul(conj, b)))
-        if tower.add(tower.add(r, linear), tower.mul(tower.mul(cand, conj), c)):
-            lam = cand
-            break
-    if lam is None:
-        raise NoValidLambda("no scalar keeps the reduced minor alive")
-    A = elementary_row_add(ell, 0, s - 1, lam)
-    f2 = gen.interpolate(w1[congruence_permutation(tower, ell, A)])
-    require(f2.get(reduced, 0), "spread reduction did not produce the expected minor")
-    return f2, {"minor": M, "size": k, "spread": s, "relabeling": pi, "lambda": lam,
-                "new_minor": reduced}
+    reduced = (tuple(range(1, k + 1)), (1, *range(s - k + 1, s)))
+    for lam in range(1, tower.qq):
+        A = elementary_row_add(ell, 0, s - 1, lam)
+        f2 = gen.interpolate(w1[congruence_permutation(tower, ell, A)])
+        if f2.get(reduced, 0):
+            return f2, {"minor": M, "size": k, "spread": s, "relabeling": pi, "lambda": lam,
+                        "new_minor": reduced}
+    raise NoValidLambda("no scalar keeps the reduced minor alive")

@@ -1,8 +1,9 @@
 """Command-line surface: build codes, certify parameters, run the invariant
 suites, and emit the parameter tables.
 
-Exit codes: 0 pass, 1 verification mismatch, 2 usage error, 3 budget
-exceeded.  The budgets are read from HERMGRASS_BUDGET_MESSAGES and
+Exit codes: 0 pass, 1 verification mismatch, 2 usage error or an output
+file that cannot be written (found when it is written, after the work), 3
+budget exceeded.  The budgets are read from HERMGRASS_BUDGET_MESSAGES and
 HERMGRASS_BUDGET_SUBSETS only, and malformed values exit 2 up front.
 `analysis.require_budget` decides whether a command's enumeration may
 start: one that does not apply to the family exits 2, and one whose size,
@@ -260,7 +261,7 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

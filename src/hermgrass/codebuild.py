@@ -29,10 +29,10 @@ from .hermitian import (
     FAMILY_HERMITIAN,
     congruence,
     decode,
+    decoded_chunks,
     det_vectors,
     encode,
     is_hermitian,
-    position_chunks,
     translate,
     transpose,
 )
@@ -289,10 +289,8 @@ def q_invariance_check(gen: GeneratorMatrix) -> bool:
 def _position_permutation(tower: FieldTower, ell: int, act) -> np.ndarray:
     """perm[t] = position of act(H_t), where act maps decoded entry arrays to
     entry arrays; encode rejects any image that is not Hermitian."""
-    n = tower.q ** (ell * ell)
-    perm = np.empty(n, dtype=np.int64)
-    for t in position_chunks(n):
-        E = decode(tower, ell, FAMILY_HERMITIAN, t)
+    perm = np.empty(tower.q ** (ell * ell), dtype=np.int64)
+    for t, E in decoded_chunks(tower, ell, FAMILY_HERMITIAN):
         perm[t] = encode(tower, ell, FAMILY_HERMITIAN, act(E))
     return perm
 

@@ -7,7 +7,8 @@ H[j][i] = H[i][j]^q.
 
 `decode` and `encode` are the single definition of the normative position
 order, whose digits `position_digits` lists.  They take one position or an
-array of them; whole spaces go through them in chunks (`position_chunks`).
+array of them; a whole space is walked once, as decoded chunks
+(`decoded_chunks`).
 `congruence`, `translate` and `transpose` take one matrix or the entry
 arrays of many, so the position permutations apply them to decoded chunks.
 """
@@ -25,9 +26,9 @@ Matrix = tuple  # tuple of row tuples of element indices
 FAMILY_HERMITIAN = "hermitian"
 FAMILY_AFFINE = "affine"
 
-# The most positions q^(ell^2) a code is built, weighed or counted over.
+# The most positions q^(ell^2) a code is built or weighed over.
 BUILD_LIMIT = 10**7
-CHUNK = 1 << 14
+CHUNK = linalg.TABLE_BYTES // 8  # a chunk's int64 positions take TABLE_BYTES
 
 
 def upper_pairs(ell):
@@ -70,10 +71,13 @@ def position_digits(ell: int, family: str):
     raise ValueError(f"unknown family {family!r}")
 
 
-def position_chunks(total: int):
-    """Consecutive position arrays covering [0, total), at most CHUNK each."""
+def decoded_chunks(tower, ell: int, family: str):
+    """(t, decode(t)) for consecutive position arrays t covering the family's
+    whole space [0, q^(ell^2)), at most CHUNK positions each."""
+    total = tower.q ** (ell * ell)
     for start in range(0, total, CHUNK):
-        yield np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+        t = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+        yield t, decode(tower, ell, family, t)
 
 
 def decode(tower, ell: int, family: str, t):
@@ -185,14 +189,3 @@ def count_invertible(ell: int, q: int) -> int:
     """Number of invertible ell x ell Hermitian matrices over F_{q^2}:
     q^binom(ell,2) * prod_{i=1..ell} (q^i + (-1)^i)."""
     return q ** comb(ell, 2) * prod(q**i + (-1) ** i for i in range(1, ell + 1))
-
-
-def count_invertible_bruteforce(tower, ell: int) -> int:
-    total = tower.q ** (ell * ell)
-    if total > BUILD_LIMIT:
-        raise ValueError(f"too large for brute force: q^(ell^2) = {total}")
-    count = 0
-    for t in position_chunks(total):
-        E = decode(tower, ell, FAMILY_HERMITIAN, t)
-        count += int(np.count_nonzero(det_vectors(tower, E)))
-    return count

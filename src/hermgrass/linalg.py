@@ -31,10 +31,12 @@ import numpy as np
 
 # Scale of the bounds on what one vectorized operation holds: the float
 # digit planes of one position chunk of a stacked `combine` (here), the
-# bytes of the table of trailing-row combinations a walk step weighs
-# (`analysis._plan`), and the pair sums of one block of the dual scan
-# (`analysis._pair_blocks`).  analysis imports it under the same name, so
-# patching analysis.TABLE_BYTES bounds only analysis's tables and blocks.
+# int64 positions of one chunk of a whole position space
+# (`hermitian.CHUNK`), the bytes of the table of trailing-row combinations
+# a walk step weighs (`analysis._plan`), and the pair sums of one block of
+# the dual scan (`analysis._pair_blocks`).  analysis imports it under the
+# same name, so patching analysis.TABLE_BYTES bounds only analysis's tables
+# and blocks.
 TABLE_BYTES = 1 << 17
 
 

@@ -12,12 +12,13 @@ from hermgrass.codebuild import (
     FAMILY_HERMITIAN,
     CodeSpec,
     build_generator,
+    congruence_permutation,
     fq_basis,
     subfield_rows,
 )
 from hermgrass.errors import BudgetExceeded, NoneFoundWithinBound
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
-from hermgrass.hermitian import count_invertible, zero_matrix
+from hermgrass.hermitian import count_invertible, elementary_row_add, zero_matrix
 from test_hermitian import matrices_at, unit_matrix
 
 
@@ -37,12 +38,17 @@ def test_weight_of_function_values():
 
 
 def test_weight_of_function_matches_encoding():
+    """The chunked weigh equals the weight of the built codeword, in both
+    families, with coefficients over the code's scalars.  At (3, 3) the
+    19,683 positions span two chunks, so a weigh that drops or repeats one
+    fails."""
     rng = random.Random(3)
-    for ell, q in [(2, 3), (3, 2)]:
-        gen = build_generator(FAMILY_HERMITIAN, ell, q)
-        for _ in range(10):
-            f = mn.random_combination(gen.tower, ell, rng)
-            assert an.weight_of_function(f, ell, q) == an.weight(gen.encode(f))
+    for family in (FAMILY_HERMITIAN, FAMILY_AFFINE):
+        for ell, q in [(2, 3), (3, 2), (3, 3)]:
+            gen = build_generator(family, ell, q)
+            for _ in range(10):
+                f = {m: c for m in mn.basis(ell) if (c := rng.choice(gen.scalars))}
+                assert an.weight_of_function(f, ell, q, family) == an.weight(gen.encode(f))
 
 
 def test_engine_matches_independent_enumeration():
@@ -611,6 +617,34 @@ def test_spread_reduction_on_random_combinations(q):
         assert an.weight(gen.encode(f)) == an.weight(gen.encode(f2))
         reduced += 1
     assert reduced >= 15
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_spread_reduction_lambda_is_the_first_scalar_that_keeps_the_minor(q):
+    """The chosen lambda is the least nonzero scalar whose congruence, applied
+    to the relabeled word, keeps the reduced minor: every smaller one cancels
+    it.  The random combinations include some where lambda = 1 cancels."""
+    gen = build_generator(FAMILY_HERMITIAN, 3, q)
+    rng = random.Random(10 + q)
+    lambdas = []
+    for _ in range(60):
+        f = mn.random_combination(gen.tower, 3, rng, self_conjugate=rng.random() < 0.5)
+        f = {m: c for m, c in f.items() if len(m[0]) < 2 or (len(m[0]) == 2 and rng.random() < 0.5)}
+        try:
+            f2, info = an.spread_reduction_step(gen, f)
+        except ValueError as exc:
+            assert "nothing to reduce" in str(exc)
+            continue
+        pi, s, reduced = info["relabeling"], info["spread"], info["new_minor"]
+        P = tuple(tuple(int(pi[i + 1] == j + 1) for j in range(3)) for i in range(3))
+        w1 = gen.encode(f)[congruence_permutation(gen.tower, 3, P)]
+        for lam in range(1, info["lambda"] + 1):
+            A = elementary_row_add(3, 0, s - 1, lam)
+            g = gen.interpolate(w1[congruence_permutation(gen.tower, 3, A)])
+            assert bool(g.get(reduced, 0)) == (lam == info["lambda"])
+        assert g == f2
+        lambdas.append(info["lambda"])
+    assert lambdas.count(1) >= 5 and sum(lam > 1 for lam in lambdas) >= 3
 
 
 def test_induction_bound_values():

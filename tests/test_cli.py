@@ -389,3 +389,18 @@ def test_output_file(tmp_path, capsys):
     code, out, _ = run(capsys, "params", "--q", "2", "--ell", "2", "--out", str(path))
     assert code == 0
     assert "n = 16" in path.read_text()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--q", "2", "--ell", "2"],
+    ["mindist", "--q", "2", "--ell", "2"],
+    ["verify", "--suite", "fields"],
+], ids=["gen", "mindist", "verify"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    """An output under a missing directory is an error on stderr with exit 2,
+    not a traceback with exit 1, the code of a verification mismatch."""
+    path = tmp_path / "missing" / "out.txt"
+    code, _, err = run(capsys, *argv, "--out", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not path.exists()

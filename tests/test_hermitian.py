@@ -3,13 +3,13 @@ import random
 import numpy as np
 import pytest
 
+from hermgrass.analysis import weight_of_function
 from hermgrass.codebuild import congruence_permutation
 from hermgrass.galois import tower_for_q
 from hermgrass.hermitian import (
     FAMILY_HERMITIAN,
     congruence,
     count_invertible,
-    count_invertible_bruteforce,
     decode,
     encode,
     is_hermitian,
@@ -164,22 +164,20 @@ def test_actions_are_bijections():
             assert len(im) == n
 
 
+def det(ell):
+    """The full determinant, whose weight counts the invertible matrices."""
+    full = tuple(range(1, ell + 1))
+    return {(full, full): 1}
+
+
 def test_count_invertible():
     assert count_invertible(2, 2) == 2 * (2 - 1) * (2**2 + 1) == 10
     assert count_invertible(3, 2) == 2**3 * (2 - 1) * (2**2 + 1) * (2**3 - 1) == 280
     for q in (2, 3, 4, 5, 7, 8, 9):
         assert count_invertible(1, q) == q - 1
-        t = tower_for_q(q)
-        assert count_invertible_bruteforce(t, 1) == q - 1
+        assert weight_of_function(det(1), 1, q) == q - 1
     for ell, q in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]:
-        t = tower_for_q(q)
-        assert count_invertible_bruteforce(t, ell) == count_invertible(ell, q)
-
-
-def test_count_bruteforce_budget():
-    t = tower_for_q(9)
-    with pytest.raises(ValueError):
-        count_invertible_bruteforce(t, 4)  # 9^16 positions
+        assert weight_of_function(det(ell), ell, q) == count_invertible(ell, q)
 
 
 def test_rank_one_from_vector():
