@@ -81,13 +81,9 @@ from .hermitian import (
     count_invertible,
     decode,
     decoded_chunks,
-    elementary_row_add,
     encode,
     is_hermitian,
     outer,
-    rank_one_from_vector,
-    translate,
-    zero_matrix,
 )
 
 DEFAULT_BUDGET_MESSAGES = 2**24
@@ -183,7 +179,12 @@ def dual_distance_formula(ell: int, q: int) -> int:
 def weight_of_function(f: dict, ell: int, q: int, family: str = FAMILY_HERMITIAN) -> int:
     """weight(ev(f)) without building a generator: f is evaluated and
     weighed on one decoded chunk of positions at a time, so memory stays at
-    one chunk's; over at most BUILD_LIMIT positions."""
+    one chunk's; over at most BUILD_LIMIT positions.  A minor outside
+    `minors.basis(ell)` raises ValueError before any chunk is decoded."""
+    basis = mn.basis(ell)
+    for minor in f:
+        if minor not in basis:
+            raise ValueError(f"minor {minor} not valid for ell={ell}")
     n = q ** (ell * ell)
     if n > BUILD_LIMIT:
         raise BudgetExceeded(f"q^(ell^2) = {n} exceeds build limit {BUILD_LIMIT}")
@@ -749,6 +750,15 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
 # dual minimum-weight support families ----------------------------------------
 
 
+def _translates_word(gen: GeneratorMatrix, H, translations, coeffs):
+    """The dual word with coeffs on the positions of H + M, M running over
+    `translations` (H the zero matrix when None)."""
+    tower, ell = gen.tower, gen.spec.ell
+    H = np.zeros((ell, ell), np.uint8) if H is None else np.asarray(H, dtype=np.uint8)
+    supports = tower.add_np[H[..., None], np.stack(translations, axis=-1)]
+    return _dual_word(gen, encode(tower, ell, FAMILY_HERMITIAN, supports), coeffs)
+
+
 def dual_word_weight3(gen: GeneratorMatrix, alpha: int, c0: int = 1,
                       H=None, b=None):
     """Weight-3 dual codeword for q > 2 on the support {H, H + b*b,
@@ -766,15 +776,13 @@ def dual_word_weight3(gen: GeneratorMatrix, alpha: int, c0: int = 1,
         raise ValueError(f"alpha must lie in F_q minus {{0, 1}}, got {alpha}")
     if c0 == 0:
         raise ValueError("c0 must be nonzero")
-    H = H if H is not None else zero_matrix(ell)
-    b = b if b is not None else tuple(1 if i == 0 else 0 for i in range(ell))
-    M = rank_one_from_vector(tower, b)
-    alpha_M = outer(tower, b, [tower.mul(alpha, x) for x in b])
-    supports = [H, translate(tower, H, M), translate(tower, H, alpha_M)]
+    b = np.eye(ell, dtype=np.uint8)[0] if b is None else np.asarray(b, dtype=np.uint8)
+    if not b.any():
+        raise ValueError("b must be a nonzero vector")
+    M = outer(tower, b, b)
     den = tower.inv(tower.sub(alpha, 1))
     coeffs = [c0, tower.mul(tower.neg(tower.mul(alpha, den)), c0), tower.mul(den, c0)]
-    entries = np.array(supports).transpose(1, 2, 0)
-    return _dual_word(gen, encode(tower, ell, FAMILY_HERMITIAN, entries), coeffs)
+    return _translates_word(gen, H, [np.zeros_like(M), M, tower.mul_np[alpha, M]], coeffs)
 
 
 def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
@@ -787,21 +795,13 @@ def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
     ell = gen.spec.ell
     if gen.spec.q != 2:
         raise ValueError("the four-matrix family is the q = 2 case")
-    H = H if H is not None else zero_matrix(ell)
-    a1 = a1 if a1 is not None else tuple(1 if i == 0 else 0 for i in range(ell))
-    a2 = a2 if a2 is not None else tuple(1 if i == 1 else 0 for i in range(ell))
-    if linalg.rank(tower, (tuple(a1), tuple(a2))) != 2:
+    a1 = np.eye(ell, dtype=np.uint8)[0] if a1 is None else a1
+    a2 = np.eye(ell, dtype=np.uint8)[1] if a2 is None else a2
+    if linalg.rank(tower, [a1, a2]) != 2:
         raise ValueError("a1, a2 must be linearly independent")
-    M1 = rank_one_from_vector(tower, a1)
-    M2 = translate(tower, outer(tower, a2, a1), outer(tower, a1, a2))
-    supports = [
-        H,
-        translate(tower, H, M1),
-        translate(tower, H, M2),
-        translate(tower, translate(tower, H, M1), M2),
-    ]
-    entries = np.array(supports).transpose(1, 2, 0)
-    return _dual_word(gen, encode(tower, ell, FAMILY_HERMITIAN, entries), (1, 1, 1, 1))
+    M1 = outer(tower, a1, a1)
+    M2 = tower.add_np[outer(tower, a2, a1), outer(tower, a1, a2)]
+    return _translates_word(gen, H, [np.zeros_like(M1), M1, M2, tower.add_np[M1, M2]], (1, 1, 1, 1))
 
 
 def dual_support_families(gen: GeneratorMatrix, count: int = 50,
@@ -1093,15 +1093,15 @@ def translation_clearing_matrix(tower: FieldTower, ell: int, f: dict, I: tuple):
     """The Hermitian translation H with entries h_{i,j} =
     (-1)^(a+b-1) f_{I minus i, I minus j} (a, b the positions of i, j in I),
     zero outside I x I."""
-    H = [[0] * ell for _ in range(ell)]
+    H = np.zeros((ell, ell), dtype=np.uint8)
     for a, i in enumerate(I, start=1):
         for b, j in enumerate(I, start=1):
             key = (tuple(x for x in I if x != i), tuple(x for x in I if x != j))
             v = f.get(key, 0)
             if (a + b) % 2 == 0:
                 v = tower.neg(v)
-            H[i - 1][j - 1] = v
-    return tuple(tuple(row) for row in H)
+            H[i - 1, j - 1] = v
+    return H
 
 
 def verify_translation_clearing(gen: GeneratorMatrix, f: dict, I: tuple) -> bool:
@@ -1161,13 +1161,12 @@ def spread_reduction_step(gen: GeneratorMatrix, f: dict):
     # [k+1..s] <- J\I, the rest in order
     groups = [sorted(I - J), sorted(I & J), sorted(J - I), sorted(set(range(1, ell + 1)) - (I | J))]
     pi = dict(enumerate(itertools.chain(*groups), start=1))
-    P = tuple(
-        tuple(1 if pi[i + 1] == j + 1 else 0 for j in range(ell)) for i in range(ell)
-    )
+    P = np.eye(ell, dtype=np.uint8)[[pi[i] - 1 for i in range(1, ell + 1)]]
     w1 = gen.encode(f)[congruence_permutation(tower, ell, P)]
     reduced = (tuple(range(1, k + 1)), (1, *range(s - k + 1, s)))
+    A = np.eye(ell, dtype=np.uint8)
     for lam in range(1, tower.qq):
-        A = elementary_row_add(ell, 0, s - 1, lam)
+        A[0, s - 1] = lam  # I + lam E_{1,s}: adds lam times row s to row 1
         f2 = gen.interpolate(w1[congruence_permutation(tower, ell, A)])
         if f2.get(reduced, 0):
             return f2, {"minor": M, "size": k, "spread": s, "relabeling": pi, "lambda": lam,

@@ -18,8 +18,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import analysis as an
 from . import reports
 from . import verify as verify_mod
@@ -158,10 +156,10 @@ def cmd_dualdist(args) -> int:
         _emit(reports.render(report, args.format), args.out)
         return EXIT_OK
     report = cert.as_dict()
-    matrices = np.array(decode(gen.tower, args.ell, FAMILY_HERMITIAN, cert.columns))
     report["support"] = [
-        {"position": int(t), "coefficient": int(c), "matrix": M}
-        for t, c, M in zip(cert.columns, cert.coefficients, matrices.transpose(2, 0, 1).tolist())
+        {"position": int(t), "coefficient": int(c),
+         "matrix": decode(gen.tower, args.ell, FAMILY_HERMITIAN, t).tolist()}
+        for t, c in zip(cert.columns, cert.coefficients)
     ]
     expected = an.dual_distance_formula(args.ell, args.q)
     report["expected"] = expected

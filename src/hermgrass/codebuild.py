@@ -15,6 +15,7 @@ messages, and the generator file format.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import comb
 
@@ -30,11 +31,8 @@ from .hermitian import (
     congruence,
     decode,
     decoded_chunks,
-    det_vectors,
     encode,
     is_hermitian,
-    translate,
-    transpose,
 )
 from .minors import MAX_ELL, basis
 
@@ -83,19 +81,28 @@ class CodeSpec:
 
 
 def position_entries(tower: FieldTower, ell: int, family: str):
-    """Entry value arrays: E[i][j][t] = entry (i, j) of the t-th evaluation
-    point, for all positions t at once."""
+    """The matrices at all positions at once: E[i, j, t] = entry (i, j) of
+    the t-th evaluation point."""
     return decode(tower, ell, family, np.arange(tower.q ** (ell * ell)))
 
 
 def eval_minor_vector(tower, E, minor):
-    """Evaluation of one minor at every position, as an index array."""
+    """The minor (I, J) at every matrix of the array E, of shape E.shape[2:],
+    by first-row expansion: ones for the empty minor, E[i, j] itself for a
+    1 x 1 one."""
     I, J = minor
-    n = len(E[0][0])
-    if len(I) == 0:
-        return np.ones(n, dtype=np.uint8)
-    sub = [[E[i - 1][j - 1] for j in J] for i in I]
-    return det_vectors(tower, sub)
+    if not I:
+        return np.ones(E.shape[2:], dtype=np.uint8)
+    if len(I) == 1:
+        return E[I[0] - 1, J[0] - 1]
+    acc = None
+    for c, j in enumerate(J):
+        rest = eval_minor_vector(tower, E, (I[1:], J[:c] + J[c + 1:]))
+        term = tower.mul_np[E[I[0] - 1, j - 1], rest]
+        if c % 2 == 1:
+            term = tower.neg_np[term]
+        acc = term if acc is None else tower.add_np[acc, term]
+    return acc
 
 
 class GeneratorMatrix:
@@ -201,22 +208,15 @@ class GeneratorMatrix:
         return self.coefficients_of(self.rows[:, perm])
 
 
-_GEN_CACHE: dict = {}
-
-
+@functools.cache
 def build_generator(family: str, ell: int, q: int) -> GeneratorMatrix:
-    key = (family, ell, q)
-    if key in _GEN_CACHE:
-        return _GEN_CACHE[key]
     spec = CodeSpec(family, q, ell)
     if spec.n > BUILD_LIMIT:
         raise BudgetExceeded(f"q^(ell^2) = {spec.n} exceeds build limit {BUILD_LIMIT}")
     tower = tower_for_q(q)
     E = position_entries(tower, ell, family)
     rows = np.stack([eval_minor_vector(tower, E, m) for m in basis(ell)])
-    gen = GeneratorMatrix(spec, tower, rows)
-    _GEN_CACHE[key] = gen
-    return gen
+    return GeneratorMatrix(spec, tower, rows)
 
 
 # F_q basis -------------------------------------------------------------------
@@ -287,8 +287,8 @@ def q_invariance_check(gen: GeneratorMatrix) -> bool:
 
 
 def _position_permutation(tower: FieldTower, ell: int, act) -> np.ndarray:
-    """perm[t] = position of act(H_t), where act maps decoded entry arrays to
-    entry arrays; encode rejects any image that is not Hermitian."""
+    """perm[t] = position of act(H_t), where act maps an array of matrices to
+    an array of matrices; encode rejects any image that is not Hermitian."""
     perm = np.empty(tower.q ** (ell * ell), dtype=np.int64)
     for t, E in decoded_chunks(tower, ell, FAMILY_HERMITIAN):
         perm[t] = encode(tower, ell, FAMILY_HERMITIAN, act(E))
@@ -304,14 +304,17 @@ def congruence_permutation(tower: FieldTower, ell: int, A) -> np.ndarray:
 
 def translate_permutation(tower: FieldTower, ell: int, M) -> np.ndarray:
     """Position permutation of H -> H + M for Hermitian M."""
-    if len(M) != ell or not is_hermitian(tower, M):
+    if np.shape(M) != (ell, ell) or not is_hermitian(tower, M):
         raise ValueError("translation requires a Hermitian matrix of size ell")
-    return _position_permutation(tower, ell, lambda H: translate(tower, H, M))
+    add = tower.add_np[np.asarray(M, dtype=np.uint8)]  # add[i, j, x] = M[i, j] + x
+    return _position_permutation(
+        tower, ell, lambda H: np.array([[add[i, j].take(H[i, j]) for j in range(ell)]
+                                        for i in range(ell)]))
 
 
 def transpose_permutation(tower: FieldTower, ell: int) -> np.ndarray:
     """Position permutation of H -> H^T."""
-    return _position_permutation(tower, ell, lambda H: transpose(tower, H))
+    return _position_permutation(tower, ell, lambda H: H.swapaxes(0, 1))
 
 
 # generator file --------------------------------------------------------------

@@ -16,6 +16,8 @@ leaves strictly fewer than q^2 - 1 units).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # One monic irreducible polynomial per supported (p, e), as little-endian
@@ -136,15 +138,10 @@ class FieldTower:
         return (make_field, (self.p, self.e))
 
 
-_CACHE: dict = {}
-
-
+@functools.cache
 def make_field(p: int, e: int) -> FieldTower:
     """Build (or fetch the cached) tower F_p < F_{p^e} < F_{p^2e}."""
-    key = (p, e)
-    if key not in _CACHE:
-        _CACHE[key] = FieldTower(p, e)
-    return _CACHE[key]
+    return FieldTower(p, e)
 
 
 def tower_for_q(q: int) -> FieldTower:

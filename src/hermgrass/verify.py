@@ -250,7 +250,7 @@ def check_automorphism_membership(seed):
         tower = gen.tower
         perms = [transpose_permutation(tower, ell)]
         while True:
-            A = tuple(tuple(rng.randrange(tower.qq) for _ in range(ell)) for _ in range(ell))
+            A = [[rng.randrange(tower.qq) for _ in range(ell)] for _ in range(ell)]
             if linalg.rank(tower, A) == ell:
                 break
         perms.append(congruence_permutation(tower, ell, A))

@@ -18,7 +18,7 @@ from hermgrass.codebuild import (
     transpose_permutation,
 )
 from hermgrass.errors import NotInCode
-from hermgrass.hermitian import FAMILY_AFFINE, FAMILY_HERMITIAN, decode, encode, translate, transpose
+from hermgrass.hermitian import FAMILY_AFFINE, FAMILY_HERMITIAN, decode, encode
 from hermgrass.verify import HERMITIAN_DESK
 from test_hermitian import matrices_at
 
@@ -53,13 +53,13 @@ def random_invertible(tower, ell, rng, scalars):
 
 def affine_permutation(tower, ell, act):
     """perm[t] = position of act(X_t) over all ell x ell matrices over F_q,
-    act mapping entry arrays to entry arrays."""
+    act mapping an array of matrices to an array of matrices."""
     E = decode(tower, ell, FAMILY_AFFINE, np.arange(tower.q ** (ell * ell)))
     return encode(tower, ell, FAMILY_AFFINE, act(E))
 
 
 def sandwich(tower, A, X, B):
-    """A X B for scalar matrices A, B and a matrix X of entry arrays."""
+    """A X B for scalar matrices A, B and an array X of matrices."""
     idx = range(len(A))
     AX = [[linalg.combine(tower, [X[s][j] for s in idx], [A[i][s] for s in idx]) for j in idx]
           for i in idx]
@@ -138,10 +138,10 @@ def test_affine_actions(ell, q):
     for ((I, J), (K, L)), v in entries(gen, Mat).items():
         want = t.mul(sub_det(t, A, I, K), sub_det(t, B, L, J)) if len(K) == len(I) else 0
         assert v == want, ((I, J), (K, L))
-    M = tuple(tuple(rng.choice(t.subfield) for _ in range(ell)) for _ in range(ell))
-    translation = affine_permutation(t, ell, lambda X: translate(t, X, M))
+    M = np.array([[rng.choice(t.subfield) for _ in range(ell)] for _ in range(ell)])
+    translation = affine_permutation(t, ell, lambda X: t.add_np[X, M[..., None]])
     assert_unitriangular_by_size(gen, action_checked(gen, translation, rng))
-    transposition = affine_permutation(t, ell, lambda X: transpose(t, X))
+    transposition = affine_permutation(t, ell, lambda X: X.swapaxes(0, 1))
     assert_swaps_minors(gen, action_checked(gen, transposition, rng))
 
 

@@ -18,8 +18,8 @@ from hermgrass.codebuild import (
 )
 from hermgrass.errors import BudgetExceeded, NoneFoundWithinBound
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
-from hermgrass.hermitian import count_invertible, elementary_row_add, zero_matrix
-from test_hermitian import matrices_at, unit_matrix
+from hermgrass.hermitian import count_invertible
+from test_hermitian import matrices_at, unit_matrix, zero_matrix
 
 
 def test_weight():
@@ -35,6 +35,24 @@ def test_weight_of_function_values():
     assert an.weight_of_function(det_plus_one, 2, 2) == 6
     with pytest.raises(BudgetExceeded):
         an.weight_of_function(det_plus_one, 3, 7)
+
+
+@pytest.mark.parametrize("f", [{((2, 1), (1, 2)): 1, ((), ()): 1},
+                               {((1, 2), (1,)): 1},
+                               {((3,), (3,)): 1}])
+def test_weight_of_function_rejects_a_minor_outside_the_basis(f, monkeypatch):
+    """An unsorted, non-square or out-of-range minor raises ValueError, worded
+    as `GeneratorMatrix.message` words it, before any chunk is decoded."""
+    with pytest.raises(ValueError) as built:
+        build_generator(FAMILY_HERMITIAN, 2, 3).encode(f)
+
+    def no_chunks(*args):
+        raise RuntimeError("decoded a chunk")
+
+    monkeypatch.setattr(an, "decoded_chunks", no_chunks)
+    with pytest.raises(ValueError) as weighed:
+        an.weight_of_function(f, 2, 3)
+    assert str(weighed.value) == str(built.value)
 
 
 def test_weight_of_function_matches_encoding():
@@ -339,6 +357,8 @@ def test_dual_word_weight3():
         an.dual_word_weight3(gen, alpha=0)
     with pytest.raises(ValueError):
         an.dual_word_weight3(build_generator(FAMILY_HERMITIAN, 2, 2), alpha=1)
+    with pytest.raises(ValueError, match="nonzero vector"):
+        an.dual_word_weight3(gen, alpha=2, b=(0, 0))
 
 
 def test_dual_word_weight4():
@@ -639,7 +659,8 @@ def test_spread_reduction_lambda_is_the_first_scalar_that_keeps_the_minor(q):
         P = tuple(tuple(int(pi[i + 1] == j + 1) for j in range(3)) for i in range(3))
         w1 = gen.encode(f)[congruence_permutation(gen.tower, 3, P)]
         for lam in range(1, info["lambda"] + 1):
-            A = elementary_row_add(3, 0, s - 1, lam)
+            A = np.eye(3, dtype=np.uint8)
+            A[0, s - 1] = lam  # I + lam E_{1,s}
             g = gen.interpolate(w1[congruence_permutation(gen.tower, 3, A)])
             assert bool(g.get(reduced, 0)) == (lam == info["lambda"])
         assert g == f2

@@ -29,8 +29,8 @@ from hermgrass.codebuild import (
 )
 from hermgrass.errors import BudgetExceeded
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
-from hermgrass.hermitian import decode, zero_matrix
-from test_hermitian import identity_matrix, matrices_at, unit_matrix
+from hermgrass.hermitian import decode
+from test_hermitian import identity_matrix, matrices_at, unit_matrix, zero_matrix
 from test_minors import eval_minor
 
 
@@ -236,6 +236,7 @@ def test_generator_file_round_trip(tmp_path):
         path = tmp_path / f"gen_{family}_{ell}_{q}.txt"
         write_generator(gen, path)
         back = read_generator(path)
+        assert back is gen  # the one cached generator of the spec
         assert back.spec.header == gen.spec.header
         assert np.array_equal(back.rows, gen.rows)
         assert back.rank == gen.spec.k

@@ -18,6 +18,7 @@ from hermgrass.galois import SUPPORTED_Q, tower_for_q
 from hermgrass.hermitian import (
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
+    congruence,
     decode,
     encode,
     upper_pairs,
@@ -146,6 +147,35 @@ def test_permutations_match_scalar_oracle(ell, q):
                           oracle_permutation(tower, ell, translate_image))
     assert np.array_equal(transpose_permutation(tower, ell),
                           oracle_permutation(tower, ell, transpose_image))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_decode_gives_one_uint8_array(family):
+    """One position decodes to a uint8 (ell, ell) matrix, an array of them
+    to a uint8 array of shape (ell, ell) + t.shape."""
+    tower = tower_for_q(3)
+    for ell in (1, 2, 3):
+        M = decode(tower, ell, family, 2)
+        assert M.dtype == np.uint8 and M.shape == (ell, ell)
+        t = np.arange(3)
+        E = decode(tower, ell, family, t)
+        assert E.dtype == np.uint8 and E.shape == (ell, ell, 3)
+        assert np.array_equal(E[..., 2], M)
+        assert decode(tower, ell, family, t.reshape(3, 1)).shape == (ell, ell, 3, 1)
+
+
+@pytest.mark.parametrize("ell,q", PERMUTATION_CELLS)
+def test_congruence_of_one_matrix_is_a_column_of_a_chunk(ell, q):
+    tower = tower_for_q(q)
+    rng = random.Random(10 * ell + q)
+    A = [[rng.randrange(tower.qq) for _ in range(ell)] for _ in range(ell)]
+    t = np.array([rng.randrange(q ** (ell * ell)) for _ in range(20)])
+    images = congruence(tower, A, decode(tower, ell, FAMILY_HERMITIAN, t))
+    assert images.dtype == np.uint8 and images.shape == (ell, ell, 20)
+    for s, position in enumerate(t):
+        image = congruence(tower, A, decode(tower, ell, FAMILY_HERMITIAN, position))
+        assert image.dtype == np.uint8 and image.shape == (ell, ell)
+        assert np.array_equal(image, images[..., s])
 
 
 def test_decode_rejects_out_of_range():

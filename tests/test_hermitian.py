@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hermgrass.analysis import weight_of_function
-from hermgrass.codebuild import congruence_permutation
+from hermgrass.codebuild import congruence_permutation, translate_permutation, transpose_permutation
 from hermgrass.galois import tower_for_q
 from hermgrass.hermitian import (
     FAMILY_HERMITIAN,
@@ -13,12 +13,13 @@ from hermgrass.hermitian import (
     decode,
     encode,
     is_hermitian,
-    rank_one_from_vector,
-    translate,
-    transpose,
-    zero_matrix,
+    outer,
 )
 from hermgrass.linalg import rank
+
+
+def zero_matrix(ell):
+    return tuple((0,) * ell for _ in range(ell))
 
 
 def identity_matrix(ell):
@@ -30,11 +31,16 @@ def unit_matrix(ell, i, j, value=1):
     return tuple(tuple(value if (r, c) == (i, j) else 0 for c in range(ell)) for r in range(ell))
 
 
+def as_tuple(M):
+    """A matrix as a tuple of int rows, which hashes and compares with ==."""
+    return tuple(map(tuple, np.asarray(M).tolist()))
+
+
 def matrices_at(tower, ell, positions):
     """The Hermitian matrices at the given positions, decoded in one call,
     as tuples of int rows."""
-    E = np.array(decode(tower, ell, FAMILY_HERMITIAN, positions))
-    return [tuple(map(tuple, M)) for M in E.transpose(2, 0, 1).tolist()]
+    E = decode(tower, ell, FAMILY_HERMITIAN, positions)
+    return [as_tuple(E[..., s]) for s in range(len(positions))]
 
 
 def test_index_zero_is_zero_matrix():
@@ -116,7 +122,7 @@ def test_congruence_orbit_of_e11_is_all_rank_one():
         for b in range(t.qq):
             for c in range(t.qq):
                 for d in range(t.qq):
-                    A = ((a, b), (c, d))
+                    A = np.array([[a, b], [c, d]], dtype=np.uint8)
                     if rank(t, A) == 2:
                         invertibles.append(A)
     assert len(invertibles) == (16 - 1) * (16 - 4)
@@ -125,7 +131,7 @@ def test_congruence_orbit_of_e11_is_all_rank_one():
     while frontier:
         H = frontier.pop()
         for A in invertibles:
-            image = congruence(t, A, H)
+            image = as_tuple(congruence(t, A, np.array(H)))
             if image not in orbit:
                 orbit.add(image)
                 frontier.append(image)
@@ -134,14 +140,23 @@ def test_congruence_orbit_of_e11_is_all_rank_one():
 
 
 def test_translate_transpose():
+    """H -> H + M and H -> H^T as position permutations: translating by 0
+    is the identity, by H takes position 0 to H's and is an involution in
+    characteristic 2; the transpose of a Hermitian matrix is its entrywise
+    conjugate."""
     t = tower_for_q(2)
-    for H in matrices_at(t, 2, np.arange(16)):
-        assert translate(t, H, zero_matrix(2)) == H
-        assert translate(t, H, H) == zero_matrix(2)  # characteristic 2
-        assert transpose(t, transpose(t, H)) == H
-        assert is_hermitian(t, transpose(t, H))
-    with pytest.raises(ValueError):
-        translate(t, zero_matrix(2), zero_matrix(3))
+    positions = np.arange(16)
+    assert np.array_equal(translate_permutation(t, 2, zero_matrix(2)), positions)
+    for s, H in enumerate(matrices_at(t, 2, positions)):
+        perm = translate_permutation(t, 2, H)
+        assert perm[0] == s
+        assert np.array_equal(perm[perm], positions)
+    perm = transpose_permutation(t, 2)
+    assert np.array_equal(perm[perm], positions)
+    E = decode(t, 2, FAMILY_HERMITIAN, positions)
+    assert np.array_equal(decode(t, 2, FAMILY_HERMITIAN, perm), t.conj_np[E])
+    with pytest.raises(ValueError, match="size ell"):
+        translate_permutation(tower_for_q(2), 3, zero_matrix(2))
 
 
 def test_actions_are_bijections():
@@ -155,13 +170,11 @@ def test_actions_are_bijections():
             if rank(t, A) == 2:
                 break
         M = decode(t, 2, FAMILY_HERMITIAN, rng.randrange(n))
-        images = [set(), set(), set()]
-        for H in matrices_at(t, 2, np.arange(n)):
-            images[0].add(congruence(t, A, H))
-            images[1].add(translate(t, H, M))
-            images[2].add(transpose(t, H))
+        E = decode(t, 2, FAMILY_HERMITIAN, np.arange(n))
+        images = [encode(t, 2, FAMILY_HERMITIAN, congruence(t, A, E)),
+                  translate_permutation(t, 2, M), transpose_permutation(t, 2)]
         for im in images:
-            assert len(im) == n
+            assert len(set(im.tolist())) == n
 
 
 def det(ell):
@@ -180,17 +193,14 @@ def test_count_invertible():
         assert weight_of_function(det(ell), ell, q) == count_invertible(ell, q)
 
 
-def test_rank_one_from_vector():
+def test_outer_of_a_vector_with_itself_is_rank_one_hermitian():
     t = tower_for_q(2)
-    assert rank_one_from_vector(t, (1, 0)) == unit_matrix(2, 0, 0)
-    assert rank_one_from_vector(t, (1, 1)) == ((1, 1), (1, 1))
+    assert as_tuple(outer(t, (1, 0), (1, 0))) == unit_matrix(2, 0, 0)
+    assert as_tuple(outer(t, (1, 1), (1, 1))) == ((1, 1), (1, 1))
     rng = random.Random(5)
     for _ in range(100):
         a = tuple(rng.randrange(4) for _ in range(3))
-        if not any(a):
-            continue
-        M = rank_one_from_vector(t, a)
+        M = outer(t, a, a)
+        assert M.dtype == np.uint8 and M.shape == (3, 3)
         assert is_hermitian(t, M)
-        assert rank(t, M) == 1
-    with pytest.raises(ValueError):
-        rank_one_from_vector(t, (0, 0, 0))
+        assert rank(t, M) == int(any(a))

@@ -13,7 +13,6 @@ from hermgrass.codebuild import (
 )
 from hermgrass.errors import NotInCode
 from hermgrass.galois import tower_for_q
-from hermgrass.hermitian import elementary_row_add
 from test_hermitian import identity_matrix, matrices_at
 
 
@@ -209,7 +208,8 @@ def test_elementary_congruence_expansion():
     f = {((1, 2), (2, 3)): 1}
     c = gen.encode(f)
     for lam in range(1, t.qq):
-        A = elementary_row_add(3, 0, 2, lam)
+        A = np.eye(3, dtype=np.uint8)
+        A[0, 2] = lam  # I + lam E_{1,3}
         perm = congruence_permutation(t, 3, A)
         transformed = gen.interpolate(c[perm])
         assert transformed == {
