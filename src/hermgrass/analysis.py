@@ -82,8 +82,8 @@ from .hermitian import (
     decode,
     decoded_chunks,
     encode,
-    is_hermitian,
     outer,
+    translate,
 )
 
 DEFAULT_BUDGET_MESSAGES = 2**24
@@ -754,8 +754,8 @@ def _translates_word(gen: GeneratorMatrix, H, translations, coeffs):
     """The dual word with coeffs on the positions of H + M, M running over
     `translations` (H the zero matrix when None)."""
     tower, ell = gen.tower, gen.spec.ell
-    H = np.zeros((ell, ell), np.uint8) if H is None else np.asarray(H, dtype=np.uint8)
-    supports = tower.add_np[H[..., None], np.stack(translations, axis=-1)]
+    H = np.zeros((ell, ell), np.uint8) if H is None else H
+    supports = translate(tower, H, np.stack(translations, axis=-1))
     return _dual_word(gen, encode(tower, ell, FAMILY_HERMITIAN, supports), coeffs)
 
 
@@ -1108,7 +1108,8 @@ def verify_translation_clearing(gen: GeneratorMatrix, f: dict, I: tuple) -> bool
     """Translate f, scaled to det coefficient 1, by the clearing matrix and
     check (on its word, permuted by the translation and interpolated) that
     no (|I|-1)-minor with rows and columns inside I survives in the
-    support."""
+    support.  A clearing matrix that is not Hermitian makes the translation
+    raise ValueError."""
     tower = gen.tower
     ell = gen.spec.ell
     I = tuple(sorted(I))
@@ -1118,7 +1119,6 @@ def verify_translation_clearing(gen: GeneratorMatrix, f: dict, I: tuple) -> bool
         raise ValueError(f"the principal minor on {I} is not maximal in f")
     message = tower.mul_np[tower.inv(f[(I, I)])][gen.message(f)]
     H = translation_clearing_matrix(tower, ell, gen.combination(message), I)
-    require(is_hermitian(tower, H), "clearing matrix is not Hermitian")
     word = gen.encode_message(message)
     translated = gen.interpolate(word[translate_permutation(tower, ell, H)])
     si = set(I)

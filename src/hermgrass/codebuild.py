@@ -28,11 +28,11 @@ from .hermitian import (
     BUILD_LIMIT,
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
-    congruence,
     decode,
     decoded_chunks,
     encode,
-    is_hermitian,
+    product,
+    translate,
 )
 from .minors import MAX_ELL, basis
 
@@ -286,35 +286,38 @@ def q_invariance_check(gen: GeneratorMatrix) -> bool:
     return bool(gen.membership(conjugate_codeword(gen.tower, gen.rows)).all())
 
 
-def _position_permutation(tower: FieldTower, ell: int, act) -> np.ndarray:
-    """perm[t] = position of act(H_t), where act maps an array of matrices to
-    an array of matrices; encode rejects any image that is not Hermitian."""
+def _position_permutation(tower: FieldTower, ell: int, family: str, act) -> np.ndarray:
+    """perm[t] = position of act(X_t) in the family's space, where act maps an
+    array of matrices to an array of matrices; encode rejects any image
+    outside the family."""
     perm = np.empty(tower.q ** (ell * ell), dtype=np.int64)
-    for t, E in decoded_chunks(tower, ell, FAMILY_HERMITIAN):
-        perm[t] = encode(tower, ell, FAMILY_HERMITIAN, act(E))
+    for t, E in decoded_chunks(tower, ell, family):
+        perm[t] = encode(tower, ell, family, act(E))
     return perm
 
 
 def congruence_permutation(tower: FieldTower, ell: int, A) -> np.ndarray:
-    """Position permutation of H -> A* H A for invertible A."""
-    if linalg.rank(tower, A) != ell:
-        raise ValueError("congruence requires an invertible matrix")
-    return _position_permutation(tower, ell, lambda H: congruence(tower, A, H))
+    """Position permutation of H -> A* H A.  Anything but an invertible ell x
+    ell matrix over F_{q^2} is refused with ValueError before any work."""
+    A = np.asarray(A)
+    if A.shape != (ell, ell) or A.min() < 0 or A.max() >= tower.qq or linalg.rank(tower, A) != ell:
+        raise ValueError(f"congruence requires an invertible {ell} x {ell} matrix over F_{tower.qq}")
+    A_star = tower.conj_np[A.T]
+    return _position_permutation(tower, ell, FAMILY_HERMITIAN, lambda H: product(tower, A_star, H, A))
 
 
 def translate_permutation(tower: FieldTower, ell: int, M) -> np.ndarray:
-    """Position permutation of H -> H + M for Hermitian M."""
-    if np.shape(M) != (ell, ell) or not is_hermitian(tower, M):
-        raise ValueError("translation requires a Hermitian matrix of size ell")
-    add = tower.add_np[np.asarray(M, dtype=np.uint8)]  # add[i, j, x] = M[i, j] + x
-    return _position_permutation(
-        tower, ell, lambda H: np.array([[add[i, j].take(H[i, j]) for j in range(ell)]
-                                        for i in range(ell)]))
+    """Position permutation of H -> H + M; encode refuses an M that is not an
+    ell x ell Hermitian matrix with ValueError, naming its bad entry, and an
+    array of matrices is refused too."""
+    if np.ndim(encode(tower, ell, FAMILY_HERMITIAN, M)):
+        raise ValueError("translation takes one matrix, not an array of them")
+    return _position_permutation(tower, ell, FAMILY_HERMITIAN, lambda H: translate(tower, M, H))
 
 
 def transpose_permutation(tower: FieldTower, ell: int) -> np.ndarray:
     """Position permutation of H -> H^T."""
-    return _position_permutation(tower, ell, lambda H: H.swapaxes(0, 1))
+    return _position_permutation(tower, ell, FAMILY_HERMITIAN, lambda H: H.swapaxes(0, 1))
 
 
 # generator file --------------------------------------------------------------

@@ -9,9 +9,14 @@ i.e. diagonal entries lie in F_q and H[j, i] = H[i, j]^q.
 `decode` and `encode` are the single definition of the normative position
 order, whose digits `position_digits` lists.  They take one position or an
 array of them, and one matrix or an array of them; a whole space is
-walked once, as decoded chunks (`decoded_chunks`).  `congruence` takes one
-matrix or an array of them alike, so the position permutations apply it
-to decoded chunks.
+walked once, as decoded chunks (`decoded_chunks`).  `encode` is also the
+one membership rule: it raises ValueError for a matrix outside the family.
+
+The matrix actions of both families are `product` (X -> L X R, the
+Hermitian congruence being L = A*, R = A), `translate` (X -> X + M) and
+transposition, `X.swapaxes(0, 1)`.  Each takes one matrix or an array of
+them alike, so one position walk applies it to the decoded chunks of
+either family (`codebuild._position_permutation`).
 """
 
 from __future__ import annotations
@@ -33,14 +38,6 @@ CHUNK = linalg.TABLE_BYTES // 8  # a chunk's int64 positions take TABLE_BYTES
 def upper_pairs(ell):
     """Strict upper-triangle coordinates in row-major order."""
     return [(i, j) for i in range(ell) for j in range(i + 1, ell)]
-
-
-def is_hermitian(tower, M) -> bool:
-    try:
-        encode(tower, len(M), FAMILY_HERMITIAN, M)
-    except ValueError:
-        return False
-    return True
 
 
 # the position codec -----------------------------------------------------------
@@ -117,13 +114,20 @@ def encode(tower, ell: int, family: str, entries):
 # group actions ---------------------------------------------------------------
 
 
-def congruence(tower, A, H):
-    """A* H A for one matrix H or an array of them, as two stacked combines:
-    column j of H A is the combination of the columns of H by column j of
-    A, and row i of A* (H A) that of the rows of H A by row i of A*."""
-    A = np.asarray(A, dtype=np.uint8)
-    HA = linalg.combine(tower, np.swapaxes(H, 0, 1), A.T).swapaxes(0, 1)
-    return linalg.combine(tower, HA, tower.conj_np[A.T])
+def product(tower, L, X, R):
+    """L X R for one matrix X or an array of them, as two stacked combines:
+    column j of X R is the combination of the columns of X by column j of
+    R, and row i of L (X R) that of the rows of X R by row i of L.  The
+    congruence H -> A* H A is product(A*, H, A)."""
+    XR = linalg.combine(tower, np.swapaxes(X, 0, 1), np.asarray(R, dtype=np.uint8).T)
+    return linalg.combine(tower, XR.swapaxes(0, 1), np.asarray(L, dtype=np.uint8))
+
+
+def translate(tower, M, X):
+    """X + M for one matrix X or an array of them: entry (i, j) is one row
+    of the addition table, that of M[i, j], taken at X[i, j]."""
+    add = tower.add_np[np.asarray(M, dtype=np.uint8)]  # add[i, j, x] = M[i, j] + x
+    return np.array([[add[i, j].take(X[i, j]) for j in range(len(add))] for i in range(len(add))])
 
 
 def outer(tower, u, v):

@@ -1,9 +1,11 @@
 """Automorphisms act on messages: `GeneratorMatrix.action` turns a position
 permutation of the code into a k x k matrix Mat on messages.  Each matrix
-is checked on words (the word of m, permuted, is the word of
-combine(Mat, m)) and against the Cauchy-Binet formula, with minors taken
-by a scalar determinant here: by Cauchy-Binet, det_{I,J}(A X B) is the sum
-over (K, L) of det A[I,K] det X[K,L] det B[L,J]."""
+is checked on words (the word of basis message i, permuted, is the word of
+row i of Mat) and against the Cauchy-Binet formula, with minors
+taken by a scalar determinant here: by Cauchy-Binet, det_{I,J}(A X B) is
+the sum over (K, L) of det A[I,K] det X[K,L] det B[L,J].  The permutations
+of both families come from the one position walk of the package, with its
+actions `product`, `translate` and `swapaxes`."""
 
 import random
 
@@ -12,13 +14,14 @@ import pytest
 
 from hermgrass import linalg
 from hermgrass.codebuild import (
+    _position_permutation,
     build_generator,
     congruence_permutation,
     translate_permutation,
     transpose_permutation,
 )
 from hermgrass.errors import NotInCode
-from hermgrass.hermitian import FAMILY_AFFINE, FAMILY_HERMITIAN, decode, encode
+from hermgrass.hermitian import FAMILY_AFFINE, FAMILY_HERMITIAN, product, translate
 from hermgrass.verify import HERMITIAN_DESK
 from test_hermitian import matrices_at
 
@@ -51,30 +54,13 @@ def random_invertible(tower, ell, rng, scalars):
             return A
 
 
-def affine_permutation(tower, ell, act):
-    """perm[t] = position of act(X_t) over all ell x ell matrices over F_q,
-    act mapping an array of matrices to an array of matrices."""
-    E = decode(tower, ell, FAMILY_AFFINE, np.arange(tower.q ** (ell * ell)))
-    return encode(tower, ell, FAMILY_AFFINE, act(E))
-
-
-def sandwich(tower, A, X, B):
-    """A X B for scalar matrices A, B and an array X of matrices."""
-    idx = range(len(A))
-    AX = [[linalg.combine(tower, [X[s][j] for s in idx], [A[i][s] for s in idx]) for j in idx]
-          for i in idx]
-    return [[linalg.combine(tower, AX[i], [B[r][j] for r in idx]) for j in idx] for i in idx]
-
-
-def action_checked(gen, perm, rng):
-    """gen.action(perm), after checking that it acts on random messages as
-    perm acts on their words."""
+def action_checked(gen, perm):
+    """gen.action(perm), after checking that it acts on the basis messages
+    as perm acts on their words: row i of the generator, permuted, is the
+    word of row i of Mat."""
     Mat = gen.action(perm)
     assert Mat.shape == (gen.spec.k, gen.spec.k) and Mat.dtype == np.uint8
-    for _ in range(4):
-        m = [rng.choice(gen.scalars) for _ in range(gen.spec.k)]
-        image = gen.encode_message(linalg.combine(gen.tower, Mat, m))
-        assert np.array_equal(gen.encode_message(m)[perm], image)
+    assert np.array_equal(gen.encode_message(Mat), gen.rows[:, perm])
     return Mat
 
 
@@ -108,7 +94,7 @@ def test_hermitian_congruence_action_is_cauchy_binet(ell, q):
     t = gen.tower
     rng = random.Random(1000 * ell + q)
     A = random_invertible(t, ell, rng, range(t.qq))
-    Mat = action_checked(gen, congruence_permutation(t, ell, A), rng)
+    Mat = action_checked(gen, congruence_permutation(t, ell, A))
     for ((I, J), (K, L)), v in entries(gen, Mat).items():
         want = 0
         if len(K) == len(I):
@@ -122,8 +108,8 @@ def test_hermitian_translation_and_transpose_actions(ell, q):
     t = gen.tower
     rng = random.Random(2000 * ell + q)
     M = matrices_at(t, ell, [rng.randrange(gen.spec.n)])[0]
-    assert_unitriangular_by_size(gen, action_checked(gen, translate_permutation(t, ell, M), rng))
-    assert_swaps_minors(gen, action_checked(gen, transpose_permutation(t, ell), rng))
+    assert_unitriangular_by_size(gen, action_checked(gen, translate_permutation(t, ell, M)))
+    assert_swaps_minors(gen, action_checked(gen, transpose_permutation(t, ell)))
 
 
 @pytest.mark.parametrize("ell, q", AFFINE_DESK)
@@ -134,15 +120,17 @@ def test_affine_actions(ell, q):
     t = gen.tower
     rng = random.Random(3000 * ell + q)
     A, B = (random_invertible(t, ell, rng, t.subfield) for _ in range(2))
-    Mat = action_checked(gen, affine_permutation(t, ell, lambda X: sandwich(t, A, X, B)), rng)
+
+    def permutation(act):
+        return _position_permutation(t, ell, FAMILY_AFFINE, act)
+
+    Mat = action_checked(gen, permutation(lambda X: product(t, A, X, B)))
     for ((I, J), (K, L)), v in entries(gen, Mat).items():
         want = t.mul(sub_det(t, A, I, K), sub_det(t, B, L, J)) if len(K) == len(I) else 0
         assert v == want, ((I, J), (K, L))
-    M = np.array([[rng.choice(t.subfield) for _ in range(ell)] for _ in range(ell)])
-    translation = affine_permutation(t, ell, lambda X: t.add_np[X, M[..., None]])
-    assert_unitriangular_by_size(gen, action_checked(gen, translation, rng))
-    transposition = affine_permutation(t, ell, lambda X: X.swapaxes(0, 1))
-    assert_swaps_minors(gen, action_checked(gen, transposition, rng))
+    M = [[rng.choice(t.subfield) for _ in range(ell)] for _ in range(ell)]
+    assert_unitriangular_by_size(gen, action_checked(gen, permutation(lambda X: translate(t, M, X))))
+    assert_swaps_minors(gen, action_checked(gen, permutation(lambda X: X.swapaxes(0, 1))))
 
 
 @pytest.mark.parametrize("family", [FAMILY_HERMITIAN, FAMILY_AFFINE])

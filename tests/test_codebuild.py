@@ -200,7 +200,7 @@ def test_automorphism_permutations():
 
     with pytest.raises(ValueError):
         congruence_permutation(t, 2, zero_matrix(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^entry \(0, 0\) outside F_2$"):
         translate_permutation(t, 2, ((2, 0), (0, 0)))
 
 

@@ -18,12 +18,14 @@ from hermgrass.galois import SUPPORTED_Q, tower_for_q
 from hermgrass.hermitian import (
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
-    congruence,
     decode,
     encode,
+    product,
+    translate,
     upper_pairs,
 )
 from hermgrass.linalg import rank
+from test_hermitian import congruence
 
 FAMILIES = (FAMILY_HERMITIAN, FAMILY_AFFINE)
 ORACLE_CELLS = [(ell, q) for ell in (1, 2, 3, 4) for q in sorted(SUPPORTED_Q)
@@ -166,16 +168,33 @@ def test_decode_gives_one_uint8_array(family):
 
 @pytest.mark.parametrize("ell,q", PERMUTATION_CELLS)
 def test_congruence_of_one_matrix_is_a_column_of_a_chunk(ell, q):
+    """Each matrix action maps one matrix to the column of a chunk's image
+    at its position: the congruence, L X R with independent L and R over
+    each family's scalars, and a translation."""
     tower = tower_for_q(q)
     rng = random.Random(10 * ell + q)
-    A = [[rng.randrange(tower.qq) for _ in range(ell)] for _ in range(ell)]
+
+    def random_matrix(scalars):
+        return [[rng.choice(scalars) for _ in range(ell)] for _ in range(ell)]
+
+    A = random_matrix(range(tower.qq))
+    L, R = random_matrix(range(tower.qq)), random_matrix(range(tower.qq))
+    L_q, R_q = random_matrix(tower.subfield), random_matrix(tower.subfield)
+    M = decode(tower, ell, FAMILY_HERMITIAN, rng.randrange(q ** (ell * ell)))
+    cases = [
+        (FAMILY_HERMITIAN, lambda X: congruence(tower, A, X)),
+        (FAMILY_HERMITIAN, lambda X: product(tower, L, X, R)),
+        (FAMILY_AFFINE, lambda X: product(tower, L_q, X, R_q)),
+        (FAMILY_HERMITIAN, lambda X: translate(tower, M, X)),
+    ]
     t = np.array([rng.randrange(q ** (ell * ell)) for _ in range(20)])
-    images = congruence(tower, A, decode(tower, ell, FAMILY_HERMITIAN, t))
-    assert images.dtype == np.uint8 and images.shape == (ell, ell, 20)
-    for s, position in enumerate(t):
-        image = congruence(tower, A, decode(tower, ell, FAMILY_HERMITIAN, position))
-        assert image.dtype == np.uint8 and image.shape == (ell, ell)
-        assert np.array_equal(image, images[..., s])
+    for family, act in cases:
+        images = act(decode(tower, ell, family, t))
+        assert images.dtype == np.uint8 and images.shape == (ell, ell, 20)
+        for s, position in enumerate(t):
+            image = act(decode(tower, ell, family, position))
+            assert image.dtype == np.uint8 and image.shape == (ell, ell)
+            assert np.array_equal(image, images[..., s])
 
 
 def test_decode_rejects_out_of_range():

@@ -8,12 +8,11 @@ from hermgrass.codebuild import congruence_permutation, translate_permutation, t
 from hermgrass.galois import tower_for_q
 from hermgrass.hermitian import (
     FAMILY_HERMITIAN,
-    congruence,
     count_invertible,
     decode,
     encode,
-    is_hermitian,
     outer,
+    product,
 )
 from hermgrass.linalg import rank
 
@@ -36,6 +35,12 @@ def as_tuple(M):
     return tuple(map(tuple, np.asarray(M).tolist()))
 
 
+def congruence(tower, A, H):
+    """A* H A for one matrix H or an array of them."""
+    A = np.asarray(A, dtype=np.uint8)
+    return product(tower, tower.conj_np[A.T], H, A)
+
+
 def matrices_at(tower, ell, positions):
     """The Hermitian matrices at the given positions, decoded in one call,
     as tuples of int rows."""
@@ -56,7 +61,7 @@ def test_round_trip_and_totals():
         E = decode(t, ell, FAMILY_HERMITIAN, np.arange(total))
         assert np.array_equal(encode(t, ell, FAMILY_HERMITIAN, E), np.arange(total))
         matrices = matrices_at(t, ell, np.arange(total))
-        assert all(is_hermitian(t, H) for H in matrices)
+        assert [encode(t, ell, FAMILY_HERMITIAN, H) for H in matrices] == list(range(total))
         assert len(set(matrices)) == total
 
 
@@ -102,15 +107,19 @@ def test_congruence_identity_and_rank_preservation():
             continue
         H = decode(t, ell, FAMILY_HERMITIAN, rng.randrange(q ** (ell * ell)))
         out = congruence(t, A, H)
-        assert is_hermitian(t, out)
+        encode(t, ell, FAMILY_HERMITIAN, out)  # raises ValueError unless out is Hermitian
         assert rank(t, out) == rank(t, H)
         checks += 1
 
 
-def test_congruence_rejects_singular():
+def test_congruence_rejects_singular(monkeypatch):
+    """A singular matrix, an entry outside F_{q^2} and a matrix that is not
+    ell x ell are refused with one ValueError, before any chunk is decoded."""
+    monkeypatch.setattr("hermgrass.codebuild.decoded_chunks", None)
     t = tower_for_q(2)
-    with pytest.raises(ValueError, match="^congruence requires an invertible matrix$"):
-        congruence_permutation(t, 2, ((1, 1), (1, 1)))
+    for A in (((1, 1), (1, 1)), ((5, 0), (0, 1)), ((-1, 0), (0, 1)), ((1, 0, 0), (0, 1, 0))):
+        with pytest.raises(ValueError, match="^congruence requires an invertible 2 x 2 matrix over F_4$"):
+            congruence_permutation(t, 2, A)
 
 
 def test_congruence_orbit_of_e11_is_all_rank_one():
@@ -155,8 +164,10 @@ def test_translate_transpose():
     assert np.array_equal(perm[perm], positions)
     E = decode(t, 2, FAMILY_HERMITIAN, positions)
     assert np.array_equal(decode(t, 2, FAMILY_HERMITIAN, perm), t.conj_np[E])
-    with pytest.raises(ValueError, match="size ell"):
+    with pytest.raises(ValueError, match=r"^expected 3 x 3 entries, got shape \(2, 2\)$"):
         translate_permutation(tower_for_q(2), 3, zero_matrix(2))
+    with pytest.raises(ValueError, match="^translation takes one matrix, not an array of them$"):
+        translate_permutation(t, 2, decode(t, 2, FAMILY_HERMITIAN, [3, 5]))
 
 
 def test_actions_are_bijections():
@@ -202,5 +213,5 @@ def test_outer_of_a_vector_with_itself_is_rank_one_hermitian():
         a = tuple(rng.randrange(4) for _ in range(3))
         M = outer(t, a, a)
         assert M.dtype == np.uint8 and M.shape == (3, 3)
-        assert is_hermitian(t, M)
+        encode(t, 3, FAMILY_HERMITIAN, M)  # raises ValueError unless M is Hermitian
         assert rank(t, M) == int(any(a))
