@@ -31,11 +31,11 @@ from one stratum rule (`_stratum`).
 
 One gate, `require_budget`, decides from a code's spec alone whether an
 enumeration may start: it refuses a method it does not know or that does
-not apply to the family, then sizes the walk against the message budget
-(`budget_messages`, HERMGRASS_BUDGET_MESSAGES) or the dual pair scan
-against the pair budget (`budget_pairs`, HERMGRASS_BUDGET_SUBSETS), so
-anything over budget raises before the generator is built.  The engine
-keeps its own message check for arbitrary rows.  Positions are bounded by
+not apply to the family, then sizes the walk's messages or the dual pair
+scan's sums against the one budget (`budget_messages`,
+HERMGRASS_BUDGET_MESSAGES), so anything over budget raises before the
+generator is built.  Every refusal is one size check (`_require_size`),
+which the engine also runs on arbitrary rows.  Positions are bounded by
 `hermitian.BUILD_LIMIT`.  These two limits, and nothing else, bound the
 classifiers, which enumerate every message they report on.
 
@@ -87,30 +87,23 @@ from .hermitian import (
 )
 
 DEFAULT_BUDGET_MESSAGES = 2**24
-DEFAULT_BUDGET_PAIRS = 2**23
 DEFAULT_SEED = 987654321
 
 
-def _env_budget(name, default):
-    value = os.environ.get(name)
-    if value and not value.strip().isdecimal():
-        raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value) if value else default
-
-
 def budget_messages():
-    return _env_budget("HERMGRASS_BUDGET_MESSAGES", DEFAULT_BUDGET_MESSAGES)
+    """HERMGRASS_BUDGET_MESSAGES, or DEFAULT_BUDGET_MESSAGES when it is unset or empty."""
+    value = os.environ.get("HERMGRASS_BUDGET_MESSAGES")
+    if value and not value.strip().isdecimal():
+        raise ValueError(f"HERMGRASS_BUDGET_MESSAGES must be a non-negative integer, got {value!r}")
+    return int(value) if value else DEFAULT_BUDGET_MESSAGES
 
 
-def budget_pairs():
-    return _env_budget("HERMGRASS_BUDGET_SUBSETS", DEFAULT_BUDGET_PAIRS)
-
-
-def _require_messages(r: int, k: int):
-    """Raise BudgetExceeded when a walk's r^k messages exceed `budget_messages()`."""
+def _require_size(size: int, what: str):
+    """Raise BudgetExceeded, naming the enumeration `what`, when its size
+    exceeds `budget_messages()`."""
     budget = budget_messages()
-    if r**k > budget:
-        raise BudgetExceeded(f"message space {r}^{k} = {r**k} exceeds budget {budget}")
+    if size > budget:
+        raise BudgetExceeded(f"{what} {size} exceeds budget {budget}")
 
 
 def require_budget(spec: CodeSpec, method: str | None = None, max_t: int = 4) -> str:
@@ -121,21 +114,20 @@ def require_budget(spec: CodeSpec, method: str | None = None, max_t: int = 4) ->
     family, raises ValueError before anything is sized; a size over budget
     raises BudgetExceeded.  A walk covers r^k messages (r = q for
     "subfield", the alphabet for "exhaustive"); "dual" up to `max_t` >= 3
-    scans n(n-1)/2 column pairs times the alphabet's nonzero scalars, under
-    the pair budget, and up to max_t <= 2 scans none."""
+    scans n(n-1)/2 column pairs times the alphabet's nonzero scalars, and
+    up to max_t <= 2 scans none.  Both sizes are held to the one budget."""
     if method not in (None, "subfield", "exhaustive", "dual"):
         raise ValueError(f"unknown enumeration method {method!r}")
     if method == "subfield" and spec.family != FAMILY_HERMITIAN:
         raise ValueError("subfield enumeration applies to the Hermitian family")
     if method == "dual":
-        size = spec.n * (spec.n - 1) // 2 * (spec.alphabet - 1)
-        budget = budget_pairs()
-        if max_t >= 3 and size > budget:
-            raise BudgetExceeded(f"pair search size {size} exceeds budget {budget}")
+        if max_t >= 3:
+            _require_size(spec.n * (spec.n - 1) // 2 * (spec.alphabet - 1), "pair search size")
         return method
     if method is None:
         method = "subfield" if spec.family == FAMILY_HERMITIAN else "exhaustive"
-    _require_messages(spec.q if method == "subfield" else spec.alphabet, spec.k)
+    r = spec.q if method == "subfield" else spec.alphabet
+    _require_size(r**spec.k, f"message space {r}^{spec.k} =")
     return method
 
 
@@ -167,7 +159,7 @@ def distance_formula(family: str, ell: int, q: int):
     return d, {(full, full): 1}
 
 
-def dual_distance_formula(ell: int, q: int) -> int:
+def dual_distance_formula(q: int) -> int:
     """Dual minimum distance of the Hermitian code at ell >= 2: 4 at q = 2
     (`dual_word_weight4`), 3 otherwise (`dual_word_weight3`)."""
     return 4 if q == 2 else 3
@@ -198,26 +190,21 @@ def weight_of_function(f: dict, ell: int, q: int, family: str = FAMILY_HERMITIAN
 
 
 def gray_steps(radix: int, k: int):
-    """Loopless reflected mixed-radix Gray walk.
+    """Reflected radix-ary Gray walk over k digits from all zeros.
 
-    Yields (j, old, new, digits) for each of radix^k - 1 steps; exactly one
-    digit changes per step, by one.  The digits list is live, not a copy.
+    Yields (j, old, new, digits) for each of radix^k - 1 steps: step s
+    moves digit j, the radix-adic valuation of s, by one in its direction,
+    which turns at 0 and radix - 1.  The digits list is live, not a copy.
     """
-    a = [0] * k
-    f = list(range(k + 1))
-    o = [1] * k
-    while True:
-        j = f[0]
-        f[0] = 0
-        if j == k:
-            return
+    a, o = [0] * k, [1] * k
+    for s in range(1, radix**k):
+        j = 0
+        while s % radix == 0:
+            s, j = s // radix, j + 1
         old = a[j]
-        new = old + o[j]
-        a[j] = new
+        a[j] = new = old + o[j]
         if new == 0 or new == radix - 1:
             o[j] = -o[j]
-            f[j] = f[j + 1]
-            f[j + 1] = j + 1
         yield j, old, new, a
 
 
@@ -392,9 +379,10 @@ def _weights_by_digits(tower, rows, scalars):
     digit is 1.  The r^k messages of the rows are bounded by
     `budget_messages()`."""
     rows = np.asarray(rows, dtype=np.uint8)
-    _require_messages(len(scalars), len(rows))
+    r, k = len(scalars), len(rows)
+    _require_size(r**k, f"message space {r}^{k} =")
     form, kt, [heads] = _plan(tower, rows, scalars, 1)
-    tails = list(itertools.product(range(len(scalars)), repeat=kt))
+    tails = list(itertools.product(range(r), repeat=kt))
     for head, walked, weights in _walk(tower, rows, scalars, form, kt, heads):
         prefix = head + tuple(walked)
         for tail, w in zip(tails, weights.tolist()):
@@ -428,7 +416,7 @@ def min_weight_over_combinations(tower, rows, scalars, *, threads=1, lead=None):
         raise ValueError("scalars must start with 0 and 1")
     if not set(tower.mul_np[np.ix_(scalars, scalars)].flat) <= set(scalars):
         raise ValueError("scalars are not closed under multiplication")
-    _require_messages(r, k)
+    _require_size(r**k, f"message space {r}^{k} =")
     form, kt, jobs = _plan(tower, rows, scalars, lead, threads)
     if len(jobs) == 1:
         best = _least_weight(tower, rows, scalars, kt, jobs[0], form)
@@ -598,9 +586,8 @@ def _first_repeat(keys, at, seen, seen_at):
     increasing positions `at`, after the sorted keys `seen`, each at its
     first position `seen_at`.
 
-    Returns ((position, first position), None) for that key, or, when no
-    key repeats, (None, merge), merge() giving seen and seen_at with the
-    keys merged in.
+    Returns ((position, first position), seen, seen_at) for that key, or,
+    when no key repeats, (None, seen, seen_at) with the keys merged in.
     """
     uniq, first = np.unique(keys, return_index=True)
     where = np.searchsorted(seen, keys)
@@ -612,9 +599,9 @@ def _first_repeat(keys, at, seen, seen_at):
     if repeat.any():
         s = int(repeat.argmax())
         partner = seen_at[where[s]] if earlier[s] else at[first[np.searchsorted(uniq, keys[s])]]
-        return (int(at[s]), int(partner)), None
+        return (int(at[s]), int(partner)), seen, seen_at
     where = np.searchsorted(seen, uniq)
-    return None, lambda: (np.insert(seen, where, uniq), np.insert(seen_at, where, at[first]))
+    return None, np.insert(seen, where, uniq), np.insert(seen_at, where, at[first])
 
 
 def _first_member(keys, members):
@@ -686,7 +673,7 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
     # t = 2: two proportional columns
     forms, leads = _normal_forms(tower, cols)
     keys = key(pack(forms))
-    repeat, _ = _first_repeat(keys, np.arange(n), keys[:0], np.arange(0))
+    repeat, _, _ = _first_repeat(keys, np.arange(n), keys[:0], np.arange(0))
     if repeat:
         i, j = repeat
         return finish(2, (j, i), (inv(int(leads[j])), neg(inv(int(leads[i])))))
@@ -738,9 +725,7 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
         if normalize:
             normal, at = map(np.concatenate, zip(*normal))
             by_rank = np.argsort(at)
-            t4, merge = _first_repeat(normal[by_rank], at[by_rank], seen, seen_at)
-            if merge:
-                seen, seen_at = merge()
+            t4, seen, seen_at = _first_repeat(normal[by_rank], at[by_rank], seen, seen_at)
     if t4 is None:
         raise NoneFoundWithinBound(max_t)
     (i, j, a, s), (i2, j2, a2, s2) = map(pair_sum, t4)
@@ -1066,7 +1051,8 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
                          f"up to ell = 3, got {ell}")
     spec = CodeSpec(FAMILY_HERMITIAN, q, ell)
     sizes = [len(I) for I, _ in mn.basis(ell)]
-    _require_messages(q if self_conjugate_only else spec.alphabet, len(_stratum_order(sizes, k)))
+    r, m = q if self_conjugate_only else spec.alphabet, len(_stratum_order(sizes, k))
+    _require_size(r**m, f"message space {r}^{m} =")
     gen = build_generator(FAMILY_HERMITIAN, ell, q)
     rows, _, scalars, lead = _stratum(gen, k, self_conjugate_only)
     best, _, count = min_weight_over_combinations(gen.tower, rows, scalars, lead=lead)

@@ -3,12 +3,11 @@ suites, and emit the parameter tables.
 
 Exit codes: 0 pass, 1 verification mismatch, 2 usage error or an output
 file that cannot be written (found when it is written, after the work), 3
-budget exceeded.  The budgets are read from HERMGRASS_BUDGET_MESSAGES and
-HERMGRASS_BUDGET_SUBSETS only, and malformed values exit 2 up front.
-`analysis.require_budget` decides whether a command's enumeration may
-start: one that does not apply to the family exits 2, and one whose size,
-read off (family, ell, q), exceeds its budget exits 3, both before any
-generator is built.
+budget exceeded.  The one budget is read from HERMGRASS_BUDGET_MESSAGES
+only, and a malformed value exits 2 up front.  `analysis.require_budget`
+decides whether a command's enumeration may start: one that does not
+apply to the family exits 2, and one whose size, read off (family, ell,
+q), exceeds the budget exits 3, both before any generator is built.
 """
 
 from __future__ import annotations
@@ -161,7 +160,7 @@ def cmd_dualdist(args) -> int:
          "matrix": decode(gen.tower, args.ell, FAMILY_HERMITIAN, t).tolist()}
         for t, c in zip(cert.columns, cert.coefficients)
     ]
-    expected = an.dual_distance_formula(args.ell, args.q)
+    expected = an.dual_distance_formula(args.q)
     report["expected"] = expected
     report["matches_expected"] = cert.d_dual == expected
     _emit(reports.render(report, args.format), args.out)
@@ -189,27 +188,21 @@ def cmd_verify(args) -> int:
     return EXIT_OK if passed == len(results) else EXIT_MISMATCH
 
 
-def _within_budget(spec: CodeSpec) -> bool:
-    """Whether the certifying enumeration of the code fits the message budget."""
-    try:
-        an.require_budget(spec)
-    except BudgetExceeded:
-        return False
-    return True
-
-
 def _table_rows(ell: int):
     """One row per q; a cell is re-certified by enumeration in both families
-    when both certifying walks fit the message budget."""
+    when both certifying walks fit the budget."""
     rows = []
     mismatch = False
     for q in sorted(SUPPORTED_Q):
         spec = CodeSpec(FAMILY_HERMITIAN, q, ell)
         d_a = an.distance_formula(FAMILY_AFFINE, ell, q)[0]
         d_h = an.distance_formula(FAMILY_HERMITIAN, ell, q)[0]
-        certified = "no"
-        if all(_within_budget(CodeSpec(family, q, ell))
-               for family in (FAMILY_HERMITIAN, FAMILY_AFFINE)):
+        try:
+            for family in (FAMILY_HERMITIAN, FAMILY_AFFINE):
+                an.require_budget(CodeSpec(family, q, ell))
+        except BudgetExceeded:
+            certified = "no"
+        else:
             cert_h = an.min_distance(build_generator(FAMILY_HERMITIAN, ell, q))
             cert_a = an.min_distance(build_generator(FAMILY_AFFINE, ell, q))
             if cert_h.d == d_h and cert_a.d == d_a:
@@ -254,7 +247,6 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         an.budget_messages()  # a malformed budget variable exits 2 before any command
-        an.budget_pairs()
         return _DISPATCH[args.command](args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -14,8 +14,8 @@ class BudgetExceeded(HermgrassError):
     """An enumeration would exceed its budget, or a code its position limit.
 
     Raised before any work is done, never mid-run: `analysis.require_budget`
-    sizes a code's enumeration from its (family, ell, q) against the budget
-    its HERMGRASS_BUDGET_* variable sets, before the generator is built.
+    sizes a code's enumeration from its (family, ell, q) against the one
+    budget HERMGRASS_BUDGET_MESSAGES sets, before the generator is built.
     """
 
 

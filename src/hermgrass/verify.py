@@ -210,7 +210,7 @@ def check_dual_distances(seed):
     for ell, q in CERTIFIED_PAIRS:
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
         cert = an.dual_min_distance(gen)
-        want = an.dual_distance_formula(ell, q)
+        want = an.dual_distance_formula(q)
         require(cert.d_dual == want, f"(ell={ell}, q={q}): d_dual {cert.d_dual} != {want}")
         require(cert.exhausted_below == cert.d_dual)
         got[(ell, q)] = cert.d_dual

@@ -166,7 +166,6 @@ def test_walk_heads_do_not_call_combine(monkeypatch):
 
 def test_require_budget_sizes_each_enumeration_from_the_spec(monkeypatch):
     monkeypatch.delenv("HERMGRASS_BUDGET_MESSAGES", raising=False)
-    monkeypatch.delenv("HERMGRASS_BUDGET_SUBSETS", raising=False)
     h25, a25 = CodeSpec(FAMILY_HERMITIAN, 5, 2), CodeSpec(FAMILY_AFFINE, 5, 2)
     assert (h25.alphabet, a25.alphabet) == (25, 5)
     assert an.require_budget(h25) == "subfield"
@@ -181,10 +180,10 @@ def test_require_budget_sizes_each_enumeration_from_the_spec(monkeypatch):
     monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", str(5**6 - 1))
     with pytest.raises(BudgetExceeded, match=r"message space 5\^6 = 15625 exceeds budget 15624"):
         an.require_budget(a25)
-    monkeypatch.setenv("HERMGRASS_BUDGET_SUBSETS", str(pairs - 1))
+    monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", str(pairs - 1))
     with pytest.raises(BudgetExceeded, match=f"pair search size {pairs} exceeds budget {pairs - 1}"):
         an.require_budget(h25, "dual")
-    monkeypatch.setenv("HERMGRASS_BUDGET_SUBSETS", "1000")
+    monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "1000")
     with pytest.raises(BudgetExceeded, match=f"pair search size {625 * 624 // 2 * 4} exceeds"):
         an.require_budget(a25, "dual")
 
@@ -203,13 +202,13 @@ def test_require_budget_charges_the_pair_scan_only_from_max_t_3(monkeypatch):
     """t <= 2 is read off the column keys, with no pair scan, so the H3q3
     dual search to max_t = 2 passes the default budget; from max_t = 3 its
     1,549,603,224 pair sums do not."""
-    monkeypatch.delenv("HERMGRASS_BUDGET_SUBSETS", raising=False)
+    monkeypatch.delenv("HERMGRASS_BUDGET_MESSAGES", raising=False)
     h33 = CodeSpec(FAMILY_HERMITIAN, 3, 3)
     for max_t in (1, 2):
         assert an.require_budget(h33, "dual", max_t=max_t) == "dual"
     for max_t in (3, 4):
         with pytest.raises(BudgetExceeded,
-                           match="pair search size 1549603224 exceeds budget 8388608"):
+                           match="pair search size 1549603224 exceeds budget 16777216"):
             an.require_budget(h33, "dual", max_t=max_t)
 
 
@@ -337,7 +336,7 @@ def test_dual_none_found_within_bound():
 
 def test_dual_budget(monkeypatch):
     gen = build_generator(FAMILY_HERMITIAN, 3, 2)
-    monkeypatch.setenv("HERMGRASS_BUDGET_SUBSETS", "1000")
+    monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "1000")
     with pytest.raises(BudgetExceeded):
         an.dual_min_distance(gen)
     # max_t = 2 scans no pairs, so the same budget lets it run

@@ -182,15 +182,16 @@ def test_the_pre_build_size_is_the_stratum(monkeypatch, ell, k, sc):
     then takes from `_stratum`, at every (ell, k) the classifier accepts."""
     sized = []
 
-    def stub(r, count):
-        sized.append((r, count))
+    def stub(size, what):
+        sized.append((size, what))
         raise Sized
 
-    monkeypatch.setattr(an, "_require_messages", stub)
+    monkeypatch.setattr(an, "_require_size", stub)
     with pytest.raises(Sized):
         an.min_weight_by_max_minor(ell, k, 2, self_conjugate_only=sc)
     rows, _, scalars, _ = an._stratum(build_generator(FAMILY_HERMITIAN, ell, 2), k, sc)
-    assert sized == [(len(scalars), len(rows))]
+    r, m = len(scalars), len(rows)
+    assert sized == [(r**m, f"message space {r}^{m} =")]
 
 
 def zeroed_corner(clearing_matrix):

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -119,24 +120,22 @@ def test_mindist_budget_exceeded(capsys):
 
 
 def test_budget_env_override(capsys, monkeypatch):
-    """Each budget is its variable: the H2q2 run fits a budget of exactly
-    its size (4^6 messages; 120 pairs times 3 scalars) and exits 3 below."""
-    for variable, size, argv, result in [
-        ("HERMGRASS_BUDGET_MESSAGES", 4**6,
-         ("mindist", "--q", "2", "--ell", "2", "--method", "exhaustive"), "d = 6"),
-        ("HERMGRASS_BUDGET_SUBSETS", 16 * 15 // 2 * 3,
-         ("dualdist", "--q", "2", "--ell", "2"), "d_dual = 4"),
+    """The one budget variable bounds the walk and the pair scan: each H2q2
+    run fits a budget of exactly its size (4^6 messages; 120 pairs times 3
+    scalars) and exits 3 below."""
+    for size, argv, result in [
+        (4**6, ("mindist", "--q", "2", "--ell", "2", "--method", "exhaustive"), "d = 6"),
+        (16 * 15 // 2 * 3, ("dualdist", "--q", "2", "--ell", "2"), "d_dual = 4"),
     ]:
-        monkeypatch.setenv(variable, str(size))
+        monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", str(size))
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert result in out
-        monkeypatch.setenv(variable, str(size - 1))
+        monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", str(size - 1))
         code, out, err = run(capsys, *argv)
         assert code == 3
         assert out == ""
         assert f"{size} exceeds budget {size - 1}" in err
-        monkeypatch.delenv(variable)
 
 
 def test_mindist_threads(capsys):
@@ -162,16 +161,13 @@ def test_mindist_threads_out_of_range(capsys, monkeypatch, threads):
     ("dualdist", "--q", "2", "--ell", "2"),
 ])
 def test_negative_budget_variable_exits_2_before_the_build(capsys, monkeypatch, argv):
-    """Either variable, malformed, stops either command, whichever budget
-    the command reads."""
+    """The budget variable, malformed, stops either command."""
     monkeypatch.setattr(cli, "build_generator", no_work)
-    for variable in ("HERMGRASS_BUDGET_MESSAGES", "HERMGRASS_BUDGET_SUBSETS"):
-        monkeypatch.setenv(variable, "-1")
-        code, out, err = run(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert f"{variable} must be a non-negative integer, got '-1'" in err
-        monkeypatch.delenv(variable)
+    monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "-1")
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "HERMGRASS_BUDGET_MESSAGES must be a non-negative integer, got '-1'" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -282,9 +278,9 @@ def test_over_budget_exits_3_before_the_build(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("q", ["3", "4"])
 def test_dualdist_to_max_t_2_scans_no_pairs(capsys, monkeypatch, q):
-    """The t <= 2 search is read off the column keys, so the default pair
-    budget, which the full H3q3 and H3q4 scans exceed, does not refuse it."""
-    monkeypatch.delenv("HERMGRASS_BUDGET_SUBSETS", raising=False)
+    """The t <= 2 search is read off the column keys, so the default
+    budget, which the full H3q3 and H3q4 pair scans exceed, does not refuse it."""
+    monkeypatch.delenv("HERMGRASS_BUDGET_MESSAGES", raising=False)
     code, out, err = run(capsys, "dualdist", "--q", q, "--ell", "3", "--max-t", "2")
     assert code == 0
     assert err == ""
@@ -304,11 +300,15 @@ def test_table_certifies_the_cells_within_a_lowered_budget(capsys, monkeypatch):
 
 
 def test_readme_names_the_budget_variables_src_reads():
+    """Every "HERMGRASS_..." string literal in the package, wherever it is
+    read, is a variable the README names, and the README names no other."""
     root = Path(__file__).resolve().parents[1]
     readme = set(re.findall(r"HERMGRASS_\w+", (root / "README.md").read_text()))
-    src = {name for path in (root / "src" / "hermgrass").glob("*.py")
-           for name in re.findall(r'_env_budget\("(HERMGRASS_\w+)"', path.read_text())}
-    assert readme == src == {"HERMGRASS_BUDGET_MESSAGES", "HERMGRASS_BUDGET_SUBSETS"}
+    src = {node.value for path in (root / "src" / "hermgrass").glob("*.py")
+           for node in ast.walk(ast.parse(path.read_text()))
+           if isinstance(node, ast.Constant) and isinstance(node.value, str)
+           and re.fullmatch(r"HERMGRASS_\w+", node.value)}
+    assert readme == src == {"HERMGRASS_BUDGET_MESSAGES"}
 
 
 def test_dualdist(capsys):

@@ -69,6 +69,20 @@ def walk_inputs(cell):
     return tower, list(gen.rows), scalars
 
 
+@pytest.mark.parametrize("radix, k", [(2, 0), (2, 1), (2, 10), (3, 6), (4, 5), (9, 4)])
+def test_gray_steps_visit_every_digit_vector_once(radix, k):
+    """The walk starts at all zeros, each step changes the one digit it
+    names by +-1, and it visits each of the radix^k digit vectors once."""
+    visited = [(0,) * k]
+    for j, old, new, digits in an.gray_steps(radix, k):
+        before = visited[-1]
+        assert [i for i in range(k) if digits[i] != before[i]] == [j]
+        assert (before[j], digits[j]) == (old, new) and abs(new - old) == 1
+        visited.append(tuple(digits))
+    assert len(visited) == radix**k
+    assert set(visited) == set(itertools.product(range(radix), repeat=k))
+
+
 ORACLE_CELLS = ([(FAMILY_HERMITIAN, 2, q, False) for q in (2, 3, 4, 5)]
                 + [(FAMILY_AFFINE, 2, q, True) for q in (2, 3, 4, 5)]
                 + [(FAMILY_HERMITIAN, 2, 3, True)])
