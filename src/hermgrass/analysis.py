@@ -17,13 +17,18 @@ digit 1): a mixed-radix Gray walk over the leading digits adds one scaled
 row per step and weighs a table of every combination of the trailing rows
 against it in one vectorized operation.  Words are packed one way in every
 characteristic, as base-p digits in lanes of w bits (`_additive_form`,
-`_digit_lanes`).  Each scaled row is packed once per walk and the walked
-state is kept negated, and the table is kept XORed with it in place, so a
-weigh flags the lanes where the two differ, does no field arithmetic and
-makes no table-sized temporary.  A step costs about as much as weighing
-TABLE_BYTES more, so the table is as large as that cost makes cheapest.
-That walk (`_walk`), laid out by one plan (`_plan`: the table digits, the
-projective heads, the `--threads` split), is the only enumeration of
+`_digit_lanes`), in one of two layouts: a lane per position, or fiber
+lanes, a word's affine coefficients along its first position digits
+(every minor uses each row of X at most once, so a word is affine in h_00
+and, for the affine family, in the whole first row of X), whose zeros on
+each fiber follow from two flags.  Each scaled row is packed once per walk
+and the walked state is kept negated, and the table is kept XORed with it
+in place, so a weigh flags the lanes where the two differ, does no field
+arithmetic and makes no table-sized temporary.  A step costs about as much
+as weighing TABLE_BYTES more, so the table is as large as that cost makes
+cheapest, and the layout is the one that cost makes cheapest.  That walk
+(`_walk`), laid out by one plan (`_plan`: the layout, the table digits,
+the projective heads, the `--threads` split), is the only enumeration of
 combination weights: the minimum distance, the minimum weights stratified
 by maximal-minor size, the two-weight classification at ell = 2 and the
 ell = 3 det stratum are reductions of it, the classifiers' rows all taken
@@ -53,8 +58,10 @@ is sorted and checked by one helper (`_dual_word`).
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -233,7 +240,7 @@ def _digit_lanes(p):
     return w, add, lambda x, out: np.bitwise_and(np.add(x, nonzero, out=out), top, out=out)
 
 
-def _additive_form(tower, rows, scalars):
+def _additive_form(tower, rows, scalars, fiber=0):
     """(pack, add, weigh) for the words the engine adds and weighs.
 
     pack makes a word a table of one combination, and a walk's table grows
@@ -251,28 +258,80 @@ def _additive_form(tower, rows, scalars):
     T + s is zero exactly where T equals the negated state S in every
     plane, so weigh ORs x = T ^ S over the planes and counts its flagged
     lanes.
+
+    fiber = m > 0 packs on fiber lanes instead.  A fiber is a block of F =
+    q^m consecutive positions, which share every position digit but the
+    first m (the first row of an affine matrix at m = ell, h_00 at m = 1),
+    and x in F_q^m is those digits.  On each fiber a word is b + sum_j a_j
+    x_j, and pack packs its coefficients b = v[x = 0] and a_j = v[x = e_j] -
+    b, n / F of each, as m + 1 word-aligned segments of the same lanes; the
+    map is F_p-linear, so words still add.  Such an affine function has F
+    zeros where a = b = 0, none where only a = 0, and F / q where a is not
+    0, so weigh ORs the a segments into one flag, ORs that with b's flag,
+    and returns F #[a or b] - (F / q) #[a], two counts.  That holds only
+    for values in F_q (scalars times row entries) and rows that b + sum_j
+    a_j x_j rebuilds on every fiber; on any other rows the form raises
+    ValueError, after the first fiber of each row or after all of them.
+    weigh.fiber is m (0 for positions), from which a worker process builds
+    the form again.
     """
-    p, n = tower.p, rows.shape[1]
+    p, q, n = tower.p, tower.q, rows.shape[1]
     w, add, flag = _digit_lanes(p)
     per, place, fp = 64 // w, p ** np.arange(2 * tower.e), tower_for_q(p)
-    values = np.unique(tower.mul_np[np.ix_(scalars, np.flatnonzero(np.bincount(rows.ravel())))])
+    F, segs = q**fiber, fiber + 1
+
+    def coefficients(v):
+        # b = v at x = 0 and a_j = v at x = e_j minus b, on each fiber
+        v = v.reshape(v.shape[:-1] + (-1, F))
+        b = v[..., 0]
+        return np.array([b] + [tower.add_np[v[..., q**j], tower.neg_np[b]] for j in range(fiber)])
+
+    def rebuilt(part):
+        # b + sum_j a_j x_j at every point x of every fiber
+        b, *a = coefficients(part)
+        v = b[..., None]
+        for aj, xj in zip(a, tower.subfield_np[np.arange(F) // q ** np.arange(fiber)[:, None] % q]):
+            v = tower.add_np.take(v.astype(np.intp) * tower.qq + tower.mul_np[:, xj].take(aj, axis=0))
+        return v.reshape(part.shape)
+
+    # a fiber layout checks the first fiber of every row before all of them: most rows that
+    # do not fit fail there
+    for part in (rows[:, :F], rows) if fiber else (rows,):
+        values = np.unique(tower.mul_np[np.ix_(scalars, np.flatnonzero(np.bincount(part.ravel())))])
+        if fiber and (n % F or (tower.subfield_digit_np[values] < 0).any()
+                      or not np.array_equal(rebuilt(part), part)):
+            raise ValueError(f"the rows are not F_q-affine on fibers of {F} positions")
     digits = values[:, None] // place % p
     basis = digits[linalg.rref(fp, digits.T)[1]]  # the values at the pivots of the transpose
     pivots = linalg.rref(fp, basis)[1] or [0]
     # lanes[j, a]: the w bits of pivot digit j of the element a
     lanes = (np.arange(tower.qq) // place[pivots, None] % p)[..., None] >> np.arange(w) & 1
-    lanes, shape = lanes.astype(np.uint8), (len(pivots), -(-n // per), per * w)
+    lanes, shape = lanes.astype(np.uint8), (len(pivots), segs * -(-n // F // per), per * w)
 
     def pack(v):
-        # the per * w <= 64 lane bits of each word fill its 8 bytes, the last zero-padded
+        # the per * w <= 64 lane bits of each word fill its 8 bytes, the last zero-padded; a
+        # fiber word has one word-aligned segment per coefficient
         bits = np.zeros(shape, dtype=np.uint8)
-        bits.reshape(shape[0], -1)[:, :n * w] = lanes.take(v, axis=1).reshape(shape[0], -1)
+        v = coefficients(v) if fiber else v[None]
+        bits.reshape(shape[0], segs, -1)[..., :v.shape[1] * w] = \
+            lanes.take(v, axis=1).reshape(shape[0], segs, -1)
         return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+    def count(x, out):
+        return np.add.reduce(np.bitwise_count(flag(x, out)), axis=0, dtype=np.int32)
 
     def weigh(x, out):
         x = x[0] if len(x) == 1 else np.bitwise_or.reduce(x, axis=0, out=out)
-        return np.add.reduce(np.bitwise_count(flag(x, out)), axis=0, dtype=np.int32)
+        if not fiber:
+            return np.add.reduce(np.bitwise_count(flag(x, out)), axis=0, dtype=np.int32)
+        y, o = x.reshape(segs, -1, x.shape[-1]), out.reshape(segs, -1, x.shape[-1])
+        a = np.bitwise_or.reduce(y[1:], axis=0, out=o[1]) if fiber > 1 else y[1]
+        # F #[a or b] - (F / q) #[a]: a fiber of F points has F / q zeros where a is not 0
+        weights = count(np.bitwise_or(a, y[0], out=o[0]), o[0])
+        weights *= q
+        return np.multiply(np.subtract(weights, count(a, o[1]), out=weights), F // q, out=weights)
 
+    weigh.fiber = fiber  # the layout, from which a worker process builds the form again
     return pack, add, weigh
 
 
@@ -292,23 +351,51 @@ def _plan(tower, rows, scalars, lead, threads=1):
     by ceil(log_r threads) more digits for threads > 1 (which moves no
     step), are dealt round-robin into at most `threads` jobs, longest
     walks first.
+
+    The same cost chooses the form's layout, from sizes alone: positions,
+    or fiber lanes on m digits, for m = 1 (h_00) and m = ell, with ell read
+    off n = q^(ell^2) (the first row of an affine matrix).  A fiber word
+    takes (m + 1) ceil(n / (q^m per)) lane words a plane instead of
+    ceil(n / per), a step weighs a second count, 2 * TABLE_BYTES instead of
+    TABLE_BYTES, and building and checking the layout costs 16 *
+    TABLE_BYTES + 128 k n m once.  A fiber layout is costed only where its
+    words are fewer and that last cost is below the position layout's
+    whole cost, and built only where it costs least; one that does not
+    fit the rows raises, and the next cheapest layout is taken, positions
+    at the latest.
     """
+    k, r, n, q = len(rows), len(scalars), rows.shape[1], tower.q
     form = _additive_form(tower, rows, scalars)
-    k, r = len(rows), len(scalars)
-    row_bytes = form[0](rows[0]).nbytes
+    planes, per = len(form[0](rows[0])), 64 // _digit_lanes(tower.p)[0]
 
-    def heads_at(kt):
-        h = min(lead, k - kt)
-        return [(0,) * i + (1,) for i in range(h)] + [(0,) * h] * (h < lead)
+    def words(m):  # the lane words of a row's plane on m fiber digits (m = 0: positions)
+        return (m + 1) * -(-n // q**m // per)
 
-    def cost(kt):
-        steps = sum(r ** (k - kt - len(head)) for head in heads_at(kt))
-        return (steps + 1) * r**kt * row_bytes + steps * TABLE_BYTES
+    def setup(m):  # building and checking a fiber layout
+        return (m > 0) * (16 * TABLE_BYTES + 128 * k * n * m)
+
+    def layout(m):
+        # (cost, kt, m) of the cheapest table; a fiber layout costs a second count each step
+        row_bytes = 8 * planes * words(m)
+
+        def cost(kt):
+            h = min(lead, k - kt)  # the heads' lengths: 1..h, and h once more when h < lead
+            steps = (r ** (k - kt) - r ** (k - kt - h)) // (r - 1) + (h < lead) * r ** (k - kt - h)
+            return (steps + 1) * r**kt * row_bytes + steps * (1 + (m > 0)) * TABLE_BYTES
+
+        return min((cost(t) + setup(m), t, m)
+                   for t in range(most + 1) if t == 0 or r**t * row_bytes <= 8 * TABLE_BYTES)
 
     most = k if lead == k else k - lead
-    kt = min((t for t in range(most + 1) if t == 0 or r**t * row_bytes <= 8 * TABLE_BYTES),
-             key=cost)
-    heads = heads_at(kt)
+    fibers = {1, math.isqrt(round(math.log(max(n, 1), q)))}
+    layouts = [layout(0)]
+    layouts += [layout(m) for m in fibers if words(m) < words(0) and setup(m) < layouts[0][0]]
+    for _, kt, m in sorted(layouts):
+        with contextlib.suppress(ValueError):  # a fiber that does not fit: the next layout
+            form = _additive_form(tower, rows, scalars, m) if m else form
+            break
+    h = min(lead, k - kt)
+    heads = [(0,) * i + (1,) for i in range(h)] + [(0,) * h] * (h < lead)
     if threads > 1:
         m = next(m for m in itertools.count(1) if r**m >= threads)
         heads = [head + tail for head in heads
@@ -359,10 +446,11 @@ def _walk(tower, rows, scalars, form, kt, heads):
             yield head, walked, weigh(table, out)
 
 
-def _least_weight(tower, rows, scalars, kt, heads, form=None):
+def _least_weight(tower, rows, scalars, kt, heads, form=None, fiber=0):
     """Least (weight, digits) over the nonzero messages `_walk` covers; a
-    worker process, which is passed no form, builds its own."""
-    form = form or _additive_form(tower, rows, scalars)
+    worker process, which is passed no form, builds its own, of the
+    layout on `fiber` digits that the plan chose."""
+    form = form or _additive_form(tower, rows, scalars, fiber)
     best = (rows.shape[1] + 1,)
     for head, walked, weights in _walk(tower, rows, scalars, form, kt, heads):
         if not any(head):
@@ -422,8 +510,8 @@ def min_weight_over_combinations(tower, rows, scalars, *, threads=1, lead=None):
         best = _least_weight(tower, rows, scalars, kt, jobs[0], form)
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-            futures = [pool.submit(_least_weight, tower, rows, scalars, kt, job) for job in jobs]
-            best = min(f.result() for f in futures)
+            walk = functools.partial(_least_weight, tower, rows, scalars, kt, fiber=form[2].fiber)
+            best = min(pool.map(walk, jobs))
     return best[0], best[1], (r**lead - 1) * r ** (k - lead)
 
 

@@ -100,6 +100,29 @@ def test_translation_clearing_fails_closed_under_optimize(run_optimized):
             "{((2, 3), (2, 3)): 1}") in proc.stderr
 
 
+def test_fiber_check_fails_closed_under_optimize(run_optimized):
+    """Generator rows with one entry changed must make the fiber layout
+    raise, and the plan fall back to positions, even under python -O."""
+    script = (
+        "assert False, 'asserts are live'\n"
+        "from hermgrass import analysis as an\n"
+        "from hermgrass.codebuild import build_generator\n"
+        "gen = build_generator('affine', 2, 7)\n"
+        "rows = gen.rows.copy()\n"
+        "rows[3, 100] = gen.tower.add(int(rows[3, 100]), 1)\n"
+        "try:\n"
+        "    an._additive_form(gen.tower, rows, list(gen.scalars), 2)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "print(an._plan(gen.tower, rows, list(gen.scalars), len(rows))[0][2].fiber)\n"
+        "print(an._plan(gen.tower, gen.rows, list(gen.scalars), len(rows))[0][2].fiber)\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["the rows are not F_q-affine on fibers of 49 positions",
+                                        "0", "2"]
+
+
 def test_verify_dual_word():
     gen = build_generator(FAMILY_HERMITIAN, 2, 3)
     cert = an.dual_min_distance(gen)

@@ -1,11 +1,20 @@
-"""The one packed layout of the walk and the dual scan against the field
+"""The packed layouts of the walk and the dual scan against the field
 tables: base-p digits in lanes of w bits (w = 1 at p = 2, bit_length(2(p -
-1)) at odd p), added lane by lane and weighed by flagging nonzero lanes."""
+1)) at odd p), added lane by lane and weighed by flagging nonzero lanes;
+and the fiber lanes, which pack a word as its affine coefficients along
+the first position digits, against the position lanes and the field."""
+
+import concurrent.futures
+import functools
+import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from hermgrass import analysis as an
+from hermgrass.codebuild import (FAMILY_AFFINE, FAMILY_HERMITIAN, build_generator, fq_basis,
+                                 subfield_rows)
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
 
 WIDTH = {2: 1, 3: 3, 5: 4, 7: 4}
@@ -72,3 +81,202 @@ def test_packed_keys_add_in_lanes(q, k):
     add = an._digit_lanes(tower.p)[1]
     assert (key(add(pack(u), pack(v))) == key(pack(tower.add_np[u, v]))).all()
     assert (key(add(pack(u), pack(tower.neg_np[u]))) == key(pack(np.zeros_like(u)))).all()
+
+
+# fiber lanes ------------------------------------------------------------------
+
+# every ell = 2 cell in both families, and (3, 2)
+FIBER_CELLS = [(family, ell, q) for family in (FAMILY_HERMITIAN, FAMILY_AFFINE)
+               for ell, q in [(2, q) for q in sorted(SUPPORTED_Q)] + [(3, 2)]]
+
+
+def cell_id(cell):
+    family, ell, q = cell
+    return f"{family[0].upper()}{ell}q{q}"
+
+
+@functools.cache
+def certifying_rows(family, ell, q):
+    """(tower, rows, scalars, fibers) of the family's certifying walk: the F_q
+    basis rows of the Hermitian code, affine in h_00 (1 fiber digit), or the
+    generator rows of the affine code, affine in its first row (ell digits)
+    and so in x_00 as well."""
+    gen = build_generator(family, ell, q)
+    if family == FAMILY_HERMITIAN:
+        return gen.tower, subfield_rows(gen, fq_basis(ell, q)), list(gen.tower.subfield), (1,)
+    return gen.tower, gen.rows, list(gen.scalars), (ell, 1)
+
+
+def field_sum(tower, rows, scalars, digits):
+    word = np.zeros(rows.shape[1], dtype=np.uint8)
+    for d, row in zip(digits, rows):
+        word = tower.add_np[word, tower.mul_np[scalars[d]][row]]
+    return word
+
+
+@pytest.mark.parametrize("cell", FIBER_CELLS, ids=cell_id)
+def test_fiber_words_add_and_weigh_as_the_field(cell):
+    """Packed on fiber lanes, words of the certifying rows add as the field
+    adds them, and weigh of the table XORed with the negated state counts
+    the nonzero positions of every table word plus the state's word."""
+    tower, rows, scalars, fibers = certifying_rows(*cell)
+    q, n = tower.q, rows.shape[1]
+    rng = np.random.default_rng(n + len(rows))
+    messages = [np.eye(len(rows), dtype=int)[i] for i in range(len(rows))]
+    messages += list(rng.integers(0, q, (40, len(rows))))
+    words = np.array([field_sum(tower, rows, scalars, d) for d in messages], dtype=np.uint8)
+    for m in fibers:
+        pack, add, weigh = an._additive_form(tower, rows, scalars, m)
+        assert weigh.fiber == m
+        per = 64 // WIDTH[tower.p]
+        packed = [pack(v) for v in words]
+        assert packed[0].shape[1:] == ((m + 1) * -(-n // q**m // per), 1)
+        table = np.concatenate(packed, axis=-1)
+        for u in words[rng.permutation(len(words))[:6]]:
+            sums = tower.add_np[words, u]
+            assert np.array_equal(add(table, pack(u)), np.concatenate([pack(s) for s in sums], -1))
+            x = table ^ pack(tower.neg_np[u])
+            before = x.copy()
+            got = weigh(x, np.empty(x.shape[1:], dtype=x.dtype))
+            assert got.tolist() == np.count_nonzero(sums, axis=1).tolist(), m
+            assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("cell", FIBER_CELLS, ids=cell_id)
+def test_fiber_walk_equals_the_position_walk(cell):
+    """The plain walk and the fiber walk of the certifying rows yield the
+    same weights at every Gray state, over every message, at the plan's
+    table digits."""
+    tower, rows, scalars, fibers = certifying_rows(*cell)
+    _, kt, [heads] = an._plan(tower, rows, scalars, len(rows))
+    plain = an._additive_form(tower, rows, scalars)
+    for m in fibers[:1]:
+        fiber = an._additive_form(tower, rows, scalars, m)
+        walks = [an._walk(tower, rows, scalars, form, kt, heads) for form in (plain, fiber)]
+        states = 0
+        for (head, walked, w), (head2, walked2, w2) in zip(*walks):
+            assert (head, walked) == (head2, walked2)
+            assert np.array_equal(w, w2), (head, walked)
+            states += 1
+        assert all(next(walk, None) is None for walk in walks)
+        assert states * len(scalars) ** kt >= (len(scalars) ** len(rows) - 1) // (len(scalars) - 1)
+
+
+# (family, ell, q) -> the plan's fiber digits for the certifying walk, 0 for
+# positions: the fiber wins from q = 7 and at A3q2; positions keep q <= 5
+# and H3q2, where the fiber's build, check and second count cost more than
+# its smaller words save
+PLAN_FIBER = {**{(FAMILY_HERMITIAN, 2, q): int(q >= 7) for q in SUPPORTED_Q},
+              **{(FAMILY_AFFINE, 2, q): 2 * (q >= 7) for q in SUPPORTED_Q},
+              (FAMILY_HERMITIAN, 3, 2): 0, (FAMILY_AFFINE, 3, 2): 3}
+
+
+@pytest.mark.parametrize("cell", sorted(PLAN_FIBER), ids=cell_id)
+def test_plan_chooses_the_layout_by_its_cost(cell):
+    tower, rows, scalars, _ = certifying_rows(*cell)
+    form, kt, _ = an._plan(tower, rows, scalars, len(rows))
+    assert form[2].fiber == PLAN_FIBER[cell]
+
+
+def recording_forms():
+    """A stand-in for `_additive_form` that records (fiber, outcome, thread)
+    of every call."""
+    calls, build = [], an._additive_form
+
+    def record(tower, rows, scalars, fiber=0):
+        try:
+            form = build(tower, rows, scalars, fiber)
+        except ValueError:
+            calls.append((fiber, "refused", threading.get_ident()))
+            raise
+        calls.append((fiber, "built", threading.get_ident()))
+        return form
+
+    return calls, record
+
+
+def position_walk(tower, rows, scalars, lead):
+    """The least (weight, digits) of the walk on position lanes, whatever
+    the plan would choose."""
+    _, kt, [heads] = an._plan(tower, rows, scalars, lead)
+    return an._least_weight(tower, rows, scalars, kt, heads, an._additive_form(tower, rows, scalars))
+
+
+def changed_entry(tower, rows, at):
+    """rows with the entry of row 3 at position `at` moved to another F_q value."""
+    rows = rows.copy()
+    sub = tower.subfield_np
+    rows[3, at] = sub[(np.flatnonzero(sub == rows[3, at])[0] + 1) % len(sub)]
+    return rows
+
+
+def fail_closed_cases():
+    """(name, tower, rows, scalars, lead) of walks a fiber layout does not fit."""
+    tower, rows, scalars, _ = certifying_rows(FAMILY_AFFINE, 2, 7)
+    rng = np.random.default_rng(7)
+    yield "random F_q rows", tower, rng.choice(tower.subfield_np, rows.shape), scalars, len(rows)
+    for at in (5, rows.shape[1] - 1):  # in the first fiber, and in the last
+        yield f"A2q7 generator rows, entry {at} changed", tower, changed_entry(tower, rows, at), \
+            scalars, len(rows)
+    tower, rows, scalars, _ = certifying_rows(FAMILY_HERMITIAN, 2, 7)
+    yield "H2q7 F_q basis rows, entry 9 changed", tower, changed_entry(tower, rows, 9), \
+        scalars, len(rows)
+    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
+    yield "H2q3x", gen.tower, gen.rows, list(gen.scalars), len(gen.rows)
+    for k, q in [(2, 2), (1, 2), (0, 2), (2, 3)]:
+        gen = build_generator(FAMILY_HERMITIAN, 2, q)
+        rows, _, scalars, lead = an._stratum(gen, k, False)
+        yield f"stratum (2, {k}, {q}) over F_q^2", gen.tower, rows, list(scalars), lead
+
+
+# what the position walk gave these cases before the fiber layout existed
+FAIL_CLOSED_RESULTS = {
+    "H2q3x": (51, (0, 0, 1, 1, 0, 1), 531440),
+    "stratum (2, 2, 2) over F_q^2": (6, (1, 0, 0, 1, 1, 0), 3072),
+    "stratum (2, 1, 2) over F_q^2": (8, (0, 0, 0, 1, 0), 1020),
+    "stratum (2, 0, 2) over F_q^2": (16, (1,), 3),
+    "stratum (2, 2, 3) over F_q^2": (51, (1, 0, 0, 1, 1, 0), 472392),
+}
+
+
+@pytest.mark.parametrize("case", list(fail_closed_cases()), ids=lambda case: case[0])
+def test_a_fiber_that_does_not_fit_falls_back_to_positions(case):
+    """Rows that are not F_q-affine on a fiber, or values outside F_q: the
+    fiber form raises ValueError, the plan walks positions, and the walk
+    gives what the position walk gives."""
+    name, tower, rows, scalars, lead = case
+    n, q = rows.shape[1], tower.q
+    for m in (1, 2):
+        with pytest.raises(ValueError, match="not F_q-affine"):
+            an._additive_form(tower, rows, scalars, m)
+    calls, record = recording_forms()
+    with mock.patch.object(an, "_additive_form", record):
+        form, kt, _ = an._plan(tower, rows, scalars, lead)
+        got = an.min_weight_over_combinations(tower, rows, scalars, lead=lead)
+    assert form[2].fiber == 0 and form[0](rows[0]).shape[1] == -(-n // (64 // WIDTH[tower.p]))
+    assert all(status == "refused" for fiber, status, _ in calls if fiber)
+    if q >= 7:  # the cost model prefers a fiber here, so the plan tried one and fell back
+        assert any(fiber for fiber, _, _ in calls)
+    r, k = len(scalars), len(rows)
+    assert got == position_walk(tower, rows, scalars, lead) + ((r**lead - 1) * r ** (k - lead),)
+    assert got == FAIL_CLOSED_RESULTS.get(name, got)
+
+
+@pytest.mark.parametrize("family", [FAMILY_AFFINE, FAMILY_HERMITIAN])
+def test_workers_walk_the_plans_layout(family):
+    """threads=2 gives the certificate of threads=1 at q = 7, where the plan
+    takes fiber lanes; with the process pool swapped for threads, every
+    job builds its form on the plan's fiber digits."""
+    tower, rows, scalars, _ = certifying_rows(family, 2, 7)
+    one = an.min_weight_over_combinations(tower, rows, scalars, threads=1)
+    assert an.min_weight_over_combinations(tower, rows, scalars, threads=2) == one
+    form, _, jobs = an._plan(tower, rows, scalars, len(rows), threads=2)
+    assert form[2].fiber > 0 and len(jobs) == 2
+    calls, record = recording_forms()
+    with mock.patch.object(an, "_additive_form", record), \
+            mock.patch.object(an.concurrent.futures, "ProcessPoolExecutor",
+                              concurrent.futures.ThreadPoolExecutor):
+        assert an.min_weight_over_combinations(tower, rows, scalars, threads=2) == one
+    main = threading.get_ident()
+    workers = [(fiber, status) for fiber, status, thread in calls if thread != main]
+    assert workers == [(form[2].fiber, "built")] * len(jobs)
