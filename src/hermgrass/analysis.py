@@ -46,13 +46,16 @@ classifiers, which enumerate every message they report on.
 
 Dual distance works on the generator's columns as arrays of packed keys
 (`_packer`), exact at any width: t = 1 and t = 2 are read off the keys of
-the columns' projective normal forms.  The pair sums col_i + a col_j are
-then scanned in blocks of rows (`_pair_blocks`).  A sum rules in t = 3
-when its raw key, the lane sum of two precomputed keys, is among the
-sorted keys of the multiples lam col_m, so t = 3 is tested without
-normalizing.  Sums are brought to normal forms only until the first
-repeated form, the t = 4 word.  Every dual word, searched or constructed,
-is sorted and checked by one helper (`_dual_word`).
+the columns' projective normal forms.  One table holds every multiple
+a col_m over the alphabet's nonzero scalars, packed once; its keys,
+sorted, are the t = 3 members, and its words are the scan's addends.  The
+pair sums col_i + a col_j are then scanned in blocks of rows
+(`_pair_blocks`), each one rectangle of sums whose pairs j <= i are
+blanked, which leaves the rest in scan order.  A sum rules in t = 3 when
+its raw key, the lane sum of two table words, is a member, so t = 3 is
+tested without normalizing.  Sums are brought to normal forms only until
+the first repeated form, the t = 4 word.  Every dual word, searched or
+constructed, is sorted and checked by one helper (`_dual_word`).
 """
 
 from __future__ import annotations
@@ -709,7 +712,9 @@ def _pair_blocks(n, r):
     """(i0, i1) for each block of rows i0 <= i < i1 of the pair scan over n
     columns and r scalars: the first block is one row and each next one
     twice as many, up to TABLE_BYTES // (n r) rows, or one row when that
-    is none, so a block holds at most TABLE_BYTES pair sums or one row's."""
+    is none.  The scan takes a block as one rectangle, its rows by the
+    columns i0 < j < n, so it holds at most TABLE_BYTES sums, or one
+    row's, those with j <= i blanked."""
     most = max(1, TABLE_BYTES // (n * r))
     i0, rows = 0, 1
     while i0 < n - 1:
@@ -727,12 +732,16 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
     alphabet.  Vectors are compared by their packed keys (`_packer`): t = 1
     is a zero column and t = 2 the first column whose projective normal
     form an earlier column has.  The pair sums col_i + a col_j are scanned
-    in (i, j, a) order, in blocks of rows i (`_pair_blocks`).  t = 3 is the
-    first sum whose raw key is the key of a multiple lam col_m (its
-    coefficient is -lam); t = 4 is the first sum whose normal form an
-    earlier sum has, with the first such earlier sum.  Sums are brought to
-    normal forms only until that repeat; after it a block is only tested
-    for t = 3.
+    in (i, j, a) order, in blocks of rows i (`_pair_blocks`), a block as
+    one rectangle, rows i0 <= i < i1 by columns i0 < j < n, whose pairs
+    j <= i take the zero vector's key, neither a sum nor a member once
+    t <= 2 is ruled out; the rest are in scan order.  t = 3 is the first
+    sum whose raw key is the key of a multiple lam col_m, lam in the
+    alphabet (its coefficient is -lam): an F_q-valued sum is only ever an
+    F_q multiple of an F_q column.  t = 4 is the first sum i < j whose
+    normal form an earlier sum has, with the first such earlier sum.  Sums
+    are brought to normal forms only until that repeat; after it a block
+    is only tested for t = 3.
     """
     if not 1 <= max_t <= 4:
         raise ValueError("max_t must be in 1..4")
@@ -769,51 +778,39 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
         raise NoneFoundWithinBound(2)
 
     # t = 3 and t = 4: col_i + a col_j, never zero since t = 2 is ruled out.
-    # A sum is named by its rank (i n + j) r + (index of a) in the scan.
+    # A sum is named by its rank (i n + j) r + s in the scan, a = nonzero[s].
     r = len(nonzero)
-    scaled = tower.mul_np[:, cols]  # scaled[lam, m] = lam col_m
+    scaled = tower.mul_np[nonzero[:, None], cols[:, None]]  # scaled[m, s] = nonzero[s] col_m
     words = pack(scaled)
-    members = key(words[1:]).reshape(-1)
+    members = key(words).reshape(-1)
     order = np.argsort(members)
     members = members[order]
+    # the zero vector's key: neither a multiple of a column nor a pair sum
+    blank = key(np.zeros(words.shape[-1:], np.uint64))
     t4, seen, seen_at = None, keys[:0], np.arange(0)
 
-    def ranks(I, J):
-        return ((I * n + J)[..., None] * r + np.arange(r)).reshape(-1)
-
     def pair_sum(rank):
-        (i, j), a = divmod(rank // r, n), int(nonzero[rank % r])
-        return int(i), int(j), a, tower.add_np[cols[i], scaled[a, j]]
+        (i, j), s = divmod(rank // r, n), rank % r
+        return int(i), int(j), int(nonzero[s]), tower.add_np[cols[i], scaled[j, s]]
 
-    # the multiples a col_j the scan adds, contiguous along j
-    scan_scaled = scaled[nonzero].swapaxes(0, 1).copy()
-    scan_words = words[nonzero].swapaxes(0, 1).copy()
     for i0, i1 in _pair_blocks(n, r):
-        # the block's pairs with j < i1 (none in a block of one row), then
-        # those with j >= i1: each part is in scan order, and the two
-        # interleave row by row
-        parts = [(np.arange(i0, i1)[:, None], np.arange(i1, n))]
-        if i1 - i0 > 1:
-            within = np.triu_indices(i1 - i0, 1)
-            parts.insert(0, (within[0] + i0, within[1] + i0))
-        normalize = max_t == 4 and t4 is None
-        hits, normal = [], []
-        for I, J in parts:
-            hit = _first_member(key(add(words[1, I][..., None, :], scan_words[J])).reshape(-1),
-                                members)
-            if hit is not None:
-                hits.append((int(ranks(I, J)[hit[0]]), int(order[hit[1]])))
-            elif normalize and not hits:
-                sums = tower.add_np[cols[I][..., None, :], scan_scaled[J]]
-                normal.append((key(pack(_normal_forms(tower, sums)[0])).reshape(-1), ranks(I, J)))
-        if hits:
-            rank, multiple = min(hits)
-            (lam, m), (i, j, a, _) = divmod(multiple, n), pair_sum(rank)
-            return finish(3, (i, j, m), (1, a, neg(lam + 1)))
-        if normalize:
-            normal, at = map(np.concatenate, zip(*normal))
-            by_rank = np.argsort(at)
-            t4, seen, seen_at = _first_repeat(normal[by_rank], at[by_rank], seen, seen_at)
+        # rows [i0, i1) by columns (i0, n), nonzero[0] = 1: with the pairs
+        # j <= i blanked, the rest are in scan order
+        block = key(add(words[i0:i1, None, :1], words[None, i0 + 1:]))
+        for row in range(1, i1 - i0):
+            block[row, :row] = blank
+        hit = _first_member(block.reshape(-1), members)
+        if hit is not None:
+            i, j, s = map(int, np.unravel_index(hit[0], block.shape))
+            m, lam = divmod(int(order[hit[1]]), r)
+            return finish(3, (i0 + i, i0 + 1 + j, m), (1, int(nonzero[s]), neg(int(nonzero[lam]))))
+        if max_t == 4 and t4 is None:
+            I, J = np.arange(i0, i1)[:, None], np.arange(i0 + 1, n)
+            upper = I < J
+            sums = tower.add_np[cols[i0:i1, None, None], scaled[i0 + 1:]][upper]
+            forms = _normal_forms(tower, sums)[0]
+            at = ((I * n + J)[upper][:, None] * r + np.arange(r)).reshape(-1)
+            t4, seen, seen_at = _first_repeat(key(pack(forms)).reshape(-1), at, seen, seen_at)
     if t4 is None:
         raise NoneFoundWithinBound(max_t)
     (i, j, a, s), (i2, j2, a2, s2) = map(pair_sum, t4)
@@ -877,10 +874,9 @@ def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
     return _translates_word(gen, H, [np.zeros_like(M1), M1, M2, tower.add_np[M1, M2]], (1, 1, 1, 1))
 
 
-def dual_support_families(gen: GeneratorMatrix, count: int = 50,
-                          seed: int = DEFAULT_SEED) -> list:
-    """Randomized verified minimum-weight dual codewords: the three-matrix
-    family for q > 2, the four-matrix family for q = 2."""
+def dual_support_families(gen: GeneratorMatrix, seed: int = DEFAULT_SEED) -> list:
+    """50 randomized verified minimum-weight dual codewords: the
+    three-matrix family for q > 2, the four-matrix family for q = 2."""
     import random
 
     tower = gen.tower
@@ -888,7 +884,7 @@ def dual_support_families(gen: GeneratorMatrix, count: int = 50,
     q = gen.spec.q
     rng = random.Random(seed)
     out = []
-    for _ in range(count):
+    for _ in range(50):
         H = decode(tower, ell, FAMILY_HERMITIAN, rng.randrange(q ** (ell * ell)))
         if q == 2:
             while True:

@@ -221,7 +221,7 @@ def check_dual_support_families(seed):
     counts = {}
     for ell, q in ((2, 2), (2, 3), (3, 2)):
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
-        words = an.dual_support_families(gen, count=50, seed=seed)
+        words = an.dual_support_families(gen, seed=seed)
         counts[(ell, q)] = len(words)
     return f"orthogonality-verified families: {counts}"
 

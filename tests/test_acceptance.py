@@ -127,7 +127,7 @@ def test_criterion_06_dual_distances():
 def test_criterion_07_dual_support_families():
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
-        words = an.dual_support_families(gen, count=50, seed=an.DEFAULT_SEED)
+        words = an.dual_support_families(gen, seed=an.DEFAULT_SEED)
         assert len(words) == 50
         t = gen.tower
         for positions, coeffs in words:

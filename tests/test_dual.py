@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from hermgrass import analysis as an
-from hermgrass.codebuild import FAMILY_HERMITIAN, CodeSpec, GeneratorMatrix, build_generator
+from hermgrass.codebuild import (
+    FAMILY_AFFINE,
+    FAMILY_HERMITIAN,
+    CodeSpec,
+    GeneratorMatrix,
+    build_generator,
+)
 from hermgrass.errors import NoneFoundWithinBound
 from hermgrass.galois import tower_for_q
 
@@ -155,39 +161,50 @@ def test_dual_search_pinned_l3_q2():
 # the pair scan in blocks ------------------------------------------------------
 
 
+def code_scalars(spec, tower):
+    """The code's scalars, 0 and 1 first: F_{q^2} or, affine, F_q."""
+    if spec.family == FAMILY_HERMITIAN:
+        return np.arange(tower.qq, dtype=np.uint8)
+    return tower.subfield_np
+
+
 def planted_generator(spec, triples, seed):
-    """A generator of `spec`'s shape whose dependencies of t <= 3 are the
-    planted col_m = lam (col_i + a col_j), one for each (i, j, a, m, lam)
-    of `triples` (i < j < m), and no others: every other column is drawn
-    off the span of every two columns before it, and a planted column
-    must lie in no span but that of its (i, j).  The first pair sum of
-    such a triple that is a multiple of a column is col_i + a col_j
-    = lam^-1 col_m."""
+    """A generator of `spec`'s shape, its columns over the code's alphabet,
+    whose dependencies of t <= 3 over the alphabet are the planted col_m =
+    lam (col_i + a col_j), one for each (i, j, a, m, lam) of `triples`
+    (i < j < m), and no others: every other column is drawn off the span
+    of every two columns before it (drawing again from the start when no
+    vector is left), and a planted column must lie in no span but that of
+    its (i, j).  The first pair sum of such a triple that is a multiple of
+    a column is col_i + a col_j = lam^-1 col_m."""
     tower = tower_for_q(spec.q)
-    k, qq = spec.k, tower.qq
+    k, scalars = spec.k, code_scalars(spec, tower)
+    digit = np.zeros(tower.qq, dtype=int)  # an alphabet entry's place among the scalars
+    digit[scalars] = np.arange(len(scalars))
     rng = np.random.default_rng(seed)
-    scalars = np.arange(1, qq)
-    place = qq ** np.arange(k)
+    place = len(scalars) ** np.arange(k)
     planted = {m: (i, j, a, lam) for i, j, a, m, lam in triples}
     while True:
-        spans = np.zeros(qq**k, dtype=int)  # ways to be a multiple or in a span
+        spans = np.zeros(len(scalars) ** k, dtype=int)  # ways to be a multiple or in a span
         spans[0] = 1
         cols = []
         for c in range(spec.n):
             if c in planted:
                 i, j, a, lam = planted[c]
                 v = tower.mul_np[lam, tower.add_np[cols[i], tower.mul_np[a, cols[j]]]]
-                if spans[v @ place] != 1:
+                if spans[digit[v] @ place] != 1:
                     break
             else:
-                v = rng.integers(0, qq, size=k, dtype=np.uint8)
-                while spans[v @ place]:
-                    v = rng.integers(0, qq, size=k, dtype=np.uint8)
-            multiples = tower.mul_np[scalars[:, None], v]
-            spans[multiples @ place] += 1
+                if spans.all():
+                    break
+                v = scalars[rng.integers(0, len(scalars), size=k, dtype=np.uint8)]
+                while spans[digit[v] @ place]:
+                    v = scalars[rng.integers(0, len(scalars), size=k, dtype=np.uint8)]
+            multiples = tower.mul_np[scalars[1:, None], v]
+            spans[digit[multiples] @ place] += 1
             for w in cols:
-                sums = tower.add_np[multiples[:, None], tower.mul_np[scalars[:, None], w][None]]
-                np.add.at(spans, sums.reshape(-1, k) @ place, 1)
+                sums = tower.add_np[multiples[:, None], tower.mul_np[scalars[1:, None], w][None]]
+                np.add.at(spans, digit[sums.reshape(-1, k)] @ place, 1)
             cols.append(v)
         else:
             return GeneratorMatrix(spec, tower, np.ascontiguousarray(np.stack(cols, axis=1)))
@@ -197,16 +214,27 @@ def planted_at_block_edges(spec, table_bytes):
     """Planted generators whose first t = 3 sum is the first sum of a block,
     (i0, i0 + 1, 1), or the last sum of a block that can be one: a first
     sum col_i + a col_j with col_m in its span has j < m <= n - 1, so that
-    is (min(i1 - 1, n - 3), n - 2, the last scalar)."""
+    is (min(i1 - 1, n - 3), n - 2, the last scalar).  In a block of three
+    or more rows, also the first and the last pair within its rows,
+    (i0 + 1, i0 + 2, 1) and (i1 - 2, i1 - 1, the last scalar), where the
+    scan's rectangle blanks the pairs j <= i before them; each comes with
+    a decoy at the next pair, col_i + col_(j+1) = col_(n-2), where there is
+    room for one, so that a scan which also blanked (i, j) would return
+    the decoy, not the same word found later at (i, n - 1)."""
     n, r = spec.n, spec.alphabet - 1
+    last = int(code_scalars(spec, tower_for_q(spec.q))[-1])
     with mock.patch.object(an, "TABLE_BYTES", table_bytes):
         blocks = list(an._pair_blocks(n, r))
     for b in sorted({0, 1, 2, len(blocks) // 2, len(blocks) - 2, len(blocks) - 1}):
         i0, i1 = blocks[b]
-        targets = [(i0, i0 + 1, 1), (min(i1 - 1, n - 3), n - 2, r)]
-        for i, j, a in targets:
+        edges = [(i0, i0 + 1, 1), (min(i1 - 1, n - 3), n - 2, last)]
+        inner = [(i0 + 1, i0 + 2, 1), (i1 - 2, i1 - 1, last)] if i1 - i0 >= 3 else []
+        for i, j, a in dict.fromkeys(edges + inner):
             if j < n - 1:
-                yield (i, j, n - 1), planted_generator(spec, [(i, j, a, n - 1, 1)], seed=b)
+                triples = [(i, j, a, n - 1, 1)]
+                if (i, j, a) in inner and j + 1 < n - 2:
+                    triples.append((i, j + 1, 1, n - 2, 1))
+                yield (i, j, n - 1), planted_generator(spec, triples, seed=b)
 
 
 def block_of(row, blocks):
@@ -236,12 +264,17 @@ def test_dual_search_matches_oracle_across_blocks(table_bytes):
     assert True in partners
 
 
-@pytest.mark.parametrize("q,table_bytes", [(2, 100), (3, 2000)])
-def test_dual_search_finds_the_planted_word_at_block_edges(q, table_bytes):
+@pytest.mark.parametrize("family,q,table_bytes", [
+    (FAMILY_HERMITIAN, 2, 100), (FAMILY_HERMITIAN, 3, 2000),
+    (FAMILY_HERMITIAN, 2, 300), (FAMILY_AFFINE, 2, 100)],
+    ids=["2-100", "3-2000", "2-300", "affine-2-100"])
+def test_dual_search_finds_the_planted_word_at_block_edges(family, q, table_bytes):
     """A t = 3 word planted at the first and at the last sum of blocks of
-    up to two (H2q2) and three (H2q3) rows, the last two blocks included,
-    is the certificate, as the oracle finds it."""
-    spec = CodeSpec(FAMILY_HERMITIAN, q, 2)
+    up to two (H2q2 at 100), three (H2q3) and six rows (H2q2 at 300, and
+    the affine A2q2, F_2 columns), the last two blocks included, and
+    within the rows of the blocks of three or more, is the certificate, as
+    the oracle finds it."""
+    spec = CodeSpec(family, q, 2)
     planted = list(planted_at_block_edges(spec, table_bytes))
     assert len(planted) >= 10
     with mock.patch.object(an, "TABLE_BYTES", table_bytes):
@@ -254,7 +287,7 @@ def test_dual_search_finds_the_planted_word_at_block_edges(q, table_bytes):
 @pytest.mark.parametrize("q,k", [(2, 6), (3, 20), (4, 20), (8, 70), (9, 70)])
 def test_packed_keys_are_exact(q, k):
     """Keys of packed vectors, however many words wide (k = 70 at q^2 = 81
-    takes eight), are equal exactly when the vectors are, and the keys of
+    takes fourteen), are equal exactly when the vectors are, and the keys of
     their normal forms exactly when the vectors are proportional; in
     characteristic 2 the words of a sum are the XOR of the words."""
     tower = tower_for_q(q)
@@ -294,3 +327,54 @@ def test_dual_search_tests_every_multiple(q):
         cert = an.dual_min_distance(gen, max_t=3)
         assert (cert.columns, cert.coefficients) == ((0, 1, n - 1), (1, 1, tower.neg(lam)))
         assert_matches_oracle(gen)
+
+
+def distinct_keys(q, k, count):
+    """Keys of `count` distinct random vectors of length k over F_{q^2},
+    uint64 at (2, 6) and a raw byte string of several words at (9, 70)."""
+    tower = tower_for_q(q)
+    pack, key = an._packer(tower, k)
+    vecs = np.random.default_rng(q).integers(0, tower.qq, size=(count, k), dtype=np.uint8)
+    vecs = np.unique(vecs, axis=0)
+    assert len(vecs) == count
+    keys = key(pack(vecs))
+    assert (keys.dtype == np.uint64) == (q == 2)
+    return keys
+
+
+@pytest.mark.parametrize("q,k", [(2, 6), (9, 70)])
+def test_first_member_is_the_first_in_array_order(q, k):
+    """`_first_member` returns the first member in array order, with its
+    place among the sorted members, wherever it lies, and None without
+    one."""
+    keys = distinct_keys(q, k, 40)
+    members, others = np.sort(keys[:10]), keys[10:]
+    assert an._first_member(others, members) is None
+    cases = {7: [(7, 3), (12, 0), (20, 3)], 0: [(0, 5), (29, 6)], 29: [(29, 9)]}
+    for first, planted in cases.items():
+        probe = others.copy()
+        for at, member in planted:
+            probe[at] = keys[member]
+        s, i = an._first_member(probe, members)
+        assert s == first and members[i] == probe[s]
+
+
+@pytest.mark.parametrize("q,k", [(2, 6), (9, 70)])
+def test_first_repeat_names_the_first_repeat_and_its_partner(q, k):
+    """`_first_repeat` returns the first key that occurred before, inside
+    the batch or among `seen`, at its position with its first position;
+    when nothing repeats, the keys are merged into `seen` in order, each
+    beside its first position."""
+    keys = distinct_keys(q, k, 6)
+    seen = np.sort(keys[4:])  # keys[4] first at 2, keys[5] at 5
+    seen_at = np.where(seen == keys[4], 2, 5)
+    at = np.arange(10, 15)
+    nothing = keys[:0], np.arange(0)
+    assert an._first_repeat(keys[[0, 1, 2, 1, 0]], at, *nothing)[0] == (13, 11)
+    assert an._first_repeat(keys[[2, 5, 2, 4, 3]], at, seen, seen_at)[0] == (11, 5)
+    assert an._first_repeat(keys[[2, 2, 5, 3, 0]], at, seen, seen_at)[0] == (11, 10)
+    repeat, merged, merged_at = an._first_repeat(keys[[2, 0, 3]], at[:3], seen, seen_at)
+    assert repeat is None
+    first_at = {0: 11, 2: 10, 3: 12, 4: 2, 5: 5}
+    assert (merged == np.sort(keys[list(first_at)])).all()
+    assert merged_at.tolist() == [first_at[int(np.flatnonzero(keys == m)[0])] for m in merged]
