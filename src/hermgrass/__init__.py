@@ -4,9 +4,7 @@ counting and classification facts behind them."""
 
 from .analysis import (
     DistanceCertificate,
-    DualDistanceCertificate,
     distance_formula,
-    dual_min_distance,
     min_distance,
     min_distance_exhaustive,
     min_distance_formula,
@@ -22,6 +20,7 @@ from .codebuild import (
     read_generator,
     write_generator,
 )
+from .dual import DualDistanceCertificate, dual_min_distance
 from .galois import FieldTower, make_field, tower_for_q
 from .hermitian import count_invertible
 

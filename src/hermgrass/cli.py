@@ -4,7 +4,7 @@ suites, and emit the parameter tables.
 Exit codes: 0 pass, 1 verification mismatch, 2 usage error or an output
 file that cannot be written (found when it is written, after the work), 3
 budget exceeded.  The one budget is read from HERMGRASS_BUDGET_MESSAGES
-only, and a malformed value exits 2 up front.  `analysis.require_budget`
+only, and a malformed value exits 2 up front.  `walk.require_budget`
 decides whether a command's enumeration may start: one that does not
 apply to the family exits 2, and one whose size, read off (family, ell,
 q), exceeds the budget exits 3, both before any generator is built.
@@ -28,9 +28,11 @@ from .codebuild import (
     read_generator,
     write_generator,
 )
+from .dual import DEFAULT_SEED
 from .errors import BudgetExceeded, NoneFoundWithinBound
 from .galois import SUPPORTED_Q
 from .hermitian import decode
+from .walk import budget_messages, require_budget
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -76,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run an invariant suite")
     sp.add_argument("--suite", choices=(*verify_mod.SUITES, "all"), default="all")
-    sp.add_argument("--seed", type=int, default=an.DEFAULT_SEED)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--format", choices=("text", "tree"), default="text")
     sp.add_argument("--out", default=None)
 
@@ -130,7 +132,7 @@ def cmd_mindist(args) -> int:
     if args.method == "formula":
         cert = an.min_distance_formula(args.family, args.ell, args.q)
     else:
-        an.require_budget(CodeSpec(args.family, args.q, args.ell), args.method)
+        require_budget(CodeSpec(args.family, args.q, args.ell), args.method)
         gen = build_generator(args.family, args.ell, args.q)
         cert = an.min_distance(gen, args.method, threads=args.threads)
     report = cert.as_dict()
@@ -145,7 +147,7 @@ def cmd_mindist(args) -> int:
 
 
 def cmd_dualdist(args) -> int:
-    an.require_budget(CodeSpec(FAMILY_HERMITIAN, args.q, args.ell), "dual", args.max_t)
+    require_budget(CodeSpec(FAMILY_HERMITIAN, args.q, args.ell), "dual", args.max_t)
     gen = build_generator(FAMILY_HERMITIAN, args.ell, args.q)
     try:
         cert = an.dual_min_distance(gen, max_t=args.max_t)
@@ -199,7 +201,7 @@ def _table_rows(ell: int):
         d_h = an.distance_formula(FAMILY_HERMITIAN, ell, q)[0]
         try:
             for family in (FAMILY_HERMITIAN, FAMILY_AFFINE):
-                an.require_budget(CodeSpec(family, q, ell))
+                require_budget(CodeSpec(family, q, ell))
         except BudgetExceeded:
             certified = "no"
         else:
@@ -246,7 +248,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        an.budget_messages()  # a malformed budget variable exits 2 before any command
+        budget_messages()  # a malformed budget variable exits 2 before any command
         return _DISPATCH[args.command](args)
     except BudgetExceeded as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

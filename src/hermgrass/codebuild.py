@@ -79,6 +79,11 @@ class CodeSpec:
             f"ell={self.ell} k={self.k} n={self.n} modulus={modulus}"
         )
 
+    @property
+    def fields(self) -> dict:
+        """The code a certificate is about, its first fields."""
+        return {"family": self.family, "q": self.q, "ell": self.ell, "n": self.n, "k": self.k}
+
 
 def position_entries(tower: FieldTower, ell: int, family: str):
     """The matrices at all positions at once: E[i, j, t] = entry (i, j) of
@@ -207,6 +212,14 @@ class GeneratorMatrix:
             raise ValueError("perm is not a permutation of the n positions")
         return self.coefficients_of(self.rows[:, perm])
 
+    @functools.cached_property
+    def subfield_basis(self) -> tuple:
+        """(combos, rows): the F_q basis of the Hermitian code (`fq_basis`)
+        and its read-only codewords, checked by `subfield_rows` once, on
+        first use, and kept."""
+        combos = tuple(fq_basis(self.spec.ell, self.spec.q))
+        return combos, subfield_rows(self, combos)
+
 
 @functools.cache
 def build_generator(family: str, ell: int, q: int) -> GeneratorMatrix:
@@ -258,7 +271,8 @@ def fq_basis(ell: int, q: int) -> list:
 
 
 def subfield_rows(gen: GeneratorMatrix, combos) -> np.ndarray:
-    """The codewords of `combos`, required F_q-valued and of rank k.
+    """The codewords of `combos`, read-only, required F_q-valued and of
+    rank k.
 
     Evaluation is injective (the generator's rank check), so the codewords
     span the code exactly when their k-entry messages have rank k; the rank
@@ -270,6 +284,7 @@ def subfield_rows(gen: GeneratorMatrix, combos) -> np.ndarray:
             "F_q basis row takes values outside the subfield")
     require(linalg.rank(gen.tower, messages) == gen.spec.k,
             f"F_q basis rows do not have rank k = {gen.spec.k}")
+    rows.setflags(write=False)
     return rows
 
 

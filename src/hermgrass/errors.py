@@ -13,7 +13,7 @@ class HermgrassError(Exception):
 class BudgetExceeded(HermgrassError):
     """An enumeration would exceed its budget, or a code its position limit.
 
-    Raised before any work is done, never mid-run: `analysis.require_budget`
+    Raised before any work is done, never mid-run: `walk.require_budget`
     sizes a code's enumeration from its (family, ell, q) against the one
     budget HERMGRASS_BUDGET_MESSAGES sets, before the generator is built.
     """

@@ -33,10 +33,10 @@ import numpy as np
 # digit planes of one position chunk of a stacked `combine` (here), the
 # int64 positions of one chunk of a whole position space
 # (`hermitian.CHUNK`), the bytes of the table of trailing-row combinations
-# a walk step weighs (`analysis._plan`), and the pair sums of one block of
-# the dual scan (`analysis._pair_blocks`).  analysis imports it under the
-# same name, so patching analysis.TABLE_BYTES bounds only analysis's tables
-# and blocks.
+# a walk step weighs (`walk._plan`), and the pair sums of one block of the
+# dual scan (`dual._pair_blocks`).  walk and dual import it under the same
+# name, so patching walk.TABLE_BYTES bounds only the walk's tables, and
+# dual.TABLE_BYTES only the scan's blocks.
 TABLE_BYTES = 1 << 17
 
 

@@ -19,6 +19,7 @@ from . import analysis as an
 from . import hermitian as hm
 from . import linalg
 from . import minors as mn
+from . import strata as st
 from .codebuild import (
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
@@ -34,6 +35,7 @@ from .codebuild import (
     transpose_permutation,
     write_generator,
 )
+from .dual import dual_support_families
 from .errors import require
 from .galois import SUPPORTED_Q, tower_for_q
 from .hermitian import count_invertible
@@ -115,7 +117,7 @@ def check_hyperbolic_counts(seed):
     for q in sorted(SUPPORTED_Q):
         t = tower_for_q(q)
         for lam in t.subfield:
-            an.hyperbolic_zero_count(t, lam)
+            st.hyperbolic_zero_count(t, lam)
             total += 1
     return f"{total} (q, lam) pairs, formula = brute force"
 
@@ -127,8 +129,8 @@ def check_system_solutions(seed):
         for q in (2, 3, 4):
             t = tower_for_q(q)
             for i in range(100):
-                a, b = an.random_system(t, n, rng, consistent=(i % 2 == 0))
-                count = an.system_solution_count(t, a, b)
+                a, b = st.random_system(t, n, rng, consistent=(i % 2 == 0))
+                count = st.system_solution_count(t, a, b)
                 if i % 2 == 0:
                     require(count >= 1, "consistent system lost its solution")
                 total += 1
@@ -136,7 +138,7 @@ def check_system_solutions(seed):
 
 
 def check_two_weight_classifier(seed):
-    reports = [an.classify_weights_l2(q) for q in (2, 3)]
+    reports = [st.classify_weights_l2(q) for q in (2, 3)]
     for r in reports:
         require(r["resolved_predicate"] in ("plus_f0", "both"), r)
     resolved = {r["q"]: r["resolved_predicate"] for r in reports}
@@ -144,7 +146,7 @@ def check_two_weight_classifier(seed):
 
 
 def check_l3_reduced_family(seed):
-    r = an.verify_l3_bounds(2)
+    r = st.verify_l3_bounds(2)
     return (
         f"{r['family_size']} members >= {r['bound']}; weight(det) = {r['weight_det']} "
         f"(product form {r['weight_det_product_form']}, alt expansion "
@@ -154,15 +156,15 @@ def check_l3_reduced_family(seed):
 
 
 def check_min_weight_strata(seed):
-    r22 = an.min_weight_by_max_minor(2, 2, 2)
+    r22 = st.min_weight_by_max_minor(2, 2, 2)
     require(r22["min_weight"] == 6)
-    r21 = an.min_weight_by_max_minor(2, 1, 2)
+    r21 = st.min_weight_by_max_minor(2, 1, 2)
     require(r21["min_weight"] >= 2**4 - 2**3)
-    r20 = an.min_weight_by_max_minor(2, 0, 2)
+    r20 = st.min_weight_by_max_minor(2, 0, 2)
     require(r20["min_weight"] == 16)
-    r23 = an.min_weight_by_max_minor(2, 2, 3)
+    r23 = st.min_weight_by_max_minor(2, 2, 3)
     require(r23["min_weight"] == 51)
-    r33 = an.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)
+    r33 = st.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)
     return (
         f"minima: (2,2,q=2)={r22['min_weight']}, (2,1,q=2)={r21['min_weight']}, "
         f"(2,0,q=2)={r20['min_weight']}, (2,2,q=3)={r23['min_weight']}, "
@@ -172,9 +174,9 @@ def check_min_weight_strata(seed):
 
 def check_translation_clearing(seed):
     g22 = build_generator(FAMILY_HERMITIAN, 2, 2)
-    require(an.verify_translation_clearing(g22, {((1, 2), (1, 2)): 1}, (1, 2)))
+    require(st.verify_translation_clearing(g22, {((1, 2), (1, 2)): 1}, (1, 2)))
     f = {((1, 2), (1, 2)): 1, ((1,), (1,)): 1, ((2,), (2,)): 1}
-    require(an.verify_translation_clearing(g22, f, (1, 2)))
+    require(st.verify_translation_clearing(g22, f, (1, 2)))
     g32 = build_generator(FAMILY_HERMITIAN, 3, 2)
     tower = g32.tower
     rng = random.Random(seed)
@@ -184,7 +186,7 @@ def check_translation_clearing(seed):
         f = mn.random_combination(tower, 3, rng, self_conjugate=True)
         if not f.get(full, 0):
             f[full] = 1
-        require(an.verify_translation_clearing(g32, f, (1, 2, 3)))
+        require(st.verify_translation_clearing(g32, f, (1, 2, 3)))
         cleared += 1
     return f"2 fixed cases and {cleared} random self-conjugate functions cleared"
 
@@ -192,13 +194,13 @@ def check_translation_clearing(seed):
 def check_spread_reduction(seed):
     g32 = build_generator(FAMILY_HERMITIAN, 3, 2)
     f = {((1, 2), (2, 3)): 1}
-    f2, info = an.spread_reduction_step(g32, f)
+    f2, info = st.spread_reduction_step(g32, f)
     require(info["new_minor"] == ((1, 2), (1, 2)))
     w0 = an.weight(g32.encode(f))
     w1 = an.weight(g32.encode(f2))
     require(w0 == w1, f"weight changed: {w0} -> {w1}")
     f3 = {((1, 3), (2, 3)): 1, ((), ()): 1}
-    f4, info2 = an.spread_reduction_step(g32, f3)
+    f4, info2 = st.spread_reduction_step(g32, f3)
     require(an.weight(g32.encode(f3)) == an.weight(g32.encode(f4)))
     require(any(len(m[0]) == info2["size"] and mn.spread(m) <= info2["spread"] - 1
                 for m in mn.support(f4)))
@@ -221,7 +223,7 @@ def check_dual_support_families(seed):
     counts = {}
     for ell, q in ((2, 2), (2, 3), (3, 2)):
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
-        words = an.dual_support_families(gen, seed=seed)
+        words = dual_support_families(gen, seed=seed)
         counts[(ell, q)] = len(words)
     return f"orthogonality-verified families: {counts}"
 

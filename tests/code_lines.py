@@ -1,15 +1,17 @@
 """Code lines of src/hermgrass: the lines that hold code, not docstrings,
-comments or blank lines, per module and in total.
+comments or blank lines, per module and in total, and beside them the
+lines of import statements among them.
 
     python tests/code_lines.py [package directory] [--against REF]
 
-With --against, each module's count at the git revision REF (read with
-`git show`, nothing is checked out) is printed beside its count now, with
-the difference.
+With --against, each module's counts at the git revision REF (read with
+`git show`, nothing is checked out) are printed beside its counts now, with
+the differences, and a last row gives the code lines that are not imports.
 
 A line counts when a token other than a comment or a docstring lies on it;
 a token that spans lines (a multi-line string) counts every line it spans.
-The file name keeps pytest from collecting it.
+An import line is a line of an `import` or `from ... import` statement, at
+any depth.  The file name keeps pytest from collecting it.
 """
 
 import argparse
@@ -45,6 +47,17 @@ def code_lines(source):
     return len(lines)
 
 
+def import_lines(source):
+    """The number of lines spanned by the module's import statements."""
+    return len({line for node in ast.walk(ast.parse(source))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for line in range(node.lineno, node.end_lineno + 1)})
+
+
+def counts(source):
+    return code_lines(source), import_lines(source)
+
+
 def git(root, *args):
     """The output of a git command run in root; its error message and exit 1
     if it fails."""
@@ -55,9 +68,10 @@ def git(root, *args):
 
 
 def counts_at(root, ref):
-    """{module name: code lines} of the package directory at revision ref."""
+    """{module name: (code lines, import lines)} of the package directory at
+    revision ref."""
     names = git(root, "ls-tree", "--name-only", ref, "./").split()
-    return {name: code_lines(git(root, "show", f"{ref}:./{name}"))
+    return {name: counts(git(root, "show", f"{ref}:./{name}"))
             for name in names if name.endswith(".py")}
 
 
@@ -67,20 +81,24 @@ def main():
                         default=pathlib.Path(__file__).parents[1] / "src" / "hermgrass")
     parser.add_argument("--against", metavar="REF", help="also count at this git revision")
     args = parser.parse_args()
-    now = {path.name: code_lines(path.read_text()) for path in sorted(args.root.glob("*.py"))}
+    now = {path.name: counts(path.read_text()) for path in sorted(args.root.glob("*.py"))}
     if args.against is None:
-        for name, count in now.items():
-            print(f"{name:16} {count:5}")
-        print(f"{'total':16} {sum(now.values()):5}")
+        print(f"{'':16} {'code':>5} {'imports':>7}")
+        for name, (code, imports) in now.items():
+            print(f"{name:16} {code:5} {imports:7}")
+        code, imports = map(sum, zip(*now.values()))
+        print(f"{'total':16} {code:5} {imports:7}")
+        print(f"{'not imports':16} {code - imports:5}")
         return
     before = counts_at(args.root, args.against)
-    print(f"{'':16} {args.against[:10]:>10} {'now':>5} {'diff':>5}")
+    print(f"{'':16} {args.against[:10]:>10} {'now':>5} {'diff':>5}"
+          f" {'imports':>10} {'now':>5} {'diff':>5}")
     for name in sorted(before.keys() | now.keys()):
-        a, b = before.get(name, 0), now.get(name, 0)
-        print(f"{name:16} {a:10} {b:5} {b - a:+5}")
-    a, b = sum(before.values()), sum(now.values())
-    print(f"{'total':16} {a:10} {b:5} {b - a:+5}")
-
+        (a, ai), (b, bi) = before.get(name, (0, 0)), now.get(name, (0, 0))
+        print(f"{name:16} {a:10} {b:5} {b - a:+5} {ai:10} {bi:5} {bi - ai:+5}")
+    (a, ai), (b, bi) = (map(sum, zip(*c.values())) for c in (before, now))
+    print(f"{'total':16} {a:10} {b:5} {b - a:+5} {ai:10} {bi:5} {bi - ai:+5}")
+    print(f"{'not imports':16} {a - ai:10} {b - bi:5} {b - bi - a + ai:+5}")
 
 if __name__ == "__main__":
     main()

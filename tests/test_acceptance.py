@@ -9,8 +9,10 @@ import random
 import numpy as np
 
 from hermgrass import analysis as an
+from hermgrass import dual as du
 from hermgrass import linalg
 from hermgrass import minors as mn
+from hermgrass import strata as st
 from hermgrass.cli import main
 from hermgrass.codebuild import (
     FAMILY_HERMITIAN,
@@ -112,7 +114,7 @@ def test_criterion_06_dual_distances():
     expected = {(2, 3): 3, (2, 4): 3, (2, 5): 3, (2, 2): 4, (3, 2): 4}
     for (ell, q), d in expected.items():
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
-        cert = an.dual_min_distance(gen)
+        cert = du.dual_min_distance(gen)
         assert cert.d_dual == d, f"(ell={ell}, q={q})"
         assert cert.exhausted_below == d  # no smaller dependent column set exists
         t = gen.tower
@@ -127,7 +129,7 @@ def test_criterion_06_dual_distances():
 def test_criterion_07_dual_support_families():
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
-        words = an.dual_support_families(gen, seed=an.DEFAULT_SEED)
+        words = du.dual_support_families(gen, seed=du.DEFAULT_SEED)
         assert len(words) == 50
         t = gen.tower
         for positions, coeffs in words:
@@ -138,7 +140,7 @@ def test_criterion_07_dual_support_families():
                 assert acc == 0
     # coefficient pattern for q > 2: (c0, -a/(a-1) c0, 1/(a-1) c0)
     gen = build_generator(FAMILY_HERMITIAN, 2, 3)
-    assert an.dual_word_weight3(gen, alpha=2, c0=1) == ((0, 1, 2), (1, 1, 1))
+    assert du.dual_word_weight3(gen, alpha=2, c0=1) == ((0, 1, 2), (1, 1, 1))
     print("ACCEPTANCE 07 dual support families orthogonal, 50 instances each at (2,2),(2,3),(3,2): PASS")
 
 
@@ -151,29 +153,29 @@ def test_criterion_08_counting_identities():
                     expected = 2 * q - 1 if lam == 0 else q - 1
                     at_ab = sum(t.mul(t.add(x1, a), t.add(x2, b)) == lam
                                 for x1 in t.subfield for x2 in t.subfield)
-                    assert an.hyperbolic_zero_count(t, lam) == at_ab == expected
-    rng = random.Random(an.DEFAULT_SEED)
+                    assert st.hyperbolic_zero_count(t, lam) == at_ab == expected
+    rng = random.Random(du.DEFAULT_SEED)
     for n in (1, 2, 3):
         for q in (2, 3, 4):
             t = tower_for_q(q)
             for i in range(100):
-                a, b = an.random_system(t, n, rng, consistent=(i % 2 == 0))
-                assert an.system_solution_count(t, a, b) <= q + 1
+                a, b = st.random_system(t, n, rng, consistent=(i % 2 == 0))
+                assert st.system_solution_count(t, a, b) <= q + 1
     print("ACCEPTANCE 08 hyperbolic counts exact for q in 2..9; system solutions <= q+1: PASS")
 
 
 def test_criterion_09_two_weight_classification():
     for q in (2, 3):
-        r = an.classify_weights_l2(q)
+        r = st.classify_weights_l2(q)
         assert set(r["weights"]) == {q**4 - q**3 + q**2 - q, q**4 - q**3 - q}
         assert r["resolved_predicate"] in ("plus_f0", "both")
-    r3 = an.classify_weights_l2(3)
+    r3 = st.classify_weights_l2(3)
     assert r3["resolved_predicate"] == "plus_f0"
     print("ACCEPTANCE 09 two-weight classification exact at q=2,3; resolved predicate = plus_f0 form: PASS")
 
 
 def test_criterion_10_l3_structural_bounds():
-    r = an.verify_l3_bounds(2)
+    r = st.verify_l3_bounds(2)
     assert r["all_above_bound"] and r["bound"] == 216
     # weight(det) equals the invertible-count product form q^3(q-1)(q^2+1)(q^3-1)
     # = 280; the alternative printed expansion (248) drops a q^5 term and is
@@ -186,7 +188,7 @@ def test_criterion_10_l3_structural_bounds():
 
 
 def test_criterion_11_q_invariance_and_automorphisms():
-    rng = random.Random(an.DEFAULT_SEED)
+    rng = random.Random(du.DEFAULT_SEED)
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
         t = gen.tower

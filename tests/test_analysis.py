@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from hermgrass import analysis as an
+from hermgrass import dual as du
 from hermgrass import linalg
 from hermgrass import minors as mn
+from hermgrass import strata as st
+from hermgrass import walk as wk
 from hermgrass.codebuild import (
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
@@ -156,7 +159,7 @@ def test_walk_heads_do_not_call_combine(monkeypatch):
         raise AssertionError("linalg.combine called")
 
     monkeypatch.setattr(linalg, "combine", no_combine)
-    w, digits, searched = an.min_weight_over_combinations(t, rows, t.subfield)
+    w, digits, searched = wk.min_weight_over_combinations(t, rows, t.subfield)
     assert (w, searched) == (3576, 8**6 - 1)
     word = np.zeros(gen.spec.n, dtype=np.uint8)
     for d, row in zip(digits, rows):
@@ -168,24 +171,24 @@ def test_require_budget_sizes_each_enumeration_from_the_spec(monkeypatch):
     monkeypatch.delenv("HERMGRASS_BUDGET_MESSAGES", raising=False)
     h25, a25 = CodeSpec(FAMILY_HERMITIAN, 5, 2), CodeSpec(FAMILY_AFFINE, 5, 2)
     assert (h25.alphabet, a25.alphabet) == (25, 5)
-    assert an.require_budget(h25) == "subfield"
-    assert an.require_budget(a25) == "exhaustive"
+    assert wk.require_budget(h25) == "subfield"
+    assert wk.require_budget(a25) == "exhaustive"
     with pytest.raises(BudgetExceeded, match=r"message space 25\^6 = 244140625 exceeds budget"):
-        an.require_budget(h25, "exhaustive")
+        wk.require_budget(h25, "exhaustive")
     # the dual scan: n(n - 1)/2 column pairs times the nonzero scalars
     pairs = 625 * 624 // 2 * 24
-    assert an.require_budget(h25, "dual") == "dual"
+    assert wk.require_budget(h25, "dual") == "dual"
     monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", str(25**6))
-    assert an.require_budget(h25, "exhaustive") == "exhaustive"
+    assert wk.require_budget(h25, "exhaustive") == "exhaustive"
     monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", str(5**6 - 1))
     with pytest.raises(BudgetExceeded, match=r"message space 5\^6 = 15625 exceeds budget 15624"):
-        an.require_budget(a25)
+        wk.require_budget(a25)
     monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", str(pairs - 1))
     with pytest.raises(BudgetExceeded, match=f"pair search size {pairs} exceeds budget {pairs - 1}"):
-        an.require_budget(h25, "dual")
+        wk.require_budget(h25, "dual")
     monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "1000")
     with pytest.raises(BudgetExceeded, match=f"pair search size {625 * 624 // 2 * 4} exceeds"):
-        an.require_budget(a25, "dual")
+        wk.require_budget(a25, "dual")
 
 
 def test_require_budget_refuses_subfield_on_affine_before_sizing(monkeypatch):
@@ -193,9 +196,9 @@ def test_require_budget_refuses_subfield_on_affine_before_sizing(monkeypatch):
     subfield request is a ValueError, not BudgetExceeded."""
     monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "0")
     with pytest.raises(ValueError, match="subfield enumeration applies to the Hermitian family"):
-        an.require_budget(CodeSpec(FAMILY_AFFINE, 2, 2), "subfield")
+        wk.require_budget(CodeSpec(FAMILY_AFFINE, 2, 2), "subfield")
     with pytest.raises(BudgetExceeded):
-        an.require_budget(CodeSpec(FAMILY_HERMITIAN, 2, 2), "subfield")
+        wk.require_budget(CodeSpec(FAMILY_HERMITIAN, 2, 2), "subfield")
 
 
 def test_require_budget_charges_the_pair_scan_only_from_max_t_3(monkeypatch):
@@ -205,11 +208,11 @@ def test_require_budget_charges_the_pair_scan_only_from_max_t_3(monkeypatch):
     monkeypatch.delenv("HERMGRASS_BUDGET_MESSAGES", raising=False)
     h33 = CodeSpec(FAMILY_HERMITIAN, 3, 3)
     for max_t in (1, 2):
-        assert an.require_budget(h33, "dual", max_t=max_t) == "dual"
+        assert wk.require_budget(h33, "dual", max_t=max_t) == "dual"
     for max_t in (3, 4):
         with pytest.raises(BudgetExceeded,
                            match="pair search size 1549603224 exceeds budget 16777216"):
-            an.require_budget(h33, "dual", max_t=max_t)
+            wk.require_budget(h33, "dual", max_t=max_t)
 
 
 def test_min_distance_runs_the_family_enumeration():
@@ -234,7 +237,7 @@ def test_min_distance_refuses_a_method_it_does_not_run(q):
     with pytest.raises(ValueError, match="^unknown enumeration method 'formula'$"):
         an.min_distance(gen, "formula")
     with pytest.raises(ValueError, match="^unknown enumeration method 'formula'$"):
-        an.require_budget(gen.spec, "formula")
+        wk.require_budget(gen.spec, "formula")
     with pytest.raises(ValueError, match="does not certify a minimum distance"):
         an.min_distance(gen, "dual")
 
@@ -279,7 +282,7 @@ def _recheck_dual(gen, cert):
 
 def test_dual_min_distance_q3():
     gen = build_generator(FAMILY_HERMITIAN, 2, 3)
-    cert = an.dual_min_distance(gen)
+    cert = du.dual_min_distance(gen)
     assert cert.d_dual == 3
     assert cert.columns == (0, 1, 2)
     assert cert.coefficients == (1, 1, 1)
@@ -292,7 +295,7 @@ def test_dual_min_distance_q3():
 
 def test_dual_min_distance_q2():
     gen = build_generator(FAMILY_HERMITIAN, 2, 2)
-    cert = an.dual_min_distance(gen)
+    cert = du.dual_min_distance(gen)
     assert cert.d_dual == 4
     assert cert.columns == (0, 1, 4, 5)
     assert cert.coefficients == (1, 1, 1, 1)
@@ -306,11 +309,11 @@ def test_dual_min_distance_q2():
 def test_dual_min_distance_more():
     for q in (4, 5):
         gen = build_generator(FAMILY_HERMITIAN, 2, q)
-        cert = an.dual_min_distance(gen)
+        cert = du.dual_min_distance(gen)
         assert cert.d_dual == 3
         _recheck_dual(gen, cert)
     gen = build_generator(FAMILY_HERMITIAN, 3, 2)
-    cert = an.dual_min_distance(gen)
+    cert = du.dual_min_distance(gen)
     assert cert.d_dual == 4
     assert cert.exhausted_below == 4
     _recheck_dual(gen, cert)
@@ -319,9 +322,9 @@ def test_dual_min_distance_more():
 def test_dual_min_distance_affine():
     # the affine family shows the same 4 (q=2) / 3 (q>2) split, with F_q
     # dependency coefficients
-    cert = an.dual_min_distance(build_generator(FAMILY_AFFINE, 2, 2))
+    cert = du.dual_min_distance(build_generator(FAMILY_AFFINE, 2, 2))
     assert cert.d_dual == 4
-    cert = an.dual_min_distance(build_generator(FAMILY_AFFINE, 2, 3))
+    cert = du.dual_min_distance(build_generator(FAMILY_AFFINE, 2, 3))
     assert cert.d_dual == 3
     t = tower_for_q(3)
     assert all(t.in_base_subfield(c) for c in cert.coefficients)
@@ -331,50 +334,50 @@ def test_dual_min_distance_affine():
 def test_dual_none_found_within_bound():
     gen = build_generator(FAMILY_HERMITIAN, 2, 3)
     with pytest.raises(NoneFoundWithinBound):
-        an.dual_min_distance(gen, max_t=2)
+        du.dual_min_distance(gen, max_t=2)
 
 
 def test_dual_budget(monkeypatch):
     gen = build_generator(FAMILY_HERMITIAN, 3, 2)
     monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "1000")
     with pytest.raises(BudgetExceeded):
-        an.dual_min_distance(gen)
+        du.dual_min_distance(gen)
     # max_t = 2 scans no pairs, so the same budget lets it run
     with pytest.raises(NoneFoundWithinBound):
-        an.dual_min_distance(gen, max_t=2)
+        du.dual_min_distance(gen, max_t=2)
 
 
 def test_dual_word_weight3():
     gen = build_generator(FAMILY_HERMITIAN, 2, 3)
-    positions, coeffs = an.dual_word_weight3(gen, alpha=2, c0=1)
+    positions, coeffs = du.dual_word_weight3(gen, alpha=2, c0=1)
     # -2/(2-1) = 1 and 1/(2-1) = 1 in F_3
     assert positions == (0, 1, 2)
     assert coeffs == (1, 1, 1)
     with pytest.raises(ValueError):
-        an.dual_word_weight3(gen, alpha=1)
+        du.dual_word_weight3(gen, alpha=1)
     with pytest.raises(ValueError):
-        an.dual_word_weight3(gen, alpha=0)
+        du.dual_word_weight3(gen, alpha=0)
     with pytest.raises(ValueError):
-        an.dual_word_weight3(build_generator(FAMILY_HERMITIAN, 2, 2), alpha=1)
+        du.dual_word_weight3(build_generator(FAMILY_HERMITIAN, 2, 2), alpha=1)
     with pytest.raises(ValueError, match="nonzero vector"):
-        an.dual_word_weight3(gen, alpha=2, b=(0, 0))
+        du.dual_word_weight3(gen, alpha=2, b=(0, 0))
 
 
 def test_dual_word_weight4():
     gen = build_generator(FAMILY_HERMITIAN, 2, 2)
-    positions, coeffs = an.dual_word_weight4(gen)
+    positions, coeffs = du.dual_word_weight4(gen)
     assert positions == (0, 1, 4, 5)
     assert coeffs == (1, 1, 1, 1)
     with pytest.raises(ValueError):
-        an.dual_word_weight4(gen, a1=(1, 0), a2=(2, 0))  # dependent
+        du.dual_word_weight4(gen, a1=(1, 0), a2=(2, 0))  # dependent
     with pytest.raises(ValueError):
-        an.dual_word_weight4(build_generator(FAMILY_HERMITIAN, 2, 3))
+        du.dual_word_weight4(build_generator(FAMILY_HERMITIAN, 2, 3))
 
 
 def test_dual_support_families_randomized():
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
         gen = build_generator(FAMILY_HERMITIAN, ell, q)
-        words = an.dual_support_families(gen, seed=5)
+        words = du.dual_support_families(gen, seed=5)
         assert len(words) == 50
         t = gen.tower
         for positions, coeffs in words:
@@ -388,25 +391,25 @@ def test_dual_support_families_randomized():
 
 def test_hyperbolic_zero_count():
     t3 = tower_for_q(3)
-    assert an.hyperbolic_zero_count(t3, 0) == 5
-    assert an.hyperbolic_zero_count(t3, 1) == 2
+    assert st.hyperbolic_zero_count(t3, 0) == 5
+    assert st.hyperbolic_zero_count(t3, 1) == 2
     t9 = tower_for_q(9)
-    assert an.hyperbolic_zero_count(t9, t9.subfield[1]) == 8
+    assert st.hyperbolic_zero_count(t9, t9.subfield[1]) == 8
     with pytest.raises(ValueError):
-        an.hyperbolic_zero_count(t3, 3)  # 3 is not in F_3 inside F_9
+        st.hyperbolic_zero_count(t3, 3)  # 3 is not in F_3 inside F_9
 
 
 def test_system_solution_count():
     t = tower_for_q(2)
-    assert an.system_solution_count(t, [0, 0], [[0, 0], [0, 0]]) == 1
-    assert an.system_solution_count(t, [1], [[1]]) == 3  # q + 1 norm preimages
+    assert st.system_solution_count(t, [0, 0], [[0, 0], [0, 0]]) == 1
+    assert st.system_solution_count(t, [1], [[1]]) == 3  # q + 1 norm preimages
     rng = random.Random(17)
     for n in (1, 2, 3):
         for q in (2, 3, 4):
             tw = tower_for_q(q)
             for i in range(100):
-                a, b = an.random_system(tw, n, rng, consistent=(i % 2 == 0))
-                count = an.system_solution_count(tw, a, b)
+                a, b = st.random_system(tw, n, rng, consistent=(i % 2 == 0))
+                count = st.system_solution_count(tw, a, b)
                 assert count <= q + 1
                 if i % 2 == 0:
                     assert count >= 1
@@ -444,25 +447,25 @@ def test_counts_match_scalar_oracles():
     for q in sorted(SUPPORTED_Q):
         t = tower_for_q(q)
         for a, b, lam in itertools.product(t.subfield, repeat=3):
-            assert an.hyperbolic_zero_count(t, lam) == oracle_hyperbolic_count(t, a, b, lam)
+            assert st.hyperbolic_zero_count(t, lam) == oracle_hyperbolic_count(t, a, b, lam)
     rng = random.Random(5)
     counts = set()
     for n in (1, 2, 3):
         for q in (2, 3, 4):
             t = tower_for_q(q)
             for i in range(10):
-                a, b = an.random_system(t, n, rng, consistent=(i % 2 == 0))
-                count = an.system_solution_count(t, a, b)
+                a, b = st.random_system(t, n, rng, consistent=(i % 2 == 0))
+                count = st.system_solution_count(t, a, b)
                 assert count == oracle_system_count(t, a, b)
                 counts.add(count)
     assert 0 in counts and max(counts) > 1
 
 
 def test_classify_weights_l2():
-    r2 = an.classify_weights_l2(2)
+    r2 = st.classify_weights_l2(2)
     assert r2["weights"] == [6, 10]
     assert r2["resolved_predicate"] == "both"  # the two forms agree in char 2
-    r3 = an.classify_weights_l2(3)
+    r3 = st.classify_weights_l2(3)
     assert r3["weights"] == [51, 60]
     assert r3["plus_f0_predicate_matches"]
     assert not r3["minus_f0_predicate_matches"]
@@ -471,7 +474,7 @@ def test_classify_weights_l2():
 
 
 def test_verify_l3_bounds():
-    r = an.verify_l3_bounds(2)
+    r = st.verify_l3_bounds(2)
     assert r["min_weight"] == 216 == r["bound"]
     assert r["all_above_bound"]
     assert r["weight_det"] == 280 == count_invertible(3, 2)
@@ -484,7 +487,7 @@ def test_verify_l3_bounds_q3():
     """At q = 3 the least weight of the det stratum, walked as det plus the
     degree <= 1 part over its (3 - 1) 3^10 messages, is the structural
     bound."""
-    r = an.verify_l3_bounds(3)
+    r = st.verify_l3_bounds(3)
     assert r["min_weight"] == r["bound"] == 12582
     assert r["family_size"] == 118098
     assert r["weight_det"] == 14040 == count_invertible(3, 3)
@@ -492,16 +495,16 @@ def test_verify_l3_bounds_q3():
 
 
 def test_min_weight_by_max_minor():
-    r = an.min_weight_by_max_minor(2, 2, 2)
+    r = st.min_weight_by_max_minor(2, 2, 2)
     assert r["min_weight"] == 6
     assert r["bound"] == 6
-    r = an.min_weight_by_max_minor(2, 1, 2)
+    r = st.min_weight_by_max_minor(2, 1, 2)
     assert r["min_weight"] == 8  # q^4 - q^3
-    r = an.min_weight_by_max_minor(2, 0, 2)
+    r = st.min_weight_by_max_minor(2, 0, 2)
     assert r["min_weight"] == 16
-    r = an.min_weight_by_max_minor(2, 2, 3)
+    r = st.min_weight_by_max_minor(2, 2, 3)
     assert r["min_weight"] == 51
-    r_sc = an.min_weight_by_max_minor(2, 2, 2, self_conjugate_only=True)
+    r_sc = st.min_weight_by_max_minor(2, 2, 2, self_conjugate_only=True)
     assert r_sc["min_weight"] == 6
     assert r_sc["functions_examined"] == 2**3 * 4  # f0, f11, f22 in F_2; f12 in F_4
 
@@ -510,7 +513,7 @@ def test_min_weight_by_max_minor_l3_q2():
     """The det stratum at (3, 2), cleared of its 2-minors by translation:
     det plus the ten degree <= 1 F_q rows, 2^10 messages, least weight
     216 >= 199."""
-    r = an.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)
+    r = st.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)
     assert (r["min_weight"], r["functions_examined"], r["bound"]) == (216, 2**10, 199)
     assert r["meets_bound"]
 
@@ -523,15 +526,15 @@ def test_min_weight_by_max_minor_refuses_before_the_build(monkeypatch):
     def no_build(*args):
         raise AssertionError("built a generator")
 
-    monkeypatch.setattr(an, "build_generator", no_build)
+    monkeypatch.setattr(st, "build_generator", no_build)
     with pytest.raises(BudgetExceeded, match=r"message space 9\^11 = "):
-        an.min_weight_by_max_minor(3, 3, 3)
+        st.min_weight_by_max_minor(3, 3, 3)
     with pytest.raises(BudgetExceeded, match=r"message space 5\^11 = "):
-        an.min_weight_by_max_minor(3, 3, 5, self_conjugate_only=True)
+        st.min_weight_by_max_minor(3, 3, 5, self_conjugate_only=True)
     with pytest.raises(ValueError, match="not read off the digits"):
-        an.min_weight_by_max_minor(3, 2, 2)
+        st.min_weight_by_max_minor(3, 2, 2)
     with pytest.raises(ValueError, match="up to ell = 3"):
-        an.min_weight_by_max_minor(4, 4, 2, self_conjugate_only=True)
+        st.min_weight_by_max_minor(4, 4, 2, self_conjugate_only=True)
 
 
 def test_min_weight_by_max_minor_sizes_its_stratum(monkeypatch):
@@ -539,15 +542,15 @@ def test_min_weight_by_max_minor_sizes_its_stratum(monkeypatch):
     messages: the constant stratum at q = 5 and 9 walks 24 and 80 messages,
     while the whole-code strata keep their refusals, before any build."""
     for q, n, messages in ((5, 625, 24), (9, 6561, 80)):
-        r = an.min_weight_by_max_minor(2, 0, q)
+        r = st.min_weight_by_max_minor(2, 0, q)
         assert (r["min_weight"], r["functions_examined"]) == (n, messages)
 
     def no_build(*args):
         raise AssertionError("built a generator")
 
-    monkeypatch.setattr(an, "build_generator", no_build)
+    monkeypatch.setattr(st, "build_generator", no_build)
     with pytest.raises(BudgetExceeded, match=r"message space 25\^6 = 244140625 "):
-        an.min_weight_by_max_minor(2, 2, 5)
+        st.min_weight_by_max_minor(2, 2, 5)
 
 
 @pytest.mark.parametrize("ell, k, q", [(1, 1, 3), (1, 0, 2)])
@@ -557,21 +560,21 @@ def test_min_weight_by_max_minor_refuses_ell_below_2(monkeypatch, ell, k, q):
     def no_build(*args):
         raise AssertionError("built a generator")
 
-    monkeypatch.setattr(an, "build_generator", no_build)
+    monkeypatch.setattr(st, "build_generator", no_build)
     with pytest.raises(ValueError, match="ell >= 2"):
-        an.min_weight_by_max_minor(ell, k, q)
+        st.min_weight_by_max_minor(ell, k, q)
 
 
 def test_translation_clearing():
     g22 = build_generator(FAMILY_HERMITIAN, 2, 2)
-    assert an.verify_translation_clearing(g22, {((1, 2), (1, 2)): 1}, (1, 2))
+    assert st.verify_translation_clearing(g22, {((1, 2), (1, 2)): 1}, (1, 2))
     f = {((1, 2), (1, 2)): 1, ((1,), (1,)): 1, ((2,), (2,)): 1}
-    assert an.verify_translation_clearing(g22, f, (1, 2))
+    assert st.verify_translation_clearing(g22, f, (1, 2))
     with pytest.raises(ValueError):
-        an.verify_translation_clearing(g22, {((1,), (2,)): 1}, (1, 2))
+        st.verify_translation_clearing(g22, {((1,), (2,)): 1}, (1, 2))
     with pytest.raises(ValueError):
         # det coefficient present, so the 1x1 minor is not maximal
-        an.verify_translation_clearing(
+        st.verify_translation_clearing(
             g22, {((1, 2), (1, 2)): 1, ((1,), (1,)): 1}, (1,)
         )
     g32 = build_generator(FAMILY_HERMITIAN, 3, 2)
@@ -581,13 +584,13 @@ def test_translation_clearing():
         f = mn.random_combination(g32.tower, 3, rng, self_conjugate=True)
         if not f.get(full, 0):
             f[full] = 1
-        assert an.verify_translation_clearing(g32, f, (1, 2, 3))
+        assert st.verify_translation_clearing(g32, f, (1, 2, 3))
 
 
 def test_spread_reduction_worked_example():
     g32 = build_generator(FAMILY_HERMITIAN, 3, 2)
     f = {((1, 2), (2, 3)): 1}
-    f2, info = an.spread_reduction_step(g32, f)
+    f2, info = st.spread_reduction_step(g32, f)
     assert (info["size"], info["spread"]) == (2, 3)
     assert info["new_minor"] == ((1, 2), (1, 2))
     assert f2.get(((1, 2), (1, 2)), 0)
@@ -597,9 +600,9 @@ def test_spread_reduction_worked_example():
 def test_spread_reduction_guard():
     g32 = build_generator(FAMILY_HERMITIAN, 3, 2)
     with pytest.raises(ValueError):
-        an.spread_reduction_step(g32, {((1, 2), (1, 2)): 1})
+        st.spread_reduction_step(g32, {((1, 2), (1, 2)): 1})
     with pytest.raises(ValueError):
-        an.spread_reduction_step(g32, {})
+        st.spread_reduction_step(g32, {})
 
 
 def test_spread_reduction_counts_the_minors_below_a_larger_maximal_one():
@@ -610,7 +613,7 @@ def test_spread_reduction_counts_the_minors_below_a_larger_maximal_one():
     weight."""
     g33 = build_generator(FAMILY_HERMITIAN, 3, 3)
     f = {((2, 3), (1, 3)): 4, ((3,), (3,)): 3, ((1,), (3,)): 6}
-    f2, info = an.spread_reduction_step(g33, f)
+    f2, info = st.spread_reduction_step(g33, f)
     assert (info["minor"], info["size"], info["spread"]) == (((1,), (3,)), 1, 2)
     assert f2.get(info["new_minor"], 0)
     assert an.weight(g33.encode(f)) == an.weight(g33.encode(f2))
@@ -628,7 +631,7 @@ def test_spread_reduction_on_random_combinations(q):
         f = mn.random_combination(gen.tower, 3, rng, self_conjugate=rng.random() < 0.5)
         f = {m: c for m, c in f.items() if len(m[0]) < 2 or (len(m[0]) == 2 and rng.random() < 0.5)}
         try:
-            f2, info = an.spread_reduction_step(gen, f)
+            f2, info = st.spread_reduction_step(gen, f)
         except ValueError as exc:
             assert "nothing to reduce" in str(exc)
             continue
@@ -650,7 +653,7 @@ def test_spread_reduction_lambda_is_the_first_scalar_that_keeps_the_minor(q):
         f = mn.random_combination(gen.tower, 3, rng, self_conjugate=rng.random() < 0.5)
         f = {m: c for m, c in f.items() if len(m[0]) < 2 or (len(m[0]) == 2 and rng.random() < 0.5)}
         try:
-            f2, info = an.spread_reduction_step(gen, f)
+            f2, info = st.spread_reduction_step(gen, f)
         except ValueError as exc:
             assert "nothing to reduce" in str(exc)
             continue
@@ -668,9 +671,9 @@ def test_spread_reduction_lambda_is_the_first_scalar_that_keeps_the_minor(q):
 
 
 def test_induction_bound_values():
-    assert an.induction_bound(2, 2) == 16 - 8 - 2 + 1 - 1 == 6
-    assert an.induction_bound(2, 3) == 81 - 27 - 3 + 1 - 1 == 51
-    assert an.induction_bound(3, 2) == 512 - 256 - 64 + 8 - 1 == 199
+    assert st.induction_bound(2, 2) == 16 - 8 - 2 + 1 - 1 == 6
+    assert st.induction_bound(2, 3) == 81 - 27 - 3 + 1 - 1 == 51
+    assert st.induction_bound(3, 2) == 512 - 256 - 64 + 8 - 1 == 199
 
 
 def test_certificate_serialization():

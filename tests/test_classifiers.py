@@ -11,6 +11,8 @@ import pytest
 
 from hermgrass import analysis as an
 from hermgrass import minors as mn
+from hermgrass import strata as st
+from hermgrass import walk as wk
 from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator, fq_basis, subfield_rows
 
 # (functions_examined, min_weight) for k = 0, 1, 2, recorded from the
@@ -27,7 +29,7 @@ STRATA = {
 def test_min_weight_by_max_minor_pinned(q, sc):
     got = []
     for k in (0, 1, 2):
-        r = an.min_weight_by_max_minor(2, k, q, self_conjugate_only=sc)
+        r = st.min_weight_by_max_minor(2, k, q, self_conjugate_only=sc)
         got.append((r["functions_examined"], r["min_weight"]))
     assert got == STRATA[(q, sc)]
 
@@ -38,7 +40,7 @@ def test_strata_account_for_every_nonzero_message(q, sc):
     """The k = 0, 1, 2 strata walk disjoint message sets that together are
     every nonzero message over the r = q (self-conjugate) or q^2 scalars."""
     r = q if sc else q * q
-    examined = [an.min_weight_by_max_minor(2, k, q, self_conjugate_only=sc)["functions_examined"]
+    examined = [st.min_weight_by_max_minor(2, k, q, self_conjugate_only=sc)["functions_examined"]
                 for k in (0, 1, 2)]
     assert sum(examined) == r**6 - 1
 
@@ -73,24 +75,24 @@ def strata_brute_force(q, self_conjugate):
 
 
 @pytest.mark.parametrize("sc", [False, True])
-@pytest.mark.parametrize("table_bytes", [0, 100, an.TABLE_BYTES])
+@pytest.mark.parametrize("table_bytes", [0, 100, wk.TABLE_BYTES])
 def test_min_weight_by_max_minor_equals_brute_force(sc, table_bytes):
     expected = strata_brute_force(2, sc)
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes):
+    with mock.patch.object(wk, "TABLE_BYTES", table_bytes):
         for k in (0, 1, 2):
-            r = an.min_weight_by_max_minor(2, k, 2, self_conjugate_only=sc)
+            r = st.min_weight_by_max_minor(2, k, 2, self_conjugate_only=sc)
             assert (r["functions_examined"], r["min_weight"]) == expected[k]
 
 
 def test_classify_weights_l2_q5_pinned():
-    r = an.classify_weights_l2(5)
+    r = st.classify_weights_l2(5)
     assert r["weights"] == r["expected_weights"] == [495, 520]
     assert r["family_size"] == 3125
     assert r["resolved_predicate"] == "plus_f0"
 
 
 def test_classify_weights_l2_q4_pinned():
-    r = an.classify_weights_l2(4)
+    r = st.classify_weights_l2(4)
     assert r["weights"] == r["expected_weights"] == [188, 204]
     assert r["family_size"] == 1024
     assert r["count_weight_high"] == 256
@@ -99,7 +101,7 @@ def test_classify_weights_l2_q4_pinned():
 
 
 @pytest.mark.parametrize("q", [2, 3])
-@pytest.mark.parametrize("table_bytes", [0, 300, an.TABLE_BYTES])
+@pytest.mark.parametrize("table_bytes", [0, 300, wk.TABLE_BYTES])
 def test_weights_by_digits_equals_brute_force(q, table_bytes):
     """Every message with first digit 1 once, with the weight its digits
     give as a plain sum of scaled rows, wherever the table split falls."""
@@ -107,8 +109,8 @@ def test_weights_by_digits_equals_brute_force(q, table_bytes):
     tower = gen.tower
     rows = list(gen.rows[::-1][:4])
     scalars = list(tower.subfield)
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes):
-        got = sorted(an._weights_by_digits(tower, rows, scalars))
+    with mock.patch.object(wk, "TABLE_BYTES", table_bytes):
+        got = sorted(wk._weights_by_digits(tower, rows, scalars))
     expected = []
     for digits in itertools.product(range(q), repeat=len(rows) - 1):
         digits = (1,) + digits
@@ -131,9 +133,9 @@ def test_cleared_det_stratum_equals_the_full_walk():
     rows = subfield_rows(gen, combos)
     det = combos.index({((1, 2, 3), (1, 2, 3)): 1})
     order = [det] + [i for i in range(len(combos)) if i != det]
-    full = an.min_weight_over_combinations(gen.tower, rows[order], gen.tower.subfield, lead=1)
+    full = wk.min_weight_over_combinations(gen.tower, rows[order], gen.tower.subfield, lead=1)
     assert (full[0], full[2]) == (216, 2**19)
-    assert an.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)["min_weight"] == 216
+    assert st.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)["min_weight"] == 216
 
 
 @pytest.mark.parametrize("q, sc, expected", [
@@ -141,7 +143,7 @@ def test_cleared_det_stratum_equals_the_full_walk():
     (2, False, (216, 3145728, 199)),  # over F_4: (4 - 1) 4^10; 4^20 before the clearing
 ])
 def test_cleared_det_stratum_pinned(q, sc, expected):
-    r = an.min_weight_by_max_minor(3, 3, q, self_conjugate_only=sc)
+    r = st.min_weight_by_max_minor(3, 3, q, self_conjugate_only=sc)
     assert (r["min_weight"], r["functions_examined"], r["bound"]) == expected
 
 
@@ -149,24 +151,24 @@ def test_clearing_is_checked_on_the_nine_size_2_rows_at_ell_3_only(monkeypatch):
     """det + g for each F_q basis row g of size 2, once per det stratum at
     ell = 3, in both alphabets; never at ell = 2, where no row is left out."""
     calls = []
-    clear = an.verify_translation_clearing
+    clear = st.verify_translation_clearing
 
     def counted(gen, f, I):
         calls.append((gen.spec.ell, f, I))
         return clear(gen, f, I)
 
-    monkeypatch.setattr(an, "verify_translation_clearing", counted)
+    monkeypatch.setattr(st, "verify_translation_clearing", counted)
     for k in (0, 1, 2):
-        an.min_weight_by_max_minor(2, k, 2)
-        an.min_weight_by_max_minor(2, k, 3, self_conjugate_only=True)
-    an.classify_weights_l2(2)
+        st.min_weight_by_max_minor(2, k, 2)
+        st.min_weight_by_max_minor(2, k, 3, self_conjugate_only=True)
+    st.classify_weights_l2(2)
     assert calls == []
     full = (1, 2, 3)
     expected = [(3, {(full, full): 1, **g}, full)
                 for g in fq_basis(3, 2) if len(next(iter(g))[0]) == 2]
     assert len(expected) == 9
     for sc in (True, False):
-        an.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=sc)
+        st.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=sc)
         assert calls == expected
         calls.clear()
 
@@ -186,10 +188,10 @@ def test_the_pre_build_size_is_the_stratum(monkeypatch, ell, k, sc):
         sized.append((size, what))
         raise Sized
 
-    monkeypatch.setattr(an, "_require_size", stub)
+    monkeypatch.setattr(st, "_require_size", stub)
     with pytest.raises(Sized):
-        an.min_weight_by_max_minor(ell, k, 2, self_conjugate_only=sc)
-    rows, _, scalars, _ = an._stratum(build_generator(FAMILY_HERMITIAN, ell, 2), k, sc)
+        st.min_weight_by_max_minor(ell, k, 2, self_conjugate_only=sc)
+    rows, _, scalars, _ = st._stratum(build_generator(FAMILY_HERMITIAN, ell, 2), k, sc)
     r, m = len(scalars), len(rows)
     assert sized == [(r**m, f"message space {r}^{m} =")]
 
@@ -209,8 +211,8 @@ def test_a_broken_clearing_fails_before_any_walk(monkeypatch):
     def no_walk(*args):
         raise RuntimeError("walked")
 
-    monkeypatch.setattr(an, "translation_clearing_matrix",
-                        zeroed_corner(an.translation_clearing_matrix))
-    monkeypatch.setattr(an, "_walk", no_walk)
+    monkeypatch.setattr(st, "translation_clearing_matrix",
+                        zeroed_corner(st.translation_clearing_matrix))
+    monkeypatch.setattr(wk, "_walk", no_walk)
     with pytest.raises(AssertionError, match=r"leaves a 2-minor of det \+ \{\(\(2, 3\), \(2, 3\)\): 1\}"):
-        an.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)
+        st.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)

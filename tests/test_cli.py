@@ -11,6 +11,7 @@ import pytest
 from hermgrass import analysis as an
 from hermgrass import cli
 from hermgrass import verify as verify_mod
+from hermgrass import walk as wk
 from hermgrass.cli import main
 from hermgrass.codebuild import (
     FAMILY_AFFINE,
@@ -223,7 +224,7 @@ def test_gen_read_back_mismatch_exits_1(tmp_path, capsys, monkeypatch):
 def test_budget_env_malformed(capsys, monkeypatch):
     monkeypatch.setenv("HERMGRASS_BUDGET_MESSAGES", "12x")
     with pytest.raises(ValueError, match="HERMGRASS_BUDGET_MESSAGES"):
-        an.budget_messages()
+        wk.budget_messages()
     code, out, err = run(capsys, "mindist", "--q", "3", "--ell", "2", "--method", "subfield")
     assert code == 2
     assert out == ""
@@ -248,9 +249,9 @@ def test_desk_cells_are_the_cells_within_the_message_budget(monkeypatch):
     for family in (FAMILY_HERMITIAN, FAMILY_AFFINE):
         for ell in (2, 3):
             for q in sorted(SUPPORTED_Q):
-                fits = q ** math.comb(2 * ell, ell) <= an.DEFAULT_BUDGET_MESSAGES
+                fits = q ** math.comb(2 * ell, ell) <= wk.DEFAULT_BUDGET_MESSAGES
                 try:
-                    an.require_budget(CodeSpec(family, q, ell))
+                    wk.require_budget(CodeSpec(family, q, ell))
                     within = True
                 except BudgetExceeded:
                     within = False
@@ -404,3 +405,35 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv):
     assert code == 2
     assert err.startswith("error: ") and "Traceback" not in err
     assert not path.exists()
+
+
+TRACED = ("min_distance_subfield", "min_distance_exhaustive", "dual_min_distance")
+
+
+def test_traced_names_stay_on_the_call_path(capsys, monkeypatch):
+    """The benchmark traces these three by wrapping the attributes of
+    `analysis`; `mindist`, `dualdist` and the verify checks that certify
+    distances must reach each through that attribute, or the traced times
+    read zero."""
+    calls = dict.fromkeys(TRACED, 0)
+
+    def counted(name):
+        fn = getattr(an, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in TRACED:
+        monkeypatch.setattr(an, name, counted(name))
+    for family in (FAMILY_HERMITIAN, FAMILY_AFFINE):
+        assert run(capsys, "mindist", "--q", "2", "--ell", "2", "--family", family)[0] == 0
+    assert calls["min_distance_subfield"] == 1 and calls["min_distance_exhaustive"] == 1
+    assert run(capsys, "dualdist", "--q", "2", "--ell", "2")[0] == 0
+    assert calls["dual_min_distance"] == 1
+    checks = dict(verify_mod.checks_for("all"))
+    before = dict(calls)
+    checks["distance_certifications"](0)
+    checks["dual_distances"](0)
+    assert all(calls[name] > before[name] for name in TRACED), calls

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hermgrass import linalg
+from hermgrass import codebuild, linalg
 from hermgrass import minors as mn
-from hermgrass.analysis import weight
+from hermgrass.analysis import min_distance_subfield, weight
 from hermgrass.codebuild import (
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
     CodeSpec,
+    GeneratorMatrix,
     build_generator,
     congruence_permutation,
     conjugate_codeword,
@@ -28,6 +29,7 @@ from hermgrass.codebuild import (
     write_generator,
 )
 from hermgrass.errors import BudgetExceeded
+from hermgrass.strata import _stratum
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
 from hermgrass.hermitian import decode
 from test_hermitian import identity_matrix, matrices_at, unit_matrix, zero_matrix
@@ -131,6 +133,31 @@ def test_subfield_rows_fails_closed():
         scaled = {m: gen.tower.mul(outside, v) for m, v in combos[0].items()}
         subfield_rows(gen, [scaled] + combos[1:])
 
+
+
+@pytest.mark.parametrize("ell, q", [(2, 2), (2, 8), (3, 2)])
+def test_subfield_basis_is_checked_once_per_generator(monkeypatch, ell, q):
+    """The F_q basis and its rows are worked out and checked on first use
+    and then kept: a second certificate and the self-conjugate stratum read
+    the same read-only rows, which are the checked codewords of `fq_basis`."""
+    built = build_generator(FAMILY_HERMITIAN, ell, q)
+    gen = GeneratorMatrix(built.spec, built.tower, built.rows)  # nothing cached yet
+    checks = []
+
+    def counted(g, combos):
+        checks.append(g)
+        return subfield_rows(g, combos)
+
+    monkeypatch.setattr(codebuild, "subfield_rows", counted)
+    first = min_distance_subfield(gen)
+    combos, rows = gen.subfield_basis
+    assert min_distance_subfield(gen).as_dict() == first.as_dict()
+    _stratum(gen, 2, True)
+    assert checks == [gen]
+    assert gen.subfield_basis[1] is rows and not rows.flags.writeable
+    assert combos == tuple(fq_basis(ell, q))
+    assert np.array_equal(rows, [gen.encode(f) for f in combos])
+    assert not subfield_rows(gen, list(combos)).flags.writeable
 
 def test_conjugated_rows_are_codewords():
     for ell, q in [(2, 2), (2, 3), (3, 2)]:

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hermgrass import analysis as an
+from hermgrass import dual as du
 from hermgrass.codebuild import (
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
@@ -45,7 +45,7 @@ def oracle_dual_min_distance(gen, max_t=4):
         coeffs = tuple(coeffs[i] for i in order)
         scale = inv(coeffs[0])
         coeffs = tuple(mul(scale, c) for c in coeffs)
-        return an.DualDistanceCertificate(spec, t, positions, coeffs, t)
+        return du.DualDistanceCertificate(spec, t, positions, coeffs, t)
 
     for i, col in enumerate(cols):
         if not any(col):
@@ -108,7 +108,7 @@ def outcome(search, gen, max_t):
 
 def assert_matches_oracle(gen):
     for max_t in (1, 2, 3, 4):
-        assert outcome(an.dual_min_distance, gen, max_t) == outcome(oracle_dual_min_distance,
+        assert outcome(du.dual_min_distance, gen, max_t) == outcome(oracle_dual_min_distance,
                                                                      gen, max_t), max_t
 
 
@@ -152,7 +152,7 @@ def test_dual_search_matches_oracle_on_random_generators():
 
 
 def test_dual_search_pinned_l3_q2():
-    cert = an.dual_min_distance(build_generator(FAMILY_HERMITIAN, 3, 2))
+    cert = du.dual_min_distance(build_generator(FAMILY_HERMITIAN, 3, 2))
     assert (cert.d_dual, cert.exhausted_below) == (4, 4)
     assert cert.columns == H3Q2_COLUMNS
     assert cert.coefficients == H3Q2_COEFFICIENTS
@@ -223,8 +223,8 @@ def planted_at_block_edges(spec, table_bytes):
     the decoy, not the same word found later at (i, n - 1)."""
     n, r = spec.n, spec.alphabet - 1
     last = int(code_scalars(spec, tower_for_q(spec.q))[-1])
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes):
-        blocks = list(an._pair_blocks(n, r))
+    with mock.patch.object(du, "TABLE_BYTES", table_bytes):
+        blocks = list(du._pair_blocks(n, r))
     for b in sorted({0, 1, 2, len(blocks) // 2, len(blocks) - 2, len(blocks) - 1}):
         i0, i1 = blocks[b]
         edges = [(i0, i0 + 1, 1), (min(i1 - 1, n - 3), n - 2, last)]
@@ -236,6 +236,15 @@ def planted_at_block_edges(spec, table_bytes):
                     triples.append((i, j + 1, 1, n - 2, 1))
                 yield (i, j, n - 1), planted_generator(spec, triples, seed=b)
 
+
+def test_pair_blocks_are_bounded_by_the_scan_modules_table_bytes():
+    """`_pair_blocks` reads the bound through `dual.TABLE_BYTES`, so patching
+    that name sizes the scan's blocks: one row each at 0, and doubling up
+    to TABLE_BYTES // (n r) = 4 rows at 192 for 16 columns and 3 scalars."""
+    with mock.patch.object(du, "TABLE_BYTES", 0):
+        assert list(du._pair_blocks(16, 3)) == [(i, i + 1) for i in range(15)]
+    with mock.patch.object(du, "TABLE_BYTES", 192):
+        assert list(du._pair_blocks(16, 3)) == [(0, 1), (1, 3), (3, 7), (7, 11), (11, 15)]
 
 def block_of(row, blocks):
     return next(b for b, (i0, i1) in enumerate(blocks) if i0 <= row < i1)
@@ -251,14 +260,14 @@ def test_dual_search_matches_oracle_across_blocks(table_bytes):
     gens = [build_generator(*cell) for cell in CELLS]
     gens += list(permuted_generators()) + list(random_generators())
     partners = set()
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes):
+    with mock.patch.object(du, "TABLE_BYTES", table_bytes):
         for gen in gens:
             assert_matches_oracle(gen)
-            cert = outcome(an.dual_min_distance, gen, 4)
+            cert = outcome(du.dual_min_distance, gen, 4)
             if isinstance(cert, dict) and cert["d_dual"] == 4:
                 # the earlier sum's row is the first column, and the
                 # later sum's row is the second column or after it
-                blocks = list(an._pair_blocks(gen.spec.n, len(gen.scalars) - 1))
+                blocks = list(du._pair_blocks(gen.spec.n, len(gen.scalars) - 1))
                 first, second = sorted(cert["columns"])[:2]
                 partners.add(block_of(first, blocks) < block_of(second, blocks))
     assert True in partners
@@ -277,9 +286,9 @@ def test_dual_search_finds_the_planted_word_at_block_edges(family, q, table_byte
     spec = CodeSpec(family, q, 2)
     planted = list(planted_at_block_edges(spec, table_bytes))
     assert len(planted) >= 10
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes):
+    with mock.patch.object(du, "TABLE_BYTES", table_bytes):
         for columns, gen in planted:
-            cert = an.dual_min_distance(gen)
+            cert = du.dual_min_distance(gen)
             assert (cert.d_dual, cert.columns) == (3, columns)
             assert_matches_oracle(gen)
 
@@ -298,9 +307,9 @@ def test_packed_keys_are_exact(q, k):
     lams = rng.integers(1, tower.qq, size=(10, 1))
     vecs = np.concatenate([base, base[:10], tower.mul_np[lams, base[10:20]], base[20:30, ::-1]])
     vecs = vecs[rng.permutation(len(vecs))]
-    pack, key = an._packer(tower, k)
+    pack, key = du._packer(tower, k)
     raw = key(pack(vecs))
-    normal = key(pack(an._normal_forms(tower, vecs)[0]))
+    normal = key(pack(du._normal_forms(tower, vecs)[0]))
     equal = (vecs[:, None] == vecs[None]).all(axis=-1)
     proportional = np.zeros_like(equal)
     for lam in range(1, tower.qq):
@@ -324,7 +333,7 @@ def test_dual_search_tests_every_multiple(q):
     n = spec.n
     for lam in range(1, tower.qq):
         gen = planted_generator(spec, [(0, 1, 1, n - 1, tower.inv(lam)), (0, 2, 1, 3, 1)], seed=lam)
-        cert = an.dual_min_distance(gen, max_t=3)
+        cert = du.dual_min_distance(gen, max_t=3)
         assert (cert.columns, cert.coefficients) == ((0, 1, n - 1), (1, 1, tower.neg(lam)))
         assert_matches_oracle(gen)
 
@@ -333,7 +342,7 @@ def distinct_keys(q, k, count):
     """Keys of `count` distinct random vectors of length k over F_{q^2},
     uint64 at (2, 6) and a raw byte string of several words at (9, 70)."""
     tower = tower_for_q(q)
-    pack, key = an._packer(tower, k)
+    pack, key = du._packer(tower, k)
     vecs = np.random.default_rng(q).integers(0, tower.qq, size=(count, k), dtype=np.uint8)
     vecs = np.unique(vecs, axis=0)
     assert len(vecs) == count
@@ -349,13 +358,13 @@ def test_first_member_is_the_first_in_array_order(q, k):
     one."""
     keys = distinct_keys(q, k, 40)
     members, others = np.sort(keys[:10]), keys[10:]
-    assert an._first_member(others, members) is None
+    assert du._first_member(others, members) is None
     cases = {7: [(7, 3), (12, 0), (20, 3)], 0: [(0, 5), (29, 6)], 29: [(29, 9)]}
     for first, planted in cases.items():
         probe = others.copy()
         for at, member in planted:
             probe[at] = keys[member]
-        s, i = an._first_member(probe, members)
+        s, i = du._first_member(probe, members)
         assert s == first and members[i] == probe[s]
 
 
@@ -370,10 +379,10 @@ def test_first_repeat_names_the_first_repeat_and_its_partner(q, k):
     seen_at = np.where(seen == keys[4], 2, 5)
     at = np.arange(10, 15)
     nothing = keys[:0], np.arange(0)
-    assert an._first_repeat(keys[[0, 1, 2, 1, 0]], at, *nothing)[0] == (13, 11)
-    assert an._first_repeat(keys[[2, 5, 2, 4, 3]], at, seen, seen_at)[0] == (11, 5)
-    assert an._first_repeat(keys[[2, 2, 5, 3, 0]], at, seen, seen_at)[0] == (11, 10)
-    repeat, merged, merged_at = an._first_repeat(keys[[2, 0, 3]], at[:3], seen, seen_at)
+    assert du._first_repeat(keys[[0, 1, 2, 1, 0]], at, *nothing)[0] == (13, 11)
+    assert du._first_repeat(keys[[2, 5, 2, 4, 3]], at, seen, seen_at)[0] == (11, 5)
+    assert du._first_repeat(keys[[2, 2, 5, 3, 0]], at, seen, seen_at)[0] == (11, 10)
+    repeat, merged, merged_at = du._first_repeat(keys[[2, 0, 3]], at[:3], seen, seen_at)
     assert repeat is None
     first_at = {0: 11, 2: 10, 3: 12, 4: 2, 5: 5}
     assert (merged == np.sort(keys[list(first_at)])).all()

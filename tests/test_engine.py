@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hermgrass import analysis as an
 from hermgrass import minors as mn
+from hermgrass import walk as wk
 from hermgrass.codebuild import FAMILY_AFFINE, FAMILY_HERMITIAN, build_generator, fq_basis
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
 
@@ -48,7 +49,7 @@ def search_general(tower, rows, scalars):
     state = np.zeros(n, dtype=np.uint8)
     best_w = n + 1
     best_digits = None
-    for j, old, new, digits in an.gray_steps(r, len(rows)):
+    for j, old, new, digits in wk.gray_steps(r, len(rows)):
         state = add[state, scaled[j][(old, new)]]
         w = int(np.count_nonzero(state))
         if w < best_w or (w == best_w and tuple(digits) < best_digits):
@@ -74,7 +75,7 @@ def test_gray_steps_visit_every_digit_vector_once(radix, k):
     """The walk starts at all zeros, each step changes the one digit it
     names by +-1, and it visits each of the radix^k digit vectors once."""
     visited = [(0,) * k]
-    for j, old, new, digits in an.gray_steps(radix, k):
+    for j, old, new, digits in wk.gray_steps(radix, k):
         before = visited[-1]
         assert [i for i in range(k) if digits[i] != before[i]] == [j]
         assert (before[j], digits[j]) == (old, new) and abs(new - old) == 1
@@ -92,7 +93,7 @@ ORACLE_CELLS = ([(FAMILY_HERMITIAN, 2, q, False) for q in (2, 3, 4, 5)]
 def test_engine_matches_scalar_walk(cell):
     tower, rows, scalars = walk_inputs(cell)
     with big_budget():
-        w, digits, searched = an.min_weight_over_combinations(tower, rows, scalars)
+        w, digits, searched = wk.min_weight_over_combinations(tower, rows, scalars)
     assert (w, digits) == search_general(tower, rows, scalars)
     assert searched == len(scalars) ** len(rows) - 1
 
@@ -117,11 +118,11 @@ def test_engine_reproduces_pinned_certificates(cell):
     assert (cert.d, mn.format_combination(cert.witness)) == PINNED[cell]
 
 
-@pytest.mark.parametrize("ell, q, table_bytes", [(2, 3, an.TABLE_BYTES), (2, 3, 200),
-                                                 (3, 2, an.TABLE_BYTES)])
+@pytest.mark.parametrize("ell, q, table_bytes", [(2, 3, wk.TABLE_BYTES), (2, 3, 200),
+                                                 (3, 2, wk.TABLE_BYTES)])
 def test_threads_give_the_same_certificate(ell, q, table_bytes):
     gen = build_generator(FAMILY_HERMITIAN, ell, q)
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes):
+    with mock.patch.object(wk, "TABLE_BYTES", table_bytes):
         one = an.min_distance_subfield(gen, threads=1)
         two = an.min_distance_subfield(gen, threads=2)
     assert one.as_dict() == two.as_dict()
@@ -131,9 +132,9 @@ def test_engine_rejects_scalars_it_cannot_reduce():
     tower = tower_for_q(2)
     rows = [np.array([1, 2, 3], dtype=np.uint8)]
     with big_budget(), pytest.raises(ValueError):
-        an.min_weight_over_combinations(tower, rows, [1, 0])
+        wk.min_weight_over_combinations(tower, rows, [1, 0])
     with big_budget(), pytest.raises(ValueError):
-        an.min_weight_over_combinations(tower, rows, [0, 1, 2])  # 2 * 2 = 3 in F_4
+        wk.min_weight_over_combinations(tower, rows, [0, 1, 2])  # 2 * 2 = 3 in F_4
 
 
 def test_threads_and_lead_are_keyword_only():
@@ -143,7 +144,7 @@ def test_threads_and_lead_are_keyword_only():
     rows = [np.array([1, 2, 3], dtype=np.uint8)]
     gen = build_generator(FAMILY_HERMITIAN, 2, 2)
     with pytest.raises(TypeError):
-        an.min_weight_over_combinations(tower, rows, [0, 1], 2)
+        wk.min_weight_over_combinations(tower, rows, [0, 1], 2)
     with pytest.raises(TypeError):
         an.min_distance(gen, None, 2)
     with pytest.raises(TypeError):
@@ -193,8 +194,8 @@ def brute_force(tower, rows, scalars):
 @given(row_sets())
 def test_engine_equals_brute_force(case):
     tower, rows, scalars, table_bytes = case
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes), big_budget():
-        w, digits, _ = an.min_weight_over_combinations(tower, rows, scalars)
+    with mock.patch.object(wk, "TABLE_BYTES", table_bytes), big_budget():
+        w, digits, _ = wk.min_weight_over_combinations(tower, rows, scalars)
     assert (w, digits) == brute_force(tower, rows, scalars)
 
 
@@ -202,8 +203,8 @@ def test_engine_equals_brute_force(case):
 @given(row_sets())
 def test_threaded_engine_equals_brute_force(case):
     tower, rows, scalars, table_bytes = case
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes), big_budget():
-        w, digits, _ = an.min_weight_over_combinations(tower, rows, scalars, threads=2)
+    with mock.patch.object(wk, "TABLE_BYTES", table_bytes), big_budget():
+        w, digits, _ = wk.min_weight_over_combinations(tower, rows, scalars, threads=2)
     assert (w, digits) == brute_force(tower, rows, scalars)
 
 
@@ -222,7 +223,7 @@ def brute_force_lead(tower, rows, scalars, lead):
     return best
 
 
-@pytest.mark.parametrize("table_bytes", [0, 100, an.TABLE_BYTES])
+@pytest.mark.parametrize("table_bytes", [0, 100, wk.TABLE_BYTES])
 def test_lead_walk_is_the_same_on_two_threads(table_bytes):
     """A walk over the messages of 6 rows over F_4 with a nonzero among
     their first 2 digits: one process and two give the brute-force least
@@ -233,9 +234,9 @@ def test_lead_walk_is_the_same_on_two_threads(table_bytes):
     rows = np.array([[1] * 8, [1, 2, 3, 1, 2, 3, 1, 2]] + np.eye(4, 8, dtype=int).tolist(),
                     dtype=np.uint8)
     scalars = list(range(4))
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes), big_budget():
-        one = an.min_weight_over_combinations(tower, rows, scalars, lead=2)
-        two = an.min_weight_over_combinations(tower, rows, scalars, threads=2, lead=2)
+    with mock.patch.object(wk, "TABLE_BYTES", table_bytes), big_budget():
+        one = wk.min_weight_over_combinations(tower, rows, scalars, lead=2)
+        two = wk.min_weight_over_combinations(tower, rows, scalars, threads=2, lead=2)
     assert one == two
     assert one[:2] == brute_force_lead(tower, rows, scalars, 2)
     assert one[0] > 1
@@ -250,13 +251,13 @@ def test_subfield_precondition_fails_closed_under_optimize(run_optimized):
     raise even under python -O, which strips assert statements."""
     script = (
         "assert False, 'asserts are live'\n"
-        "from hermgrass import analysis as an\n"
+        "from hermgrass import analysis as an, codebuild\n"
         "from hermgrass.codebuild import build_generator, fq_basis\n"
         "gen = build_generator('hermitian', 2, 3)\n"
         "basis = fq_basis(2, 3)\n"
         "outside = next(x for x in range(9) if not gen.tower.in_base_subfield(x))\n"
         "basis[0] = {m: gen.tower.mul(outside, v) for m, v in basis[0].items()}\n"
-        "an.fq_basis = lambda ell, q: basis\n"
+        "codebuild.fq_basis = lambda ell, q: basis\n"
         "an.min_distance_subfield(gen)\n"
     )
     proc = run_optimized(script)

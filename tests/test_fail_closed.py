@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hermgrass import analysis as an
+from hermgrass import dual as du
 from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hermgrass"
@@ -43,10 +43,10 @@ def test_dual_word_check_fails_closed_under_optimize(run_optimized):
     dual_min_distance raise even under python -O."""
     script = (
         "assert False, 'asserts are live'\n"
-        "from hermgrass import analysis as an\n"
+        "from hermgrass import dual as du\n"
         "from hermgrass.codebuild import build_generator\n"
-        "an._verify_dual_word = lambda *args: False\n"
-        "an.dual_min_distance(build_generator('hermitian', 2, 3))\n"
+        "du._verify_dual_word = lambda *args: False\n"
+        "du.dual_min_distance(build_generator('hermitian', 2, 3))\n"
     )
     proc = run_optimized(script)
     assert proc.returncode == 1, proc.stdout + proc.stderr
@@ -82,17 +82,17 @@ def test_translation_clearing_fails_closed_under_optimize(run_optimized):
     det stratum raise before its walk even under python -O."""
     script = (
         "assert False, 'asserts are live'\n"
-        "from hermgrass import analysis as an\n"
-        "clear = an.translation_clearing_matrix\n"
+        "from hermgrass import strata as st, walk as wk\n"
+        "clear = st.translation_clearing_matrix\n"
         "def mutant(tower, ell, f, I):\n"
         "    H = [list(row) for row in clear(tower, ell, f, I)]\n"
         "    H[0][0] = 0\n"
         "    return tuple(map(tuple, H))\n"
         "def no_walk(*args):\n"
         "    raise RuntimeError('walked')\n"
-        "an.translation_clearing_matrix = mutant\n"
-        "an._walk = no_walk\n"
-        "an.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)\n"
+        "st.translation_clearing_matrix = mutant\n"
+        "wk._walk = no_walk\n"
+        "st.min_weight_by_max_minor(3, 3, 2, self_conjugate_only=True)\n"
     )
     proc = run_optimized(script)
     assert proc.returncode == 1, proc.stdout + proc.stderr
@@ -105,17 +105,17 @@ def test_fiber_check_fails_closed_under_optimize(run_optimized):
     raise, and the plan fall back to positions, even under python -O."""
     script = (
         "assert False, 'asserts are live'\n"
-        "from hermgrass import analysis as an\n"
+        "from hermgrass import walk as wk\n"
         "from hermgrass.codebuild import build_generator\n"
         "gen = build_generator('affine', 2, 7)\n"
         "rows = gen.rows.copy()\n"
         "rows[3, 100] = gen.tower.add(int(rows[3, 100]), 1)\n"
         "try:\n"
-        "    an._additive_form(gen.tower, rows, list(gen.scalars), 2)\n"
+        "    wk._additive_form(gen.tower, rows, list(gen.scalars), 2)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
-        "print(an._plan(gen.tower, rows, list(gen.scalars), len(rows))[0][2].fiber)\n"
-        "print(an._plan(gen.tower, gen.rows, list(gen.scalars), len(rows))[0][2].fiber)\n"
+        "print(wk._plan(gen.tower, rows, list(gen.scalars), len(rows))[0][2].fiber)\n"
+        "print(wk._plan(gen.tower, gen.rows, list(gen.scalars), len(rows))[0][2].fiber)\n"
     )
     proc = run_optimized(script)
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -125,12 +125,12 @@ def test_fiber_check_fails_closed_under_optimize(run_optimized):
 
 def test_verify_dual_word():
     gen = build_generator(FAMILY_HERMITIAN, 2, 3)
-    cert = an.dual_min_distance(gen)
-    assert an._verify_dual_word(gen, cert.columns, cert.coefficients)
+    cert = du.dual_min_distance(gen)
+    assert du._verify_dual_word(gen, cert.columns, cert.coefficients)
     for i in range(len(cert.coefficients)):
         coeffs = list(cert.coefficients)
         coeffs[i] = gen.tower.add(coeffs[i], 1)
-        assert not an._verify_dual_word(gen, cert.columns, coeffs)
+        assert not du._verify_dual_word(gen, cert.columns, coeffs)
 
 
 def test_file_round_trip_fails_on_a_reader_that_skips_the_body(monkeypatch):

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from hermgrass import verify
-from hermgrass.analysis import DEFAULT_SEED, dual_support_families
 from hermgrass.cli import main
 from hermgrass.codebuild import (
     FAMILY_AFFINE,
@@ -22,6 +21,7 @@ from hermgrass.codebuild import (
     translate_permutation,
     transpose_permutation,
 )
+from hermgrass.dual import DEFAULT_SEED, dual_support_families
 from hermgrass.galois import tower_for_q
 
 # (family, ell, q, method) -> digest of `mindist --format tree`

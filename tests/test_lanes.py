@@ -12,7 +12,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from hermgrass import analysis as an
+from hermgrass import dual as du
+from hermgrass import strata as st
+from hermgrass import walk as wk
 from hermgrass.codebuild import (FAMILY_AFFINE, FAMILY_HERMITIAN, build_generator, fq_basis,
                                  subfield_rows)
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
@@ -40,7 +42,7 @@ def test_lane_words_add_and_weigh_as_the_field(q, full):
     rng = np.random.default_rng(q + 100 * full)
     rows = alphabet_rows(tower, alphabet, n, rng)
     scalars = [int(s) for s in alphabet]
-    pack, add, weigh = an._additive_form(tower, rows, scalars)
+    pack, add, weigh = wk._additive_form(tower, rows, scalars)
 
     # combinations of the two rows, the words a table holds: b rows[1] for
     # every b, then 100 drawn at random
@@ -77,8 +79,8 @@ def test_packed_keys_add_in_lanes(q, k):
     u = rng.integers(0, tower.qq, size=(50, k), dtype=np.uint8)
     v = rng.integers(0, tower.qq, size=(50, k), dtype=np.uint8)
     u[0] = v[0] = tower.qq - 1
-    pack, key = an._packer(tower, k)
-    add = an._digit_lanes(tower.p)[1]
+    pack, key = du._packer(tower, k)
+    add = wk._digit_lanes(tower.p)[1]
     assert (key(add(pack(u), pack(v))) == key(pack(tower.add_np[u, v]))).all()
     assert (key(add(pack(u), pack(tower.neg_np[u]))) == key(pack(np.zeros_like(u)))).all()
 
@@ -126,7 +128,7 @@ def test_fiber_words_add_and_weigh_as_the_field(cell):
     messages += list(rng.integers(0, q, (40, len(rows))))
     words = np.array([field_sum(tower, rows, scalars, d) for d in messages], dtype=np.uint8)
     for m in fibers:
-        pack, add, weigh = an._additive_form(tower, rows, scalars, m)
+        pack, add, weigh = wk._additive_form(tower, rows, scalars, m)
         assert weigh.fiber == m
         per = 64 // WIDTH[tower.p]
         packed = [pack(v) for v in words]
@@ -148,11 +150,11 @@ def test_fiber_walk_equals_the_position_walk(cell):
     same weights at every Gray state, over every message, at the plan's
     table digits."""
     tower, rows, scalars, fibers = certifying_rows(*cell)
-    _, kt, [heads] = an._plan(tower, rows, scalars, len(rows))
-    plain = an._additive_form(tower, rows, scalars)
+    _, kt, [heads] = wk._plan(tower, rows, scalars, len(rows))
+    plain = wk._additive_form(tower, rows, scalars)
     for m in fibers[:1]:
-        fiber = an._additive_form(tower, rows, scalars, m)
-        walks = [an._walk(tower, rows, scalars, form, kt, heads) for form in (plain, fiber)]
+        fiber = wk._additive_form(tower, rows, scalars, m)
+        walks = [wk._walk(tower, rows, scalars, form, kt, heads) for form in (plain, fiber)]
         states = 0
         for (head, walked, w), (head2, walked2, w2) in zip(*walks):
             assert (head, walked) == (head2, walked2)
@@ -174,14 +176,14 @@ PLAN_FIBER = {**{(FAMILY_HERMITIAN, 2, q): int(q >= 7) for q in SUPPORTED_Q},
 @pytest.mark.parametrize("cell", sorted(PLAN_FIBER), ids=cell_id)
 def test_plan_chooses_the_layout_by_its_cost(cell):
     tower, rows, scalars, _ = certifying_rows(*cell)
-    form, kt, _ = an._plan(tower, rows, scalars, len(rows))
+    form, kt, _ = wk._plan(tower, rows, scalars, len(rows))
     assert form[2].fiber == PLAN_FIBER[cell]
 
 
 def recording_forms():
     """A stand-in for `_additive_form` that records (fiber, outcome, thread)
     of every call."""
-    calls, build = [], an._additive_form
+    calls, build = [], wk._additive_form
 
     def record(tower, rows, scalars, fiber=0):
         try:
@@ -198,8 +200,8 @@ def recording_forms():
 def position_walk(tower, rows, scalars, lead):
     """The least (weight, digits) of the walk on position lanes, whatever
     the plan would choose."""
-    _, kt, [heads] = an._plan(tower, rows, scalars, lead)
-    return an._least_weight(tower, rows, scalars, kt, heads, an._additive_form(tower, rows, scalars))
+    _, kt, [heads] = wk._plan(tower, rows, scalars, lead)
+    return wk._least_weight(tower, rows, scalars, kt, heads, wk._additive_form(tower, rows, scalars))
 
 
 def changed_entry(tower, rows, at):
@@ -225,7 +227,7 @@ def fail_closed_cases():
     yield "H2q3x", gen.tower, gen.rows, list(gen.scalars), len(gen.rows)
     for k, q in [(2, 2), (1, 2), (0, 2), (2, 3)]:
         gen = build_generator(FAMILY_HERMITIAN, 2, q)
-        rows, _, scalars, lead = an._stratum(gen, k, False)
+        rows, _, scalars, lead = st._stratum(gen, k, False)
         yield f"stratum (2, {k}, {q}) over F_q^2", gen.tower, rows, list(scalars), lead
 
 
@@ -248,11 +250,11 @@ def test_a_fiber_that_does_not_fit_falls_back_to_positions(case):
     n, q = rows.shape[1], tower.q
     for m in (1, 2):
         with pytest.raises(ValueError, match="not F_q-affine"):
-            an._additive_form(tower, rows, scalars, m)
+            wk._additive_form(tower, rows, scalars, m)
     calls, record = recording_forms()
-    with mock.patch.object(an, "_additive_form", record):
-        form, kt, _ = an._plan(tower, rows, scalars, lead)
-        got = an.min_weight_over_combinations(tower, rows, scalars, lead=lead)
+    with mock.patch.object(wk, "_additive_form", record):
+        form, kt, _ = wk._plan(tower, rows, scalars, lead)
+        got = wk.min_weight_over_combinations(tower, rows, scalars, lead=lead)
     assert form[2].fiber == 0 and form[0](rows[0]).shape[1] == -(-n // (64 // WIDTH[tower.p]))
     assert all(status == "refused" for fiber, status, _ in calls if fiber)
     if q >= 7:  # the cost model prefers a fiber here, so the plan tried one and fell back
@@ -268,15 +270,15 @@ def test_workers_walk_the_plans_layout(family):
     takes fiber lanes; with the process pool swapped for threads, every
     job builds its form on the plan's fiber digits."""
     tower, rows, scalars, _ = certifying_rows(family, 2, 7)
-    one = an.min_weight_over_combinations(tower, rows, scalars, threads=1)
-    assert an.min_weight_over_combinations(tower, rows, scalars, threads=2) == one
-    form, _, jobs = an._plan(tower, rows, scalars, len(rows), threads=2)
+    one = wk.min_weight_over_combinations(tower, rows, scalars, threads=1)
+    assert wk.min_weight_over_combinations(tower, rows, scalars, threads=2) == one
+    form, _, jobs = wk._plan(tower, rows, scalars, len(rows), threads=2)
     assert form[2].fiber > 0 and len(jobs) == 2
     calls, record = recording_forms()
-    with mock.patch.object(an, "_additive_form", record), \
-            mock.patch.object(an.concurrent.futures, "ProcessPoolExecutor",
+    with mock.patch.object(wk, "_additive_form", record), \
+            mock.patch.object(wk.concurrent.futures, "ProcessPoolExecutor",
                               concurrent.futures.ThreadPoolExecutor):
-        assert an.min_weight_over_combinations(tower, rows, scalars, threads=2) == one
+        assert wk.min_weight_over_combinations(tower, rows, scalars, threads=2) == one
     main = threading.get_ident()
     workers = [(fiber, status) for fiber, status, thread in calls if thread != main]
     assert workers == [(form[2].fiber, "built")] * len(jobs)

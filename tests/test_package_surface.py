@@ -71,3 +71,57 @@ def test_no_function_takes_a_budget_parameter():
                          *filter(None, [node.args.vararg, node.args.kwarg])]
              if "budget" in arg.arg]
     assert found == []
+
+
+def internal_imports():
+    """{module: the package modules it imports}, from every `from .x import`
+    and `from . import x` statement, at any depth."""
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                graph[path.stem].update(name.split(".")[0] for name in names)
+    return graph
+
+
+def test_internal_imports_form_no_cycle():
+    graph = internal_imports()
+    assert {"analysis", "walk", "dual", "strata"} <= graph.keys()
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            raise AssertionError(" -> ".join(path[path.index(module):] + [module]))
+        if module not in done:
+            path.append(module)
+            for imported in sorted(graph[module]):
+                visit(imported)
+            path.pop()
+            done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+
+
+def test_the_split_imports_downward():
+    """walk <- dual <- analysis and walk <- strata -> analysis: the engine
+    imports none of the three, and analysis imports neither the strata nor
+    anything that does."""
+    graph = internal_imports()
+    assert graph["walk"].isdisjoint({"analysis", "dual", "strata"})
+    assert graph["dual"].isdisjoint({"analysis", "strata"})
+    assert {"walk", "analysis"} <= graph["strata"]
+    assert "strata" not in graph["analysis"] and {"walk", "dual"} <= graph["analysis"]
+
+
+def test_no_function_or_class_is_defined_in_two_modules():
+    """A top-level function or class name has one defining module, so a
+    moved definition cannot survive as a copy."""
+    owners = defaultdict(list)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                owners[node.name].append(path.stem)
+    assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}

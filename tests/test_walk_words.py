@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from hermgrass import analysis as an
+from hermgrass import walk as wk
 from hermgrass.galois import tower_for_q
 
 # characteristic 2 with words of F_{q^2} values on two or more bit planes
@@ -51,7 +51,7 @@ def brute_force(tower, rows, scalars, lead):
                if any(d[:lead]))
 
 
-@pytest.mark.parametrize("table_bytes", [0, 100, an.TABLE_BYTES])
+@pytest.mark.parametrize("table_bytes", [0, 100, wk.TABLE_BYTES])
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
 @given(wide_rows())
 def test_wide_walk_equals_brute_force(table_bytes, case):
@@ -59,14 +59,14 @@ def test_wide_walk_equals_brute_force(table_bytes, case):
     of several nonzero digits), find the brute-force least word."""
     tower, rows, scalars, lead = case
     expected = brute_force(tower, rows, scalars, lead)
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes):
-        w, digits, _ = an.min_weight_over_combinations(tower, rows, scalars, lead=lead)
-        form, kt, jobs = an._plan(tower, rows, scalars, lead, threads=3)
+    with mock.patch.object(wk, "TABLE_BYTES", table_bytes):
+        w, digits, _ = wk.min_weight_over_combinations(tower, rows, scalars, lead=lead)
+        form, kt, jobs = wk._plan(tower, rows, scalars, lead, threads=3)
     assert (w, digits) == expected
-    assert min(an._least_weight(tower, rows, scalars, kt, job, form) for job in jobs) == expected
+    assert min(wk._least_weight(tower, rows, scalars, kt, job, form) for job in jobs) == expected
 
 
-@pytest.mark.parametrize("q, table_bytes", [(3, 0), (3, 100), (3, an.TABLE_BYTES),
+@pytest.mark.parametrize("q, table_bytes", [(3, 0), (3, 100), (3, wk.TABLE_BYTES),
                                            (4, 0), (4, 100)])
 def test_walk_packs_each_word_once(q, table_bytes):
     """A walk of 7 dense rows of 130 positions over F_q packs the zero word,
@@ -79,7 +79,7 @@ def test_walk_packs_each_word_once(q, table_bytes):
     rows = rng.integers(1, tower.qq, (7, 130)).astype(np.uint8)
     scalars = list(tower.subfield)
     packs = []
-    additive_form = an._additive_form
+    additive_form = wk._additive_form
 
     def counting_form(*args):
         form = additive_form(*args)
@@ -90,11 +90,11 @@ def test_walk_packs_each_word_once(q, table_bytes):
 
         return (pack,) + form[1:]
 
-    with mock.patch.object(an, "TABLE_BYTES", table_bytes), \
-            mock.patch.object(an, "_additive_form", counting_form):
-        form, kt, [heads] = an._plan(tower, rows, scalars, len(rows))
+    with mock.patch.object(wk, "TABLE_BYTES", table_bytes), \
+            mock.patch.object(wk, "_additive_form", counting_form):
+        form, kt, [heads] = wk._plan(tower, rows, scalars, len(rows))
         packs.clear()
-        weights = [w.copy() for _, _, w in an._walk(tower, rows, scalars, form, kt, heads)]
+        weights = [w.copy() for _, _, w in wk._walk(tower, rows, scalars, form, kt, heads)]
     assert (kt > 0) == (table_bytes > 0)
     kw = len(rows) - kt
     assert sum(map(len, weights)) == sum(q ** (kw - len(head)) * q**kt for head in heads)
@@ -130,9 +130,9 @@ def test_plan_takes_the_cheapest_table(q, full):
     for k, n in itertools.product((1, 2, 4, 6), (1, 200, 5000)):
         rows = rng.integers(0, tower.qq, (k, n)).astype(np.uint8)
         for lead, table_bytes, threads in itertools.product(
-                range(1, k + 1), (0, 100, 4096, an.TABLE_BYTES), (1, 3)):
-            with mock.patch.object(an, "TABLE_BYTES", table_bytes):
-                form, kt, _ = an._plan(tower, rows, scalars, lead, threads)
+                range(1, k + 1), (0, 100, 4096, wk.TABLE_BYTES), (1, 3)):
+            with mock.patch.object(wk, "TABLE_BYTES", table_bytes):
+                form, kt, _ = wk._plan(tower, rows, scalars, lead, threads)
             row_bytes = form[0](rows[0]).nbytes
             assert kt == documented_kt(r, k, lead, row_bytes, table_bytes), (k, n, lead)
             assert kt == 0 or r**kt * row_bytes <= 8 * table_bytes
@@ -156,13 +156,13 @@ def test_every_table_split_gives_the_brute_force_word(q, full, k, n):
     for lead in (k, 1):
         splits = {}
         for table_bytes in [0] + [int(1.25**i) for i in range(100)]:
-            with mock.patch.object(an, "TABLE_BYTES", table_bytes):
-                splits.setdefault(an._plan(tower, rows, scalars, lead)[1], table_bytes)
+            with mock.patch.object(wk, "TABLE_BYTES", table_bytes):
+                splits.setdefault(wk._plan(tower, rows, scalars, lead)[1], table_bytes)
         assert sorted(splits) == list(range(k + 1 if lead == k else k - lead + 1))
         expected = brute_force(tower, rows, scalars, lead) + ((r**lead - 1) * r ** (k - lead),)
         for table_bytes, threads in itertools.product(splits.values(), (1, 2)):
-            with mock.patch.object(an, "TABLE_BYTES", table_bytes):
-                got = an.min_weight_over_combinations(tower, rows, scalars, threads=threads,
+            with mock.patch.object(wk, "TABLE_BYTES", table_bytes):
+                got = wk.min_weight_over_combinations(tower, rows, scalars, threads=threads,
                                                       lead=lead)
             assert got == expected, (lead, table_bytes, threads)
 
@@ -179,11 +179,11 @@ def test_a_walk_writes_no_word_it_walks_with(q, full, lead):
     tower = tower_for_q(q)
     scalars = list(range(tower.qq)) if full else list(tower.subfield)
     rows = np.random.default_rng(q).integers(0, tower.qq, (3, 70)).astype(np.uint8)
-    with mock.patch.object(an, "TABLE_BYTES", 0):
-        form, kt, [heads] = an._plan(tower, rows, scalars, lead)
+    with mock.patch.object(wk, "TABLE_BYTES", 0):
+        form, kt, [heads] = wk._plan(tower, rows, scalars, lead)
     assert kt == 0
     walks = [[(head + tuple(walked), int(w[0]))
-              for head, walked, w in an._walk(tower, rows, scalars, form, kt, heads)]
+              for head, walked, w in wk._walk(tower, rows, scalars, form, kt, heads)]
              for _ in range(2)]
     assert walks[0] == walks[1]
     for digits, w in walks[0]:
@@ -191,5 +191,5 @@ def test_a_walk_writes_no_word_it_walks_with(q, full, lead):
         for d, row in zip(digits, rows):
             word = tower.add_np[word, tower.mul_np[scalars[d]][row]]
         assert w == np.count_nonzero(word), digits
-    assert an._least_weight(tower, rows, scalars, kt, heads, form) == \
+    assert wk._least_weight(tower, rows, scalars, kt, heads, form) == \
         brute_force(tower, rows, scalars, lead)
