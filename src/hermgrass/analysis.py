@@ -68,11 +68,14 @@ def weight_of_function(f: dict, ell: int, q: int, family: str = FAMILY_HERMITIAN
     """weight(ev(f)) without building a generator: f is evaluated and
     weighed on one decoded chunk of positions at a time, so memory stays at
     one chunk's; over at most BUILD_LIMIT positions.  A minor outside
-    `minors.basis(ell)` raises ValueError before any chunk is decoded."""
+    `minors.basis(ell)`, or a coefficient outside F_{q^2}, raises
+    ValueError before any chunk is decoded."""
     basis = mn.basis(ell)
-    for minor in f:
+    for minor, c in f.items():
         if minor not in basis:
             raise ValueError(f"minor {minor} not valid for ell={ell}")
+        if not 0 <= c < q * q:
+            raise ValueError(f"coefficient {c} of {minor} lies outside F_{q * q}")
     n = q ** (ell * ell)
     if n > BUILD_LIMIT:
         raise BudgetExceeded(f"q^(ell^2) = {n} exceeds build limit {BUILD_LIMIT}")

@@ -5,12 +5,14 @@ Enumeration is projective, one message per scalar class (first nonzero
 digit 1): a mixed-radix Gray walk over the leading digits adds one scaled
 row per step and weighs a table of every combination of the trailing rows
 against it in one vectorized operation.  Words are packed one way in every
-characteristic, as base-p digits in lanes of w bits (`_additive_form`,
-`_digit_lanes`), in one of two layouts: a lane per position, or fiber
-lanes, a word's affine coefficients along its first position digits
-(every minor uses each row of X at most once, so a word is affine in h_00
-and, for the affine family, in the whole first row of X), whose zeros on
-each fiber follow from two flags.  Each scaled row is packed once per walk
+characteristic and every layout, as base-p digits in lanes of w bits
+(`_additive_form`, `_digit_lanes`), one plane per pivot digit of the one
+value basis a walk scans its rows for (`_lane_basis`): fiber lanes, a
+word's affine coefficients along its first m position digits (every minor
+uses each row of X at most once, so a word is affine in h_00 and, for the
+affine family, in the whole first row of X), whose zeros on each fiber
+follow from two flags; positions are the fibers of one position, m = 0,
+whose one coefficient is the word.  Each scaled row is packed once per walk
 and the walked state is kept negated, and the table is kept XORed with it
 in place, so a weigh flags the lanes where the two differ, does no field
 arithmetic and makes no table-sized temporary.  A step costs about as much
@@ -142,8 +144,29 @@ def _digit_lanes(p):
     return w, add, lambda x, out: np.bitwise_and(np.add(x, nonzero, out=out), top, out=out)
 
 
-def _additive_form(tower, rows, scalars, fiber=0):
-    """(pack, add, weigh) for the words the engine adds and weighs.
+def _lane_basis(tower, rows, scalars):
+    """(values, lanes): the walk's one scan of the values its words take.
+
+    values are the distinct products of the scalars with the entries of
+    the rows, sorted.  An index is the base-p digit vector of its element;
+    the values of every combination span a subspace of F_p^(2e), and
+    projecting onto the pivot digits of its row-reduced basis is linear and
+    injective on it, so a word is one plane per pivot digit.  lanes[j, a]
+    holds the w bits of `_digit_lanes` of pivot digit j of the element a,
+    and len(lanes) is the number of planes of every layout.
+    """
+    p, fp, place = tower.p, tower_for_q(tower.p), tower.p ** np.arange(2 * tower.e)
+    values = np.unique(tower.mul_np[np.ix_(scalars, np.flatnonzero(np.bincount(rows.ravel())))])
+    digits = values[:, None] // place % p
+    basis = digits[linalg.rref(fp, digits.T)[1]]  # the values at the pivots of the transpose
+    pivots = linalg.rref(fp, basis)[1] or [0]
+    lanes = np.arange(tower.qq) // place[pivots, None] % p
+    return values, (lanes[..., None] >> np.arange(_digit_lanes(p)[0]) & 1).astype(np.uint8)
+
+
+def _additive_form(tower, rows, basis, fiber=0):
+    """(pack, add, weigh) for the words the engine adds and weighs, on the
+    lanes of `basis`, the `_lane_basis` of the walk.
 
     pack makes a word a table of one combination, and a walk's table grows
     along its last axis.  The walked state is kept negated: it holds -s for
@@ -152,35 +175,33 @@ def _additive_form(tower, rows, scalars, fiber=0):
     the state, which it reads and does not write; out is a buffer of one
     plane of x that it may overwrite.
 
-    An index is the base-p digit vector of its element.  The values of
-    every combination span a subspace of F_p^(2e), and projecting onto the
-    pivot digits of its row-reduced basis is linear and injective on it,
-    so a word is one plane per pivot digit, each position's digit in a lane
-    of `_digit_lanes`, in a word-major table (planes, words, combinations).
+    A word is packed on fiber lanes on m = `fiber` position digits.  A
+    fiber is a block of F = q^m consecutive positions, which share every
+    position digit but the first m (the first row of an affine matrix at m
+    = ell, h_00 at m = 1), and x in F_q^m is those digits; positions are
+    the fibers of one position, m = 0.  On each fiber a word is b + sum_j
+    a_j x_j, and pack packs its coefficients b = v[x = 0] and a_j = v[x =
+    e_j] - b, n / F of each, as m + 1 word-aligned segments of the same
+    lanes, one plane per pivot digit, in a word-major table (planes, words,
+    combinations).  The map is F_p-linear, so words still add, and a
+    coefficient, a difference of values, lies in the values' span.
+
     T + s is zero exactly where T equals the negated state S in every
     plane, so weigh ORs x = T ^ S over the planes and counts its flagged
-    lanes.
-
-    fiber = m > 0 packs on fiber lanes instead.  A fiber is a block of F =
-    q^m consecutive positions, which share every position digit but the
-    first m (the first row of an affine matrix at m = ell, h_00 at m = 1),
-    and x in F_q^m is those digits.  On each fiber a word is b + sum_j a_j
-    x_j, and pack packs its coefficients b = v[x = 0] and a_j = v[x = e_j] -
-    b, n / F of each, as m + 1 word-aligned segments of the same lanes; the
-    map is F_p-linear, so words still add.  Such an affine function has F
-    zeros where a = b = 0, none where only a = 0, and F / q where a is not
-    0, so weigh ORs the a segments into one flag, ORs that with b's flag,
-    and returns F #[a or b] - (F / q) #[a], two counts.  That holds only
-    for values in F_q (scalars times row entries) and rows that b + sum_j
-    a_j x_j rebuilds on every fiber; on any other rows the form raises
-    ValueError, after the first fiber of each row or after all of them.
-    weigh.fiber is m (0 for positions), from which a worker process builds
-    the form again.
+    lanes; at m = 0 that is the weight.  An affine function on a fiber has
+    F zeros where a = b = 0, none where only a = 0, and F / q where a is
+    not 0, so at m > 0 weigh ORs the a segments into one flag, ORs that
+    with b's flag, and returns F #[a or b] - (F / q) #[a], two counts.
+    That holds only for values in F_q (the basis's values, read once by
+    `_lane_basis`) and rows that b + sum_j a_j x_j rebuilds on every fiber;
+    on any other rows the form raises ValueError, after the first fiber of
+    each row or after all of them.  weigh.fiber is m, from which a worker
+    process builds the form again.
     """
-    p, q, n = tower.p, tower.q, rows.shape[1]
-    w, add, flag = _digit_lanes(p)
-    per, place, fp = 64 // w, p ** np.arange(2 * tower.e), tower_for_q(p)
-    F, segs = q**fiber, fiber + 1
+    q, n = tower.q, rows.shape[1]
+    w, add, flag = _digit_lanes(tower.p)
+    (values, lanes), F, segs, per = basis, q**fiber, fiber + 1, 64 // w
+    shape = (len(lanes), segs * -(-n // F // per), per * w)
 
     def coefficients(v):
         # b = v at x = 0 and a_j = v at x = e_j minus b, on each fiber
@@ -196,27 +217,18 @@ def _additive_form(tower, rows, scalars, fiber=0):
             v = tower.add_np.take(v.astype(np.intp) * tower.qq + tower.mul_np[:, xj].take(aj, axis=0))
         return v.reshape(part.shape)
 
-    # a fiber layout checks the first fiber of every row before all of them: most rows that
-    # do not fit fail there
-    for part in (rows[:, :F], rows) if fiber else (rows,):
-        values = np.unique(tower.mul_np[np.ix_(scalars, np.flatnonzero(np.bincount(part.ravel())))])
-        if fiber and (n % F or (tower.subfield_digit_np[values] < 0).any()
-                      or not np.array_equal(rebuilt(part), part)):
-            raise ValueError(f"the rows are not F_q-affine on fibers of {F} positions")
-    digits = values[:, None] // place % p
-    basis = digits[linalg.rref(fp, digits.T)[1]]  # the values at the pivots of the transpose
-    pivots = linalg.rref(fp, basis)[1] or [0]
-    # lanes[j, a]: the w bits of pivot digit j of the element a
-    lanes = (np.arange(tower.qq) // place[pivots, None] % p)[..., None] >> np.arange(w) & 1
-    lanes, shape = lanes.astype(np.uint8), (len(pivots), segs * -(-n // F // per), per * w)
+    # the first fiber of every row is checked before all of them: most rows that do not fit
+    # fail there
+    if fiber and (n % F or (tower.subfield_digit_np[values] < 0).any()
+                  or not all(np.array_equal(rebuilt(part), part) for part in (rows[:, :F], rows))):
+        raise ValueError(f"the rows are not F_q-affine on fibers of {F} positions")
 
     def pack(v):
         # the per * w <= 64 lane bits of each word fill its 8 bytes, the last zero-padded; a
-        # fiber word has one word-aligned segment per coefficient
+        # word has one word-aligned segment per coefficient
         bits = np.zeros(shape, dtype=np.uint8)
-        v = coefficients(v) if fiber else v[None]
-        bits.reshape(shape[0], segs, -1)[..., :v.shape[1] * w] = \
-            lanes.take(v, axis=1).reshape(shape[0], segs, -1)
+        bits.reshape(shape[0], segs, -1)[..., :n // F * w] = \
+            lanes.take(coefficients(v), axis=1).reshape(shape[0], segs, -1)
         return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
 
     def count(x, out):
@@ -225,7 +237,7 @@ def _additive_form(tower, rows, scalars, fiber=0):
     def weigh(x, out):
         x = x[0] if len(x) == 1 else np.bitwise_or.reduce(x, axis=0, out=out)
         if not fiber:
-            return np.add.reduce(np.bitwise_count(flag(x, out)), axis=0, dtype=np.int32)
+            return count(x, out)
         y, o = x.reshape(segs, -1, x.shape[-1]), out.reshape(segs, -1, x.shape[-1])
         a = np.bitwise_or.reduce(y[1:], axis=0, out=o[1]) if fiber > 1 else y[1]
         # F #[a or b] - (F / q) #[a]: a fiber of F points has F / q zeros where a is not 0
@@ -254,31 +266,29 @@ def _plan(tower, rows, scalars, lead, threads=1):
     step), are dealt round-robin into at most `threads` jobs, longest
     walks first.
 
-    The same cost chooses the form's layout, from sizes alone: positions,
-    or fiber lanes on m digits, for m = 1 (h_00) and m = ell, with ell read
-    off n = q^(ell^2) (the first row of an affine matrix).  A fiber word
-    takes (m + 1) ceil(n / (q^m per)) lane words a plane instead of
-    ceil(n / per), a step weighs a second count, 2 * TABLE_BYTES instead of
-    TABLE_BYTES, and building and checking the layout costs 16 *
-    TABLE_BYTES + 128 k n m once.  A fiber layout is costed only where its
-    words are fewer and that last cost is below the position layout's
-    whole cost, and built only where it costs least; one that does not
-    fit the rows raises, and the next cheapest layout is taken, positions
-    at the latest.
+    The same cost chooses the form's layout, from sizes alone: fiber lanes
+    on m digits for m = 0 (positions), m = 1 (h_00) and m = ell, with ell
+    read off n = q^(ell^2) (the first row of an affine matrix).  The rows'
+    one `_lane_basis` gives every layout's planes.  A layout on m digits
+    takes (m + 1) ceil(n / (q^m per)) lane words a plane; at m > 0 a step
+    weighs a second count, 2 * TABLE_BYTES instead of TABLE_BYTES, and
+    building and checking the layout costs 16 * TABLE_BYTES + 128 k n m
+    once.  A fiber layout whose one-off cost alone reaches the position
+    layout's whole cost is not costed: it could not be cheapest.  Only the
+    cheapest layout is built; a fiber that does not fit the rows raises,
+    and the next cheapest is built, positions at the latest, which always
+    fit.
     """
     k, r, n, q = len(rows), len(scalars), rows.shape[1], tower.q
-    form = _additive_form(tower, rows, scalars)
-    planes, per = len(form[0](rows[0])), 64 // _digit_lanes(tower.p)[0]
-
-    def words(m):  # the lane words of a row's plane on m fiber digits (m = 0: positions)
-        return (m + 1) * -(-n // q**m // per)
+    basis = _lane_basis(tower, rows, scalars)
+    planes, per = len(basis[1]), 64 // _digit_lanes(tower.p)[0]
 
     def setup(m):  # building and checking a fiber layout
         return (m > 0) * (16 * TABLE_BYTES + 128 * k * n * m)
 
     def layout(m):
         # (cost, kt, m) of the cheapest table; a fiber layout costs a second count each step
-        row_bytes = 8 * planes * words(m)
+        row_bytes = 8 * planes * (m + 1) * -(-n // q**m // per)
 
         def cost(kt):
             h = min(lead, k - kt)  # the heads' lengths: 1..h, and h once more when h < lead
@@ -289,12 +299,12 @@ def _plan(tower, rows, scalars, lead, threads=1):
                    for t in range(most + 1) if t == 0 or r**t * row_bytes <= 8 * TABLE_BYTES)
 
     most = k if lead == k else k - lead
-    fibers = {1, math.isqrt(round(math.log(max(n, 1), q)))}
     layouts = [layout(0)]
-    layouts += [layout(m) for m in fibers if words(m) < words(0) and setup(m) < layouts[0][0]]
+    layouts += [layout(m) for m in {1, math.isqrt(round(math.log(max(n, 1), q)))}
+                if setup(m) < layouts[0][0]]
     for _, kt, m in sorted(layouts):
         with contextlib.suppress(ValueError):  # a fiber that does not fit: the next layout
-            form = _additive_form(tower, rows, scalars, m) if m else form
+            form = _additive_form(tower, rows, basis, m)
             break
     h = min(lead, k - kt)
     heads = [(0,) * i + (1,) for i in range(h)] + [(0,) * h] * (h < lead)
@@ -352,7 +362,7 @@ def _least_weight(tower, rows, scalars, kt, heads, form=None, fiber=0):
     """Least (weight, digits) over the nonzero messages `_walk` covers; a
     worker process, which is passed no form, builds its own, of the
     layout on `fiber` digits that the plan chose."""
-    form = form or _additive_form(tower, rows, scalars, fiber)
+    form = form or _additive_form(tower, rows, _lane_basis(tower, rows, scalars), fiber)
     best = (rows.shape[1] + 1,)
     for head, walked, weights in _walk(tower, rows, scalars, form, kt, heads):
         if not any(head):

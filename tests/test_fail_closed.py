@@ -110,8 +110,9 @@ def test_fiber_check_fails_closed_under_optimize(run_optimized):
         "gen = build_generator('affine', 2, 7)\n"
         "rows = gen.rows.copy()\n"
         "rows[3, 100] = gen.tower.add(int(rows[3, 100]), 1)\n"
+        "basis = wk._lane_basis(gen.tower, rows, list(gen.scalars))\n"
         "try:\n"
-        "    wk._additive_form(gen.tower, rows, list(gen.scalars), 2)\n"
+        "    wk._additive_form(gen.tower, rows, basis, 2)\n"
         "except ValueError as exc:\n"
         "    print(exc)\n"
         "print(wk._plan(gen.tower, rows, list(gen.scalars), len(rows))[0][2].fiber)\n"
@@ -121,6 +122,59 @@ def test_fiber_check_fails_closed_under_optimize(run_optimized):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.splitlines() == ["the rows are not F_q-affine on fibers of 49 positions",
                                         "0", "2"]
+
+
+# values outside F_{q^2} given to the dual words and to weight_of_function,
+# each an expression over OUT_OF_FIELD_SETUP's names: numpy would read -1 as
+# q^2 - 1, 99 would index past a table, and -8 would overflow uint8
+OUT_OF_FIELD_SETUP = (
+    "import numpy as np\n"
+    "from hermgrass import dual as du\n"
+    "from hermgrass.analysis import weight_of_function\n"
+    "from hermgrass.codebuild import build_generator\n"
+    "h2q2, h2q3 = (build_generator('hermitian', 2, q) for q in (2, 3))\n"
+)
+OUT_OF_FIELD = {
+    "weight-3 word, c0 = -1": "du.dual_word_weight3(h2q3, 2, c0=-1)",
+    "weight-3 word, c0 = 99": "du.dual_word_weight3(h2q3, 2, c0=99)",
+    "weight-3 word, b = (99, 0)": "du.dual_word_weight3(h2q3, 2, b=(99, 0))",
+    "weight-3 word, b = (-8, 0)": "du.dual_word_weight3(h2q3, 2, b=(-8, 0))",
+    "weight-3 word, an H entry of 99": "du.dual_word_weight3(h2q3, 2, H=np.array([[99, 0], [0, 0]]))",
+    "weight-4 word, a1 = (99, 0)": "du.dual_word_weight4(h2q2, a1=(99, 0))",
+    "weight-4 word, a1 = (-1, 0)": "du.dual_word_weight4(h2q2, a1=(-1, 0))",
+    "weight-4 word, a2 = (0, 4)": "du.dual_word_weight4(h2q2, a2=(0, 4))",
+    "verify, coefficient -1": "du._verify_dual_word(h2q3, (0, 1, 2), (-1, 8, 8))",
+    "dual word, coefficient -1": "du._dual_word(h2q3, (0, 1, 2), (-1, 8, 8))",
+    "dual word, coefficient 9": "du._dual_word(h2q3, (0, 1, 2), (9, 8, 8))",
+    "weight of function, coefficient -1": "weight_of_function({((1, 2), (1, 2)): -1}, 2, 3)",
+    "weight of function, coefficient 99": "weight_of_function({((1, 2), (1, 2)): 99}, 2, 3)",
+}
+
+
+@pytest.mark.parametrize("expression", OUT_OF_FIELD.values(), ids=OUT_OF_FIELD)
+def test_out_of_field_values_are_refused(expression):
+    """A coefficient, vector entry or matrix entry outside [0, q^2) raises
+    ValueError before any table lookup, and no word is returned."""
+    names = {}
+    exec(OUT_OF_FIELD_SETUP, names)
+    with pytest.raises(ValueError, match="F_4|F_9"):
+        eval(expression, names)
+
+
+def test_out_of_field_values_are_refused_under_optimize(run_optimized):
+    script = OUT_OF_FIELD_SETUP + (
+        "assert False, 'asserts are live'\n"
+        f"for expression in {list(OUT_OF_FIELD.values())!r}:\n"
+        "    try:\n"
+        "        eval(expression)\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__)\n"
+        "    else:\n"
+        "        print('accepted')\n"
+    )
+    proc = run_optimized(script)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["ValueError"] * len(OUT_OF_FIELD)
 
 
 def test_verify_dual_word():

@@ -6,6 +6,7 @@ the first position digits, against the position lanes and the field."""
 
 import concurrent.futures
 import functools
+import itertools
 import threading
 from unittest import mock
 
@@ -42,7 +43,7 @@ def test_lane_words_add_and_weigh_as_the_field(q, full):
     rng = np.random.default_rng(q + 100 * full)
     rows = alphabet_rows(tower, alphabet, n, rng)
     scalars = [int(s) for s in alphabet]
-    pack, add, weigh = wk._additive_form(tower, rows, scalars)
+    pack, add, weigh = wk._additive_form(tower, rows, wk._lane_basis(tower, rows, scalars))
 
     # combinations of the two rows, the words a table holds: b rows[1] for
     # every b, then 100 drawn at random
@@ -127,8 +128,9 @@ def test_fiber_words_add_and_weigh_as_the_field(cell):
     messages = [np.eye(len(rows), dtype=int)[i] for i in range(len(rows))]
     messages += list(rng.integers(0, q, (40, len(rows))))
     words = np.array([field_sum(tower, rows, scalars, d) for d in messages], dtype=np.uint8)
+    basis = wk._lane_basis(tower, rows, scalars)
     for m in fibers:
-        pack, add, weigh = wk._additive_form(tower, rows, scalars, m)
+        pack, add, weigh = wk._additive_form(tower, rows, basis, m)
         assert weigh.fiber == m
         per = 64 // WIDTH[tower.p]
         packed = [pack(v) for v in words]
@@ -151,9 +153,10 @@ def test_fiber_walk_equals_the_position_walk(cell):
     table digits."""
     tower, rows, scalars, fibers = certifying_rows(*cell)
     _, kt, [heads] = wk._plan(tower, rows, scalars, len(rows))
-    plain = wk._additive_form(tower, rows, scalars)
+    basis = wk._lane_basis(tower, rows, scalars)
+    plain = wk._additive_form(tower, rows, basis)
     for m in fibers[:1]:
-        fiber = wk._additive_form(tower, rows, scalars, m)
+        fiber = wk._additive_form(tower, rows, basis, m)
         walks = [wk._walk(tower, rows, scalars, form, kt, heads) for form in (plain, fiber)]
         states = 0
         for (head, walked, w), (head2, walked2, w2) in zip(*walks):
@@ -164,20 +167,65 @@ def test_fiber_walk_equals_the_position_walk(cell):
         assert states * len(scalars) ** kt >= (len(scalars) ** len(rows) - 1) // (len(scalars) - 1)
 
 
-# (family, ell, q) -> the plan's fiber digits for the certifying walk, 0 for
-# positions: the fiber wins from q = 7 and at A3q2; positions keep q <= 5
-# and H3q2, where the fiber's build, check and second count cost more than
-# its smaller words save
-PLAN_FIBER = {**{(FAMILY_HERMITIAN, 2, q): int(q >= 7) for q in SUPPORTED_Q},
-              **{(FAMILY_AFFINE, 2, q): 2 * (q >= 7) for q in SUPPORTED_Q},
-              (FAMILY_HERMITIAN, 3, 2): 0, (FAMILY_AFFINE, 3, 2): 3}
+# (family, ell, q) -> (fiber digits, kt) of the plan for the certifying
+# walk, 0 digits for positions: the fiber wins from q = 7 and at A3q2;
+# positions keep q <= 5, where the fiber's build, check and second count
+# cost more than its smaller words save, and H3q2, where the first-row
+# fiber, cheaper by the cost, does not fit the Hermitian rows
+CERTIFYING_PLANS = {
+    (FAMILY_HERMITIAN, 2, 2): (0, 6), (FAMILY_HERMITIAN, 2, 3): (0, 6),
+    (FAMILY_HERMITIAN, 2, 4): (0, 5), (FAMILY_HERMITIAN, 2, 5): (0, 4),
+    (FAMILY_HERMITIAN, 2, 7): (1, 4), (FAMILY_HERMITIAN, 2, 8): (1, 3),
+    (FAMILY_HERMITIAN, 2, 9): (1, 3), (FAMILY_HERMITIAN, 3, 2): (0, 14),
+    (FAMILY_AFFINE, 2, 2): (0, 6), (FAMILY_AFFINE, 2, 3): (0, 6),
+    (FAMILY_AFFINE, 2, 4): (0, 5), (FAMILY_AFFINE, 2, 5): (0, 4),
+    (FAMILY_AFFINE, 2, 7): (2, 4), (FAMILY_AFFINE, 2, 8): (2, 4),
+    (FAMILY_AFFINE, 2, 9): (2, 3), (FAMILY_AFFINE, 3, 2): (3, 15),
+}
 
 
-@pytest.mark.parametrize("cell", sorted(PLAN_FIBER), ids=cell_id)
+@pytest.mark.parametrize("cell", sorted(CERTIFYING_PLANS), ids=cell_id)
 def test_plan_chooses_the_layout_by_its_cost(cell):
     tower, rows, scalars, _ = certifying_rows(*cell)
     form, kt, _ = wk._plan(tower, rows, scalars, len(rows))
-    assert form[2].fiber == PLAN_FIBER[cell]
+    assert (form[2].fiber, kt) == CERTIFYING_PLANS[cell]
+
+
+def caller_walks():
+    """(name, tower, rows, scalars, lead) of the walks the strata and the
+    classifiers plan: the ell = 2 strata over F_q and over the alphabet,
+    the ell = 3 self-conjugate det stratum, the two-weight classification's
+    walk, and the Hermitian generator rows over the alphabet (H2q3x)."""
+    for q in (2, 3):
+        gen = build_generator(FAMILY_HERMITIAN, 2, q)
+        for k, self_conjugate in itertools.product((0, 1, 2), (True, False)):
+            rows, _, scalars, lead = st._stratum(gen, k, self_conjugate)
+            over = "F_q" if self_conjugate else "F_q^2"
+            yield f"stratum (2, {k}, {q}) over {over}", gen.tower, rows, list(scalars), lead
+        rows, _, scalars, _ = st._stratum(gen, 2, True)
+        yield f"weights by digits at q = {q}", gen.tower, rows, list(scalars), 1
+    gen = build_generator(FAMILY_HERMITIAN, 3, 2)
+    rows, _, scalars, lead = st._stratum(gen, 3, True)
+    yield "stratum (3, 3, 2) over F_q", gen.tower, rows, list(scalars), lead
+    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
+    yield "H2q3x", gen.tower, gen.rows, list(gen.scalars), len(gen.rows)
+
+
+# name -> (fiber digits, kt) of the plan for each of `caller_walks`: all on positions
+CALLER_PLANS = {
+    **{f"stratum (2, {k}, {q}) over {over}": (0, kt)
+       for q in (2, 3) for over in ("F_q", "F_q^2") for k, kt in enumerate((0, 1, 5))},
+    "stratum (2, 2, 3) over F_q^2": (0, 4),
+    "weights by digits at q = 2": (0, 5), "weights by digits at q = 3": (0, 5),
+    "stratum (3, 3, 2) over F_q": (0, 10), "H2q3x": (0, 4),
+}
+
+
+@pytest.mark.parametrize("walk", list(caller_walks()), ids=lambda walk: walk[0])
+def test_plan_of_every_caller_walk(walk):
+    name, tower, rows, scalars, lead = walk
+    form, kt, _ = wk._plan(tower, rows, scalars, lead)
+    assert (form[2].fiber, kt) == CALLER_PLANS[name]
 
 
 def recording_forms():
@@ -185,9 +233,9 @@ def recording_forms():
     of every call."""
     calls, build = [], wk._additive_form
 
-    def record(tower, rows, scalars, fiber=0):
+    def record(tower, rows, basis, fiber=0):
         try:
-            form = build(tower, rows, scalars, fiber)
+            form = build(tower, rows, basis, fiber)
         except ValueError:
             calls.append((fiber, "refused", threading.get_ident()))
             raise
@@ -197,11 +245,74 @@ def recording_forms():
     return calls, record
 
 
+# (family, ell, q) -> the (fiber digits, outcome) of every form the plan
+# builds, in order: the cheapest layout first, and a fiber that does not fit
+# (m = ell = 2 at H2q7 and H2q9, m = 3 at H3q2) before the next one
+PLAN_CALLS = {
+    (FAMILY_HERMITIAN, 2, 7): [(2, "refused"), (1, "built")],
+    (FAMILY_HERMITIAN, 2, 9): [(2, "refused"), (1, "built")],
+    (FAMILY_AFFINE, 2, 7): [(2, "built")],
+    (FAMILY_AFFINE, 3, 2): [(3, "built")],
+    (FAMILY_HERMITIAN, 3, 2): [(3, "refused"), (0, "built")],
+    (FAMILY_HERMITIAN, 2, 5): [(0, "built")],
+}
+
+
+@pytest.mark.parametrize("cell", sorted(PLAN_CALLS), ids=cell_id)
+def test_plan_builds_only_the_layout_it_walks(cell):
+    """The plan builds no form it does not walk, apart from the fibers that
+    do not fit, and a walk in one process scans the values once."""
+    tower, rows, scalars, _ = certifying_rows(*cell)
+    calls, record = recording_forms()
+    scans, lane_basis = [], wk._lane_basis
+    with mock.patch.object(wk, "_additive_form", record), \
+            mock.patch.object(wk, "_lane_basis", lambda *args: scans.append(1) or lane_basis(*args)):
+        form, _, _ = wk._plan(tower, rows, scalars, len(rows))
+        assert [(fiber, status) for fiber, status, _ in calls] == PLAN_CALLS[cell]
+        calls.clear()
+        scans.clear()
+        wk.min_weight_over_combinations(tower, rows, scalars)
+    assert [(fiber, status) for fiber, status, _ in calls] == PLAN_CALLS[cell]
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("full", [False, True], ids=["F_q", "F_q2"])
+@pytest.mark.parametrize("q", sorted(SUPPORTED_Q))
+def test_every_layout_packs_on_the_basis_planes(q, full):
+    """Every word packed by every layout that fits the rows has one plane per
+    pivot digit of the rows' `_lane_basis`, and distinct words pack apart:
+    a fiber's coefficients are differences of values, so they lie in the
+    values' span, on which the pivot digits are injective.  The F_q rows are
+    the certifying rows of both families, which fit fibers; the F_{q^2}
+    rows are the Hermitian generator rows, which only positions fit."""
+    if full:
+        gen = build_generator(FAMILY_HERMITIAN, 2, q)
+        cases = [(gen.tower, gen.rows, list(gen.scalars), ())]
+    else:
+        cases = [certifying_rows(family, 2, q) for family in (FAMILY_HERMITIAN, FAMILY_AFFINE)]
+    for tower, rows, scalars, fibers in cases:
+        rng = np.random.default_rng(q)
+        messages = rng.integers(0, len(scalars), (20, len(rows)))
+        words = [field_sum(tower, rows, scalars, d) for d in messages]
+        words += words[:5]  # the same words again pack the same
+        basis = wk._lane_basis(tower, rows, scalars)
+        for m in (0,) + fibers:
+            pack = wk._additive_form(tower, rows, basis, m)[0]
+            packed = [pack(v) for v in words]
+            assert all(len(x) == len(basis[1]) for x in packed), m
+            distinct = {v.tobytes() for v in words}
+            assert len({x.tobytes() for x in packed}) == len(distinct), m
+        for m in {1, 2} - set(fibers):
+            with pytest.raises(ValueError, match="not F_q-affine"):
+                wk._additive_form(tower, rows, basis, m)
+
+
 def position_walk(tower, rows, scalars, lead):
     """The least (weight, digits) of the walk on position lanes, whatever
     the plan would choose."""
     _, kt, [heads] = wk._plan(tower, rows, scalars, lead)
-    return wk._least_weight(tower, rows, scalars, kt, heads, wk._additive_form(tower, rows, scalars))
+    form = wk._additive_form(tower, rows, wk._lane_basis(tower, rows, scalars))
+    return wk._least_weight(tower, rows, scalars, kt, heads, form)
 
 
 def changed_entry(tower, rows, at):
@@ -248,9 +359,10 @@ def test_a_fiber_that_does_not_fit_falls_back_to_positions(case):
     gives what the position walk gives."""
     name, tower, rows, scalars, lead = case
     n, q = rows.shape[1], tower.q
+    basis = wk._lane_basis(tower, rows, scalars)
     for m in (1, 2):
         with pytest.raises(ValueError, match="not F_q-affine"):
-            wk._additive_form(tower, rows, scalars, m)
+            wk._additive_form(tower, rows, basis, m)
     calls, record = recording_forms()
     with mock.patch.object(wk, "_additive_form", record):
         form, kt, _ = wk._plan(tower, rows, scalars, lead)
