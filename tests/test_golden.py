@@ -1,7 +1,7 @@
 """Golden sha256 digests of outputs that must stay the same byte for byte:
-the `mindist` and `dualdist` tree reports, the randomized dual support
-families, the automorphism permutations at (3, 3) and the uncertified
-`table`; and, as literal strings, the details of two `verify` checks.
+the `mindist` and `dualdist` tree reports, the generator files `gen`
+writes, the randomized dual support families, the automorphism
+permutations at (3, 3) and the uncertified `table`; and, as literal strings, the details of two `verify` checks.
 None of these outputs has a timing field.  A change that alters one of
 them on purpose says why and updates its digest here."""
 
@@ -61,6 +61,18 @@ DUALDIST_REPORTS = {
     (2, 4): "4b825f3e61d3eb8a132200b7a237d9cc511e9743aa1f65ce52d9af2211ed812d",
     (2, 5): "122ae34149e56e5d6c416adfc073d86b7ce0a5bc9b920712a5f2bd3de73951cd",
     (3, 2): "ef681017ce311bd87c3da59a1f0f385f384a92775a7818ccc875f096c6ad7184",
+}
+
+# (family, ell, q) -> digest of the file `gen` writes; q = 4 and 9 have
+# two-digit field indices
+GENERATOR_FILES = {
+    (FAMILY_HERMITIAN, 2, 2): "eaee12d6f000dd1c90f39a79aa8ee2ae5641dcabf506610ada33de274e981445",
+    (FAMILY_HERMITIAN, 2, 4): "009858e56d09b487e65bc1c17170ede41f07960601fa38a10c796d5a6e814c03",
+    (FAMILY_HERMITIAN, 2, 9): "aa0bcd18b89ba304c7ffa8c20fce4267271dbf47700da5976254e8338435e466",
+    (FAMILY_AFFINE, 2, 4): "80a0628d602ab3943d66d8b7f005a94a1738a262d531b0ea353716e3f8a8e6c9",
+    (FAMILY_HERMITIAN, 3, 2): "093658bf63f030df83295ef33d017df3df04fea5a991b15e726709e0224a7ee2",
+    (FAMILY_HERMITIAN, 3, 3): "b6af4a717d17155b36e00ab7a982bb37293571bb1d9a1db39c7813a2fa63ac33",
+    (FAMILY_AFFINE, 3, 3): "478c675c7dfe447ad3c3d8df49c1f855e189d982f9d6d0c32baddd083d7e5899",
 }
 
 # (ell, q, seed) -> digest of the (positions, coefficients) of each word
@@ -132,6 +144,15 @@ def test_affine_mindist_defaults_to_exhaustive(tmp_path, ell, q):
 def test_dualdist_report(tmp_path, ell, q):
     digest = tree_report(tmp_path, "dualdist", "--q", str(q), "--ell", str(ell))
     assert digest == DUALDIST_REPORTS[ell, q]
+
+
+@pytest.mark.parametrize("family,ell,q", list(GENERATOR_FILES))
+def test_generator_file(tmp_path, capsys, family, ell, q):
+    path = tmp_path / "gen.txt"
+    assert main(["gen", "--q", str(q), "--ell", str(ell), "--family", family,
+                 "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert sha256(path.read_bytes()) == GENERATOR_FILES[family, ell, q]
 
 
 @pytest.mark.parametrize("ell,q,seed", list(DUAL_SUPPORT_FAMILIES))
