@@ -339,30 +339,33 @@ def transpose_permutation(tower: FieldTower, ell: int) -> np.ndarray:
 
 
 def _file_lines(gen: GeneratorMatrix):
-    """The lines of the code's generator file, newline included: the header,
-    then each row as its single-space-separated indices, formatted through
-    one string per field element."""
-    yield gen.spec.header + "\n"
-    text = np.array([str(v) for v in range(gen.tower.qq)], dtype=object)
+    """The lines of the code's generator file as bytes, newline included: the
+    header, then each row as its single-space-separated indices.  A table
+    holds each field index's text and a space, NUL-padded into one uint32
+    word (q^2 <= 81 has at most two digits), so a row is one gather; its
+    bytes without the NULs, the last space made a newline, are its line."""
+    yield (gen.spec.header + "\n").encode()
+    text = np.array([b"%d " % v for v in range(gen.tower.qq)], dtype="S4").view(np.uint32)
     for row in gen.rows:
-        yield " ".join(text[row].tolist()) + "\n"
+        yield text.take(row).tobytes().translate(None, b"\0")[:-1] + b"\n"
 
 
 def write_generator(gen: GeneratorMatrix, path):
-    with open(path, "w", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(_file_lines(gen))
 
 
 def read_generator(path) -> GeneratorMatrix:
-    """The generator whose file this is: exactly the text `write_generator`
-    writes for the supported code its header names; line endings are not
-    translated, so they must be its newlines too.  A code longer than
-    BUILD_LIMIT has no file, so its header is not a supported one."""
-    with open(path, newline="") as fh:
-        lines = fh.readlines()
+    """The generator whose file this is: exactly the bytes `write_generator`
+    writes for the supported code its header names.  Lines end at \\n, \\r
+    or \\r\\n, kept as they are, so they must be its newlines too; only the
+    header is decoded.  A code longer than BUILD_LIMIT has no file, so its
+    header is not a supported one."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
     if not lines:
         raise ValueError(f"{path}: empty generator file, no header")
-    header = lines[0].removesuffix("\n")
+    header = lines[0].removesuffix(b"\n").decode(errors="replace")
     specs = [CodeSpec(family, q, ell) for family in _FAMILY_LETTER
              for q in SUPPORTED_Q for ell in range(1, MAX_ELL + 1)]
     spec = next((spec for spec in specs if spec.n <= BUILD_LIMIT and spec.header == header), None)

@@ -51,7 +51,10 @@ class DualDistanceCertificate:
 
 def _verify_dual_word(gen: GeneratorMatrix, positions, coeffs) -> bool:
     """Whether the word with coeffs at positions is orthogonal to every row;
-    a coefficient outside F_{q^2} raises ValueError before any lookup."""
+    a position outside [0, n) or a coefficient outside F_{q^2} raises
+    ValueError before any lookup."""
+    if not all(0 <= x < gen.spec.n for x in positions):
+        raise ValueError(f"dual word positions {tuple(positions)} lie outside [0, {gen.spec.n})")
     if not all(0 <= c < gen.tower.qq for c in coeffs):
         raise ValueError(f"dual word coefficients {tuple(coeffs)} lie outside F_{gen.tower.qq}")
     return not linalg.combine(gen.tower, gen.rows[:, list(positions)].T, coeffs).any()
@@ -60,7 +63,8 @@ def _verify_dual_word(gen: GeneratorMatrix, positions, coeffs) -> bool:
 def _dual_word(gen: GeneratorMatrix, positions, coeffs):
     """(positions, coeffs) sorted by position, after requiring the positions
     to be distinct and the word to be orthogonal to every generator row
-    (`_verify_dual_word`, which refuses coefficients outside the field)."""
+    (`_verify_dual_word`, which refuses positions outside the code and
+    coefficients outside the field)."""
     require(len(set(positions)) == len(positions), "support positions are not distinct")
     positions, coeffs = zip(*sorted(zip(map(int, positions), coeffs)))
     require(_verify_dual_word(gen, positions, coeffs),

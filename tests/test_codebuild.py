@@ -373,6 +373,47 @@ def test_read_generator_rejects_non_canonical_text(tmp_path, edit):
         read_generator(path)
 
 
+def _in_body(old, new):
+    """The edit of a file's bytes that replaces the body's first `old` with `new`."""
+    def change(data):
+        header, body = data.split(b"\n", 1)
+        return header + b"\n" + body.replace(old, new, 1)
+    return change
+
+
+# (edit of the H2q2 file's bytes, the reader's error)
+NON_CANONICAL_BYTES = {
+    "non-UTF-8 header": (lambda data: b"\xff" + data, "is not the header of a supported code"),
+    "NUL in a body row": (_in_body(b" ", b" \0"), "body row 1 differs"),
+    "lone CR in a body row": (_in_body(b" ", b"\r"), "expected 6 rows, found 7"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(NON_CANONICAL_BYTES))
+def test_read_generator_rejects_non_canonical_bytes(tmp_path, edit):
+    """The file is read as bytes: a header that is not UTF-8 and a NUL byte
+    are rejected as any other change, and a lone CR ends a line."""
+    path = tmp_path / "gen.txt"
+    write_generator(build_generator(FAMILY_HERMITIAN, 2, 2), path)
+    change, error = NON_CANONICAL_BYTES[edit]
+    path.write_bytes(change(path.read_bytes()))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*" + error):
+        read_generator(path)
+
+
+@pytest.mark.parametrize("family", [FAMILY_HERMITIAN, FAMILY_AFFINE])
+def test_file_lines_are_the_plain_text(family):
+    """The file's bytes are the header and each row's indices joined by single
+    spaces, as str formatting writes them: every supported q at ell <= 2,
+    q <= 4 at ell = 3."""
+    for q in SUPPORTED_Q:
+        for ell in (1, 2, 3) if q <= 4 else (1, 2):
+            gen = build_generator(family, ell, q)
+            text = [gen.spec.header] + [" ".join(map(str, row)) for row in gen.rows.tolist()]
+            assert b"".join(codebuild._file_lines(gen)) == "".join(
+                line + "\n" for line in text).encode(), (family, ell, q)
+
+
 def test_spec_header_is_the_written_header(tmp_path, monkeypatch):
     """CodeSpec.header is the header formula over the tower's p, e and
     modulus for every supported spec, computed without a generator, and it

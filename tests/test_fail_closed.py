@@ -2,6 +2,7 @@
 and injected faults still fail under python -O."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,16 @@ def test_verify_dual_word():
         coeffs = list(cert.coefficients)
         coeffs[i] = gen.tower.add(coeffs[i], 1)
         assert not du._verify_dual_word(gen, cert.columns, coeffs)
+
+
+@pytest.mark.parametrize("positions", [(-81, 1, 2), (81, 1, 2)])
+def test_dual_word_refuses_positions_outside_the_code(positions):
+    """A position outside [0, n) raises ValueError before any lookup: numpy
+    would read -81 as position 0 of H2q3 and 81 past its end."""
+    gen = build_generator(FAMILY_HERMITIAN, 2, 3)
+    for check in (du._verify_dual_word, du._dual_word):
+        with pytest.raises(ValueError, match=re.escape("lie outside [0, 81)")):
+            check(gen, positions, (1, 1, 1))
 
 
 def test_file_round_trip_fails_on_a_reader_that_skips_the_body(monkeypatch):
