@@ -1,7 +1,8 @@
 """Golden sha256 digests of outputs that must stay the same byte for byte:
 the `mindist` and `dualdist` tree reports, the generator files `gen`
 writes, the randomized dual support families, the automorphism
-permutations at (3, 3) and the uncertified `table`; and, as literal strings, the details of two `verify` checks.
+permutations at (3, 3) and the uncertified `table`; and, as literal
+strings, the details of two `verify` checks.
 None of these outputs has a timing field.  A change that alters one of
 them on purpose says why and updates its digest here."""
 
