@@ -117,11 +117,12 @@ class GeneratorMatrix:
 
     The rank check at construction equals k for every supported build, which
     certifies empirically that evaluation is injective on the minor span.
-    Of its elimination only the pivot columns and the transform T are kept
-    (the reduced rows are T.rows): a codeword's message is T applied to its
-    pivot entries, and it lies in the code when that message re-encodes to
-    it.  Span questions about known combinations are then asked of their
-    k-entry messages (`subfield_rows`).
+    Its elimination, `linalg.rref`, returns only the pivot columns and the
+    transform T, and reads no column past the block of the last pivot; the
+    reduced rows T.rows are never formed.  A codeword's message is T applied
+    to its pivot entries, and it lies in the code when that message
+    re-encodes to it.  Span questions about known combinations are then
+    asked of their k-entry messages (`subfield_rows`).
 
     `encode_message`, `coefficients_of` and `membership` also take a stack
     of messages or words along a leading axis, which `linalg.combine`
@@ -138,7 +139,7 @@ class GeneratorMatrix:
         self.scalars = tuple(range(tower.qq)) if spec.alphabet == tower.qq else tower.subfield
         self._in_alphabet = np.zeros(tower.qq, dtype=bool)
         self._in_alphabet[list(self.scalars)] = True
-        _, self.pivots, self.transform = linalg.rref(tower, rows)
+        self.pivots, self.transform = linalg.rref(tower, rows)
         self.rank = len(self.pivots)
         if self.rank != spec.k:
             raise AssertionError(

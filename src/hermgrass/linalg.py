@@ -1,8 +1,12 @@
 """Exact row-space linear algebra on index-encoded numpy arrays.
 
 Rows are 1-D uint8 arrays of field-element indices.  Elimination (`rref`)
-goes through the tower's lookup tables; pivoting is deterministic: the
-first nonzero entry in column order, no heuristics.
+walks the columns a block at a time: each block is multiplied by the
+transform so far (a stacked `combine`), and the row operations of its
+pivots go through the tower's lookup tables on the block and the
+transform alone; the walk ends at the block where the rank reaches the
+number of rows.  Pivoting is deterministic: the first nonzero entry in
+column order, no heuristics.
 
 The linear combination (`combine`) adds in lanes instead.  An index is the
 little-endian base-p digit vector of its element, and the field sum adds
@@ -30,57 +34,101 @@ import math
 import numpy as np
 
 # Scale of the bounds on what one vectorized operation holds: the float
-# digit planes of one position chunk of a stacked `combine` (here), the
-# int64 positions of one chunk of a whole position space
-# (`hermitian.CHUNK`), the bytes of the table of trailing-row combinations
-# a walk step weighs (`walk._plan`), and the pair sums of one block of the
-# dual scan (`dual._pair_blocks`).  walk and dual import it under the same
-# name, so patching walk.TABLE_BYTES bounds only the walk's tables, and
-# dual.TABLE_BYTES only the scan's blocks.
+# digit planes of one position chunk of a stacked `combine` and the uint8
+# entries of one column block of `rref` (here), the int64 positions of one
+# chunk of a whole position space (`hermitian.CHUNK`), the bytes of the
+# table of trailing-row combinations a walk step weighs (`walk._plan`), and
+# the pair sums of one block of the dual scan (`dual._pair_blocks`).  walk
+# and dual import it under the same name, so patching walk.TABLE_BYTES
+# bounds only the walk's tables, and dual.TABLE_BYTES only the scan's
+# blocks.
 TABLE_BYTES = 1 << 17
 
 
 def rref(tower, rows):
-    """Reduced row echelon form with transform.
+    """Pivots and transform of the reduced row echelon form of a k x n matrix.
 
-    Returns (R, pivots, T) where R = T.rows (as field operations), R has
-    unit pivot columns, and zero rows are dropped, so len(R) is the rank.
+    Returns (pivots, T): the pivot columns in order, their number being the
+    rank r, and the r x k matrix T such that T.rows (as field operations)
+    is the reduced form, with unit pivot columns and no zero rows.  An entry
+    that is not an index in [0, q^2) raises ValueError before any work.
+
+    Pivoting is deterministic: the next pivot is the first column with a
+    nonzero entry in a row without a pivot, in the first such row.  The
+    columns are reduced a block of TABLE_BYTES // k at a time: the rows
+    without a pivot are multiplied by their rows of the k x k transform
+    (`_product`), and each pivot's row operations touch only the rows
+    below it, in the block and in the transform.  The walk stops once every
+    row holds a pivot, so no column past the block of the k-th pivot is
+    read.  The rows above a pivot keep their entry in its column, and a back
+    substitution on the transform clears them at the end.  T is the
+    transform of the plain Gauss-Jordan elimination, entry for entry: each
+    row of the reduced form is its echelon row plus the unique combination
+    of the later echelon rows that clears their pivot columns.
     """
+    rows = np.asarray(rows)
+    if rows.size and not (rows.dtype.kind in "biu" and rows.min() >= 0 and rows.max() < tower.qq):
+        raise ValueError(f"rref entries must be field indices in [0, {tower.qq})")
     add, mul, neg, inv = tower.add_np, tower.mul_np, tower.neg_np, tower.inv_np
-    R = np.array(rows, dtype=np.uint8, copy=True)
-    k, n = R.shape
+    k, n = rows.shape
     T = np.eye(k, dtype=np.uint8)
-    pivots = []
-    r = c = 0
-    while r < k:
-        # the next pivot column: the first from c with a nonzero entry in rows r:
-        nz = np.flatnonzero(R[r:, c:].any(axis=0))
-        if nz.size == 0:
+    pivots, above = [], []
+    width = max(1, TABLE_BYTES // max(k, 1))
+    for start in range(0, n, width):
+        top = len(pivots)
+        if top == k:
             break
-        c += int(nz[0])
-        pr = r + int(np.flatnonzero(R[r:, c])[0])
-        if pr != r:
-            R[[r, pr]] = R[[pr, r]]
-            T[[r, pr]] = T[[pr, r]]
-        pv = int(R[r, c])
-        if pv != 1:
-            lut = mul[inv[pv]]
-            R[r] = lut[R[r]]
-            T[r] = lut[T[r]]
-        for i in range(k):
-            f = int(R[i, c])
-            if i != r and f:
-                lut = mul[neg[f]]
-                R[i] = add[R[i], lut[R[r]]]
-                T[i] = add[T[i], lut[T[r]]]
-        pivots.append(c)
-        r += 1
-        c += 1
-    return R[:r], pivots, T[:r]
+        block = rows[:, start:start + width]
+        w = block.shape[1]
+        A = np.zeros((k, w + k), dtype=np.uint8)  # this block of T.rows, then T
+        A[top:, :w] = _product(tower, T[top:], block) if top else block
+        A[:, w:] = T
+        r, c = top, 0
+        while r < k:
+            live = A[r:, c:w].any(axis=0).nonzero()[0]
+            if not live.size:
+                break
+            c += int(live[0])
+            pr = r + int(A[r:, c].nonzero()[0][0])
+            if pr != r:
+                A[[r, pr]] = A[[pr, r]]
+            pv = int(A[r, c])
+            if pv != 1:
+                A[r, c:] = mul[inv[pv], A[r, c:]]
+            below = A[r + 1:, c].nonzero()[0] + (r + 1)
+            if below.size:
+                # row r is zero before column c
+                A[below, c:] = add[A[below, c:], mul[neg[A[below, c, None]], A[r, c:]]]
+            pivots.append(start + c)
+            r += 1
+            c += 1
+        T = A[:, w:].copy()  # not a view, which would keep the block alive
+        # the back substitution needs each pivot row's entry at every later
+        # pivot; pivot rows are not changed again, so these are read now,
+        # those of earlier blocks' rows by multiplying at this block's pivots
+        cols = [j - start for j in pivots[top:]]
+        if top and cols:
+            A[:top, cols] = _product(tower, T[:top], block[:, cols])
+        above += [A[:j, c] for j, c in enumerate(cols, top)]
+    for j in range(len(pivots) - 1, 0, -1):
+        T[:j] = add[T[:j], mul[neg[above[j], None], T[j]]]
+    return pivots, T[:len(pivots)]
+
+
+def _product(tower, T, block):
+    """The field product T @ block of m x k and k x w index matrices: the
+    stacked `combine` of the block's rows by T's columns, a group of at
+    most `_stacked_rows` rows at a time, the group sums added."""
+    step = _stacked_rows(tower)
+    out = None
+    for s in range(0, len(block), step):
+        part = combine(tower, block[s:s + step], T[:, s:s + step])
+        out = part if out is None else tower.add_np[out, part]
+    return out
 
 
 def rank(tower, rows) -> int:
-    return len(rref(tower, rows)[1])
+    return len(rref(tower, rows)[0])
 
 
 def combine(tower, rows, coeffs):
@@ -134,7 +182,7 @@ def combine(tower, rows, coeffs):
         out = np.zeros(shape, np.uint8) if acc is None else _residues(tower, width, residue, acc)
     else:
         width = (c * deg * (p - 1) ** 2).bit_length()
-        if deg * width > 53:
+        if c > _stacked_rows(tower):
             raise ValueError(f"stacked combine of {c} rows over F_{p} needs {deg} lanes "
                              f"of {width} bits, more than float64's 53-bit mantissa")
         ftype = np.dtype(np.float32 if deg * width <= 24 else np.float64)
@@ -155,6 +203,14 @@ def combine(tower, rows, coeffs):
             acc = (left @ digits.reshape(c * deg, rest.shape[1])).astype(lanes.dtype)
             out[:, start:start + step] = _residues(tower, width, residue, acc)
     return out.reshape(coeffs.shape[:-1] + shape)[()]
+
+
+def _stacked_rows(tower):
+    """The most rows a stacked `combine` adds: 2e lanes of bit_length(c *
+    2e * (p - 1)^2) bits fit float64's 53-bit mantissa exactly while c is
+    at most this."""
+    deg = 2 * tower.e
+    return (2 ** (53 // deg) - 1) // (deg * (tower.p - 1) ** 2)
 
 
 def _residues(tower, width, residue, acc):
