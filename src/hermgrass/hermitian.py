@@ -12,6 +12,16 @@ array of them, and one matrix or an array of them; a whole space is
 walked once, as decoded chunks (`decoded_chunks`).  `encode` is also the
 one membership rule: it raises ValueError for a matrix outside the family.
 
+`position_digits` stays the definition; the codec reads uint8 tables
+built from it, on first use.  `decode` cuts the digits into consecutive
+groups of radix product at most GROUP_SIZE, takes one division per group
+and one gather per entry from its group's table (`_digit_groups`).
+`encode` takes one gather per digit from the tower's tables
+(`_entry_digits`): an F_q digit reads its entry, an F_{q^2} digit its
+(upper, lower) pair, which also rejects a lower entry that is not the
+conjugate.  One reduction over all the digits checks the matrices; only
+when it fails is the first bad entry looked for, to be named.
+
 The matrix actions of both families are `product` (X -> L X R, the
 Hermitian congruence being L = A*, R = A), `translate` (X -> X + M) and
 transposition, `X.swapaxes(0, 1)`.  Each takes one matrix or an array of
@@ -21,6 +31,7 @@ either family (`codebuild._position_permutation`).
 
 from __future__ import annotations
 
+import functools
 from math import comb, prod
 
 import numpy as np
@@ -66,21 +77,26 @@ def decoded_chunks(tower, ell: int, family: str):
 
 def decode(tower, ell: int, family: str, t):
     """The matrices at positions t, shape (ell, ell) + t.shape: E[i, j][s] =
-    entry (i, j) of the matrix at position t[s]."""
-    t = np.asarray(t, dtype=np.int64)
+    entry (i, j) of the matrix at position t[s].  Each digit group takes one
+    division, and each entry one gather from its group's table."""
+    t = np.asarray(t)
+    if t.size and t.dtype.kind not in "biu":
+        raise ValueError(f"positions must be integers, got {t.dtype}")
+    t = t.astype(np.int64, copy=False)
     total = tower.q ** (ell * ell)
     if t.size and (t.min() < 0 or t.max() >= total):
         raise ValueError(f"position out of range [0, {total})")
-    E = [[None] * ell for _ in range(ell)]
-    for (i, j), in_subfield in position_digits(ell, family):
-        radix = tower.q if in_subfield else tower.qq
-        high = t // radix
-        d, t = t - high * radix, high  # no divmod; the int64 digit indexes at native width
-        if in_subfield:
-            E[i][j] = tower.subfield_np[d]
+    groups = _digit_groups(tower, ell, family)
+    E = np.empty((ell, ell) + t.shape, dtype=np.uint8)
+    for g, (size, _, cells, table) in enumerate(groups):
+        if g + 1 < len(groups):
+            high = t // size
+            d, t = t - high * size, high
         else:
-            E[i][j], E[j][i] = d.astype(np.uint8), tower.conj_np[d]
-    return np.array(E)
+            d = t  # below the last group's size, t being below total
+        for (i, j), row in zip(cells, table):
+            row.take(d, out=E[i, j, ...], mode="clip")  # d < size: clip spares take a buffer
+    return E
 
 
 def encode(tower, ell: int, family: str, entries):
@@ -88,27 +104,117 @@ def encode(tower, ell: int, family: str, entries):
     ell) + shape; the inverse of `decode`.  Raises ValueError for a matrix
     outside the family: an entry outside F_q where its digit runs over F_q,
     or outside F_{q^2}, or a lower entry that is not the conjugate of its
-    upper one."""
+    upper one.
+
+    Each digit is one gather from a table of the tower (`_entry_digits`),
+    which reads NOT_A_DIGIT for a matrix outside the family, so one
+    reduction over the digits checks them all; only then is the first bad
+    entry looked for.  The digits of a group are summed in uint16, and the
+    groups in int64."""
     E = np.asarray(entries)
     if E.shape[:2] != (ell, ell):
         raise ValueError(f"expected {ell} x {ell} entries, got shape {E.shape[:2]}")
-    if E.size and (E.min() < 0 or E.max() >= tower.qq):
-        raise ValueError(f"entry outside F_{tower.qq}")
-    t = np.zeros(E.shape[2:], dtype=np.int64)
-    weight = 1
-    for (i, j), in_subfield in position_digits(ell, family):
-        e = E[i, j].astype(np.intp)  # one entry array at a time, indexing at native width
-        if in_subfield:
-            d, radix = tower.subfield_digit_np[e], tower.q
-            if (d < 0).any():
-                raise ValueError(f"entry ({i}, {j}) outside F_{tower.q}")
+    if E.size and E.dtype.kind not in "biu":
+        raise ValueError(f"entries must be integers, got {E.dtype}")
+    if E.dtype != np.uint8:
+        if E.size and (E.min() < 0 or E.max() >= tower.qq):
+            raise ValueError(f"entry outside F_{tower.qq}")
+        E = E.astype(np.uint8)
+    sub, pair = _entry_digits(tower)
+    i, j, fq = _digit_entries(ell, family)
+    D = np.empty((len(i),) + E.shape[2:], dtype=np.uint8)
+    sub.take(E[i[:fq], j[:fq]], out=D[:fq], mode="clip")  # a uint8 entry is below len(sub)
+    key = E[i[fq:], j[fq:]].astype(np.uint16)
+    key <<= 8
+    key |= E[j[fq:], i[fq:]]
+    pair.take(key, out=D[fq:], mode="clip")  # an upper entry past F_{q^2} clips to the last, NOT_A_DIGIT
+    if D.size and D.max() == NOT_A_DIGIT:
+        if E.max() >= tower.qq:
+            raise ValueError(f"entry outside F_{tower.qq}")
+        k = (D == NOT_A_DIGIT).reshape(len(D), -1).any(axis=1).argmax()
+        if k < fq:
+            raise ValueError(f"entry ({i[k]}, {j[k]}) outside F_{tower.q}")
+        raise ValueError(f"entry ({j[k]}, {i[k]}) is not the conjugate of entry ({i[k]}, {j[k]})")
+    t, top = None, len(D)
+    for size, radices, _, _ in reversed(_digit_groups(tower, ell, family)):
+        rows, top = D[top - len(radices):top], top - len(radices)
+        u = rows[-1, ...].astype(np.uint16)  # a group's digits read below GROUP_SIZE
+        for row, radix in zip(rows[-2::-1], radices[-2::-1]):
+            u *= radix
+            u += row
+        if t is None:
+            t = u.astype(np.int64)
         else:
-            d, radix = e, tower.qq
-            if (E[j, i] != tower.conj_np[d]).any():
-                raise ValueError(f"entry ({j}, {i}) is not the conjugate of entry ({i}, {j})")
-        t += d * weight
-        weight *= radix
+            t *= size
+            t += u
     return t
+
+
+# the codec tables: built on first use, per tower and per (tower, ell, family)
+
+# The largest radix product of one digit group, so that `decode` takes one
+# division per group and a group's digits sum in uint16 in `encode`.
+GROUP_SIZE = 1 << 12
+NOT_A_DIGIT = 255  # above every digit, all being below q^2 <= 81
+
+
+@functools.cache
+def _digit_groups(tower, ell: int, family: str):
+    """The digits of `position_digits`, least significant first, cut into
+    consecutive groups whose radix product is at most GROUP_SIZE.  Each group
+    is (size, radices, cells, table): its radix product, its digits' radices,
+    the entries its digits fill, and table[c][u] = entry cells[c] of the
+    matrix whose group digits read u in mixed radix."""
+    cuts, size = [[]], 1
+    for (ij, in_subfield) in position_digits(ell, family):
+        radix = tower.q if in_subfield else tower.qq
+        if size * radix > GROUP_SIZE:
+            cuts, size = cuts + [[]], 1
+        cuts[-1].append((ij, in_subfield, radix))
+        size *= radix
+    groups = []
+    for group in cuts:
+        radices = [radix for _, _, radix in group]
+        u, cells, table = np.arange(prod(radices)), [], []
+        for (i, j), in_subfield, radix in group:
+            d, u = u % radix, u // radix
+            if in_subfield:
+                cells.append((i, j))
+                table.append(tower.subfield_np[d])
+            else:
+                cells += [(i, j), (j, i)]
+                table += [d, tower.conj_np[d]]
+        table = np.array(table, dtype=np.uint8)
+        table.setflags(write=False)
+        groups.append((prod(radices), tuple(radices), tuple(cells), table))
+    return tuple(groups)
+
+
+@functools.cache
+def _digit_entries(ell: int, family: str):
+    """(i, j, fq): digit k of `position_digits` reads entry (i[k], j[k]),
+    and its first fq digits, all those over F_q, come before the rest."""
+    digits = position_digits(ell, family)
+    i, j = np.array([ij for ij, _ in digits]).T
+    for index in (i, j):
+        index.setflags(write=False)
+    return i, j, sum(in_subfield for _, in_subfield in digits)
+
+
+@functools.cache
+def _entry_digits(tower):
+    """(sub, pair), the digit tables of `encode`: an F_q digit whose entry is
+    e reads sub[e], its place in the sorted subfield list, and an F_{q^2}
+    digit whose upper entry is a and lower entry b reads pair[a << 8 | b],
+    which is a when b is the conjugate of a.  Every other uint8 entry, or
+    pair of them below q^2 << 8, reads NOT_A_DIGIT."""
+    sub = np.full(256, NOT_A_DIGIT, dtype=np.uint8)
+    sub[tower.subfield_np] = np.arange(tower.q)
+    pair = np.full((tower.qq, 256), NOT_A_DIGIT, dtype=np.uint8)
+    pair[np.arange(tower.qq), tower.conj_np] = np.arange(tower.qq)
+    for table in (sub, pair):
+        table.setflags(write=False)
+    return sub, pair.ravel()
 
 
 # group actions ---------------------------------------------------------------

@@ -5,6 +5,7 @@ the code, translation clearing and spread reduction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -46,23 +47,31 @@ def hyperbolic_zero_count(tower: FieldTower, lam: int) -> int:
 
 def system_solution_count(tower: FieldTower, a, b) -> int:
     """Brute-force count of solutions X in F_{q^2}^n of the norm/cross-term
-    system x_i^(q+1) = a_i, x_i x_j^q = b[i][j] (i != j); asserted <= q + 1."""
+    system x_i^(q+1) = a_i, x_i x_j^q = b[i][j] (i != j); asserted <= q + 1.
+    Every vector is tried, as one stacked compare of its n^2 terms."""
     n = len(a)
     if n > 3:
         raise ValueError("n <= 3 required")
     for v in a:
         if not tower.in_base_subfield(v):
             raise ValueError("a_i must lie in F_q")
-    X = np.indices((tower.qq,) * n, dtype=np.intp).reshape(n, -1)  # column = one vector
-    ok = np.ones(X.shape[1], dtype=bool)
-    for i in range(n):
-        ok &= tower.norm_np[X[i]] == a[i]
-        for j in range(n):
-            if i != j:
-                ok &= tower.mul_np[X[i], tower.conj_np[X[j]]] == b[i][j]
-    count = int(np.count_nonzero(ok))
+    target = [a[i] if i == j else b[i][j] for i in range(n) for j in range(n)]
+    count = 0  # a term outside F_{q^2} has no solution
+    if all(0 <= v < tower.qq for v in target):
+        terms = _system_terms(tower, n)
+        count = int(np.count_nonzero((terms == np.array(target, dtype=np.uint8)[:, None]).all(axis=0)))
     require(count <= tower.q + 1, f"system has {count} solutions, exceeding q + 1 = {tower.q + 1}")
     return count
+
+
+@functools.cache
+def _system_terms(tower: FieldTower, n: int) -> np.ndarray:
+    """The n^2 terms of every vector X of F_{q^2}^n, one column per vector:
+    row i * n + j holds x_i x_j^q, the norm x_i^(q+1) where i = j."""
+    X = np.indices((tower.qq,) * n, dtype=np.intp).reshape(n, -1)
+    terms = tower.mul_np[X[:, None], tower.conj_np[X[None]]].reshape(n * n, -1)
+    terms.setflags(write=False)
+    return terms
 
 
 def random_system(tower: FieldTower, n: int, rng, consistent: bool = True):

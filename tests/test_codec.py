@@ -1,5 +1,6 @@
-"""The position codec against a scalar reference decoder, permutation
-oracles, codec properties, and the fail-closed bijectivity check."""
+"""The position codec against a scalar reference decoder and the per-digit
+vector codec it replaced, permutation oracles, codec properties, and the
+fail-closed bijectivity check."""
 
 import random
 
@@ -16,10 +17,14 @@ from hermgrass.codebuild import (
 )
 from hermgrass.galois import SUPPORTED_Q, tower_for_q
 from hermgrass.hermitian import (
+    BUILD_LIMIT,
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
+    _digit_groups,
+    _entry_digits,
     decode,
     encode,
+    position_digits,
     product,
     translate,
     upper_pairs,
@@ -94,6 +99,185 @@ def oracle_permutation(tower, ell, image):
                                image(oracle_index_to_matrix(tower, ell, FAMILY_HERMITIAN, t)))
         for t in range(n)
     ], dtype=np.int64)
+
+
+# per-digit vector oracle ---------------------------------------------------------
+
+
+def oracle_decode(tower, ell, family, t):
+    """The matrices at positions t, one division and one gather per digit."""
+    t = np.asarray(t, dtype=np.int64)
+    E = [[None] * ell for _ in range(ell)]
+    for (i, j), in_subfield in position_digits(ell, family):
+        radix = tower.q if in_subfield else tower.qq
+        high = t // radix
+        d, t = t - high * radix, high
+        if in_subfield:
+            E[i][j] = tower.subfield_np[d]
+        else:
+            E[i][j], E[j][i] = d.astype(np.uint8), tower.conj_np[d]
+    return np.array(E)
+
+
+def oracle_encode(tower, ell, family, entries):
+    """Positions of the matrices `entries`, one check per digit: the first
+    bad digit in position order names its entry."""
+    E = np.asarray(entries)
+    if E.shape[:2] != (ell, ell):
+        raise ValueError(f"expected {ell} x {ell} entries, got shape {E.shape[:2]}")
+    if E.size and (E.min() < 0 or E.max() >= tower.qq):
+        raise ValueError(f"entry outside F_{tower.qq}")
+    t = np.zeros(E.shape[2:], dtype=np.int64)
+    weight = 1
+    for (i, j), in_subfield in position_digits(ell, family):
+        e = E[i, j].astype(np.intp)
+        if in_subfield:
+            d, radix = tower.subfield_digit_np[e], tower.q
+            if (d < 0).any():
+                raise ValueError(f"entry ({i}, {j}) outside F_{tower.q}")
+        else:
+            d, radix = e, tower.qq
+            if (E[j, i] != tower.conj_np[d]).any():
+                raise ValueError(f"entry ({j}, {i}) is not the conjugate of entry ({i}, {j})")
+        t += d * weight
+        weight *= radix
+    return t
+
+
+def group_carries(tower, ell, family):
+    """Every position on either side of a carry into the next digit group."""
+    total, weight, positions = tower.q ** (ell * ell), 1, []
+    for size, *_ in _digit_groups(tower, ell, family)[:-1]:
+        weight *= size
+        carries = np.arange(weight, total, weight)
+        positions += [carries - 1, carries]
+    return np.concatenate(positions)
+
+
+def encode_error(encoder, tower, ell, family, E):
+    with pytest.raises(ValueError) as exc:
+        encoder(tower, ell, family, E)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_codec_matches_digit_oracle_exhaustively(family):
+    """Every position of the 3 x 3 spaces at q = 4, 262,144 each."""
+    tower = tower_for_q(4)
+    t = np.arange(4 ** 9)
+    E = decode(tower, 3, family, t)
+    assert E.dtype == np.uint8 and np.array_equal(E, oracle_decode(tower, 3, family, t))
+    assert np.array_equal(encode(tower, 3, family, E), t)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_codec_matches_digit_oracle_at_group_carries(family):
+    """At q = 5, ell = 3: random positions, the ends of the space and both
+    sides of every carry from one digit group into the next."""
+    tower = tower_for_q(5)
+    total = 5 ** 9
+    carries = group_carries(tower, 3, family)
+    assert len(_digit_groups(tower, 3, family)) == 2 and len(carries) == 2 * (total // 3125 - 1)
+    rng = np.random.default_rng(5)
+    t = np.concatenate([[0, total - 1], carries, rng.integers(0, total, 20000)])
+    E = decode(tower, 3, family, t)
+    assert np.array_equal(E, oracle_decode(tower, 3, family, t))
+    assert np.array_equal(encode(tower, 3, family, E), t)
+    assert np.array_equal(oracle_encode(tower, 3, family, E), t)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_single_positions_at_ell_4_match_digit_oracle(family):
+    """One position at a time at ell = 4 for every q, past BUILD_LIMIT up to
+    9^16: random positions, the last one and the carries into the top group."""
+    rng = random.Random(4)
+    for q in sorted(SUPPORTED_Q):
+        tower = tower_for_q(q)
+        total = q ** 16
+        top = total // _digit_groups(tower, 4, family)[-1][0]
+        for t in [total - 1, top - 1, top] + [rng.randrange(total) for _ in range(40)]:
+            M = decode(tower, 4, family, t)
+            assert M.shape == (4, 4) and np.array_equal(M, oracle_decode(tower, 4, family, t)), (q, t)
+            back = encode(tower, 4, family, M)
+            assert np.ndim(back) == 0 and back == t, (q, t)
+
+
+def test_position_digits_list_the_subfield_digits_first():
+    """encode gathers the F_q digits, then the F_{q^2} digits, one gather
+    each kind (`_digit_entries`), so position_digits must list them so."""
+    for ell in (1, 2, 3, 4):
+        for family in FAMILIES:
+            kinds = [in_subfield for _, in_subfield in position_digits(ell, family)]
+            assert kinds == sorted(kinds, reverse=True)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+@pytest.mark.parametrize("family,bad", [
+    # (entry, matrix, value): None adds 1 to the entry, so that a conjugate
+    # pair no longer matches; 7 lies outside F_5.  The first bad digit in
+    # position order is named, whichever matrix holds it.
+    (FAMILY_HERMITIAN, [((2, 2), 0, 7)]),                     # an F_q digit of the first group
+    (FAMILY_HERMITIAN, [((2, 1), 3, None)]),                  # a pair of the second group
+    (FAMILY_HERMITIAN, [((1, 0), 3, None), ((2, 1), 0, None)]),  # both groups: the first
+    (FAMILY_HERMITIAN, [((2, 1), 0, None), ((1, 1), 5, 7)]),  # a later matrix, an earlier digit
+    (FAMILY_HERMITIAN, [((0, 2), 1, None), ((0, 1), 4, None)]),  # upper entries changed
+    (FAMILY_HERMITIAN, [((0, 0), 1, 7), ((2, 1), 6, 30)]),    # outside F_25 comes first
+    (FAMILY_HERMITIAN, [((1, 2), 2, 200)]),                   # an upper entry past F_25
+    (FAMILY_AFFINE, [((2, 1), 0, 7)]),                        # an F_q digit of the second group
+    (FAMILY_AFFINE, [((2, 2), 1, 7), ((1, 1), 4, 9)]),        # both groups: the first
+])
+def test_encode_names_the_bad_entry_of_the_digit_oracle(family, bad, dtype):
+    """At q = 5, ell = 3 (digit groups of 3125 and 625 positions), encode
+    raises the ValueError of the per-digit codec, word for word."""
+    tower = tower_for_q(5)
+    E = decode(tower, 3, family, np.arange(1000, 1008)).astype(dtype)
+    for (i, j), s, value in bad:
+        E[i, j, s] = tower.add(int(E[i, j, s]), 1) if value is None else value
+    assert encode_error(encode, tower, 3, family, E) == encode_error(oracle_encode, tower, 3, family, E)
+
+
+def test_encode_accepts_exactly_the_family_entries():
+    """Every byte as a 1 x 1 matrix of either family, and every pair of
+    elements as the off-diagonal entries of a 2 x 2 Hermitian matrix, one
+    matrix at a time: encode accepts exactly the matrices of the family."""
+    for q in sorted(SUPPORTED_Q):
+        tower = tower_for_q(q)
+        for family in FAMILIES:
+            for v in range(256):
+                try:
+                    t = encode(tower, 1, family, np.array([[v]], dtype=np.uint8))
+                except ValueError:
+                    assert not tower.in_base_subfield(v), (q, v)
+                else:
+                    assert t == tower.subfield.index(v), (q, v)
+        for a in range(tower.qq):
+            for b in range(tower.qq):
+                try:
+                    t = encode(tower, 2, FAMILY_HERMITIAN, np.array([[0, a], [b, 0]], dtype=np.uint8))
+                except ValueError:
+                    assert b != tower.conjugate(a), (q, a, b)
+                else:
+                    assert b == tower.conjugate(a) and t == a * q * q, (q, a, b)
+
+
+# Bytes of every codec table over every (tower, ell, family) a code is built
+# over, both decode's group tables and encode's digit tables: 333,140 today.
+CODEC_TABLE_BYTES_CAP = 350_000
+
+
+def test_codec_tables_stay_under_their_cap():
+    total = 0
+    for q in sorted(SUPPORTED_Q):
+        tower = tower_for_q(q)
+        total += sum(table.nbytes for table in _entry_digits(tower))
+        for ell in (1, 2, 3, 4):
+            if q ** (ell * ell) <= BUILD_LIMIT:
+                for family in FAMILIES:
+                    groups = _digit_groups(tower, ell, family)
+                    assert all(size <= 1 << 12 and table.dtype == np.uint8 and not table.flags.writeable
+                               for size, _, _, table in groups)
+                    total += sum(table.nbytes for *_, table in groups)
+    assert total <= CODEC_TABLE_BYTES_CAP
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -258,6 +442,28 @@ def test_encode_rejects_perturbed_entries(case, data):
         E[r, c, s] = data.draw(st.sampled_from(wrong))
     with pytest.raises(ValueError):
         encode(tower, ell, family, E)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(cell_positions(), st.data())
+def test_encode_errors_match_digit_oracle(case, data):
+    """Up to three entries of a batch changed to any byte: encode accepts
+    exactly what the per-digit codec accepts, and names the same entry."""
+    family, ell, q, t = case
+    tower = tower_for_q(q)
+    E = decode(tower, ell, family, t)
+    for _ in range(data.draw(st.integers(1, 3))):
+        index = (data.draw(st.integers(0, ell - 1)), data.draw(st.integers(0, ell - 1)),
+                 data.draw(st.integers(0, len(t) - 1)))
+        E[index] = data.draw(st.sampled_from([0, 1, tower.qq - 1, tower.qq, 255])
+                             | st.integers(0, tower.qq - 1))
+    try:
+        expected = oracle_encode(tower, ell, family, E)
+    except ValueError as exc:
+        for entries in (E, E.astype(np.int64)):
+            assert encode_error(encode, tower, ell, family, entries) == str(exc)
+    else:
+        assert np.array_equal(encode(tower, ell, family, E), expected)
 
 
 # fail closed ---------------------------------------------------------------------

@@ -5,10 +5,13 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hermgrass import dual as du
-from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator
+from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator, translate_permutation
+from hermgrass.galois import tower_for_q
+from hermgrass.hermitian import FAMILY_AFFINE, decode, encode
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hermgrass"
 
@@ -207,3 +210,33 @@ def test_file_round_trip_fails_on_a_reader_that_skips_the_body(monkeypatch):
                         lambda path: build_generator(FAMILY_HERMITIAN, 2, 2))
     with pytest.raises(AssertionError, match=r"\(ell=2, q=2\): a file with one entry changed"):
         verify.check_file_round_trip(0)
+
+
+# positions and entries that are not integers: numpy would truncate 1.7 to
+# position 1, 80.9 to position 80 and the entry 1.5 to 1
+NOT_INTEGER = {
+    "decode, position 1.7": lambda: decode(tower_for_q(3), 2, FAMILY_HERMITIAN, 1.7),
+    "decode, positions [80.9]": lambda: decode(tower_for_q(3), 2, FAMILY_HERMITIAN, np.array([80.9])),
+    "decode, position 2.0": lambda: decode(tower_for_q(3), 2, FAMILY_AFFINE, 2.0),
+    "decode, an object array": lambda: decode(tower_for_q(3), 2, FAMILY_HERMITIAN, np.array([1], dtype=object)),
+    "encode, entry 1.5": lambda: encode(tower_for_q(3), 2, FAMILY_HERMITIAN, [[1.5, 0], [0, 1.0]]),
+    "encode, float zeros": lambda: encode(tower_for_q(3), 2, FAMILY_AFFINE, np.zeros((2, 2, 3))),
+    "encode, complex entries": lambda: encode(tower_for_q(2), 1, FAMILY_HERMITIAN, [[1j]]),
+    "translate by an entry 1.5": lambda: translate_permutation(tower_for_q(3), 2, [[1.5, 0], [0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("call", NOT_INTEGER.values(), ids=NOT_INTEGER)
+def test_non_integer_positions_and_entries_are_refused(call):
+    with pytest.raises(ValueError, match="must be integers"):
+        call()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint8, object])
+def test_empty_positions_and_entries_give_empty_results(dtype):
+    tower = tower_for_q(3)
+    for family in (FAMILY_HERMITIAN, FAMILY_AFFINE):
+        E = decode(tower, 2, family, np.array([], dtype=dtype))
+        assert E.dtype == np.uint8 and E.shape == (2, 2, 0)
+        t = encode(tower, 2, family, np.zeros((2, 2, 0), dtype=dtype))
+        assert t.dtype == np.int64 and t.shape == (0,)
