@@ -13,9 +13,10 @@ walked once, as decoded chunks (`decoded_chunks`).  `encode` is also the
 one membership rule: it raises ValueError for a matrix outside the family.
 
 `position_digits` stays the definition; the codec reads uint8 tables
-built from it, on first use.  `decode` cuts the digits into consecutive
-groups of radix product at most GROUP_SIZE, takes one division per group
-and one gather per entry from its group's table (`_digit_groups`).
+built from it, on first use.  `decode` cuts the digits into the fewest
+consecutive groups of radix product at most GROUP_SIZE, takes one division
+per group and one gather per entry from its group's table
+(`_digit_groups`).
 `encode` takes one gather per digit from the tower's tables
 (`_entry_digits`): an F_q digit reads its entry, an F_{q^2} digit its
 (upper, lower) pair, which also rejects a lower entry that is not the
@@ -124,10 +125,12 @@ def encode(tower, ell: int, family: str, entries):
     i, j, fq = _digit_entries(ell, family)
     D = np.empty((len(i),) + E.shape[2:], dtype=np.uint8)
     sub.take(E[i[:fq], j[:fq]], out=D[:fq], mode="clip")  # a uint8 entry is below len(sub)
+    lower = E[j[fq:], i[fq:]]
+    np.minimum(lower, tower.qq, out=lower)
     key = E[i[fq:], j[fq:]].astype(np.uint16)
-    key <<= 8
-    key |= E[j[fq:], i[fq:]]
-    pair.take(key, out=D[fq:], mode="clip")  # an upper entry past F_{q^2} clips to the last, NOT_A_DIGIT
+    key *= tower.qq + 1
+    key += lower
+    pair.take(key, out=D[fq:], mode="clip")  # a key past the end clips to its last entry, NOT_A_DIGIT
     if D.size and D.max() == NOT_A_DIGIT:
         if E.max() >= tower.qq:
             raise ValueError(f"entry outside F_{tower.qq}")
@@ -161,22 +164,32 @@ NOT_A_DIGIT = 255  # above every digit, all being below q^2 <= 81
 @functools.cache
 def _digit_groups(tower, ell: int, family: str):
     """The digits of `position_digits`, least significant first, cut into
-    consecutive groups whose radix product is at most GROUP_SIZE.  Each group
-    is (size, radices, cells, table): its radix product, its digits' radices,
-    the entries its digits fill, and table[c][u] = entry cells[c] of the
-    matrix whose group digits read u in mixed radix."""
-    cuts, size = [[]], 1
-    for (ij, in_subfield) in position_digits(ell, family):
-        radix = tower.q if in_subfield else tower.qq
-        if size * radix > GROUP_SIZE:
-            cuts, size = cuts + [[]], 1
-        cuts[-1].append((ij, in_subfield, radix))
-        size *= radix
+    consecutive groups of radix product at most GROUP_SIZE: the fewest
+    groups, and of those cuts the one whose tables hold the fewest bytes.
+    Each group is (size, radices, cells, table): its radix product, its
+    digits' radices, the entries its digits fill, and table[c][u] = entry
+    cells[c] of the matrix whose group digits read u in mixed radix."""
+    digits = [(ij, in_subfield, tower.q if in_subfield else tower.qq)
+              for ij, in_subfield in position_digits(ell, family)]
+    best = [(0, 0, 0)]  # best[end]: (groups, bytes, start of the last group) for digits[:end]
+    for end in range(1, len(digits) + 1):
+        cuts = []
+        for start in range(end - 1, -1, -1):
+            size = prod(radix for *_, radix in digits[start:end])
+            if size > GROUP_SIZE:
+                break
+            rows = sum(1 if in_subfield else 2 for _, in_subfield, _ in digits[start:end])
+            cuts.append((best[start][0] + 1, best[start][1] + size * rows, start))
+        best.append(min(cuts))
+    bounds, end = [], len(digits)
+    while end:
+        bounds.insert(0, (best[end][2], end))
+        end = best[end][2]
     groups = []
-    for group in cuts:
-        radices = [radix for _, _, radix in group]
+    for start, end in bounds:
+        radices = tuple(radix for *_, radix in digits[start:end])
         u, cells, table = np.arange(prod(radices)), [], []
-        for (i, j), in_subfield, radix in group:
+        for (i, j), in_subfield, radix in digits[start:end]:
             d, u = u % radix, u // radix
             if in_subfield:
                 cells.append((i, j))
@@ -186,7 +199,7 @@ def _digit_groups(tower, ell: int, family: str):
                 table += [d, tower.conj_np[d]]
         table = np.array(table, dtype=np.uint8)
         table.setflags(write=False)
-        groups.append((prod(radices), tuple(radices), tuple(cells), table))
+        groups.append((prod(radices), radices, tuple(cells), table))
     return tuple(groups)
 
 
@@ -203,14 +216,14 @@ def _digit_entries(ell: int, family: str):
 
 @functools.cache
 def _entry_digits(tower):
-    """(sub, pair), the digit tables of `encode`: an F_q digit whose entry is
-    e reads sub[e], its place in the sorted subfield list, and an F_{q^2}
-    digit whose upper entry is a and lower entry b reads pair[a << 8 | b],
-    which is a when b is the conjugate of a.  Every other uint8 entry, or
-    pair of them below q^2 << 8, reads NOT_A_DIGIT."""
+    """(sub, pair), the digit tables of `encode`.  An F_q digit whose entry
+    is e reads sub[e], its place in the sorted subfield list.  An F_{q^2}
+    digit whose upper entry is a and lower entry b reads pair[a * (q^2 + 1)
+    + min(b, q^2)], which is a when b is the conjugate of a.  Every other
+    uint8 entry or pair of them reads NOT_A_DIGIT."""
     sub = np.full(256, NOT_A_DIGIT, dtype=np.uint8)
     sub[tower.subfield_np] = np.arange(tower.q)
-    pair = np.full((tower.qq, 256), NOT_A_DIGIT, dtype=np.uint8)
+    pair = np.full((tower.qq + 1, tower.qq + 1), NOT_A_DIGIT, dtype=np.uint8)
     pair[np.arange(tower.qq), tower.conj_np] = np.arange(tower.qq)
     for table in (sub, pair):
         table.setflags(write=False)

@@ -177,7 +177,8 @@ def test_codec_matches_digit_oracle_at_group_carries(family):
     tower = tower_for_q(5)
     total = 5 ** 9
     carries = group_carries(tower, 3, family)
-    assert len(_digit_groups(tower, 3, family)) == 2 and len(carries) == 2 * (total // 3125 - 1)
+    (low, *_), _ = _digit_groups(tower, 3, family)
+    assert len(carries) == 2 * (total // low - 1)
     rng = np.random.default_rng(5)
     t = np.concatenate([[0, total - 1], carries, rng.integers(0, total, 20000)])
     E = decode(tower, 3, family, t)
@@ -237,9 +238,10 @@ def test_encode_names_the_bad_entry_of_the_digit_oracle(family, bad, dtype):
 
 
 def test_encode_accepts_exactly_the_family_entries():
-    """Every byte as a 1 x 1 matrix of either family, and every pair of
-    elements as the off-diagonal entries of a 2 x 2 Hermitian matrix, one
-    matrix at a time: encode accepts exactly the matrices of the family."""
+    """One matrix at a time, encode accepts exactly the matrices of the
+    family: every byte as a 1 x 1 matrix of either family, and as entries
+    (0, 1) and (1, 0) of a 2 x 2 Hermitian matrix, every upper entry up to
+    q^2 or 255 with every lower entry below 2 q^2 or 255."""
     for q in sorted(SUPPORTED_Q):
         tower = tower_for_q(q)
         for family in FAMILIES:
@@ -250,19 +252,19 @@ def test_encode_accepts_exactly_the_family_entries():
                     assert not tower.in_base_subfield(v), (q, v)
                 else:
                     assert t == tower.subfield.index(v), (q, v)
-        for a in range(tower.qq):
-            for b in range(tower.qq):
+        for a in [*range(tower.qq + 1), 255]:
+            for b in [*range(min(2 * tower.qq, 255)), 255]:
                 try:
                     t = encode(tower, 2, FAMILY_HERMITIAN, np.array([[0, a], [b, 0]], dtype=np.uint8))
                 except ValueError:
-                    assert b != tower.conjugate(a), (q, a, b)
+                    assert a >= tower.qq or b != tower.conjugate(a), (q, a, b)
                 else:
                     assert b == tower.conjugate(a) and t == a * q * q, (q, a, b)
 
 
 # Bytes of every codec table over every (tower, ell, family) a code is built
-# over, both decode's group tables and encode's digit tables: 333,140 today.
-CODEC_TABLE_BYTES_CAP = 350_000
+# over, decode's group tables and encode's digit tables: 145,879 today.
+CODEC_TABLE_BYTES_CAP = 160_000
 
 
 def test_codec_tables_stay_under_their_cap():
