@@ -22,7 +22,7 @@ from . import linalg
 from . import minors as mn
 from .codebuild import FAMILY_HERMITIAN, CodeSpec, GeneratorMatrix, eval_minor_vector
 from .dual import dual_min_distance  # cli and verify call it here, where perfbench traces it
-from .errors import BudgetExceeded, require
+from .errors import BudgetExceeded, indices, require
 from .galois import tower_for_q
 from .hermitian import BUILD_LIMIT, decoded_chunks
 from .walk import min_weight_over_combinations, require_budget
@@ -74,8 +74,7 @@ def weight_of_function(f: dict, ell: int, q: int, family: str = FAMILY_HERMITIAN
     for minor, c in f.items():
         if minor not in basis:
             raise ValueError(f"minor {minor} not valid for ell={ell}")
-        if not 0 <= c < q * q:
-            raise ValueError(f"coefficient {c} of {minor} lies outside F_{q * q}")
+        indices(c, q * q, f"coefficient {c} of {minor} lies outside F_{q * q}")
     n = q ** (ell * ell)
     if n > BUILD_LIMIT:
         raise BudgetExceeded(f"q^(ell^2) = {n} exceeds build limit {BUILD_LIMIT}")

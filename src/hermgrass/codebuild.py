@@ -22,7 +22,7 @@ from math import comb
 import numpy as np
 
 from . import linalg
-from .errors import BudgetExceeded, NotInCode, require
+from .errors import BudgetExceeded, NotInCode, indices, require
 from .galois import MODULI, SUPPORTED_Q, FieldTower, tower_for_q
 from .hermitian import (
     BUILD_LIMIT,
@@ -148,9 +148,11 @@ class GeneratorMatrix:
 
     def encode_message(self, message) -> np.ndarray:
         """Codeword of a length-k coefficient vector over the alphabet, or the
-        (m, n) codewords of an (m, k) stack of them, as any array-like."""
+        (m, n) codewords of an (m, k) stack of them, as any array-like.  An
+        entry outside F_{q^2} raises ValueError."""
         if np.shape(message)[-1:] != (self.spec.k,):
             raise ValueError("message length mismatch")
+        message = indices(message, self.tower.qq, f"message entries lie outside F_{self.tower.qq}")
         return linalg.combine(self.tower, self.rows, message)
 
     def message(self, f: dict) -> list:
@@ -169,12 +171,13 @@ class GeneratorMatrix:
     def _decode(self, codeword):
         """(message, in span, in alphabet) of a word, or of each word of an
         (m, n) stack: T applied to the pivot entries, whether it re-encodes
-        to the word, and whether its entries are scalars of the code."""
-        codeword = np.asarray(codeword, dtype=np.uint8)
+        to the word, and whether its entries are scalars of the code.  An
+        entry outside F_{q^2} raises ValueError."""
+        codeword = indices(codeword, self.tower.qq, f"codeword entries lie outside F_{self.tower.qq}")
         if codeword.shape[-1:] != (self.spec.n,) or codeword.ndim > 2:
             raise ValueError("codeword length mismatch")
         message = linalg.combine(self.tower, self.transform, codeword[..., self.pivots])
-        in_span = (self.encode_message(message) == codeword).all(axis=-1)
+        in_span = (linalg.combine(self.tower, self.rows, message) == codeword).all(axis=-1)
         return message, in_span, self._in_alphabet[message].all(axis=-1)
 
     def coefficients_of(self, codeword) -> np.ndarray:
@@ -208,7 +211,7 @@ class GeneratorMatrix:
         is the message of rows[i, perm], which `coefficients_of` re-encodes, so
         a permutation that does not map the code to itself raises NotInCode.
         A perm that is not a bijection of range(n) raises ValueError."""
-        perm = np.asarray(perm)
+        perm = indices(perm, self.spec.n, "perm is not a permutation of the n positions")
         if not np.array_equal(np.sort(perm), np.arange(self.spec.n)):
             raise ValueError("perm is not a permutation of the n positions")
         return self.coefficients_of(self.rows[:, perm])
@@ -315,9 +318,10 @@ def _position_permutation(tower: FieldTower, ell: int, family: str, act) -> np.n
 def congruence_permutation(tower: FieldTower, ell: int, A) -> np.ndarray:
     """Position permutation of H -> A* H A.  Anything but an invertible ell x
     ell matrix over F_{q^2} is refused with ValueError before any work."""
-    A = np.asarray(A)
-    if A.shape != (ell, ell) or A.min() < 0 or A.max() >= tower.qq or linalg.rank(tower, A) != ell:
-        raise ValueError(f"congruence requires an invertible {ell} x {ell} matrix over F_{tower.qq}")
+    refusal = f"congruence requires an invertible {ell} x {ell} matrix over F_{tower.qq}"
+    A = indices(A, tower.qq, refusal)
+    if A.shape != (ell, ell) or linalg.rank(tower, A) != ell:
+        raise ValueError(refusal)
     A_star = tower.conj_np[A.T]
     return _position_permutation(tower, ell, FAMILY_HERMITIAN, lambda H: product(tower, A_star, H, A))
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .codebuild import FAMILY_HERMITIAN, CodeSpec, GeneratorMatrix
-from .errors import NoneFoundWithinBound, require
+from .errors import NoneFoundWithinBound, indices, require
 from .hermitian import decode, encode, outer, translate
 from .linalg import TABLE_BYTES
 from .walk import _digit_lanes, require_budget
@@ -53,10 +53,9 @@ def _verify_dual_word(gen: GeneratorMatrix, positions, coeffs) -> bool:
     """Whether the word with coeffs at positions is orthogonal to every row;
     a position outside [0, n) or a coefficient outside F_{q^2} raises
     ValueError before any lookup."""
-    if not all(0 <= x < gen.spec.n for x in positions):
-        raise ValueError(f"dual word positions {tuple(positions)} lie outside [0, {gen.spec.n})")
-    if not all(0 <= c < gen.tower.qq for c in coeffs):
-        raise ValueError(f"dual word coefficients {tuple(coeffs)} lie outside F_{gen.tower.qq}")
+    n, qq = gen.spec.n, gen.tower.qq
+    indices(positions, n, f"dual word positions {tuple(positions)} lie outside [0, {n})")
+    indices(coeffs, qq, f"dual word coefficients {tuple(coeffs)} lie outside F_{qq}")
     return not linalg.combine(gen.tower, gen.rows[:, list(positions)].T, coeffs).any()
 
 
@@ -66,9 +65,9 @@ def _dual_word(gen: GeneratorMatrix, positions, coeffs):
     (`_verify_dual_word`, which refuses positions outside the code and
     coefficients outside the field)."""
     require(len(set(positions)) == len(positions), "support positions are not distinct")
-    positions, coeffs = zip(*sorted(zip(map(int, positions), coeffs)))
     require(_verify_dual_word(gen, positions, coeffs),
             f"weight-{len(positions)} word is not orthogonal to the code")
+    positions, coeffs = zip(*sorted(zip(map(int, positions), coeffs)))
     return positions, coeffs
 
 
@@ -260,9 +259,8 @@ def _translates_word(gen: GeneratorMatrix, H, translations, coeffs):
     """The dual word with coeffs on the positions of H + M, M running over
     `translations` (H the zero matrix when None)."""
     tower, ell = gen.tower, gen.spec.ell
-    H = np.zeros((ell, ell), np.uint8) if H is None else np.asarray(H)
-    if H.min() < 0 or H.max() >= tower.qq:
-        raise ValueError(f"H has an entry outside F_{tower.qq}")
+    H = np.zeros((ell, ell), np.uint8) if H is None else H
+    H = indices(H, tower.qq, f"H has an entry outside F_{tower.qq}")
     supports = translate(tower, H, np.stack(translations, axis=-1))
     return _dual_word(gen, encode(tower, ell, FAMILY_HERMITIAN, supports), coeffs)
 
@@ -281,12 +279,14 @@ def dual_word_weight3(gen: GeneratorMatrix, alpha: int, c0: int = 1,
     if q <= 2:
         raise ValueError("weight-3 dual words require q > 2")
     if not (tower.in_base_subfield(alpha) and alpha not in (0, 1)):
-        raise ValueError(f"alpha must lie in F_q minus {{0, 1}}, got {alpha}")
-    if not 0 < c0 < tower.qq:
-        raise ValueError(f"c0 must be a nonzero element of F_{tower.qq}, got {c0}")
-    b = np.eye(ell, dtype=np.uint8)[0] if b is None else np.asarray(b)
-    if b.min() < 0 or b.max() >= tower.qq or not b.any():
-        raise ValueError(f"b must be a nonzero vector over F_{tower.qq}")
+        raise ValueError(f"alpha must lie in F_{q} minus {{0, 1}} inside F_{tower.qq}, got {alpha}")
+    refusal = f"c0 must be a nonzero element of F_{tower.qq}, got {c0}"
+    if not indices(c0, tower.qq, refusal):
+        raise ValueError(refusal)
+    refusal = f"b must be a nonzero vector over F_{tower.qq}"
+    b = np.eye(ell, dtype=np.uint8)[0] if b is None else indices(b, tower.qq, refusal)
+    if not b.any():
+        raise ValueError(refusal)
     M = outer(tower, b, b)
     den = tower.inv(tower.sub(alpha, 1))
     coeffs = [c0, tower.mul(tower.neg(tower.mul(alpha, den)), c0), tower.mul(den, c0)]
@@ -303,10 +303,9 @@ def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
     ell = gen.spec.ell
     if gen.spec.q != 2:
         raise ValueError("the four-matrix family is the q = 2 case")
-    a1 = np.eye(ell, dtype=np.uint8)[0] if a1 is None else np.asarray(a1)
-    a2 = np.eye(ell, dtype=np.uint8)[1] if a2 is None else np.asarray(a2)
-    if min(a1.min(), a2.min()) < 0 or max(a1.max(), a2.max()) >= tower.qq:
-        raise ValueError(f"a1, a2 must be vectors over F_{tower.qq}")
+    refusal = f"a1, a2 must be vectors over F_{tower.qq}"
+    a1 = np.eye(ell, dtype=np.uint8)[0] if a1 is None else indices(a1, tower.qq, refusal)
+    a2 = np.eye(ell, dtype=np.uint8)[1] if a2 is None else indices(a2, tower.qq, refusal)
     if linalg.rank(tower, [a1, a2]) != 2:
         raise ValueError("a1, a2 must be linearly independent")
     M1 = outer(tower, a1, a1)

@@ -1,9 +1,17 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its two checks.
 
 Precondition violations on small, cheap inputs raise ValueError directly;
 the classes below are the ones callers are expected to catch and react to
 (the CLI maps BudgetExceeded to its own exit code, for instance).
+
+`require` is the check of a certificate, which python -O does not strip.
+`indices` is the one check of values a caller hands the package as field
+element indices in [0, q^2) or positions in [0, n); an entry that checks
+such values calls it before any table lookup, since numpy would wrap -1
+to the last entry and truncate 1.5 to 1, and uint8 would wrap 256 to 0.
 """
+
+import numpy as np
 
 
 class HermgrassError(Exception):
@@ -43,3 +51,17 @@ def require(condition, message=""):
     assert statement, this check is not stripped by python -O."""
     if not condition:
         raise AssertionError(message)
+
+
+def indices(values, below, refusal):
+    """np.asarray(values), once every entry is an integer in [0, below);
+    otherwise ValueError(refusal), before any table lookup.  A dtype that
+    is not an integer one adds ": must be integers, got <dtype>" to the
+    refusal.  Empty input passes, and only signed input is checked for
+    entries below 0."""
+    values = np.asarray(values)
+    if values.size and values.dtype.kind not in "biu":
+        raise ValueError(f"{refusal}: must be integers, got {values.dtype}")
+    if values.size and (values.dtype.kind == "i" and values.min() < 0 or values.max() >= below):
+        raise ValueError(refusal)
+    return values

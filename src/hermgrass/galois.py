@@ -17,6 +17,7 @@ leaves strictly fewer than q^2 - 1 units).
 from __future__ import annotations
 
 import functools
+import numbers
 
 import numpy as np
 
@@ -128,7 +129,10 @@ class FieldTower:
         return int(self.norm_np[a])
 
     def in_base_subfield(self, a: int) -> bool:
-        return 0 <= a < self.qq and bool(self.subfield_digit_np[a] >= 0)
+        """Whether a is the index of an element of F_q: an integer, Python's
+        or numpy's, in the subfield list.  Anything else is not, 2.0 and -1
+        included."""
+        return isinstance(a, numbers.Integral) and a in self.subfield
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, e={self.e}, q={self.q})"

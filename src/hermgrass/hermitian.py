@@ -38,6 +38,7 @@ from math import comb, prod
 import numpy as np
 
 from . import linalg
+from .errors import indices
 
 FAMILY_HERMITIAN = "hermitian"
 FAMILY_AFFINE = "affine"
@@ -80,13 +81,8 @@ def decode(tower, ell: int, family: str, t):
     """The matrices at positions t, shape (ell, ell) + t.shape: E[i, j][s] =
     entry (i, j) of the matrix at position t[s].  Each digit group takes one
     division, and each entry one gather from its group's table."""
-    t = np.asarray(t)
-    if t.size and t.dtype.kind not in "biu":
-        raise ValueError(f"positions must be integers, got {t.dtype}")
-    t = t.astype(np.int64, copy=False)
     total = tower.q ** (ell * ell)
-    if t.size and (t.min() < 0 or t.max() >= total):
-        raise ValueError(f"position out of range [0, {total})")
+    t = indices(t, total, f"position out of range [0, {total})").astype(np.int64, copy=False)
     groups = _digit_groups(tower, ell, family)
     E = np.empty((ell, ell) + t.shape, dtype=np.uint8)
     for g, (size, _, cells, table) in enumerate(groups):
@@ -115,12 +111,9 @@ def encode(tower, ell: int, family: str, entries):
     E = np.asarray(entries)
     if E.shape[:2] != (ell, ell):
         raise ValueError(f"expected {ell} x {ell} entries, got shape {E.shape[:2]}")
-    if E.size and E.dtype.kind not in "biu":
-        raise ValueError(f"entries must be integers, got {E.dtype}")
+    outside = f"entry outside F_{tower.qq}"
     if E.dtype != np.uint8:
-        if E.size and (E.min() < 0 or E.max() >= tower.qq):
-            raise ValueError(f"entry outside F_{tower.qq}")
-        E = E.astype(np.uint8)
+        E = indices(E, tower.qq, outside).astype(np.uint8)
     sub, pair = _entry_digits(tower)
     i, j, fq = _digit_entries(ell, family)
     D = np.empty((len(i),) + E.shape[2:], dtype=np.uint8)
@@ -132,8 +125,7 @@ def encode(tower, ell: int, family: str, entries):
     key += lower
     pair.take(key, out=D[fq:], mode="clip")  # a key past the end clips to its last entry, NOT_A_DIGIT
     if D.size and D.max() == NOT_A_DIGIT:
-        if E.max() >= tower.qq:
-            raise ValueError(f"entry outside F_{tower.qq}")
+        indices(E, tower.qq, outside)
         k = (D == NOT_A_DIGIT).reshape(len(D), -1).any(axis=1).argmax()
         if k < fq:
             raise ValueError(f"entry ({i[k]}, {j[k]}) outside F_{tower.q}")

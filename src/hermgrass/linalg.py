@@ -33,6 +33,8 @@ import math
 
 import numpy as np
 
+from .errors import indices
+
 # Scale of the bounds on what one vectorized operation holds: the float
 # digit planes of one position chunk of a stacked `combine` and the uint8
 # entries of one column block of `rref` (here), the int64 positions of one
@@ -66,9 +68,7 @@ def rref(tower, rows):
     row of the reduced form is its echelon row plus the unique combination
     of the later echelon rows that clears their pivot columns.
     """
-    rows = np.asarray(rows)
-    if rows.size and not (rows.dtype.kind in "biu" and rows.min() >= 0 and rows.max() < tower.qq):
-        raise ValueError(f"rref entries must be field indices in [0, {tower.qq})")
+    rows = indices(rows, tower.qq, f"rref entries must be field indices in [0, {tower.qq})")
     add, mul, neg, inv = tower.add_np, tower.mul_np, tower.neg_np, tower.inv_np
     k, n = rows.shape
     T = np.eye(k, dtype=np.uint8)
@@ -155,6 +155,12 @@ def combine(tower, rows, coeffs):
     1)^2); the product is exact in float32 up to 24 bits of lanes and in
     float64 up to 53, and past that raises ValueError.  The positions go
     through it in chunks whose float digit planes take at most TABLE_BYTES.
+
+    The rows and coefficients must be field indices in [0, q^2): this kernel
+    does not check them, as it runs hundreds of times in one verify pass,
+    and an index outside the field is wrapped or truncated by the lookups.
+    A public entry that hands it caller values checks them first
+    (`errors.indices`).
     """
     coeffs = np.asarray(coeffs)
     c = len(rows)

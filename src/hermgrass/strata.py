@@ -21,7 +21,7 @@ from .codebuild import (
     congruence_permutation,
     translate_permutation,
 )
-from .errors import NoValidLambda, require
+from .errors import NoValidLambda, indices, require
 from .galois import FieldTower
 from .hermitian import count_invertible
 from .walk import _require_size, _weights_by_digits, min_weight_over_combinations
@@ -36,7 +36,7 @@ def hyperbolic_zero_count(tower: FieldTower, lam: int) -> int:
     x1 x2 = lam; they must agree.  x1 -> x1 + a and x2 -> x2 + b are
     bijections of F_q, so the count does not depend on a or b."""
     if not tower.in_base_subfield(lam):
-        raise ValueError("lam must lie in F_q")
+        raise ValueError(f"lam must lie in F_{tower.q} inside F_{tower.qq}, got {lam}")
     q = tower.q
     formula = 2 * q - 1 if lam == 0 else q - 1
     sub = tower.subfield_np
@@ -48,18 +48,17 @@ def hyperbolic_zero_count(tower: FieldTower, lam: int) -> int:
 def system_solution_count(tower: FieldTower, a, b) -> int:
     """Brute-force count of solutions X in F_{q^2}^n of the norm/cross-term
     system x_i^(q+1) = a_i, x_i x_j^q = b[i][j] (i != j); asserted <= q + 1.
-    Every vector is tried, as one stacked compare of its n^2 terms."""
+    Every vector is tried, as one stacked compare of its n^2 terms.  An a_i
+    outside F_q or a b[i][j] outside F_{q^2} raises ValueError."""
     n = len(a)
     if n > 3:
         raise ValueError("n <= 3 required")
     for v in a:
         if not tower.in_base_subfield(v):
-            raise ValueError("a_i must lie in F_q")
-    target = [a[i] if i == j else b[i][j] for i in range(n) for j in range(n)]
-    count = 0  # a term outside F_{q^2} has no solution
-    if all(0 <= v < tower.qq for v in target):
-        terms = _system_terms(tower, n)
-        count = int(np.count_nonzero((terms == np.array(target, dtype=np.uint8)[:, None]).all(axis=0)))
+            raise ValueError(f"a_i must lie in F_{tower.q} inside F_{tower.qq}, got {v}")
+    terms = [a[i] if i == j else b[i][j] for i in range(n) for j in range(n)]
+    target = indices(terms, tower.qq, f"b[i][j] must lie in F_{tower.qq}").astype(np.uint8)
+    count = int(np.count_nonzero((_system_terms(tower, n) == target[:, None]).all(axis=0)))
     require(count <= tower.q + 1, f"system has {count} solutions, exceeding q + 1 = {tower.q + 1}")
     return count
 

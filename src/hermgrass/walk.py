@@ -158,8 +158,7 @@ def _lane_basis(tower, rows, scalars):
     p, fp, place = tower.p, tower_for_q(tower.p), tower.p ** np.arange(2 * tower.e)
     values = np.unique(tower.mul_np[np.ix_(scalars, np.flatnonzero(np.bincount(rows.ravel())))])
     digits = values[:, None] // place % p
-    basis = digits[linalg.rref(fp, digits.T)[0]]  # the values at the pivots of the transpose
-    pivots = linalg.rref(fp, basis)[0] or [0]
+    pivots = linalg.rref(fp, digits)[0] or [0]  # pivot columns depend only on the row space
     lanes = np.arange(tower.qq) // place[pivots, None] % p
     return values, (lanes[..., None] >> np.arange(_digit_lanes(p)[0]) & 1).astype(np.uint8)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hermgrass import dual as du
-from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator, translate_permutation
+from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator
 from hermgrass.galois import tower_for_q
 from hermgrass.hermitian import FAMILY_AFFINE, decode, encode
 
@@ -128,15 +128,21 @@ def test_fiber_check_fails_closed_under_optimize(run_optimized):
                                         "0", "2"]
 
 
-# values outside F_{q^2} given to the dual words and to weight_of_function,
-# each an expression over OUT_OF_FIELD_SETUP's names: numpy would read -1 as
-# q^2 - 1, 99 would index past a table, and -8 would overflow uint8
+# values outside F_{q^2} (or outside F_q where F_q is asked for) given to
+# the package's entries, each an expression over OUT_OF_FIELD_SETUP's names:
+# numpy would read -1 as q^2 - 1, 99 would index past a table, and -8 and
+# 256 would wrap in uint8
 OUT_OF_FIELD_SETUP = (
     "import numpy as np\n"
-    "from hermgrass import dual as du\n"
+    "from hermgrass import dual as du, strata as st\n"
     "from hermgrass.analysis import weight_of_function\n"
-    "from hermgrass.codebuild import build_generator\n"
+    "from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator, translate_permutation\n"
+    "from hermgrass.galois import tower_for_q\n"
+    "from hermgrass.hermitian import FAMILY_AFFINE, decode, encode\n"
     "h2q2, h2q3 = (build_generator('hermitian', 2, q) for q in (2, 3))\n"
+    "word = h2q2.rows[1].astype(np.int64)\n"
+    "word[3] += 256\n"
+    "half = h2q2.rows[1] + 0.5 * (np.arange(16) == 3)\n"
 )
 OUT_OF_FIELD = {
     "weight-3 word, c0 = -1": "du.dual_word_weight3(h2q3, 2, c0=-1)",
@@ -152,6 +158,16 @@ OUT_OF_FIELD = {
     "dual word, coefficient 9": "du._dual_word(h2q3, (0, 1, 2), (9, 8, 8))",
     "weight of function, coefficient -1": "weight_of_function({((1, 2), (1, 2)): -1}, 2, 3)",
     "weight of function, coefficient 99": "weight_of_function({((1, 2), (1, 2)): 99}, 2, 3)",
+    "membership, an entry 256 that uint8 wraps to 0": "h2q2.membership(word)",
+    "coefficients of, an entry 256": "h2q2.coefficients_of(word)",
+    "interpolate, an entry 256": "h2q2.interpolate(word)",
+    "encode, coefficient -1": "h2q3.encode({((), ()): -1})",
+    "encode message, an entry 9": "h2q3.encode_message([9] + [0] * (h2q3.spec.k - 1))",
+    "weight-3 word, alpha = 2.0": "du.dual_word_weight3(h2q3, 2.0)",
+    "hyperbolic zero count, lam = 1.0": "st.hyperbolic_zero_count(tower_for_q(3), 1.0)",
+    "system count, a_1 = 1.0": "st.system_solution_count(tower_for_q(3), [1.0, 1], [[0, 1], [1, 0]])",
+    "system count, a term 9": "st.system_solution_count(tower_for_q(3), [1, 1], [[0, 9], [1, 0]])",
+    "system count, a term -1": "st.system_solution_count(tower_for_q(3), [1, 1], [[0, -1], [1, 0]])",
 }
 
 
@@ -165,10 +181,12 @@ def test_out_of_field_values_are_refused(expression):
         eval(expression, names)
 
 
-def test_out_of_field_values_are_refused_under_optimize(run_optimized):
+def refusals_under_optimize(run_optimized, expressions):
+    """The exception type each expression raises under python -O, or
+    'accepted'."""
     script = OUT_OF_FIELD_SETUP + (
         "assert False, 'asserts are live'\n"
-        f"for expression in {list(OUT_OF_FIELD.values())!r}:\n"
+        f"for expression in {list(expressions)!r}:\n"
         "    try:\n"
         "        eval(expression)\n"
         "    except Exception as exc:\n"
@@ -178,7 +196,11 @@ def test_out_of_field_values_are_refused_under_optimize(run_optimized):
     )
     proc = run_optimized(script)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.splitlines() == ["ValueError"] * len(OUT_OF_FIELD)
+    return proc.stdout.splitlines()
+
+
+def test_out_of_field_values_are_refused_under_optimize(run_optimized):
+    assert refusals_under_optimize(run_optimized, OUT_OF_FIELD.values()) == ["ValueError"] * len(OUT_OF_FIELD)
 
 
 def test_verify_dual_word():
@@ -212,24 +234,43 @@ def test_file_round_trip_fails_on_a_reader_that_skips_the_body(monkeypatch):
         verify.check_file_round_trip(0)
 
 
-# positions and entries that are not integers: numpy would truncate 1.7 to
-# position 1, 80.9 to position 80 and the entry 1.5 to 1
+# positions and entries that are not integers, each an expression over
+# OUT_OF_FIELD_SETUP's names: numpy would truncate 1.7 to position 1, 80.9
+# to position 80 and the entry 1.5 to 1, and uint8 would take 0.5 off
 NOT_INTEGER = {
-    "decode, position 1.7": lambda: decode(tower_for_q(3), 2, FAMILY_HERMITIAN, 1.7),
-    "decode, positions [80.9]": lambda: decode(tower_for_q(3), 2, FAMILY_HERMITIAN, np.array([80.9])),
-    "decode, position 2.0": lambda: decode(tower_for_q(3), 2, FAMILY_AFFINE, 2.0),
-    "decode, an object array": lambda: decode(tower_for_q(3), 2, FAMILY_HERMITIAN, np.array([1], dtype=object)),
-    "encode, entry 1.5": lambda: encode(tower_for_q(3), 2, FAMILY_HERMITIAN, [[1.5, 0], [0, 1.0]]),
-    "encode, float zeros": lambda: encode(tower_for_q(3), 2, FAMILY_AFFINE, np.zeros((2, 2, 3))),
-    "encode, complex entries": lambda: encode(tower_for_q(2), 1, FAMILY_HERMITIAN, [[1j]]),
-    "translate by an entry 1.5": lambda: translate_permutation(tower_for_q(3), 2, [[1.5, 0], [0, 1.0]]),
+    "decode, position 1.7": "decode(tower_for_q(3), 2, FAMILY_HERMITIAN, 1.7)",
+    "decode, positions [80.9]": "decode(tower_for_q(3), 2, FAMILY_HERMITIAN, np.array([80.9]))",
+    "decode, position 2.0": "decode(tower_for_q(3), 2, FAMILY_AFFINE, 2.0)",
+    "decode, an object array": "decode(tower_for_q(3), 2, FAMILY_HERMITIAN, np.array([1], dtype=object))",
+    "encode, entry 1.5": "encode(tower_for_q(3), 2, FAMILY_HERMITIAN, [[1.5, 0], [0, 1.0]])",
+    "encode, float zeros": "encode(tower_for_q(3), 2, FAMILY_AFFINE, np.zeros((2, 2, 3)))",
+    "encode, complex entries": "encode(tower_for_q(2), 1, FAMILY_HERMITIAN, [[1j]])",
+    "translate by an entry 1.5": "translate_permutation(tower_for_q(3), 2, [[1.5, 0], [0, 1.0]])",
+    "membership, an entry plus 0.5": "h2q2.membership(half)",
+    "coefficients of, an entry plus 0.5": "h2q2.coefficients_of(half)",
+    "encode message, an entry 1.5": "h2q3.encode_message([1.5] + [0] * (h2q3.spec.k - 1))",
+    "action, the identity as floats": "h2q2.action(np.arange(16.0))",
+    "weight-3 word, an H entry 1.5": "du.dual_word_weight3(h2q3, 2, H=[[1.5, 0], [0, 0]])",
+    "weight-3 word, b = (1.0, 0.5)": "du.dual_word_weight3(h2q3, 2, b=(1.0, 0.5))",
+    "weight-3 word, c0 = 1.5": "du.dual_word_weight3(h2q3, 2, c0=1.5)",
+    "weight-4 word, an H entry 1.7": "du.dual_word_weight4(h2q2, H=[[1.7, 0], [0, 0]])",
+    "verify, coefficient 1.5": "du._verify_dual_word(h2q3, (0, 1, 2), (1.5, 8, 8))",
+    "dual word, position 0.5": "du._dual_word(h2q3, (0.5, 1, 2), (1, 8, 8))",
+    "weight of function, coefficient 1.5": "weight_of_function({((1, 2), (1, 2)): 1.5}, 2, 3)",
+    "system count, a term 1.5": "st.system_solution_count(tower_for_q(9), [1, 1], [[0, 1.5], [1, 0]])",
 }
 
 
-@pytest.mark.parametrize("call", NOT_INTEGER.values(), ids=NOT_INTEGER)
-def test_non_integer_positions_and_entries_are_refused(call):
+@pytest.mark.parametrize("expression", NOT_INTEGER.values(), ids=NOT_INTEGER)
+def test_non_integer_positions_and_entries_are_refused(expression):
+    names = {}
+    exec(OUT_OF_FIELD_SETUP, names)
     with pytest.raises(ValueError, match="must be integers"):
-        call()
+        eval(expression, names)
+
+
+def test_non_integer_positions_and_entries_are_refused_under_optimize(run_optimized):
+    assert refusals_under_optimize(run_optimized, NOT_INTEGER.values()) == ["ValueError"] * len(NOT_INTEGER)
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.int64, np.uint8, object])

@@ -125,3 +125,17 @@ def test_no_function_or_class_is_defined_in_two_modules():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 owners[node.name].append(path.stem)
     assert {name: mods for name, mods in owners.items() if len(mods) > 1} == {}
+
+
+def test_dtype_kind_is_read_only_by_the_index_check():
+    """A caller's field elements and positions go through one check,
+    `errors.indices`, the only code that reads a dtype's kind, so a
+    hand-rolled index check cannot grow back beside it."""
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "kind"
+                        and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"):
+                    readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert readers == {"errors.indices"}
