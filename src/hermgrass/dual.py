@@ -54,8 +54,8 @@ def _verify_dual_word(gen: GeneratorMatrix, positions, coeffs) -> bool:
     a position outside [0, n) or a coefficient outside F_{q^2} raises
     ValueError before any lookup."""
     n, qq = gen.spec.n, gen.tower.qq
-    indices(positions, n, f"dual word positions {tuple(positions)} lie outside [0, {n})")
-    indices(coeffs, qq, f"dual word coefficients {tuple(coeffs)} lie outside F_{qq}")
+    indices(positions, n, lambda: f"dual word positions {tuple(positions)} lie outside [0, {n})")
+    indices(coeffs, qq, lambda: f"dual word coefficients {tuple(coeffs)} lie outside F_{qq}")
     return not linalg.combine(gen.tower, gen.rows[:, list(positions)].T, coeffs).any()
 
 

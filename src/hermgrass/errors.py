@@ -55,13 +55,23 @@ def require(condition, message=""):
 
 def indices(values, below, refusal):
     """np.asarray(values), once every entry is an integer in [0, below);
-    otherwise ValueError(refusal), before any table lookup.  A dtype that
-    is not an integer one adds ": must be integers, got <dtype>" to the
-    refusal.  Empty input passes, and only signed input is checked for
-    entries below 0."""
+    otherwise ValueError(refusal), before any table lookup.  The refusal is
+    its text, or a function of no arguments that formats it only for a
+    refused input.  A dtype that is not an integer one adds ": must be
+    integers, got <dtype>" to the refusal.  Empty input passes.  Signed
+    input is read as int64 through its uint64 view, where an entry below 0
+    reads as at least 2^63, so one max refuses it with the entries too
+    large."""
     values = np.asarray(values)
-    if values.size and values.dtype.kind not in "biu":
-        raise ValueError(f"{refusal}: must be integers, got {values.dtype}")
-    if values.size and (values.dtype.kind == "i" and values.min() < 0 or values.max() >= below):
-        raise ValueError(refusal)
+    if not values.size:
+        return values
+    kind = values.dtype.kind
+    if kind not in "biu":
+        raise ValueError(f"{_text(refusal)}: must be integers, got {values.dtype}")
+    if (values.astype(np.int64, copy=False).view(np.uint64) if kind == "i" else values).max() >= below:
+        raise ValueError(_text(refusal))
     return values
+
+
+def _text(refusal):
+    return refusal() if callable(refusal) else refusal

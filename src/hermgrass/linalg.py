@@ -13,15 +13,17 @@ little-endian base-p digit vector of its element, and the field sum adds
 those digits mod p.  A table per tower and lane width w holds, for each
 product s * a, its 2e digits in 2e lanes of w bits of one uint16, uint32
 or uint64 word, so the products of many rows are added as plain
-integers, w being wide enough that no lane carries into the next.  Each
-lane is reduced mod p once, after the last row.
+integers, w being wide enough that no lane carries into the next.  The
+lanes are reduced mod p once, after the last row, and placed as the digits
+of the index by one gather per group of lanes that fits 16 bits: one
+gather for the whole word wherever its 2e lanes take at most 16 bits.
 
 A stack of two or more coefficient vectors combines the same rows as one
 float matrix product.  Multiplying by s is F_p-linear on digit vectors, so
 the lane word of s * a is the sum over the digits a_j of a_j times the lane
 word of s * p^j; the packed sums of a whole stack are then (lane words of
 the coefficients) @ (digit planes of the rows), exact while every lane sum
-fits the float's mantissa, and reduced by the same residue tail.  The
+fits the float's mantissa, and reduced by the same gathers.  The
 array shapes of the rows and coefficients, whatever their Python types,
 decide both the shape of the sum and which of the two kernels runs.
 """
@@ -143,10 +145,11 @@ def combine(tower, rows, coeffs):
 
     One vector (m = 1) takes the lane sum: per row one lookup
     lanes[s].take(row) and one integer add, in lanes of w = bit_length(c *
-    (p - 1)) bits, so no lane carries into the next; then each lane is
-    reduced mod p once, through the residue lookup (a gather costs less
-    than numpy's integer remainder).  More than 64 bits of lanes in all
-    raise ValueError.
+    (p - 1)) bits, so no lane carries into the next; then the lanes are
+    reduced mod p once, by one gather per group of lanes from a table of
+    their packed bits to their digits of the index (`_lanes`; a gather
+    costs less than numpy's integer remainder).  More than 64 bits of
+    lanes in all raise ValueError.
 
     A stack of m > 1 vectors takes one (m, c * 2e) @ (c * 2e, positions)
     float product: column (i, j) of the left factor is the lane word of
@@ -176,7 +179,7 @@ def combine(tower, rows, coeffs):
         if deg * width > 64:
             raise ValueError(f"combine of {c} rows over F_{p} needs {deg} lanes of "
                              f"{width} bits, more than the 64-bit limit")
-        lanes, residue = _lanes(tower, width)
+        lanes, tables = _lanes(tower, width)
         acc = None
         for s, row in zip(stack[0].tolist(), rows):
             if s:
@@ -185,14 +188,14 @@ def combine(tower, rows, coeffs):
                     acc = term
                 else:
                     acc += term
-        out = np.zeros(shape, np.uint8) if acc is None else _residues(tower, width, residue, acc)
+        out = np.zeros(shape, np.uint8) if acc is None else _residues(tables, acc)
     else:
         width = (c * deg * (p - 1) ** 2).bit_length()
         if c > _stacked_rows(tower):
             raise ValueError(f"stacked combine of {c} rows over F_{p} needs {deg} lanes "
                              f"of {width} bits, more than float64's 53-bit mantissa")
         ftype = np.dtype(np.float32 if deg * width <= 24 else np.float64)
-        lanes, residue = _lanes(tower, width)
+        lanes, tables = _lanes(tower, width)
         left = lanes[stack[:, :, None], p ** np.arange(deg)].reshape(m, c * deg).astype(ftype)
         size = math.prod(shape)
         flat = np.asarray(rows, dtype=np.uint8).reshape(c, size)
@@ -207,7 +210,7 @@ def combine(tower, rows, coeffs):
                 rest = high
             digits[:, -1] = rest  # an index is below p^2e
             acc = (left @ digits.reshape(c * deg, rest.shape[1])).astype(lanes.dtype)
-            out[:, start:start + step] = _residues(tower, width, residue, acc)
+            out[:, start:start + step] = _residues(tables, acc)
     return out.reshape(coeffs.shape[:-1] + shape)[()]
 
 
@@ -219,29 +222,46 @@ def _stacked_rows(tower):
     return (2 ** (53 // deg) - 1) // (deg * (tower.p - 1) ** 2)
 
 
-def _residues(tower, width, residue, acc):
-    """Field indices of the packed lane sums acc: each lane reduced mod p
-    through the residue lookup and placed as digit i of the index."""
-    p = tower.p
-    mask = (1 << width) - 1
-    out = residue.take(acc & mask)
-    for i in range(1, 2 * tower.e):
-        out += residue.take(acc >> i * width & mask) * p**i
+def _residues(tables, acc):
+    """Field indices of the packed lane sums acc: each group of lanes, cut
+    off the low end of the word, maps through its table of `_lanes` to its
+    share of the index, the shares are added.  The top group takes no
+    mask, as no lane carries past the last."""
+    *low, top = tables
+    parts = []
+    for table in low:
+        parts.append(table.take(acc & (table.size - 1)))
+        acc = acc >> (table.size.bit_length() - 1)
+    out = top.take(acc)
+    for part in parts:
+        out += part
     return out
 
 
 @functools.cache
 def _lanes(tower, width):
-    """(lanes, residue) for lanes of `width` bits: lanes[s, a] holds digit i
+    """(lanes, tables) for lanes of `width` bits: lanes[s, a] holds digit i
     of s * a in bits [i * width, (i + 1) * width) of the smallest of uint16,
-    uint32 and uint64 that holds all 2e lanes, and residue[v] = v mod p for
-    every lane value v."""
-    deg = 2 * tower.e
+    uint32 and uint64 that holds all 2e lanes.  The lanes are cut into the
+    fewest groups of consecutive lanes that fit 16 bits, a lane wider than
+    that in a group of its own, the lanes shared out evenly; the table of
+    the group of lanes [i0, i0 + g) maps their g * width packed bits v to
+    the sum over i < g of (lane i of v mod p) * p^(i0 + i), so a 16-bit
+    group takes a 2^16-entry uint8 table and a wider lane 2^width."""
+    deg, p = 2 * tower.e, tower.p
     dtype = next(d for d in (np.uint16, np.uint32, np.uint64) if np.iinfo(d).bits >= deg * width)
-    place = (tower.p ** np.arange(deg)).astype(np.uint8)
-    digits = (tower.mul_np[..., None] // place % tower.p).astype(dtype)
+    place = (p ** np.arange(deg)).astype(np.uint8)
+    digits = (tower.mul_np[..., None] // place % p).astype(dtype)
     lanes = (digits << (width * np.arange(deg)).astype(dtype)).sum(axis=-1, dtype=dtype)
-    residue = (np.arange(1 << width) % tower.p).astype(np.uint8)
+    residue = np.resize(np.arange(p, dtype=np.uint8), 1 << width)  # v mod p for every lane value v
+    groups = -(-deg // max(1, 16 // width))
+    size = -(-deg // groups)  # lanes in a group
+    tables = []
+    for start in range(0, deg, size):
+        table = np.zeros(1, dtype=np.uint8)
+        for i in range(start, min(start + size, deg)):  # lane i: the high bits of the index
+            table = (residue[:, None] * p**i + table).ravel()
+        table.setflags(write=False)
+        tables.append(table)
     lanes.setflags(write=False)
-    residue.setflags(write=False)
-    return lanes, residue
+    return lanes, tuple(tables)

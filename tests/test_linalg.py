@@ -2,7 +2,7 @@
 equal-shape arrays, and on no rows at all, by a coefficient vector or a
 stack of them given as lists, tuples or arrays, checked against the table
 sum it replaced, with the row counts at every lane-width boundary of its
-packed digit sums."""
+packed digit sums; and its residue tables against the per-lane residues."""
 
 import itertools
 import random
@@ -157,6 +157,49 @@ def test_combine_at_every_lane_width_boundary(q):
         got = linalg.combine(t, rows, coeffs)
         assert got.dtype == np.uint8 and got.shape == (2, 3)
         assert np.array_equal(got, table_sum(t, rows, coeffs))
+
+
+def lane_residues(t, width, words):
+    """The per-lane definition of the residue tail: lane i of each word
+    reduced mod p and placed as digit i of the index."""
+    words = words.astype(np.uint64)
+    mask = np.uint64((1 << width) - 1)
+    return sum((words >> np.uint64(i * width) & mask) % np.uint64(t.p) * np.uint64(t.p**i)
+               for i in range(2 * t.e))
+
+
+def test_residue_tables_are_the_per_lane_tail():
+    """`_residues` agrees with the per-lane definition on every packed word
+    where the 2e lanes take at most 16 bits (one table, one gather), and on
+    random words, the emptiest and the fullest where the lanes fall into
+    several groups; no table has more than max(2^16, 2^width) entries.
+
+    The widths are every one `combine` can choose, those of the 1-D sum,
+    whose 2e lanes fill at most 64 bits (the stacked product's fill 53),
+    but for the widths past 18 at 2e = 2 (2^19 rows and more at p = 2):
+    there, as from 9 bits on, each lane is a group of its own, and its
+    table of 2^width entries is too large to build in a test."""
+    rng = np.random.default_rng(2)
+    split = set()
+    for q in QS:
+        t = tower_for_q(q)
+        deg = 2 * t.e
+        for width in range(1, min(64 // deg, 18) + 1):
+            lanes, tables = linalg._lanes(t, width)
+            assert all(tb.dtype == np.uint8 and not tb.flags.writeable for tb in tables)
+            assert max(tb.size for tb in tables) <= max(1 << 16, 1 << width)
+            bits = deg * width
+            if bits <= 16:
+                assert len(tables) == 1
+                words = np.arange(1 << bits).astype(lanes.dtype)
+            else:
+                split.add((q, width))
+                words = rng.integers(0, 1 << bits, 4096, dtype=np.uint64)
+                words = np.append(words, np.array([0, (1 << bits) - 1], np.uint64)).astype(lanes.dtype)
+            got = linalg._residues(tables, words)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, lane_residues(t, width, words)), (q, width)
+    assert {4, 8, 9} <= {q for q, width in split}
 
 
 def test_combine_rejects_lanes_beyond_64_bits():
