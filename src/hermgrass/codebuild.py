@@ -103,10 +103,10 @@ def eval_minor_vector(tower, E, minor):
     acc = None
     for c, j in enumerate(J):
         rest = eval_minor_vector(tower, E, (I[1:], J[:c] + J[c + 1:]))
-        term = tower.mul_np[E[I[0] - 1, j - 1], rest]
+        term = tower.muls(E[I[0] - 1, j - 1], rest)
         if c % 2 == 1:
             term = tower.neg_np[term]
-        acc = term if acc is None else tower.add_np[acc, term]
+        acc = term if acc is None else tower.adds(acc, term)
     return acc
 
 
@@ -296,8 +296,8 @@ def subfield_rows(gen: GeneratorMatrix, combos) -> np.ndarray:
 
 
 def conjugate_codeword(tower: FieldTower, codeword) -> np.ndarray:
-    """Positionwise x -> x^q."""
-    return tower.conj_np[np.asarray(codeword, dtype=np.uint8)]
+    """Positionwise x -> x^q.  An entry outside [0, q^2) raises ValueError."""
+    return tower.conj_np[indices(codeword, tower.qq, f"codeword entries must lie in F_{tower.qq}")]
 
 
 def q_invariance_check(gen: GeneratorMatrix) -> bool:

@@ -103,7 +103,7 @@ def _normal_forms(tower, vecs):
     """(forms, leads): each nonzero vector along the last axis scaled by the
     inverse of its first nonzero entry, and that entry."""
     leads = np.take_along_axis(vecs, (vecs != 0).argmax(axis=-1)[..., None], axis=-1)
-    return tower.mul_np[tower.inv_np[leads], vecs], leads[..., 0]
+    return tower.muls(tower.inv_np[leads], vecs), leads[..., 0]
 
 
 def _first_repeat(keys, at, seen, seen_at):
@@ -214,7 +214,7 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
     # t = 3 and t = 4: col_i + a col_j, never zero since t = 2 is ruled out.
     # A sum is named by its rank (i n + j) r + s in the scan, a = nonzero[s].
     r = len(nonzero)
-    scaled = tower.mul_np[nonzero[:, None], cols[:, None]]  # scaled[m, s] = nonzero[s] col_m
+    scaled = tower.muls(nonzero[:, None], cols[:, None])  # scaled[m, s] = nonzero[s] col_m
     words = pack(scaled)
     members = key(words).reshape(-1)
     order = np.argsort(members)
@@ -225,7 +225,7 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
 
     def pair_sum(rank):
         (i, j), s = divmod(rank // r, n), rank % r
-        return int(i), int(j), int(nonzero[s]), tower.add_np[cols[i], scaled[j, s]]
+        return int(i), int(j), int(nonzero[s]), tower.adds(cols[i], scaled[j, s])
 
     for i0, i1 in _pair_blocks(n, r):
         # rows [i0, i1) by columns (i0, n), nonzero[0] = 1: with the pairs
@@ -241,7 +241,7 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
         if max_t == 4 and t4 is None:
             I, J = np.arange(i0, i1)[:, None], np.arange(i0 + 1, n)
             upper = I < J
-            sums = tower.add_np[cols[i0:i1, None, None], scaled[i0 + 1:]][upper]
+            sums = tower.adds(cols[i0:i1, None, None], scaled[i0 + 1:])[upper]
             forms = _normal_forms(tower, sums)[0]
             at = ((I * n + J)[upper][:, None] * r + np.arange(r)).reshape(-1)
             t4, seen, seen_at = _first_repeat(key(pack(forms)).reshape(-1), at, seen, seen_at)
@@ -260,7 +260,6 @@ def _translates_word(gen: GeneratorMatrix, H, translations, coeffs):
     `translations` (H the zero matrix when None)."""
     tower, ell = gen.tower, gen.spec.ell
     H = np.zeros((ell, ell), np.uint8) if H is None else H
-    H = indices(H, tower.qq, f"H has an entry outside F_{tower.qq}")
     supports = translate(tower, H, np.stack(translations, axis=-1))
     return _dual_word(gen, encode(tower, ell, FAMILY_HERMITIAN, supports), coeffs)
 
@@ -290,7 +289,7 @@ def dual_word_weight3(gen: GeneratorMatrix, alpha: int, c0: int = 1,
     M = outer(tower, b, b)
     den = tower.inv(tower.sub(alpha, 1))
     coeffs = [c0, tower.mul(tower.neg(tower.mul(alpha, den)), c0), tower.mul(den, c0)]
-    return _translates_word(gen, H, [np.zeros_like(M), M, tower.mul_np[alpha, M]], coeffs)
+    return _translates_word(gen, H, [np.zeros_like(M), M, tower.muls(alpha, M)], coeffs)
 
 
 def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
@@ -306,11 +305,18 @@ def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
     refusal = f"a1, a2 must be vectors over F_{tower.qq}"
     a1 = np.eye(ell, dtype=np.uint8)[0] if a1 is None else indices(a1, tower.qq, refusal)
     a2 = np.eye(ell, dtype=np.uint8)[1] if a2 is None else indices(a2, tower.qq, refusal)
-    if linalg.rank(tower, [a1, a2]) != 2:
+    if not _independent(tower, a1, a2):
         raise ValueError("a1, a2 must be linearly independent")
     M1 = outer(tower, a1, a1)
-    M2 = tower.add_np[outer(tower, a2, a1), outer(tower, a1, a2)]
-    return _translates_word(gen, H, [np.zeros_like(M1), M1, M2, tower.add_np[M1, M2]], (1, 1, 1, 1))
+    M2 = tower.adds(outer(tower, a2, a1), outer(tower, a1, a2))
+    return _translates_word(gen, H, [np.zeros_like(M1), M1, M2, tower.adds(M1, M2)], (1, 1, 1, 1))
+
+
+def _independent(tower, u, v):
+    """Whether the vectors u and v are linearly independent: some 2 x 2
+    minor u_i v_j - u_j v_i is nonzero, i.e. u (x) v is not symmetric."""
+    uv = tower.muls(np.asarray(u)[:, None], v)
+    return bool((uv != uv.T).any())
 
 
 def dual_support_families(gen: GeneratorMatrix, seed: int = DEFAULT_SEED) -> list:
@@ -327,7 +333,7 @@ def dual_support_families(gen: GeneratorMatrix, seed: int = DEFAULT_SEED) -> lis
             while True:
                 a1 = tuple(rng.randrange(tower.qq) for _ in range(ell))
                 a2 = tuple(rng.randrange(tower.qq) for _ in range(ell))
-                if linalg.rank(tower, (a1, a2)) == 2:
+                if _independent(tower, a1, a2):
                     break
             out.append(dual_word_weight4(gen, H, a1, a2))
         else:

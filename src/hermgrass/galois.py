@@ -12,6 +12,13 @@ q^2 - 1.  The shipped moduli all have x primitive, so x itself generates
 the tables; construction verifies that the order of x is exactly q^2 - 1,
 which simultaneously proves the modulus irreducible (a reducible modulus
 leaves strictly fewer than q^2 - 1 units).
+
+Arrays of elements add and multiply through `FieldTower.adds` and
+`FieldTower.muls`: one uint16 key a * q^2 + b per pair of entries, at most
+81 * 81 = 6,561 keys, and one gather from the raveled table.  Like
+`linalg.combine`, these are unchecked kernels: an entry outside [0, q^2)
+reads a wrong entry or raises IndexError, so a public entry that hands
+them caller values checks those first (`errors.indices`).
 """
 
 from __future__ import annotations
@@ -84,8 +91,8 @@ class FieldTower:
         self.neg_np = self.mul_np[p - 1]
         self.inv_np = np.pad(exp[-nonzero % (qq - 1)], (1, 0))
         self.conj_np = np.pad(exp[nonzero * q % (qq - 1)], (1, 0))
-        self.trace_np = self.add_np[np.arange(qq), self.conj_np]
-        self.norm_np = self.mul_np[np.arange(qq), self.conj_np]
+        self.trace_np = self.adds(np.arange(qq), self.conj_np)
+        self.norm_np = self.muls(np.arange(qq), self.conj_np)
         self.subfield_np = np.flatnonzero(self.conj_np == np.arange(qq)).astype(np.uint8)
         if len(self.subfield_np) != q:
             raise AssertionError(f"subfield has {len(self.subfield_np)} elements, expected {q}")
@@ -133,6 +140,20 @@ class FieldTower:
         or numpy's, in the subfield list.  Anything else is not, 2.0 and -1
         included."""
         return isinstance(a, numbers.Integral) and a in self.subfield
+
+    # array operations --------------------------------------------------
+
+    def adds(self, a, b):
+        """a + b entrywise, on arrays or scalars of element indices that
+        broadcast together: one gather from the raveled addition table at
+        the uint16 keys a * q^2 + b.  Unchecked: an entry outside [0, q^2)
+        reads a wrong sum or raises IndexError."""
+        return self.add_np.take(np.asarray(a).astype(np.uint16) * self.qq + b)
+
+    def muls(self, a, b):
+        """a * b entrywise, as `adds` on the multiplication table, and as
+        unchecked."""
+        return self.mul_np.take(np.asarray(a).astype(np.uint16) * self.qq + b)
 
     def __repr__(self):
         return f"FieldTower(p={self.p}, e={self.e}, q={self.q})"

@@ -235,15 +235,20 @@ def product(tower, L, X, R):
 
 
 def translate(tower, M, X):
-    """X + M for one matrix X or an array of them: entry (i, j) is one row
-    of the addition table, that of M[i, j], taken at X[i, j]."""
-    add = tower.add_np[np.asarray(M, dtype=np.uint8)]  # add[i, j, x] = M[i, j] + x
-    return np.array([[add[i, j].take(X[i, j]) for j in range(len(add))] for i in range(len(add))])
+    """X + M for one matrix X or an array of them, as one gather of the
+    unchecked addition kernel `tower.adds`, keyed by M's entries against
+    X's.  An entry of M outside [0, q^2) raises ValueError; X, the
+    matrices being moved, is not checked, and an entry of it outside [0,
+    q^2) reads a wrong sum or raises IndexError."""
+    M = indices(M, tower.qq, f"translation by a matrix with an entry outside F_{tower.qq}")
+    return tower.adds(M.reshape(M.shape + (1,) * (np.ndim(X) - 2)), X)
 
 
 def outer(tower, u, v):
-    """u* v: entry (i, j) = conj(u_i) * v_j."""
-    return tower.mul_np[tower.conj_np[np.asarray(u)][:, None], np.asarray(v)]
+    """u* v: entry (i, j) = conj(u_i) * v_j.  An entry of u or v outside
+    [0, q^2) raises ValueError."""
+    u, v = (indices(w, tower.qq, f"outer takes vectors over F_{tower.qq}") for w in (u, v))
+    return tower.muls(tower.conj_np[u][:, None], v)
 
 
 # cardinality -----------------------------------------------------------------

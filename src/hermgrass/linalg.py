@@ -125,7 +125,7 @@ def _product(tower, T, block):
     out = None
     for s in range(0, len(block), step):
         part = combine(tower, block[s:s + step], T[:, s:s + step])
-        out = part if out is None else tower.add_np[out, part]
+        out = part if out is None else tower.adds(out, part)
     return out
 
 

@@ -40,7 +40,7 @@ def hyperbolic_zero_count(tower: FieldTower, lam: int) -> int:
     q = tower.q
     formula = 2 * q - 1 if lam == 0 else q - 1
     sub = tower.subfield_np
-    brute = int(np.count_nonzero(tower.mul_np[sub[:, None], sub] == lam))
+    brute = int(np.count_nonzero(tower.muls(sub[:, None], sub) == lam))
     require(brute == formula, f"hyperbolic count mismatch: formula {formula}, brute {brute}")
     return brute
 
@@ -68,7 +68,7 @@ def _system_terms(tower: FieldTower, n: int) -> np.ndarray:
     """The n^2 terms of every vector X of F_{q^2}^n, one column per vector:
     row i * n + j holds x_i x_j^q, the norm x_i^(q+1) where i = j."""
     X = np.indices((tower.qq,) * n, dtype=np.intp).reshape(n, -1)
-    terms = tower.mul_np[X[:, None], tower.conj_np[X[None]]].reshape(n * n, -1)
+    terms = tower.muls(X[:, None], tower.conj_np[X[None]]).reshape(n * n, -1)
     terms.setflags(write=False)
     return terms
 
@@ -155,9 +155,9 @@ def classify_weights_l2(q: int) -> dict:
     weights_seen = set(np.unique(weights).tolist())
     is_high = weights == w_high
     count_high = int(is_high.sum())
-    prod, nrm = tower.mul_np[f11, f22], tower.norm_np[f12]
-    plus_ok = bool(np.array_equal(tower.add_np[f0, nrm] == prod, is_high))
-    minus_ok = bool(np.array_equal(tower.add_np[nrm, prod] == f0, is_high))
+    prod, nrm = tower.muls(f11, f22), tower.norm_np[f12]
+    plus_ok = bool(np.array_equal(tower.adds(f0, nrm) == prod, is_high))
+    minus_ok = bool(np.array_equal(tower.adds(nrm, prod) == f0, is_high))
     expected = {w_high, w_low}
     require(weights_seen == expected,
             f"observed weights {sorted(weights_seen)} != expected {sorted(expected)}")

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import linalg
 from .codebuild import FAMILY_HERMITIAN, CodeSpec
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, indices
 from .galois import tower_for_q
 from .linalg import TABLE_BYTES
 
@@ -156,7 +156,8 @@ def _lane_basis(tower, rows, scalars):
     and len(lanes) is the number of planes of every layout.
     """
     p, fp, place = tower.p, tower_for_q(tower.p), tower.p ** np.arange(2 * tower.e)
-    values = np.unique(tower.mul_np[np.ix_(scalars, np.flatnonzero(np.bincount(rows.ravel())))])
+    entries = np.flatnonzero(np.bincount(rows.ravel()))
+    values = np.unique(tower.muls(np.asarray(scalars)[:, None], entries))
     digits = values[:, None] // place % p
     pivots = linalg.rref(fp, digits)[0] or [0]  # pivot columns depend only on the row space
     lanes = np.arange(tower.qq) // place[pivots, None] % p
@@ -206,14 +207,14 @@ def _additive_form(tower, rows, basis, fiber=0):
         # b = v at x = 0 and a_j = v at x = e_j minus b, on each fiber
         v = v.reshape(v.shape[:-1] + (-1, F))
         b = v[..., 0]
-        return np.array([b] + [tower.add_np[v[..., q**j], tower.neg_np[b]] for j in range(fiber)])
+        return np.array([b] + [tower.adds(v[..., q**j], tower.neg_np[b]) for j in range(fiber)])
 
     def rebuilt(part):
         # b + sum_j a_j x_j at every point x of every fiber
         b, *a = coefficients(part)
         v = b[..., None]
         for aj, xj in zip(a, tower.subfield_np[np.arange(F) // q ** np.arange(fiber)[:, None] % q]):
-            v = tower.add_np.take(v.astype(np.intp) * tower.qq + tower.mul_np[:, xj].take(aj, axis=0))
+            v = tower.adds(v, tower.muls(aj[..., None], xj))
         return v.reshape(part.shape)
 
     # the first fiber of every row is checked before all of them: most rows that do not fit
@@ -403,17 +404,18 @@ def min_weight_over_combinations(tower, rows, scalars, *, threads=1, lead=None):
 
     Returns (weight, digits, messages_searched), messages_searched being
     the (r^lead - 1) r^(k - lead) messages covered.  The r^k messages of
-    the rows are bounded by `budget_messages()`.
+    the rows are bounded by `budget_messages()`.  An entry of the rows or
+    a scalar outside [0, q^2) raises ValueError, once per walk.
     """
-    rows = np.asarray(rows, dtype=np.uint8)
-    scalars = [int(s) for s in scalars]
+    rows = indices(rows, tower.qq, f"rows must hold elements of F_{tower.qq}").astype(np.uint8)
+    scalars = indices(scalars, tower.qq, f"scalars must lie in F_{tower.qq}").tolist()
     k, r = len(rows), len(scalars)
     lead = k if lead is None else lead
     if not 1 <= lead <= k:
         raise ValueError(f"lead must be in 1..{k}, got {lead}")
     if scalars[:2] != [0, 1]:
         raise ValueError("scalars must start with 0 and 1")
-    if not set(tower.mul_np[np.ix_(scalars, scalars)].flat) <= set(scalars):
+    if not set(tower.muls(np.asarray(scalars)[:, None], scalars).flat) <= set(scalars):
         raise ValueError("scalars are not closed under multiplication")
     _require_size(r**k, f"message space {r}^{k} =")
     form, kt, jobs = _plan(tower, rows, scalars, lead, threads)

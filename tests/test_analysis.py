@@ -374,6 +374,23 @@ def test_dual_word_weight4():
         du.dual_word_weight4(build_generator(FAMILY_HERMITIAN, 2, 3))
 
 
+def test_independence_test_agrees_with_rank():
+    """The pair test of dual_support_families accepts exactly the pairs of
+    rank 2: every pair of vectors in F_4^2, and random pairs in F_4^3 and
+    F_9^3, zero and proportional vectors among them."""
+    rng = random.Random(3)
+    for ell, q in [(2, 2), (3, 2), (3, 3)]:
+        t = tower_for_q(q)
+        vectors = list(itertools.product(range(t.qq), repeat=ell))
+        if ell == 2:
+            pairs = list(itertools.product(vectors, repeat=2))
+        else:
+            pairs = [(u, rng.choice([v, tuple(t.mul(rng.randrange(t.qq), x) for x in u)]))
+                     for u, v in (rng.sample(vectors, 2) for _ in range(300))]
+        for u, v in pairs:
+            assert du._independent(t, u, v) == (linalg.rank(t, [u, v]) == 2)
+
+
 def test_dual_support_families_randomized():
     for ell, q in [(2, 2), (2, 3), (3, 2)]:
         gen = build_generator(FAMILY_HERMITIAN, ell, q)

@@ -136,9 +136,11 @@ OUT_OF_FIELD_SETUP = (
     "import numpy as np\n"
     "from hermgrass import dual as du, strata as st\n"
     "from hermgrass.analysis import weight_of_function\n"
-    "from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator, translate_permutation\n"
+    "from hermgrass.codebuild import (FAMILY_HERMITIAN, build_generator, conjugate_codeword,\n"
+    "                                 translate_permutation)\n"
     "from hermgrass.galois import tower_for_q\n"
-    "from hermgrass.hermitian import FAMILY_AFFINE, decode, encode\n"
+    "from hermgrass.hermitian import FAMILY_AFFINE, decode, encode, outer, translate\n"
+    "from hermgrass.walk import min_weight_over_combinations\n"
     "h2q2, h2q3 = (build_generator('hermitian', 2, q) for q in (2, 3))\n"
     "word = h2q2.rows[1].astype(np.int64)\n"
     "word[3] += 256\n"
@@ -168,6 +170,11 @@ OUT_OF_FIELD = {
     "system count, a_1 = 1.0": "st.system_solution_count(tower_for_q(3), [1.0, 1], [[0, 1], [1, 0]])",
     "system count, a term 9": "st.system_solution_count(tower_for_q(3), [1, 1], [[0, 9], [1, 0]])",
     "system count, a term -1": "st.system_solution_count(tower_for_q(3), [1, 1], [[0, -1], [1, 0]])",
+    "outer, u = (-1, 0)": "outer(tower_for_q(2), [-1, 0], [1, 0])",
+    "outer, v = (0, 256)": "outer(tower_for_q(2), [1, 0], np.array([0, 256]))",
+    "conjugate codeword, an entry 256": "conjugate_codeword(tower_for_q(2), word)",
+    "min weight, a row entry 256": "min_weight_over_combinations(tower_for_q(2), [h2q2.rows[0], word], [0, 1])",
+    "min weight, a scalar -1": "min_weight_over_combinations(tower_for_q(2), h2q2.rows[:2], [0, 1, -1])",
 }
 
 
@@ -246,6 +253,7 @@ NOT_INTEGER = {
     "encode, float zeros": "encode(tower_for_q(3), 2, FAMILY_AFFINE, np.zeros((2, 2, 3)))",
     "encode, complex entries": "encode(tower_for_q(2), 1, FAMILY_HERMITIAN, [[1j]])",
     "translate by an entry 1.5": "translate_permutation(tower_for_q(3), 2, [[1.5, 0], [0, 1.0]])",
+    "translate, an entry of M 1.5": "translate(tower_for_q(3), [[1.5, 0], [0, 0]], np.zeros((2, 2), np.uint8))",
     "membership, an entry plus 0.5": "h2q2.membership(half)",
     "coefficients of, an entry plus 0.5": "h2q2.coefficients_of(half)",
     "encode message, an entry 1.5": "h2q3.encode_message([1.5] + [0] * (h2q3.spec.k - 1))",

@@ -209,3 +209,30 @@ def test_tables_are_pinned(q):
     for table in (t.add_np, t.mul_np, t.neg_np, t.inv_np, t.conj_np, t.subfield_digit_np):
         digest.update(table.tobytes())
     assert digest.hexdigest() == TABLE_DIGESTS[q]
+
+
+@pytest.mark.parametrize("tower", ALL_TOWERS, ids=repr)
+def test_array_kernels_match_the_tables_exhaustively(tower):
+    """adds and muls read the 2-D tables at every pair of elements."""
+    a = np.arange(tower.qq, dtype=np.uint8)
+    for kernel, table in ((tower.adds, tower.add_np), (tower.muls, tower.mul_np)):
+        got = kernel(a[:, None], a)
+        assert got.dtype == np.uint8 and np.array_equal(got, table)
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_array_kernels_broadcast_like_indexing(dtype):
+    """A scalar against an array, (n, 1, 1) against (1, n, 1), either dtype,
+    and empty arrays give the shapes and values of 2-D indexing."""
+    tower = tower_for_q(9)
+    rng = np.random.default_rng(5)
+    n = 7
+    x, y = rng.integers(0, tower.qq, (2, n)).astype(dtype).reshape(2, n, 1, 1)
+    y = y.reshape(1, n, 1)
+    cases = [(3, x), (x, 80), (x, y), (x[:0], y), (x[:, :, :0], y[0])]
+    for kernel, table in ((tower.adds, tower.add_np), (tower.muls, tower.mul_np)):
+        for a, b in cases:
+            want = table[a, b]
+            got = kernel(a, b)
+            assert got.shape == want.shape and np.array_equal(got, want)
+        assert kernel(5, 7) == table[5, 7]

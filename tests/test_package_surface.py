@@ -139,3 +139,43 @@ def test_dtype_kind_is_read_only_by_the_index_check():
                         and isinstance(node.value, ast.Attribute) and node.value.attr == "dtype"):
                     readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert readers == {"errors.indices"}
+
+
+def two_index_table_reads():
+    """module.function of each read of a tower's `add_np` or `mul_np` that
+    is not a subscript by one index: two index arrays (a tuple of two or
+    more entries that are neither constants nor slices, or `np.ix_`), or
+    the table read under another name, which hides its subscripts.  The
+    methods of `galois.FieldTower` are the kernels and scalar operations
+    themselves, and are not searched."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            if path.stem == "galois" and isinstance(top, ast.ClassDef) and top.name == "FieldTower":
+                continue
+            parents = {child: node for node in ast.walk(top) for child in ast.iter_child_nodes(node)}
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Attribute) and node.attr in ("add_np", "mul_np")
+                        and isinstance(node.ctx, ast.Load)):
+                    continue
+                parent = parents.get(node)
+                if isinstance(parent, ast.Subscript) and parent.value is node:
+                    index = parent.slice
+                    entries = index.elts if isinstance(index, ast.Tuple) else [index]
+                    arrays = [e for e in entries if not isinstance(e, (ast.Constant, ast.Slice))]
+                    ix = any(isinstance(e, ast.Call) and getattr(e.func, "attr", getattr(e.func, "id", ""))
+                             == "ix_" for e in entries)
+                    if len(arrays) < 2 and not ix:
+                        continue
+                found.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_add_and_mul_tables_are_gathered_by_the_kernels():
+    """Arrays of elements add and multiply through one flat gather each,
+    `FieldTower.adds` and `FieldTower.muls`; no module indexes `add_np` or
+    `mul_np` with two index arrays.  `linalg.rref` keeps 2-D indexing: its
+    eliminations are mostly a few entries wide, where building a key costs
+    more than it saves."""
+    assert two_index_table_reads() == {"linalg.rref"}
