@@ -50,6 +50,11 @@ class CodeSpec:
     def __post_init__(self):
         if self.family not in _FAMILY_LETTER:
             raise ValueError(f"unknown family {self.family!r}")
+        for name, value in (("q", self.q), ("ell", self.ell)):
+            if type(value) is not int:  # stored as int, so n, the header and reports print integers
+                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                    raise ValueError(f"{name} must be an integer, got {value!r}")
+                object.__setattr__(self, name, int(value))
         if self.q not in SUPPORTED_Q:
             raise ValueError(f"unsupported q = {self.q}")
         if not 1 <= self.ell <= MAX_ELL:

@@ -2,7 +2,7 @@
 
 Rows are 1-D uint8 arrays of field-element indices.  Elimination (`rref`)
 walks the columns a block at a time: each block is multiplied by the
-transform so far (a stacked `combine`), and the row operations of its
+transform so far (a `combine`), and the row operations of its
 pivots go through the tower's lookup tables on the block and the
 transform alone; the walk ends at the block where the rank reaches the
 number of rows.  Pivoting is deterministic: the first nonzero entry in
@@ -26,6 +26,11 @@ the coefficients) @ (digit planes of the rows), exact while every lane sum
 fits the float's mantissa, and reduced by the same gathers.  The
 array shapes of the rows and coefficients, whatever their Python types,
 decide both the shape of the sum and which of the two kernels runs.
+
+Either kernel takes any number of rows: past the most it adds exactly
+(`_exact_rows`: 2e lanes within 64 bits for one vector, within float64's
+53-bit mantissa for a stack), the rows go through it in consecutive groups
+of that many, and the group sums are added by `tower.adds`.
 """
 
 from __future__ import annotations
@@ -61,7 +66,7 @@ def rref(tower, rows):
     nonzero entry in a row without a pivot, in the first such row.  The
     columns are reduced a block of TABLE_BYTES // k at a time: the rows
     without a pivot are multiplied by their rows of the k x k transform
-    (`_product`), and each pivot's row operations touch only the rows
+    (one `combine`), and each pivot's row operations touch only the rows
     below it, in the block and in the transform.  The walk stops once every
     row holds a pivot, so no column past the block of the k-th pivot is
     read.  The rows above a pivot keep their entry in its column, and a back
@@ -83,7 +88,7 @@ def rref(tower, rows):
         block = rows[:, start:start + width]
         w = block.shape[1]
         A = np.zeros((k, w + k), dtype=np.uint8)  # this block of T.rows, then T
-        A[top:, :w] = _product(tower, T[top:], block) if top else block
+        A[top:, :w] = combine(tower, block, T[top:]) if top else block
         A[:, w:] = T
         r, c = top, 0
         while r < k:
@@ -110,23 +115,11 @@ def rref(tower, rows):
         # those of earlier blocks' rows by multiplying at this block's pivots
         cols = [j - start for j in pivots[top:]]
         if top and cols:
-            A[:top, cols] = _product(tower, T[:top], block[:, cols])
+            A[:top, cols] = combine(tower, block[:, cols], T[:top])
         above += [A[:j, c] for j, c in enumerate(cols, top)]
     for j in range(len(pivots) - 1, 0, -1):
         T[:j] = add[T[:j], mul[neg[above[j], None], T[j]]]
     return pivots, T[:len(pivots)]
-
-
-def _product(tower, T, block):
-    """The field product T @ block of m x k and k x w index matrices: the
-    stacked `combine` of the block's rows by T's columns, a group of at
-    most `_stacked_rows` rows at a time, the group sums added."""
-    step = _stacked_rows(tower)
-    out = None
-    for s in range(0, len(block), step):
-        part = combine(tower, block[s:s + step], T[:, s:s + step])
-        out = part if out is None else tower.adds(out, part)
-    return out
 
 
 def rank(tower, rows) -> int:
@@ -148,16 +141,19 @@ def combine(tower, rows, coeffs):
     (p - 1)) bits, so no lane carries into the next; then the lanes are
     reduced mod p once, by one gather per group of lanes from a table of
     their packed bits to their digits of the index (`_lanes`; a gather
-    costs less than numpy's integer remainder).  More than 64 bits of
-    lanes in all raise ValueError.
+    costs less than numpy's integer remainder).
 
     A stack of m > 1 vectors takes one (m, c * 2e) @ (c * 2e, positions)
     float product: column (i, j) of the left factor is the lane word of
     coeffs[:, i] * p^j, row (i, j) of the right factor digit j of rows[i].
     A lane sums c * 2e digit products, so w = bit_length(c * 2e * (p -
     1)^2); the product is exact in float32 up to 24 bits of lanes and in
-    float64 up to 53, and past that raises ValueError.  The positions go
-    through it in chunks whose float digit planes take at most TABLE_BYTES.
+    float64 up to 53.  The positions go through it in chunks whose float
+    digit planes take at most TABLE_BYTES.
+
+    Past `_exact_rows` rows (all 2e lanes within 64 bits for one vector,
+    within 53 for a stack), the kernel adds consecutive groups of that many
+    rows and `tower.adds` sums the groups, so any number of rows is exact.
 
     The rows and coefficients must be field indices in [0, q^2): this kernel
     does not check them, as it runs hundreds of times in one verify pass,
@@ -172,13 +168,14 @@ def combine(tower, rows, coeffs):
     shape = np.shape(rows[0]) if c else np.shape(rows)[1:]
     m, p, deg = math.prod(coeffs.shape[:-1]), tower.p, 2 * tower.e
     stack = coeffs.reshape(m, c)
-    if not stack.size:
+    most = _exact_rows(tower, m > 1)
+    if c > most:
+        parts = (combine(tower, rows[s:s + most], stack[:, s:s + most]) for s in range(0, c, most))
+        out = functools.reduce(tower.adds, parts)
+    elif not stack.size:
         out = np.zeros((m,) + shape, np.uint8)
     elif m == 1:
         width = (c * (p - 1)).bit_length()
-        if deg * width > 64:
-            raise ValueError(f"combine of {c} rows over F_{p} needs {deg} lanes of "
-                             f"{width} bits, more than the 64-bit limit")
         lanes, tables = _lanes(tower, width)
         acc = None
         for s, row in zip(stack[0].tolist(), rows):
@@ -191,9 +188,6 @@ def combine(tower, rows, coeffs):
         out = np.zeros(shape, np.uint8) if acc is None else _residues(tables, acc)
     else:
         width = (c * deg * (p - 1) ** 2).bit_length()
-        if c > _stacked_rows(tower):
-            raise ValueError(f"stacked combine of {c} rows over F_{p} needs {deg} lanes "
-                             f"of {width} bits, more than float64's 53-bit mantissa")
         ftype = np.dtype(np.float32 if deg * width <= 24 else np.float64)
         lanes, tables = _lanes(tower, width)
         left = lanes[stack[:, :, None], p ** np.arange(deg)].reshape(m, c * deg).astype(ftype)
@@ -214,12 +208,14 @@ def combine(tower, rows, coeffs):
     return out.reshape(coeffs.shape[:-1] + shape)[()]
 
 
-def _stacked_rows(tower):
-    """The most rows a stacked `combine` adds: 2e lanes of bit_length(c *
-    2e * (p - 1)^2) bits fit float64's 53-bit mantissa exactly while c is
-    at most this."""
+def _exact_rows(tower, stacked):
+    """The most rows one kernel of `combine` adds exactly: while c is at
+    most this, 2e lanes of bit_length(c * top) bits fit 64 bits, top = p - 1
+    the largest digit, or for a stack float64's 53-bit mantissa, top = 2e *
+    (p - 1)^2 the largest sum of digit products one row adds to a lane."""
     deg = 2 * tower.e
-    return (2 ** (53 // deg) - 1) // (deg * (tower.p - 1) ** 2)
+    bits, top = (53, deg * (tower.p - 1) ** 2) if stacked else (64, tower.p - 1)
+    return (2 ** (bits // deg) - 1) // top
 
 
 def _residues(tables, acc):

@@ -49,13 +49,16 @@ def system_solution_count(tower: FieldTower, a, b) -> int:
     """Brute-force count of solutions X in F_{q^2}^n of the norm/cross-term
     system x_i^(q+1) = a_i, x_i x_j^q = b[i][j] (i != j); asserted <= q + 1.
     Every vector is tried, as one stacked compare of its n^2 terms.  An a_i
-    outside F_q or a b[i][j] outside F_{q^2} raises ValueError."""
+    outside F_q, a b[i][j] outside F_{q^2} or a b that is not n x n raises
+    ValueError."""
     n = len(a)
     if n > 3:
         raise ValueError("n <= 3 required")
     for v in a:
         if not tower.in_base_subfield(v):
             raise ValueError(f"a_i must lie in F_{tower.q} inside F_{tower.qq}, got {v}")
+    if [len(row) for row in b] != [n] * n:
+        raise ValueError(f"b must have {n} rows of {n} terms, got rows of {[len(row) for row in b]}")
     terms = [a[i] if i == j else b[i][j] for i in range(n) for j in range(n)]
     target = indices(terms, tower.qq, f"b[i][j] must lie in F_{tower.qq}").astype(np.uint8)
     count = int(np.count_nonzero((_system_terms(tower, n) == target[:, None]).all(axis=0)))
@@ -292,7 +295,9 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
 def translation_clearing_matrix(tower: FieldTower, ell: int, f: dict, I: tuple):
     """The Hermitian translation H with entries h_{i,j} =
     (-1)^(a+b-1) f_{I minus i, I minus j} (a, b the positions of i, j in I),
-    zero outside I x I."""
+    zero outside I x I.  A label of I outside 1..ell raises ValueError."""
+    if not all(isinstance(i, (int, np.integer)) and 1 <= i <= ell for i in I):
+        raise ValueError(f"I must hold labels in 1..{ell}, got {I}")
     H = np.zeros((ell, ell), dtype=np.uint8)
     for a, i in enumerate(I, start=1):
         for b, j in enumerate(I, start=1):

@@ -404,11 +404,14 @@ def min_weight_over_combinations(tower, rows, scalars, *, threads=1, lead=None):
 
     Returns (weight, digits, messages_searched), messages_searched being
     the (r^lead - 1) r^(k - lead) messages covered.  The r^k messages of
-    the rows are bounded by `budget_messages()`.  An entry of the rows or
-    a scalar outside [0, q^2) raises ValueError, once per walk.
+    the rows are bounded by `budget_messages()`.  Rows that are not a k x
+    n matrix, or an entry of them or a scalar outside [0, q^2), raise
+    ValueError, once per walk.
     """
     rows = indices(rows, tower.qq, f"rows must hold elements of F_{tower.qq}").astype(np.uint8)
     scalars = indices(scalars, tower.qq, f"scalars must lie in F_{tower.qq}").tolist()
+    if rows.ndim != 2:
+        raise ValueError(f"rows must be a k x n matrix, got shape {rows.shape}")
     k, r = len(rows), len(scalars)
     lead = k if lead is None else lead
     if not 1 <= lead <= k:

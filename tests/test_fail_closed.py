@@ -2,6 +2,7 @@
 and injected faults still fail under python -O."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from hermgrass import dual as du
-from hermgrass.codebuild import FAMILY_HERMITIAN, build_generator
+from hermgrass.codebuild import FAMILY_HERMITIAN, CodeSpec, build_generator
 from hermgrass.galois import tower_for_q
 from hermgrass.hermitian import FAMILY_AFFINE, decode, encode
 
@@ -135,9 +136,9 @@ def test_fiber_check_fails_closed_under_optimize(run_optimized):
 OUT_OF_FIELD_SETUP = (
     "import numpy as np\n"
     "from hermgrass import dual as du, strata as st\n"
-    "from hermgrass.analysis import weight_of_function\n"
-    "from hermgrass.codebuild import (FAMILY_HERMITIAN, build_generator, conjugate_codeword,\n"
-    "                                 translate_permutation)\n"
+    "from hermgrass.analysis import min_distance_formula, weight_of_function\n"
+    "from hermgrass.codebuild import (FAMILY_HERMITIAN, CodeSpec, build_generator,\n"
+    "                                 conjugate_codeword, translate_permutation)\n"
     "from hermgrass.galois import tower_for_q\n"
     "from hermgrass.hermitian import FAMILY_AFFINE, decode, encode, outer, translate\n"
     "from hermgrass.walk import min_weight_over_combinations\n"
@@ -289,3 +290,56 @@ def test_empty_positions_and_entries_give_empty_results(dtype):
         assert E.dtype == np.uint8 and E.shape == (2, 2, 0)
         t = encode(tower, 2, family, np.zeros((2, 2, 0), dtype=dtype))
         assert t.dtype == np.int64 and t.shape == (0,)
+
+
+# inputs of the wrong form, each an expression over OUT_OF_FIELD_SETUP's
+# names with the words its refusal must hold: a float or bool q or ell was
+# certified as given (q = 2.0 gave n = 16.0), a b that is not n x n was
+# read past a short row or with a row missed, rows that are not 2-D were
+# read past their shape, and a clearing label 3 indexed past H, 0 wrapped
+# to its last row and 1.0 was no index
+MALFORMED = {
+    "code spec, q = 2.0": ("CodeSpec('hermitian', 2.0, 2)", "q must be an integer"),
+    "code spec, q = np.float64(3)": ("CodeSpec('affine', np.float64(3), 2)", "q must be an integer"),
+    "code spec, ell = True": ("CodeSpec('hermitian', 2, True)", "ell must be an integer"),
+    "code spec, ell = np.bool_": ("CodeSpec('hermitian', 2, np.True_)", "ell must be an integer"),
+    "formula, q = 2.0": ("min_distance_formula('hermitian', 2, 2.0)", "q must be an integer"),
+    "system count, a short first row of b": (
+        "st.system_solution_count(tower_for_q(3), [1, 1], [[0], [0, 0]])", "b must have 2 rows"),
+    "system count, a short last row of b": (
+        "st.system_solution_count(tower_for_q(3), [1, 1], [[0, 0], [0]])", "b must have 2 rows"),
+    "system count, a row of b too many": (
+        "st.system_solution_count(tower_for_q(3), [1, 1], [[0, 0]] * 3)", "b must have 2 rows"),
+    "min weight, rows not 2-D": (
+        "min_weight_over_combinations(tower_for_q(3), [1, 2, 3], [0, 1, 2])", "rows must be a k x n"),
+    "clearing matrix, a label 3 at ell = 2": (
+        "st.translation_clearing_matrix(tower_for_q(3), 2, {}, (1, 3))", "I must hold labels in 1..2"),
+    "clearing matrix, a label 0": (
+        "st.translation_clearing_matrix(tower_for_q(3), 2, {}, (0, 1))", "I must hold labels in 1..2"),
+    "clearing matrix, a label 1.0": (
+        "st.translation_clearing_matrix(tower_for_q(3), 2, {}, (1.0, 2))", "I must hold labels in 1..2"),
+}
+
+
+@pytest.mark.parametrize("expression, words", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_inputs_are_refused(expression, words):
+    names = {}
+    exec(OUT_OF_FIELD_SETUP, names)
+    with pytest.raises(ValueError, match=re.escape(words)):
+        eval(expression, names)
+
+
+def test_malformed_inputs_are_refused_under_optimize(run_optimized):
+    expressions = [expression for expression, _ in MALFORMED.values()]
+    assert refusals_under_optimize(run_optimized, expressions) == ["ValueError"] * len(MALFORMED)
+
+
+def test_code_spec_stores_numpy_integers_as_int():
+    """q and ell given as numpy integers are kept as int, so the spec equals
+    the one of Python ints and a tree report writes them as numbers."""
+    spec = CodeSpec(FAMILY_HERMITIAN, np.int64(2), np.uint8(2))
+    assert type(spec.q) is int and type(spec.ell) is int
+    assert spec == CodeSpec(FAMILY_HERMITIAN, 2, 2)
+    assert spec.header.endswith(" n=16 modulus=111")
+    assert json.dumps(spec.fields, default=str) == (
+        '{"family": "hermitian", "q": 2, "ell": 2, "n": 16, "k": 6}')

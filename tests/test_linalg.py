@@ -2,7 +2,8 @@
 equal-shape arrays, and on no rows at all, by a coefficient vector or a
 stack of them given as lists, tuples or arrays, checked against the table
 sum it replaced, with the row counts at every lane-width boundary of its
-packed digit sums; and its residue tables against the per-lane residues."""
+packed digit sums and on both sides of the most rows each kernel adds
+exactly; and its residue tables against the per-lane residues."""
 
 import itertools
 import random
@@ -202,14 +203,49 @@ def test_residue_tables_are_the_per_lane_tail():
     assert {4, 8, 9} <= {q for q, width in split}
 
 
-def test_combine_rejects_lanes_beyond_64_bits():
-    """F_64 has 6 lanes, so 10 bits each: at most 1,023 rows at p = 2."""
-    t = tower_for_q(8)
-    rows = np.full((1024, 2), t.qq - 1, dtype=np.uint8)
-    got = linalg.combine(t, rows[:1023], [1] * 1023)
-    assert np.array_equal(got, table_sum(t, rows[:1023], [1] * 1023))
-    with pytest.raises(ValueError, match="64-bit limit"):
-        linalg.combine(t, rows, [1] * 1024)
+# Past this many rows a kernel's exact limit is too costly to reach in a test.
+REACHABLE = 1 << 16
+
+
+def test_exact_rows_is_the_lane_rule():
+    """`_exact_rows` is the most rows whose 2e lanes fit 64 bits when one
+    vector adds c digits to a lane, and 53 when a stack adds c * 2e digit
+    products; one more row widens every lane past that.  F_64 has 6 lanes:
+    10 bits each hold 1,023 digits, and 8 bits the products of 42 stacked
+    rows (43 need 9 bits, 54 in all)."""
+    for q in QS:
+        t = tower_for_q(q)
+        deg, most = 2 * t.e, linalg._exact_rows(t, False)
+        assert deg * (most * (t.p - 1)).bit_length() <= 64 < deg * ((most + 1) * (t.p - 1)).bit_length()
+        most = linalg._exact_rows(t, True)
+        assert lane_bits(t, most) <= 53 < lane_bits(t, most + 1)
+    assert [linalg._exact_rows(tower_for_q(8), s) for s in (False, True)] == [1023, 42]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["vector", "stack"])
+@pytest.mark.parametrize("q", QS)
+def test_combine_past_the_exact_limit(q, stacked, monkeypatch):
+    """At the most rows a kernel adds exactly, one more, and twice as many
+    plus one, rows with every digit p - 1 by coefficients all 1, all
+    qq - 1 and random give the table sum: past the limit the kernel adds
+    the rows in groups.  A vector takes each coefficient row alone, a stack
+    all three.  Where the limit is past REACHABLE rows (the fields of degree
+    2, whose lanes take 26 or 32 bits) it is lowered to 7 by patching
+    `_exact_rows`, which tests the grouping there but not the widest lane."""
+    t = tower_for_q(q)
+    most = linalg._exact_rows(t, stacked)
+    if most > REACHABLE:
+        most = 7
+        monkeypatch.setattr(linalg, "_exact_rows", lambda tower, stacked: most)
+    rng = np.random.default_rng(q)
+    for count in (most, most + 1, 2 * most + 1):
+        rows = np.full((count, 2), t.qq - 1, dtype=np.uint8)
+        coeffs = np.ones((3, count), dtype=np.uint8)
+        coeffs[1] = t.qq - 1
+        coeffs[2] = rng.integers(0, t.qq, size=count)
+        want = np.stack([table_sum(t, rows, c) for c in coeffs])
+        got = linalg.combine(t, rows, coeffs) if stacked else [linalg.combine(t, rows, c) for c in coeffs]
+        assert np.array_equal(got, want), count
 
 
 @st.composite
@@ -243,14 +279,10 @@ def combinations(draw):
 @given(combinations())
 def test_combine_equals_table_sum(case):
     """A vector gives the table sum and a stack the table sum of each of its
-    vectors, or ValueError past the stacked product's 53-bit rule; a list,
-    a tuple and an array of the same coefficients give the same result."""
+    vectors, also past the stacked product's 53-bit rule; a list, a tuple
+    and an array of the same coefficients give the same result."""
     t, rows, coeffs = case
     array = np.asarray(coeffs)
-    if array.ndim == 2 and len(array) > 1 and lane_bits(t, len(rows)) > 53:
-        with pytest.raises(ValueError, match="53-bit"):
-            linalg.combine(t, rows, coeffs)
-        return
     got = linalg.combine(t, rows, coeffs)
     if array.ndim == 1:
         want = table_sum(t, rows, coeffs)

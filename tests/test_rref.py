@@ -1,7 +1,7 @@
 """`linalg.rref`, the one elimination, against the dense Gauss-Jordan loop
 it replaced: equal pivots and transform on random matrices at every
 supported q with column blocks 1, 2, 3 and 7 wide, on matrices whose
-blocks past the first need more rows than one stacked `combine` adds, and
+blocks past the first need more rows than one stacked product adds, and
 on every generator with n <= 19,683.  An entry outside F_{q^2} raises
 ValueError before any work, also under python -O."""
 
@@ -103,36 +103,18 @@ def test_rref_equals_the_dense_elimination(q, monkeypatch):
 @pytest.mark.parametrize("q", [8, 9])
 def test_blocks_past_the_first_take_every_row_count(q, monkeypatch):
     """At k = 70 the blocks past the first are multiplied by 70 rows of the
-    transform, more than one stacked `combine` adds at q = 8 (it raises);
-    the first 500 columns are zero but for one entry, so 69 pivots fall in
-    the third block of 250 columns."""
+    transform, more than one stacked product adds at q = 8 (`combine` adds
+    them in two groups); the first 500 columns are zero but for one entry,
+    so 69 pivots fall in the third block of 250 columns."""
     t = tower_for_q(q)
     rng = np.random.default_rng(q)
     rows = np.zeros((70, 600), dtype=np.uint8)
     rows[:, 500:] = rng.integers(0, t.qq, (70, 100))
     rows[17, 123] = 1
-    if q == 8:
-        with pytest.raises(ValueError, match="53-bit"):
-            linalg.combine(t, rows[:, 500:], np.eye(70, dtype=np.uint8))
     for tb in (linalg.TABLE_BYTES, 70 * 250):
         monkeypatch.setattr(linalg, "TABLE_BYTES", tb)
         assert_matches_dense(t, rows)
     assert linalg.rref(t, rows)[0][:2] == [123, 500]
-
-
-def test_stacked_rows_is_the_53_bit_rule():
-    """`_stacked_rows` is the most rows whose 2e lanes fit 53 bits; a
-    stacked `combine` of that many rows runs and of one more raises."""
-    for q in QS:
-        t = tower_for_q(q)
-        deg, most = 2 * t.e, linalg._stacked_rows(t)
-        width = lambda c: (c * deg * (t.p - 1) ** 2).bit_length()
-        assert deg * width(most) <= 53 < deg * width(most + 1)
-    t = tower_for_q(8)
-    rows = np.full((43, 2), t.qq - 1, dtype=np.uint8)
-    linalg.combine(t, rows[:42], np.ones((2, 42), dtype=np.uint8))
-    with pytest.raises(ValueError, match="53-bit"):
-        linalg.combine(t, rows, np.ones((2, 43), dtype=np.uint8))
 
 
 CELLS = [(family, ell, q) for family in (FAMILY_HERMITIAN, FAMILY_AFFINE)

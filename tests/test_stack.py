@@ -83,35 +83,16 @@ def test_stacked_combine_at_the_float_switch_and_the_largest_lane_sum(q):
         assert np.array_equal(linalg.combine(t, full, coeffs), want)
 
 
-def test_stacked_combine_fails_closed_past_float64():
-    """F_64 has 6 lanes: 42 rows need 8 bits each (48 in all) and 43 need 9
-    (54), past float64's 53-bit mantissa, as do 70, so a stack of two
-    raises.  The 1-D path, whose lanes are narrower, still gives the table
-    sum at 70 rows, and so does a stack of one, which takes it."""
-    t = tower_for_q(8)
-    rows = np.full((70, 3), t.qq - 1, dtype=np.uint8)
-    ones = np.ones((2, 70), dtype=np.uint8)
-    assert np.array_equal(linalg.combine(t, rows[:42], ones[:, :42])[1],
-                          table_sum(t, rows[:42], [1] * 42))
-    for count in (43, 70):
-        with pytest.raises(ValueError, match="53-bit"):
-            linalg.combine(t, rows[:count], ones[:, :count])
-    assert np.array_equal(linalg.combine(t, rows[:43], ones[:1, :43])[0],
-                          table_sum(t, rows[:43], [1] * 43))
-    assert np.array_equal(linalg.combine(t, rows, [1] * 70), table_sum(t, rows, [1] * 70))
-
-
 def test_every_buildable_generator_fits_the_stacked_product():
-    """k rows of every code within BUILD_LIMIT fit float64 (q = 2 with
+    """k rows of every code within BUILD_LIMIT fit one stacked product, so
+    no elimination of a generator splits its rows into groups (q = 2 with
     k = 70 needs 16 bits, the widest, q = 9 with k = 20, 36)."""
     for family in (FAMILY_HERMITIAN, FAMILY_AFFINE):
         for q in QS:
             for ell in range(1, 5):
                 spec = CodeSpec(family, q, ell)
                 if spec.n <= BUILD_LIMIT:
-                    t = tower_for_q(q)
-                    rows = np.ones((spec.k, 1), dtype=np.uint8)
-                    linalg.combine(t, rows, np.ones((2, spec.k), dtype=np.uint8))
+                    assert spec.k <= linalg._exact_rows(tower_for_q(q), True), spec
     assert lane_bits(tower_for_q(2), 70) == 16
     assert lane_bits(tower_for_q(9), 20) == 36
 
