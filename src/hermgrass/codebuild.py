@@ -365,6 +365,15 @@ def write_generator(gen: GeneratorMatrix, path):
         fh.writelines(_file_lines(gen))
 
 
+@functools.cache
+def _specs_by_header():
+    """The header of every supported code that has a file, n <= BUILD_LIMIT,
+    mapped to its spec."""
+    specs = (CodeSpec(family, q, ell) for family in _FAMILY_LETTER
+             for q in SUPPORTED_Q for ell in range(1, MAX_ELL + 1))
+    return {spec.header: spec for spec in specs if spec.n <= BUILD_LIMIT}
+
+
 def read_generator(path) -> GeneratorMatrix:
     """The generator whose file this is: exactly the bytes `write_generator`
     writes for the supported code its header names.  Lines end at \\n, \\r
@@ -376,9 +385,7 @@ def read_generator(path) -> GeneratorMatrix:
     if not lines:
         raise ValueError(f"{path}: empty generator file, no header")
     header = lines[0].removesuffix(b"\n").decode(errors="replace")
-    specs = [CodeSpec(family, q, ell) for family in _FAMILY_LETTER
-             for q in SUPPORTED_Q for ell in range(1, MAX_ELL + 1)]
-    spec = next((spec for spec in specs if spec.n <= BUILD_LIMIT and spec.header == header), None)
+    spec = _specs_by_header().get(header)
     if spec is None:
         raise ValueError(f"{path}: {header!r} is not the header of a supported code")
     if len(lines) != spec.k + 1:

@@ -49,26 +49,36 @@ class DualDistanceCertificate:
 # dual distance ----------------------------------------------------------------
 
 
-def _verify_dual_word(gen: GeneratorMatrix, positions, coeffs) -> bool:
-    """Whether the word with coeffs at positions is orthogonal to every row;
-    a position outside [0, n) or a coefficient outside F_{q^2} raises
-    ValueError before any lookup."""
-    n, qq = gen.spec.n, gen.tower.qq
-    indices(positions, n, lambda: f"dual word positions {tuple(positions)} lie outside [0, {n})")
-    indices(coeffs, qq, lambda: f"dual word coefficients {tuple(coeffs)} lie outside F_{qq}")
-    return not linalg.combine(gen.tower, gen.rows[:, list(positions)].T, coeffs).any()
+def _verify_dual_word(gen: GeneratorMatrix, positions, coeffs):
+    """Whether the word with coeffs at positions is orthogonal to every row,
+    or for positions and coeffs of shape (m, t), whether each of the m words
+    is: the lane words (`linalg._lanes`) of its coefficients times the
+    rows' entries at its positions, summed over its t terms and reduced
+    once.  A position outside [0, n) or a coefficient outside F_{q^2}
+    raises ValueError before any lookup."""
+    tower, n = gen.tower, gen.spec.n
+    at = indices(positions, n, lambda: f"dual word positions {tuple(positions)} lie outside [0, {n})")
+    by = indices(coeffs, tower.qq, lambda: f"dual word coefficients {tuple(coeffs)} lie outside F_{tower.qq}")
+    lanes, tables = linalg._lanes(tower, (at.shape[-1] * (tower.p - 1)).bit_length())
+    sums = lanes[by, gen.rows[:, at]].sum(axis=-1, dtype=lanes.dtype)  # (k,) + one per word
+    return ~linalg._residues(tables, sums).any(axis=0)
 
 
 def _dual_word(gen: GeneratorMatrix, positions, coeffs):
     """(positions, coeffs) sorted by position, after requiring the positions
     to be distinct and the word to be orthogonal to every generator row
-    (`_verify_dual_word`, which refuses positions outside the code and
-    coefficients outside the field)."""
-    require(len(set(positions)) == len(positions), "support positions are not distinct")
-    require(_verify_dual_word(gen, positions, coeffs),
-            f"weight-{len(positions)} word is not orthogonal to the code")
-    positions, coeffs = zip(*sorted(zip(map(int, positions), coeffs)))
-    return positions, coeffs
+    (`_verify_dual_word`, which first refuses positions outside the code
+    and coefficients outside the field).  For positions of shape (m, t),
+    the list of the m words, each required so; coeffs of one word are
+    shared by all."""
+    orthogonal = _verify_dual_word(gen, positions, coeffs)
+    positions = np.asarray(positions)
+    t = positions.shape[-1]
+    words = [tuple(zip(*sorted(zip(*word)))) for word in zip(
+        positions.reshape(-1, t).tolist(), np.broadcast_to(coeffs, positions.shape).reshape(-1, t).tolist())]
+    require(all(len(set(p)) == t for p, _ in words), "support positions are not distinct")
+    require(np.all(orthogonal), f"weight-{t} word is not orthogonal to the code")
+    return words if positions.ndim > 1 else words[0]
 
 
 def _packer(tower, k):
@@ -255,40 +265,61 @@ def dual_min_distance(gen: GeneratorMatrix, max_t: int = 4) -> DualDistanceCerti
 # dual minimum-weight support families ----------------------------------------
 
 
+def _instances(ell, H, vectors, *shapes):
+    """The stack shape of a dual-word call, () for one instance and (m,)
+    for m: the broadcast of `shapes`, of the vectors' shapes but their last
+    axis, which must be ell long, and of H's past its (ell, ell).  Stacks
+    of two lengths, or of two axes, raise ValueError."""
+    if any(np.shape(v)[-1:] != (ell,) for v in vectors):
+        raise ValueError(f"dual word vectors must have {ell} entries")
+    shape = np.broadcast_shapes(*shapes, *(np.shape(v)[:-1] for v in vectors), np.shape(H)[2:])
+    if len(shape) > 1:
+        raise ValueError(f"dual word instances must be one or a 1-D stack, got shape {shape}")
+    return shape
+
+
 def _translates_word(gen: GeneratorMatrix, H, translations, coeffs):
     """The dual word with coeffs on the positions of H + M, M running over
-    `translations` (H the zero matrix when None)."""
+    `translations` (H the zero matrix when None), or the list of such words
+    for a stack: one `translate`, one `encode` and one `_dual_word`."""
     tower, ell = gen.tower, gen.spec.ell
     H = np.zeros((ell, ell), np.uint8) if H is None else H
     supports = translate(tower, H, np.stack(translations, axis=-1))
     return _dual_word(gen, encode(tower, ell, FAMILY_HERMITIAN, supports), coeffs)
 
 
-def dual_word_weight3(gen: GeneratorMatrix, alpha: int, c0: int = 1,
-                      H=None, b=None):
+def dual_word_weight3(gen: GeneratorMatrix, alpha, c0=1, H=None, b=None):
     """Weight-3 dual codeword for q > 2 on the support {H, H + b*b,
     H + alpha b*b} with coefficients (c0, -alpha/(alpha-1) c0, 1/(alpha-1) c0).
 
     Returns (positions, coefficients), orthogonality-verified against every
-    generator row.
+    generator row.  A stack of m instances, alpha and c0 of length m, b of
+    shape (m, ell) and H of shape (ell, ell, m), returns the list of the m
+    words; a part given for one instance is shared by all (`_instances`).
+    One bad instance refuses the whole stack with ValueError.
     """
     tower = gen.tower
     ell = gen.spec.ell
     q = gen.spec.q
     if q <= 2:
         raise ValueError("weight-3 dual words require q > 2")
-    if not (tower.in_base_subfield(alpha) and alpha not in (0, 1)):
-        raise ValueError(f"alpha must lie in F_{q} minus {{0, 1}} inside F_{tower.qq}, got {alpha}")
-    refusal = f"c0 must be a nonzero element of F_{tower.qq}, got {c0}"
-    if not indices(c0, tower.qq, refusal):
-        raise ValueError(refusal)
+    refusal = lambda: f"alpha must lie in F_{q} minus {{0, 1}} inside F_{tower.qq}, got {alpha}"
+    alpha = indices(alpha, tower.qq, refusal)
+    if (tower.conj_np.take(alpha) != alpha).any() or (alpha < 2).any():  # F_q: conjugation's fixed points
+        raise ValueError(refusal())
+    refusal = lambda: f"c0 must be a nonzero element of F_{tower.qq}, got {c0}"
+    c0 = indices(c0, tower.qq, refusal)
+    if not c0.all():
+        raise ValueError(refusal())
     refusal = f"b must be a nonzero vector over F_{tower.qq}"
     b = np.eye(ell, dtype=np.uint8)[0] if b is None else indices(b, tower.qq, refusal)
-    if not b.any():
+    shape = _instances(ell, H, [b], alpha.shape, c0.shape)
+    if not b.any(axis=-1).all():
         raise ValueError(refusal)
-    M = outer(tower, b, b)
-    den = tower.inv(tower.sub(alpha, 1))
-    coeffs = [c0, tower.mul(tower.neg(tower.mul(alpha, den)), c0), tower.mul(den, c0)]
+    M = np.broadcast_to(outer(tower, b.T, b.T), (ell, ell) + shape)
+    den = tower.inv_np[tower.adds(alpha, tower.neg_np[1])]
+    coeffs = np.stack(np.broadcast_arrays(
+        c0, tower.muls(tower.neg_np[tower.muls(alpha, den)], c0), tower.muls(den, c0)), axis=-1)
     return _translates_word(gen, H, [np.zeros_like(M), M, tower.muls(alpha, M)], coeffs)
 
 
@@ -296,7 +327,9 @@ def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
     """Weight-4 dual codeword for q = 2 on the support {H, H + a1*a1,
     H + a2*a1 + a1*a2, H + a1*a1 + a2*a1 + a1*a2}, all coefficients 1.
 
-    a1, a2 must be linearly independent over F_{q^2}.
+    a1, a2 must be linearly independent over F_{q^2}.  A stack of m
+    instances, a1 and a2 of shape (m, ell) and H of shape (ell, ell, m),
+    returns the list of the m words, as `dual_word_weight3` does.
     """
     tower = gen.tower
     ell = gen.spec.ell
@@ -305,43 +338,52 @@ def dual_word_weight4(gen: GeneratorMatrix, H=None, a1=None, a2=None):
     refusal = f"a1, a2 must be vectors over F_{tower.qq}"
     a1 = np.eye(ell, dtype=np.uint8)[0] if a1 is None else indices(a1, tower.qq, refusal)
     a2 = np.eye(ell, dtype=np.uint8)[1] if a2 is None else indices(a2, tower.qq, refusal)
-    if not _independent(tower, a1, a2):
+    shape = _instances(ell, H, [a1, a2])
+    if not _independent(tower, a1, a2).all():
         raise ValueError("a1, a2 must be linearly independent")
-    M1 = outer(tower, a1, a1)
-    M2 = tower.adds(outer(tower, a2, a1), outer(tower, a1, a2))
+    M1, M2 = (np.broadcast_to(M, (ell, ell) + shape) for M in (
+        outer(tower, a1.T, a1.T), tower.adds(outer(tower, a2.T, a1.T), outer(tower, a1.T, a2.T))))
     return _translates_word(gen, H, [np.zeros_like(M1), M1, M2, tower.adds(M1, M2)], (1, 1, 1, 1))
 
 
 def _independent(tower, u, v):
-    """Whether the vectors u and v are linearly independent: some 2 x 2
+    """Whether the vectors u and v are linearly independent, or for stacks
+    of them (a vector along the last axis) whether each pair is: some 2 x 2
     minor u_i v_j - u_j v_i is nonzero, i.e. u (x) v is not symmetric."""
-    uv = tower.muls(np.asarray(u)[:, None], v)
-    return bool((uv != uv.T).any())
+    uv = tower.muls(np.asarray(u)[..., :, None], np.asarray(v)[..., None, :])
+    return (uv != np.swapaxes(uv, -1, -2)).any(axis=(-2, -1))
 
 
 def dual_support_families(gen: GeneratorMatrix, seed: int = DEFAULT_SEED) -> list:
     """50 randomized verified minimum-weight dual codewords: the
-    three-matrix family for q > 2, the four-matrix family for q = 2."""
+    three-matrix family for q > 2, the four-matrix family for q = 2.  The
+    instances are drawn one at a time, and their words built as one stack."""
     tower = gen.tower
     ell = gen.spec.ell
     q = gen.spec.q
     rng = random.Random(seed)
-    out = []
+    alphas = [s for s in tower.subfield if s not in (0, 1)]
+    draws = []
     for _ in range(50):
-        H = decode(tower, ell, FAMILY_HERMITIAN, rng.randrange(q ** (ell * ell)))
+        H = rng.randrange(q ** (ell * ell))
         if q == 2:
             while True:
                 a1 = tuple(rng.randrange(tower.qq) for _ in range(ell))
                 a2 = tuple(rng.randrange(tower.qq) for _ in range(ell))
                 if _independent(tower, a1, a2):
                     break
-            out.append(dual_word_weight4(gen, H, a1, a2))
+            draws.append((H, a1, a2))
         else:
-            alpha = rng.choice([s for s in tower.subfield if s not in (0, 1)])
+            alpha = rng.choice(alphas)
             c0 = rng.randrange(1, tower.qq)
             while True:
                 b = tuple(rng.randrange(tower.qq) for _ in range(ell))
                 if any(b):
                     break
-            out.append(dual_word_weight3(gen, alpha, c0, H, b))
-    return out
+            draws.append((H, alpha, c0, b))
+    H, *parts = zip(*draws)
+    H = decode(tower, ell, FAMILY_HERMITIAN, np.array(H))
+    if q == 2:
+        return dual_word_weight4(gen, H, *parts)
+    alpha, c0, b = parts
+    return dual_word_weight3(gen, alpha, c0, H, b)

@@ -61,8 +61,11 @@ def indices(values, below, refusal):
     integers, got <dtype>" to the refusal.  Empty input passes.  Signed
     input is read as int64 through its uint64 view, where an entry below 0
     reads as at least 2^63, so one max refuses it with the entries too
-    large."""
-    values = np.asarray(values)
+    large.  Ragged input, which numpy refuses as an array, adds ": ragged"."""
+    try:
+        values = np.asarray(values)
+    except ValueError:
+        raise ValueError(f"{_text(refusal)}: ragged") from None
     if not values.size:
         return values
     kind = values.dtype.kind

@@ -237,18 +237,21 @@ def product(tower, L, X, R):
 def translate(tower, M, X):
     """X + M for one matrix X or an array of them, as one gather of the
     unchecked addition kernel `tower.adds`, keyed by M's entries against
-    X's.  An entry of M outside [0, q^2) raises ValueError; X, the
-    matrices being moved, is not checked, and an entry of it outside [0,
-    q^2) reads a wrong sum or raises IndexError."""
+    X's.  M is one matrix, or an array of them whose shape leads X's, one
+    translation per leading index.  An entry of M outside [0, q^2) raises
+    ValueError; X, the matrices being moved, is not checked, and an entry
+    of it outside [0, q^2) reads a wrong sum or raises IndexError."""
     M = indices(M, tower.qq, f"translation by a matrix with an entry outside F_{tower.qq}")
-    return tower.adds(M.reshape(M.shape + (1,) * (np.ndim(X) - 2)), X)
+    return tower.adds(M.reshape(M.shape + (1,) * (np.ndim(X) - M.ndim)), X)
 
 
 def outer(tower, u, v):
-    """u* v: entry (i, j) = conj(u_i) * v_j.  An entry of u or v outside
-    [0, q^2) raises ValueError."""
+    """u* v: entry (i, j) = conj(u_i) * v_j, for two vectors or two arrays
+    of them, entry i of vector s at u[i][s] as for matrices, so the result
+    has shape (ell, ell) + their shape.  An entry of u or v outside [0,
+    q^2) raises ValueError."""
     u, v = (indices(w, tower.qq, f"outer takes vectors over F_{tower.qq}") for w in (u, v))
-    return tower.muls(tower.conj_np[u][:, None], v)
+    return tower.muls(tower.conj_np[u][:, None], v[None])
 
 
 # cardinality -----------------------------------------------------------------

@@ -45,35 +45,55 @@ def hyperbolic_zero_count(tower: FieldTower, lam: int) -> int:
     return brute
 
 
-def system_solution_count(tower: FieldTower, a, b) -> int:
+def system_solution_count(tower: FieldTower, a, b):
     """Brute-force count of solutions X in F_{q^2}^n of the norm/cross-term
     system x_i^(q+1) = a_i, x_i x_j^q = b[i][j] (i != j); asserted <= q + 1.
-    Every vector is tried, as one stacked compare of its n^2 terms.  An a_i
-    outside F_q, a b[i][j] outside F_{q^2} or a b that is not n x n raises
-    ValueError."""
-    n = len(a)
-    if n > 3:
-        raise ValueError("n <= 3 required")
-    for v in a:
-        if not tower.in_base_subfield(v):
-            raise ValueError(f"a_i must lie in F_{tower.q} inside F_{tower.qq}, got {v}")
-    if [len(row) for row in b] != [n] * n:
-        raise ValueError(f"b must have {n} rows of {n} terms, got rows of {[len(row) for row in b]}")
-    terms = [a[i] if i == j else b[i][j] for i in range(n) for j in range(n)]
-    target = indices(terms, tower.qq, f"b[i][j] must lie in F_{tower.qq}").astype(np.uint8)
-    count = int(np.count_nonzero((_system_terms(tower, n) == target[:, None]).all(axis=0)))
-    require(count <= tower.q + 1, f"system has {count} solutions, exceeding q + 1 = {tower.q + 1}")
-    return count
+
+    One system (a of length n, b n x n) gives an int; a stack of m systems
+    (a of shape (m, n), b of shape (m, n, n)) gives an array of the m
+    counts.  A system's n^2 terms, packed into one key (`_system_key`), are
+    looked up in the sorted keys of every vector (`_system_keys`): its count
+    is the length of their run.  An a_i outside F_q, an entry of b outside
+    F_{q^2} or a b that is not n x n, in any system of a stack, raises
+    ValueError before any lookup."""
+    outside = lambda: f"a_i must lie in F_{tower.q} inside F_{tower.qq}, got {a}"
+    a = indices(a, tower.qq, outside)
+    if a.ndim not in (1, 2) or not 1 <= a.shape[-1] <= 3:
+        raise ValueError(f"a must be one vector or a stack of vectors of 1 <= n <= 3 entries, "
+                         f"got shape {a.shape}")
+    if (tower.conj_np.take(a) != a).any():  # F_q is the field of conjugation's fixed points
+        raise ValueError(outside())
+    n = a.shape[-1]
+    square = f"b must have {n} rows of {n} terms in F_{tower.qq} per system"
+    b = indices(b, tower.qq, square)
+    if b.shape != a.shape[:-1] + (n, n):
+        raise ValueError(f"{square}, got shape {b.shape}")
+    terms = np.where(np.eye(n, dtype=bool), a[..., None], b).reshape(-1, n * n)
+    keys, target = _system_keys(tower, n), _system_key(terms.T)
+    counts = np.searchsorted(keys, target, "right") - np.searchsorted(keys, target)
+    top = counts.max(initial=0)
+    require(top <= tower.q + 1, f"system has {top} solutions, exceeding q + 1 = {tower.q + 1}")
+    return int(counts[0]) if a.ndim == 1 else counts
+
+
+def _system_key(terms):
+    """The n^2 terms of each system (terms[k] holds term k of every one)
+    packed into one uint64, term k in bits [7 k, 7 k + 7): an index is
+    below q^2 <= 81 < 2^7, and 9 terms take 63 bits."""
+    key = np.zeros(terms.shape[1:], dtype=np.uint64)
+    for k, term in enumerate(terms):
+        key |= term.astype(np.uint64) << np.uint64(7 * k)
+    return key
 
 
 @functools.cache
-def _system_terms(tower: FieldTower, n: int) -> np.ndarray:
-    """The n^2 terms of every vector X of F_{q^2}^n, one column per vector:
-    row i * n + j holds x_i x_j^q, the norm x_i^(q+1) where i = j."""
+def _system_keys(tower: FieldTower, n: int) -> np.ndarray:
+    """The sorted `_system_key`s of every vector X of F_{q^2}^n, whose term
+    i * n + j is x_i x_j^q, the norm x_i^(q+1) where i = j."""
     X = np.indices((tower.qq,) * n, dtype=np.intp).reshape(n, -1)
-    terms = tower.muls(X[:, None], tower.conj_np[X[None]]).reshape(n * n, -1)
-    terms.setflags(write=False)
-    return terms
+    keys = np.sort(_system_key(tower.muls(X[:, None], tower.conj_np[X[None]]).reshape(n * n, -1)))
+    keys.setflags(write=False)
+    return keys
 
 
 def random_system(tower: FieldTower, n: int, rng, consistent: bool = True):
@@ -295,9 +315,10 @@ def min_weight_by_max_minor(ell: int, k: int, q: int,
 def translation_clearing_matrix(tower: FieldTower, ell: int, f: dict, I: tuple):
     """The Hermitian translation H with entries h_{i,j} =
     (-1)^(a+b-1) f_{I minus i, I minus j} (a, b the positions of i, j in I),
-    zero outside I x I.  A label of I outside 1..ell raises ValueError."""
-    if not all(isinstance(i, (int, np.integer)) and 1 <= i <= ell for i in I):
-        raise ValueError(f"I must hold labels in 1..{ell}, got {I}")
+    zero outside I x I.  A label of I outside 1..ell, or one that repeats,
+    raises ValueError."""
+    if not all(isinstance(i, (int, np.integer)) and 1 <= i <= ell for i in I) or len(set(I)) < len(I):
+        raise ValueError(f"I must hold labels in 1..{ell}, each once, got {I}")
     H = np.zeros((ell, ell), dtype=np.uint8)
     for a, i in enumerate(I, start=1):
         for b, j in enumerate(I, start=1):

@@ -297,7 +297,8 @@ def test_empty_positions_and_entries_give_empty_results(dtype):
 # certified as given (q = 2.0 gave n = 16.0), a b that is not n x n was
 # read past a short row or with a row missed, rows that are not 2-D were
 # read past their shape, and a clearing label 3 indexed past H, 0 wrapped
-# to its last row and 1.0 was no index
+# to its last row, 1.0 was no index and a repeated label gave a wrong H; a
+# stack of instances is refused whole for one bad instance
 MALFORMED = {
     "code spec, q = 2.0": ("CodeSpec('hermitian', 2.0, 2)", "q must be an integer"),
     "code spec, q = np.float64(3)": ("CodeSpec('affine', np.float64(3), 2)", "q must be an integer"),
@@ -318,6 +319,45 @@ MALFORMED = {
         "st.translation_clearing_matrix(tower_for_q(3), 2, {}, (0, 1))", "I must hold labels in 1..2"),
     "clearing matrix, a label 1.0": (
         "st.translation_clearing_matrix(tower_for_q(3), 2, {}, (1.0, 2))", "I must hold labels in 1..2"),
+    "clearing matrix, a label twice": (
+        "st.translation_clearing_matrix(tower_for_q(3), 3, {}, (1, 1))", "each once"),
+    "clearing matrix, a label twice of three": (
+        "st.translation_clearing_matrix(tower_for_q(3), 3, {}, (2, 2, 1))", "each once"),
+    "stacked system count, a term 99 in one system": (
+        "st.system_solution_count(tower_for_q(3), [[1, 1]] * 2, [[[0, 1], [1, 0]], [[0, 99], [1, 0]]])",
+        "b must have 2 rows of 2 terms in F_9"),
+    "stacked system count, an a_i outside F_q in one system": (
+        "st.system_solution_count(tower_for_q(3), [[1, 1], [1, 3]], [[[0, 1], [1, 0]]] * 2)",
+        "a_i must lie in F_3"),
+    "stacked system count, a ragged b in one system": (
+        "st.system_solution_count(tower_for_q(3), [[1, 1]] * 2, [[[0, 1], [1, 0]], [[0, 1], [1]]])",
+        "b must have 2 rows of 2 terms in F_9 per system: ragged"),
+    "stacked system count, a b missing a system": (
+        "st.system_solution_count(tower_for_q(3), [[1, 1]] * 2, [[[0, 1], [1, 0]]])",
+        "per system, got shape (1, 2, 2)"),
+    "weight-3 word, b of one entry at ell = 2": (
+        "du.dual_word_weight3(h2q3, 2, b=(1,))", "dual word vectors must have 2 entries"),
+    "stacked system count, a ragged a": (
+        "st.system_solution_count(tower_for_q(3), [[1, 1], [1]], [[[0, 1], [1, 0]]] * 2)",
+        "a_i must lie in F_3 inside F_9, got [[1, 1], [1]]: ragged"),
+    "stacked weight-3 words, an entry 99 in one b": (
+        "du.dual_word_weight3(h2q3, [2, 2], [1, 1], None, [(1, 0), (99, 0)])",
+        "b must be a nonzero vector over F_9"),
+    "stacked weight-3 words, a ragged b": (
+        "du.dual_word_weight3(h2q3, [2, 2], [1, 1], None, [(1, 0), (1,)])", "ragged"),
+    "stacked weight-3 words, alpha 1 in one instance": (
+        "du.dual_word_weight3(h2q3, [2, 1])", "alpha must lie in F_3 minus {0, 1}"),
+    "stacked weight-3 words, an H entry 99 in one instance": (
+        "du.dual_word_weight3(h2q3, [2, 2], H=np.stack([np.zeros((2, 2), int), [[99, 0], [0, 0]]], -1))",
+        "translation by a matrix with an entry outside F_9"),
+    "stacked weight-4 words, an entry 99 in one a1": (
+        "du.dual_word_weight4(h2q2, None, [(1, 0), (99, 0)], [(0, 1), (0, 1)])",
+        "a1, a2 must be vectors over F_4"),
+    "stacked weight-4 words, a dependent a1, a2 in one instance": (
+        "du.dual_word_weight4(h2q2, None, [(1, 0), (1, 0)], [(0, 1), (2, 0)])",
+        "a1, a2 must be linearly independent"),
+    "stacked weight-4 words, stacks of two lengths": (
+        "du.dual_word_weight4(h2q2, None, [(1, 0)] * 2, [(0, 1)] * 3)", "cannot be broadcast"),
 }
 
 
