@@ -12,16 +12,17 @@ array of them, and one matrix or an array of them; a whole space is
 walked once, as decoded chunks (`decoded_chunks`).  `encode` is also the
 one membership rule: it raises ValueError for a matrix outside the family.
 
-`position_digits` stays the definition; the codec reads uint8 tables
-built from it, on first use.  `decode` cuts the digits into the fewest
-consecutive groups of radix product at most GROUP_SIZE, takes one division
-per group and one gather per entry from its group's table
-(`_digit_groups`).
-`encode` takes one gather per digit from the tower's tables
-(`_entry_digits`): an F_q digit reads its entry, an F_{q^2} digit its
-(upper, lower) pair, which also rejects a lower entry that is not the
-conjugate.  One reduction over all the digits checks the matrices; only
-when it fails is the first bad entry looked for, to be named.
+`position_digits` stays the definition; the codec reads tables built
+from it, on first use.  `decode` cuts the digits into the fewest
+consecutive groups of radix product at most GROUP_SIZE and takes one
+division per group and one gather per word of its table, a word packing
+up to 8 of the group's entries a byte each (`_digit_groups`).
+`encode` reads an F_q digit by one gather from the tower's subfield table
+and takes an F_{q^2} digit as its upper entry, whose lower entry one
+gather from the conjugate table checks (`_entry_digits`).  One reduction
+over all the digits and one over the conjugate compares check the
+matrices; only when they fail is the first bad entry looked for, to be
+named.
 
 The matrix actions of both families are `product` (X -> L X R, the
 Hermitian congruence being L = A*, R = A), `translate` (X -> X + M) and
@@ -80,20 +81,23 @@ def decoded_chunks(tower, ell: int, family: str):
 def decode(tower, ell: int, family: str, t):
     """The matrices at positions t, shape (ell, ell) + t.shape: E[i, j][s] =
     entry (i, j) of the matrix at position t[s].  Each digit group takes one
-    division, and each entry one gather from its group's table."""
+    division and one gather per word of its table, whose bytes are the
+    group's entries, and one copy of the words' bytes into their entries."""
     total = tower.q ** (ell * ell)
     t = indices(t, total, f"position out of range [0, {total})").astype(np.int64, copy=False)
+    shape, t = t.shape, t.ravel()
     groups = _digit_groups(tower, ell, family)
-    E = np.empty((ell, ell) + t.shape, dtype=np.uint8)
-    for g, (size, _, cells, table) in enumerate(groups):
+    E = np.empty((ell * ell, t.size), dtype=np.uint8)
+    for g, (size, _, words) in enumerate(groups):
         if g + 1 < len(groups):
             high = t // size
             d, t = t - high * size, high
         else:
             d = t  # below the last group's size, t being below total
-        for (i, j), row in zip(cells, table):
-            row.take(d, out=E[i, j, ...], mode="clip")  # d < size: clip spares take a buffer
-    return E
+        for rows, table in words:
+            W = table.take(d, mode="clip")[:, None].view(np.uint8)  # d < size: clip spares take a buffer
+            E[rows] = W.T[:len(rows)]
+    return E.reshape((ell, ell) + shape)
 
 
 def encode(tower, ell: int, family: str, entries):
@@ -103,35 +107,36 @@ def encode(tower, ell: int, family: str, entries):
     or outside F_{q^2}, or a lower entry that is not the conjugate of its
     upper one.
 
-    Each digit is one gather from a table of the tower (`_entry_digits`),
-    which reads NOT_A_DIGIT for a matrix outside the family, so one
-    reduction over the digits checks them all; only then is the first bad
-    entry looked for.  The digits of a group are summed in uint16, and the
-    groups in int64."""
+    An F_q digit is one gather from the tower's subfield table, which reads
+    NOT_A_DIGIT for an entry outside F_q; an F_{q^2} digit is its upper
+    entry, and its lower entry is compared with one gather from the
+    conjugate table (`_entry_digits`).  So one reduction over the digits,
+    which also finds an upper entry at or past q^2, and one over the
+    compares check the matrices; only then is the first bad entry looked
+    for.  The digits of a group are summed in uint16, and the groups in
+    int64."""
     E = np.asarray(entries)
     if E.shape[:2] != (ell, ell):
         raise ValueError(f"expected {ell} x {ell} entries, got shape {E.shape[:2]}")
     outside = f"entry outside F_{tower.qq}"
     if E.dtype != np.uint8:
         E = indices(E, tower.qq, outside).astype(np.uint8)
-    sub, pair = _entry_digits(tower)
+    sub, conj = _entry_digits(tower)
     i, j, fq = _digit_entries(ell, family)
-    D = np.empty((len(i),) + E.shape[2:], dtype=np.uint8)
-    sub.take(E[i[:fq], j[:fq]], out=D[:fq], mode="clip")  # a uint8 entry is below len(sub)
-    lower = E[j[fq:], i[fq:]]
-    np.minimum(lower, tower.qq, out=lower)
-    key = E[i[fq:], j[fq:]].astype(np.uint16)
-    key *= tower.qq + 1
-    key += lower
-    pair.take(key, out=D[fq:], mode="clip")  # a key past the end clips to its last entry, NOT_A_DIGIT
-    if D.size and D.max() == NOT_A_DIGIT:
+    D = E[i, j]  # each digit's entry: an F_q one, then the upper one of a pair
+    # in place: take reads uint8 indices through a new intp copy, and a
+    # uint8 entry is below len(sub)
+    sub.take(D[:fq], out=D[:fq], mode="clip")
+    wrong = conj.take(D[fq:], mode="clip") != E[j[fq:], i[fq:]]
+    if D.size and (D.max() >= tower.qq or wrong.any()):
         indices(E, tower.qq, outside)
-        k = (D == NOT_A_DIGIT).reshape(len(D), -1).any(axis=1).argmax()
+        bad = np.concatenate([D[:fq] == NOT_A_DIGIT, wrong])
+        k = bad.reshape(len(D), -1).any(axis=1).argmax()
         if k < fq:
             raise ValueError(f"entry ({i[k]}, {j[k]}) outside F_{tower.q}")
         raise ValueError(f"entry ({j[k]}, {i[k]}) is not the conjugate of entry ({i[k]}, {j[k]})")
     t, top = None, len(D)
-    for size, radices, _, _ in reversed(_digit_groups(tower, ell, family)):
+    for size, radices, _ in reversed(_digit_groups(tower, ell, family)):
         rows, top = D[top - len(radices):top], top - len(radices)
         u = rows[-1, ...].astype(np.uint16)  # a group's digits read below GROUP_SIZE
         for row, radix in zip(rows[-2::-1], radices[-2::-1]):
@@ -158,9 +163,12 @@ def _digit_groups(tower, ell: int, family: str):
     """The digits of `position_digits`, least significant first, cut into
     consecutive groups of radix product at most GROUP_SIZE: the fewest
     groups, and of those cuts the one whose tables hold the fewest bytes.
-    Each group is (size, radices, cells, table): its radix product, its
-    digits' radices, the entries its digits fill, and table[c][u] = entry
-    cells[c] of the matrix whose group digits read u in mixed radix."""
+    Each group is (size, radices, words): its radix product, its digits'
+    radices, and its words.  The entries its digits fill are packed in
+    order, 8 to a word of 1, 2, 4 or 8 bytes (`_word_bytes`), and a word is
+    (rows, table): byte c of table[u] is entry rows[c] of E.reshape(ell *
+    ell, -1), entry (i, j) being row ell * i + j, of the matrix whose group
+    digits read u in mixed radix; its bytes past len(rows) are 0."""
     digits = [(ij, in_subfield, tower.q if in_subfield else tower.qq)
               for ij, in_subfield in position_digits(ell, family)]
     best = [(0, 0, 0)]  # best[end]: (groups, bytes, start of the last group) for digits[:end]
@@ -170,29 +178,45 @@ def _digit_groups(tower, ell: int, family: str):
             size = prod(radix for *_, radix in digits[start:end])
             if size > GROUP_SIZE:
                 break
-            rows = sum(1 if in_subfield else 2 for _, in_subfield, _ in digits[start:end])
-            cuts.append((best[start][0] + 1, best[start][1] + size * rows, start))
+            entries = sum(1 if in_subfield else 2 for _, in_subfield, _ in digits[start:end])
+            cuts.append((best[start][0] + 1, best[start][1] + size * sum(_word_bytes(entries)), start))
         best.append(min(cuts))
     bounds, end = [], len(digits)
     while end:
         bounds.insert(0, (best[end][2], end))
         end = best[end][2]
-    groups = []
-    for start, end in bounds:
-        radices = tuple(radix for *_, radix in digits[start:end])
-        u, cells, table = np.arange(prod(radices)), [], []
-        for (i, j), in_subfield, radix in digits[start:end]:
-            d, u = u % radix, u // radix
-            if in_subfield:
-                cells.append((i, j))
-                table.append(tower.subfield_np[d])
-            else:
-                cells += [(i, j), (j, i)]
-                table += [d, tower.conj_np[d]]
-        table = np.array(table, dtype=np.uint8)
-        table.setflags(write=False)
-        groups.append((prod(radices), radices, tuple(cells), table))
-    return tuple(groups)
+    return tuple(_digit_group(tower, ell, digits[start:end]) for start, end in bounds)
+
+
+def _digit_group(tower, ell: int, digits):
+    """The group of `_digit_groups` whose digits, each (entry, in_subfield,
+    radix), are `digits`."""
+    radices = tuple(radix for *_, radix in digits)
+    u, cells, entries = np.arange(prod(radices)), [], []
+    for (i, j), in_subfield, radix in digits:
+        d, u = u % radix, u // radix
+        if in_subfield:
+            cells.append(ell * i + j)
+            entries.append(tower.subfield_np[d])
+        else:
+            cells += [ell * i + j, ell * j + i]
+            entries += [d, tower.conj_np[d]]
+    words = []
+    for first, width in zip(range(0, len(cells), 8), _word_bytes(len(cells))):
+        rows = np.array(cells[first:first + 8])
+        table = np.zeros((len(u), width), dtype=np.uint8)
+        table[:, :len(rows)] = np.transpose(entries[first:first + 8])
+        table = table.view(f"u{width}")[:, 0]
+        for array in (rows, table):
+            array.setflags(write=False)
+        words.append((rows, table))
+    return prod(radices), radices, tuple(words)
+
+
+def _word_bytes(entries: int):
+    """The widths of the words that hold a group's entries, 8 to a word:
+    1, 2, 4 or 8 bytes each."""
+    return [1 << (min(8, entries - first) - 1).bit_length() for first in range(0, entries, 8)]
 
 
 @functools.cache
@@ -208,18 +232,18 @@ def _digit_entries(ell: int, family: str):
 
 @functools.cache
 def _entry_digits(tower):
-    """(sub, pair), the digit tables of `encode`.  An F_q digit whose entry
-    is e reads sub[e], its place in the sorted subfield list.  An F_{q^2}
-    digit whose upper entry is a and lower entry b reads pair[a * (q^2 + 1)
-    + min(b, q^2)], which is a when b is the conjugate of a.  Every other
-    uint8 entry or pair of them reads NOT_A_DIGIT."""
+    """(sub, conj), the 256-entry tables of `encode`, one per uint8 entry.
+    An F_q digit whose entry is e reads sub[e], its place in the sorted
+    subfield list, or NOT_A_DIGIT for e outside F_q.  An F_{q^2} digit is
+    its upper entry a, and its lower entry must be conj[a], the conjugate
+    of a; conj reads NOT_A_DIGIT past q^2, where a is refused anyway."""
     sub = np.full(256, NOT_A_DIGIT, dtype=np.uint8)
     sub[tower.subfield_np] = np.arange(tower.q)
-    pair = np.full((tower.qq + 1, tower.qq + 1), NOT_A_DIGIT, dtype=np.uint8)
-    pair[np.arange(tower.qq), tower.conj_np] = np.arange(tower.qq)
-    for table in (sub, pair):
+    conj = np.full(256, NOT_A_DIGIT, dtype=np.uint8)
+    conj[:tower.qq] = tower.conj_np
+    for table in (sub, conj):
         table.setflags(write=False)
-    return sub, pair.ravel()
+    return sub, conj
 
 
 # group actions ---------------------------------------------------------------

@@ -20,6 +20,8 @@ from hermgrass.hermitian import (
     BUILD_LIMIT,
     FAMILY_AFFINE,
     FAMILY_HERMITIAN,
+    GROUP_SIZE,
+    _digit_group,
     _digit_groups,
     _entry_digits,
     decode,
@@ -263,23 +265,87 @@ def test_encode_accepts_exactly_the_family_entries():
 
 
 # Bytes of every codec table over every (tower, ell, family) a code is built
-# over, decode's group tables and encode's digit tables: 145,879 today.
+# over, decode's packed group tables and encode's 256-entry subfield and
+# conjugate tables: 159,484 today.
 CODEC_TABLE_BYTES_CAP = 160_000
+BUILT_CELLS = [(q, ell, family) for q in sorted(SUPPORTED_Q) for ell in (1, 2, 3, 4)
+               if q ** (ell * ell) <= BUILD_LIMIT for family in FAMILIES]
 
 
 def test_codec_tables_stay_under_their_cap():
     total = 0
     for q in sorted(SUPPORTED_Q):
-        tower = tower_for_q(q)
-        total += sum(table.nbytes for table in _entry_digits(tower))
-        for ell in (1, 2, 3, 4):
-            if q ** (ell * ell) <= BUILD_LIMIT:
-                for family in FAMILIES:
-                    groups = _digit_groups(tower, ell, family)
-                    assert all(size <= 1 << 12 and table.dtype == np.uint8 and not table.flags.writeable
-                               for size, _, _, table in groups)
-                    total += sum(table.nbytes for *_, table in groups)
+        for table in _entry_digits(tower_for_q(q)):
+            assert table.shape == (256,) and table.dtype == np.uint8 and not table.flags.writeable
+            total += table.nbytes
+    for q, ell, family in BUILT_CELLS:
+        for size, _, words in _digit_groups(tower_for_q(q), ell, family):
+            assert size <= GROUP_SIZE
+            for rows, table in words:
+                assert table.dtype.kind == "u" and table.itemsize in (1, 2, 4, 8)
+                assert len(table) <= GROUP_SIZE and not table.flags.writeable and not rows.flags.writeable
+                total += table.nbytes
     assert total <= CODEC_TABLE_BYTES_CAP
+
+
+def entry_tables(tower, ell, digits):
+    """The per-entry tables of one digit group, read off position_digits one
+    digit at a time: each cell (i, j) and table[u] = entry (i, j) of the
+    matrix whose group digits, each ((i, j), in_subfield), read u in mixed
+    radix."""
+    radices = [tower.q if in_subfield else tower.qq for _, in_subfield in digits]
+    u, cells, tables = np.arange(int(np.prod(radices))), [], []
+    for ((i, j), in_subfield), radix in zip(digits, radices):
+        d, u = u % radix, u // radix
+        if in_subfield:
+            cells.append((i, j))
+            tables.append(tower.subfield_np[d])
+        else:
+            cells += [(i, j), (j, i)]
+            tables += [d, tower.conj_np[d]]
+    return cells, np.array(tables, dtype=np.uint8)
+
+
+def unpacked_tables(ell, group):
+    """The cells and per-entry tables held in one group's packed words."""
+    size, _, words = group
+    cells, tables = [], []
+    for rows, table in words:
+        assert len(rows) <= 8 and table.itemsize == 1 << (len(rows) - 1).bit_length()
+        planes = table.view(np.uint8).reshape(size, table.itemsize)
+        assert not planes[:, len(rows):].any()
+        cells += [divmod(int(row), ell) for row in rows]
+        tables.append(planes[:, :len(rows)].T)
+    return cells, np.concatenate(tables)
+
+
+def test_packed_group_tables_unpack_to_the_per_entry_tables():
+    """Every group of every built (tower, ell, family): its words unpack to
+    the per-entry tables of position_digits, in order.  The built groups
+    hold one split group, 9 entries at ell = 3, q = 2 (8 + 1); ell = 4,
+    q = 2 is cut into two groups of 8 entries, so a group of its first 12
+    entries, which fits GROUP_SIZE, checks a split into 8 + 4 too."""
+    splits = []
+    for q, ell, family in BUILT_CELLS:
+        tower, digits = tower_for_q(q), position_digits(ell, family)
+        for group in _digit_groups(tower, ell, family):
+            _, radices, words = group
+            cells, tables = entry_tables(tower, ell, digits[:len(radices)])
+            digits = digits[len(radices):]
+            packed_cells, packed_tables = unpacked_tables(ell, group)
+            assert packed_cells == cells and np.array_equal(packed_tables, tables), (q, ell, family)
+            if len(words) > 1:
+                splits.append((q, ell, family, [len(rows) for rows, _ in words]))
+        assert digits == []
+    assert splits == [(2, 3, family, [8, 1]) for family in FAMILIES]
+    tower = tower_for_q(2)
+    for family in FAMILIES:
+        digits = position_digits(4, family)[:12 if family == FAMILY_AFFINE else 8]
+        group = _digit_group(tower, 4, [(ij, s, 2 if s else 4) for ij, s in digits])
+        assert group[0] == GROUP_SIZE and [len(rows) for rows, _ in group[2]] == [8, 4]
+        cells, tables = unpacked_tables(4, group)
+        expected_cells, expected = entry_tables(tower, 4, digits)
+        assert cells == expected_cells and np.array_equal(tables, expected)
 
 
 @pytest.mark.parametrize("family", FAMILIES)

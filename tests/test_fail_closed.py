@@ -298,7 +298,10 @@ def test_empty_positions_and_entries_give_empty_results(dtype):
 # read past a short row or with a row missed, rows that are not 2-D were
 # read past their shape, and a clearing label 3 indexed past H, 0 wrapped
 # to its last row, 1.0 was no index and a repeated label gave a wrong H; a
-# stack of instances is refused whole for one bad instance
+# stack of instances is refused whole for one bad instance; encode, which
+# reads an F_{q^2} digit from its upper entry, still refuses a lower entry
+# that is not its conjugate, a diagonal entry outside F_q and an upper
+# entry past q^2, also at the towers whose subfield is not 0..q-1
 MALFORMED = {
     "code spec, q = 2.0": ("CodeSpec('hermitian', 2.0, 2)", "q must be an integer"),
     "code spec, q = np.float64(3)": ("CodeSpec('affine', np.float64(3), 2)", "q must be an integer"),
@@ -358,6 +361,17 @@ MALFORMED = {
         "a1, a2 must be linearly independent"),
     "stacked weight-4 words, stacks of two lengths": (
         "du.dual_word_weight4(h2q2, None, [(1, 0)] * 2, [(0, 1)] * 3)", "cannot be broadcast"),
+    "encode, a lower entry not the conjugate at q = 4": (
+        "encode(tower_for_q(4), 2, FAMILY_HERMITIAN, [[0, 2], [2, 0]])",
+        "entry (1, 0) is not the conjugate of entry (0, 1)"),
+    "encode, a lower entry not the conjugate at q = 9": (
+        "encode(tower_for_q(9), 2, FAMILY_HERMITIAN, np.array([[0, 3], [43, 0]], dtype=np.uint8))",
+        "entry (1, 0) is not the conjugate of entry (0, 1)"),
+    "encode, a diagonal entry of F_16 outside F_4": (
+        "encode(tower_for_q(4), 2, FAMILY_HERMITIAN, [[0, 0], [0, 2]])", "entry (1, 1) outside F_4"),
+    "encode, a uint8 upper entry 200 at q = 3": (
+        "encode(tower_for_q(3), 2, FAMILY_HERMITIAN, np.array([[0, 200], [0, 0]], dtype=np.uint8))",
+        "entry outside F_9"),
 }
 
 
